@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .exceptions import DomainError
 from .partitions import (
@@ -70,12 +71,25 @@ class BarQuotient:
 
 
 def _check_prime(p: int):
-    if p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, int(p**0.5) + 1, 2)):
+    if p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)):
         raise DomainError(f"p must be an odd prime: {p}")
 
 
 def ell(p: int) -> int:
     return (p - 1) // 2
+
+
+def runner_label(p: int, j: int) -> Partition:
+    """The partition (p - j, j) of p attached to runner j; (p) for j = 0."""
+    return (p - j, j) if j else (p,)
+
+
+def as_composition(dcomp, p: int) -> tuple:
+    """dcomp as a tuple of ell + 1 nonnegative runner weights."""
+    dcomp = tuple(int(x) for x in dcomp)
+    if len(dcomp) != ell(p) + 1 or any(x < 0 for x in dcomp):
+        raise ValueError(f"composition must have {ell(p) + 1} nonnegative entries")
+    return dcomp
 
 
 def removal_moves(lam: Partition, p: int) -> list[frozenset]:
@@ -104,6 +118,10 @@ def core_weight(
     """
     lam = as_strict(lam)
     _check_prime(p)
+    return _core_weight(lam, p, rng)
+
+
+def _core_weight(lam: Partition, p: int, rng: random.Random | None = None):
     current = frozenset(lam)
     weight = 0
     while True:
@@ -132,6 +150,10 @@ def neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition]
         raise DomainError(f"runner index must lie in 0..{ell(p)}: {j}")
     if direction not in ("add", "remove"):
         raise ValueError(f"direction must be add or remove: {direction!r}")
+    return _neighbors(lam, p, j, direction)
+
+
+def _neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition]:
     beads = frozenset(lam)
     residues = {j % p, (p - j) % p}
     results = []
@@ -165,8 +187,12 @@ def quotient(lam: Partition, p: int) -> BarQuotient:
     """
     lam = as_strict(lam)
     _check_prime(p)
+    return _quotient(lam, p)
+
+
+def _quotient(lam: Partition, p: int) -> BarQuotient:
     L = ell(p)
-    ab = Abacus.from_partition(lam, p)
+    ab = Abacus(p, frozenset(lam))
     for i in range(L + 1, p):
         if ab.runner(i):
             raise DomainError(
@@ -180,7 +206,7 @@ def quotient(lam: Partition, p: int) -> BarQuotient:
         comp = tuple(c - (m - 1 - k) for k, c in enumerate(offsets))
         qs.append(tuple(x for x in comp if x > 0))
     q = BarQuotient(q0, tuple(qs))
-    core, wt = core_weight(lam, p)
+    core, wt = _core_weight(lam, p)
     if q.weight() != wt:
         raise AssertionError(
             f"quotient sizes {q.sizes()} do not sum to the weight {wt} of {lam}"
@@ -198,15 +224,13 @@ def block_enum(
     """
     rho = as_strict(rho)
     _check_prime(p)
-    if not is_bar_core(rho, p):
+    if removal_moves(rho, p):
         raise DomainError(f"{rho} is not a bar-core for p={p}")
     if d < 0:
         raise ValueError("weight must be nonnegative")
     L = ell(p)
     if dcomp is not None:
-        dcomp = tuple(int(x) for x in dcomp)
-        if len(dcomp) != L + 1 or any(x < 0 for x in dcomp):
-            raise ValueError(f"composition must have {L + 1} nonnegative entries")
+        dcomp = as_composition(dcomp, p)
         if sum(dcomp) != d:
             raise ValueError(f"composition {dcomp} does not sum to {d}")
     frontier = {rho}
@@ -214,17 +238,17 @@ def block_enum(
         nxt = set()
         for lam in frontier:
             for j in range(L + 1):
-                nxt.update(neighbors(lam, p, j, "add"))
+                nxt.update(_neighbors(lam, p, j, "add"))
         frontier = nxt
     result = sorted(frontier, reverse=True)
     if dcomp is not None:
-        result = [lam for lam in result if quotient(lam, p).sizes() == dcomp]
+        result = [lam for lam in result if _quotient(lam, p).sizes() == dcomp]
     return result
 
 
 @lru_cache(maxsize=None)
 def _k_product(lam: Partition, p: int) -> int:
-    q = quotient(lam, p)
+    q = _quotient(lam, p)
     value = path_count(q.q0, STRICT)
     for comp in q.qs:
         value *= path_count(comp, ORDINARY)
@@ -233,4 +257,6 @@ def _k_product(lam: Partition, p: int) -> int:
 
 def k_product(lam: Partition, p: int) -> int:
     """Product of tableau-path counts over the quotient components."""
-    return _k_product(as_strict(lam), p)
+    lam = as_strict(lam)
+    _check_prime(p)
+    return _k_product(lam, p)

@@ -19,13 +19,14 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .abacus import block_enum, core_weight, ell
+from .abacus import as_composition, block_enum, core_weight, ell, runner_label
 from .exceptions import SpaceMismatch
 from .partitions import Partition, as_strict, epsilon_exponent
 from .sqrt2 import Sqrt2Scalar
 
 SUPER = "super"
 REFINED = "refined"
+SIGN_SUFFIX = {1: "+", -1: "-", 0: ""}
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,10 @@ class CharSpace:
         if self.kind in ("block", "full"):
             return (label,)
         if self.kind == "L":
-            return (self.rho,) + tuple((self.p - j, j) if j else (self.p,) for j in label)
+            return (self.rho,) + tuple(runner_label(self.p, j) for j in label)
         if self.kind == "H":
             mu, j = label
-            return (mu, (self.p - j, j) if j else (self.p,))
+            return (mu, runner_label(self.p, j))
         raise ValueError(f"unknown space kind {self.kind!r}")
 
     def eps_exponent(self, label) -> int:
@@ -125,11 +126,7 @@ def _space_labels(space: CharSpace) -> list:
     if space.kind == "block":
         return block_enum(space.rho, space.p, space.d)
     if space.kind == "L":
-        L = ell(space.p)
-        tuples = [()]
-        for _ in range(space.d):
-            tuples = [t + (j,) for t in tuples for j in range(L + 1)]
-        return tuples
+        return runner_tuples(space.p, space.d)
     if space.kind == "H":
         mus = block_enum(space.rho, space.p, space.d - 1)
         return [(mu, j) for mu in mus for j in range(ell(space.p) + 1)]
@@ -138,6 +135,14 @@ def _space_labels(space: CharSpace) -> list:
 
         return enumerate_partitions(space.n, STRICT)
     raise ValueError(f"unknown space kind {space.kind!r}")
+
+
+def runner_tuples(p: int, length: int) -> list:
+    """All tuples of `length` runner indices in 0..ell, lexicographic."""
+    tuples = [()]
+    for _ in range(length):
+        tuples = [t + (j,) for t in tuples for j in range(ell(p) + 1)]
+    return tuples
 
 
 @dataclass(frozen=True)
@@ -237,18 +242,21 @@ class CharVector:
                 out[label] = c
         return CharVector.make(self.space, out, SUPER)
 
+    def label_name(self, label) -> str:
+        """Printed name of a basis label; refined labels end in their sign."""
+        if self.basis == REFINED:
+            base, sign = label
+            return self.space.format_label(base) + SIGN_SUFFIX[sign]
+        return self.space.format_label(label)
+
+    def rows(self) -> list:
+        """One {"label", "a", "b"} record per nonzero coefficient, in order."""
+        return [{"label": self.label_name(l), "a": c.a, "b": c.b} for l, c in self.coeffs]
+
     def __str__(self):
         if not self.coeffs:
             return "0"
-        bits = []
-        for label, c in self.coeffs:
-            if self.basis == REFINED:
-                base, sign = label
-                name = self.space.format_label(base) + {1: "+", -1: "-", 0: ""}[sign]
-            else:
-                name = self.space.format_label(label)
-            bits.append(f"({c})*[{name}]")
-        return " + ".join(bits)
+        return " + ".join(f"({c})*[{self.label_name(l)}]" for l, c in self.coeffs)
 
 
 def eps_ratio(num_exponents, den_exponents) -> Sqrt2Scalar:
@@ -279,10 +287,10 @@ def m_action(v: CharVector) -> CharVector:
         else:
             (i,) = label
             make = lambda j: (j,)
-        ei = epsilon_exponent([(space.p - i, i) if i else (space.p,)])
+        ei = epsilon_exponent([runner_label(space.p, i)])
         e_mu_i = space.eps_exponent(label)
         for j in range(L - i + 1):
-            ej = epsilon_exponent([(space.p - j, j) if j else (space.p,)])
+            ej = epsilon_exponent([runner_label(space.p, j)])
             target = make(j)
             coeff = eps_ratio((e_mu_i, ei, ej), (space.eps_exponent(target),))
             out[target] = out.get(target, Sqrt2Scalar(0, 0)) + c * coeff
@@ -314,13 +322,10 @@ def orbit_sum(rho: Partition, p: int, dcomp) -> tuple[CharVector, int]:
     multinomial(d; dcomp) * eps^2.
     """
     rho = as_strict(rho)
-    dcomp = tuple(int(x) for x in dcomp)
-    L = ell(p)
-    if len(dcomp) != L + 1 or any(x < 0 for x in dcomp):
-        raise ValueError(f"composition must have {L + 1} nonnegative entries")
+    dcomp = as_composition(dcomp, p)
     d = sum(dcomp)
     space = CharSpace.l_space(rho, p, d)
-    base = tuple(j for j in range(L + 1) for _ in range(dcomp[j]))
+    base = tuple(j for j in range(len(dcomp)) for _ in range(dcomp[j]))
     tuples = sorted(set(permutations(base)))
     vec = CharVector.make(space, {t: 1 for t in tuples})
     eps_sq = 2 ** space.eps_exponent(base)

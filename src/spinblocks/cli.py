@@ -17,9 +17,9 @@ import time
 
 from . import trees
 from .abacus import block_enum, core_weight, ell, neighbors, quotient
-from .chars import CharSpace, CharVector, m_action, orbit_sum
+from .chars import SIGN_SUFFIX, CharSpace, CharVector, m_action, orbit_sum
 from .exceptions import DomainError, ShapeError, SpaceMismatch
-from .partitions import PATH_COUNT_MEMO, enumerate_partitions
+from .partitions import PATH_COUNT_MEMO, enumerate_partitions, validate
 from .rouquier import generate, is_rouquier, strip_classify
 from .stembridge import f_coeff, induce, rock_branch
 from .verify import (
@@ -47,15 +47,7 @@ def parse_comp(text: str) -> tuple:
 
 
 def vector_payload(v: CharVector) -> list:
-    out = []
-    for label, c in v.coeffs:
-        if v.basis == "refined":
-            base, sign = label
-            name = v.space.format_label(base) + {1: "+", -1: "-", 0: ""}[sign]
-        else:
-            name = v.space.format_label(label)
-        out.append({"label": name, "a": c.a, "b": c.b})
-    return sorted(out, key=lambda r: r["label"])
+    return sorted(v.rows(), key=lambda r: r["label"])
 
 
 def load_cache(path: str):
@@ -66,10 +58,18 @@ def load_cache(path: str):
         return
     if not lines or lines[0] != CACHE_HEADER:
         raise DomainError(f"{path} is not a spinblocks K-cache")
-    for line in lines[1:]:
-        kind, parts, value = line.split("\t")
-        lam = parse_partition(parts)
-        PATH_COUNT_MEMO[(kind, lam)] = int(value)
+    entries = {}
+    for number, line in enumerate(lines[1:], 2):
+        try:
+            kind, parts, value = line.split("\t")
+            key = (kind, validate(parts.split(",") if parts else (), kind))
+            count = int(value)
+        except ValueError as exc:
+            raise DomainError(f"{path} line {number}: bad record {line!r}: {exc}") from None
+        if count < 1:
+            raise DomainError(f"{path} line {number}: count must be positive: {line!r}")
+        entries[key] = count
+    PATH_COUNT_MEMO.update(entries)
 
 
 def save_cache(path: str):
@@ -232,10 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _refined_name(space, label, sign):
-    return space.format_label(label) + {1: "+", -1: "-", 0: ""}[sign]
-
-
 def run_command(args) -> tuple[dict, int]:
     """Returns (outputs or verdict payload, exit code)."""
     cmd = args.command
@@ -342,9 +338,7 @@ def run_command(args) -> tuple[dict, int]:
             return {"constituents": [list(c) for c in out]}, 0
         wt = trees.weight_one_map(parse_partition(args.rho), args.p)
         nodes = {
-            node: [
-                ",".join(map(str, lam)) + {1: "+", -1: "-", 0: ""}[s] for lam, s in chars
-            ]
+            node: [",".join(map(str, lam)) + SIGN_SUFFIX[s] for lam, s in chars]
             for node, chars in wt.node_chars
         }
         return {"kind": wt.tree.kind, "nodes": nodes}, 0
@@ -435,14 +429,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
-    if args.cache:
-        load_cache(args.cache)
     inputs = {
         k: v
         for k, v in vars(args).items()
         if k not in ("command", "format", "cache", "timing") and v is not None
     }
     try:
+        if args.cache:
+            load_cache(args.cache)
         outputs, code = run_command(args)
     except (DomainError, ShapeError, SpaceMismatch, ValueError, IndexError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

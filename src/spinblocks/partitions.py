@@ -8,6 +8,7 @@ order so goldens are stable.
 
 from __future__ import annotations
 
+from operator import ge, gt
 from typing import Iterable, Iterator
 
 from .sqrt2 import Sqrt2Scalar
@@ -19,17 +20,17 @@ STRICT = "strict"
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
-    t = tuple(int(x) for x in parts)
-    if any(x <= 0 for x in t):
+    t = tuple(map(int, parts))
+    if t and min(t) <= 0:
         raise ValueError(f"partition parts must be positive: {t}")
-    if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
+    if not all(map(ge, t, t[1:])):
         raise ValueError(f"parts must be weakly decreasing: {t}")
     return t
 
 
 def as_strict(parts: Iterable[int]) -> Partition:
     t = as_partition(parts)
-    if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
+    if not all(map(gt, t, t[1:])):
         raise ValueError(f"parts must be strictly decreasing: {t}")
     return t
 
@@ -60,10 +61,6 @@ def contains(lam: Partition, mu: Partition) -> bool:
     if len(mu) > len(lam):
         return False
     return all(m <= l for m, l in zip(mu, lam))
-
-
-def young_diagram(lam: Partition) -> frozenset:
-    return frozenset((i, j) for i, part in enumerate(lam, 1) for j in range(1, part + 1))
 
 
 def shifted_diagram(lam: Partition) -> frozenset:
@@ -111,7 +108,10 @@ def box_moves(lam: Partition, kind: str, direction: str) -> list[Partition]:
     lam = validate(lam, kind)
     if direction not in ("add", "remove"):
         raise ValueError(f"direction must be add or remove: {direction!r}")
-    strict = kind == STRICT
+    return _box_moves(lam, kind == STRICT, direction)
+
+
+def _box_moves(lam: Partition, strict: bool, direction: str) -> list[Partition]:
     out = []
     if direction == "add":
         for i in range(len(lam) + 1):
@@ -152,19 +152,19 @@ def path_count(lam: Partition, kind: str) -> int:
     shape lam; for the strict kind the number of standard shifted tableaux.
     Memoized on the canonical tuple encoding.
     """
-    lam = validate(lam, kind)
+    return _path_count(validate(lam, kind), kind)
 
-    def rec(mu: Partition) -> int:
-        if not mu:
-            return 1
-        key = (kind, mu)
-        hit = PATH_COUNT_MEMO.get(key)
-        if hit is None:
-            hit = sum(rec(nu) for nu in box_moves(mu, kind, "remove"))
-            PATH_COUNT_MEMO[key] = hit
-        return hit
 
-    return rec(lam)
+def _path_count(lam: Partition, kind: str) -> int:
+    if not lam:
+        return 1
+    key = (kind, lam)
+    hit = PATH_COUNT_MEMO.get(key)
+    if hit is None:
+        moves = _box_moves(lam, kind == STRICT, "remove")
+        hit = sum(_path_count(mu, kind) for mu in moves)
+        PATH_COUNT_MEMO[key] = hit
+    return hit
 
 
 def count_chains_bruteforce(lam: Partition, kind: str) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus, core_weight, ell, is_bar_core, neighbors
+from .abacus import Abacus, ell, is_bar_core, neighbors
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, as_strict, contains, shifted_diagram
 
@@ -116,11 +116,3 @@ def rho_extension(rho: Partition, p: int, j: int) -> Partition:
         return tuple(sorted(beads | {p}, reverse=True))
     top = max(b for b in beads if b % p == j)
     return tuple(sorted(beads - {top} | {top + p}, reverse=True))
-
-
-def weight_one_block_with_core(lam: Partition, p: int) -> tuple[Partition, int]:
-    """Core and runner index of a weight-one partition over a 1-Rouquier core."""
-    core, wt = core_weight(lam, p)
-    if wt != 1 or not is_rouquier(core, p, 1):
-        raise DomainError(f"{lam} is not weight one over a 1-Rouquier core")
-    return core, strip_classify(lam, core, p).runner

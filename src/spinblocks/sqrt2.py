@@ -1,8 +1,8 @@
 """Exact arithmetic in Z[sqrt(2)].
 
 Elements are pairs (a, b) representing a + b*sqrt(2) with arbitrary-precision
-integers.  Division is defined only when the quotient lies in Z[sqrt(2)] and
-raises otherwise; nothing here ever touches floating point.
+integers.  The only division is exact halving, which raises when the quotient
+leaves Z[sqrt(2)]; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -58,17 +58,6 @@ class Sqrt2Scalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        """Exact division; raises ValueError when the quotient leaves the ring."""
-        other = Sqrt2Scalar.of(other)
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Z[sqrt(2)]")
-        num = self * other.conjugate()
-        if num.a % n or num.b % n:
-            raise ValueError(f"{self} is not divisible by {other} in Z[sqrt(2)]")
-        return Sqrt2Scalar(num.a // n, num.b // n)
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = Sqrt2Scalar(other, 0)
@@ -87,9 +76,6 @@ class Sqrt2Scalar:
 
     def norm(self) -> int:
         return self.a * self.a - 2 * self.b * self.b
-
-    def is_integer(self) -> bool:
-        return self.b == 0
 
     def is_nonneg_integer(self) -> bool:
         return self.b == 0 and self.a >= 0
@@ -111,6 +97,5 @@ class Sqrt2Scalar:
         return f"{self.a}{self.b:+}√2"
 
 
-ZERO = Sqrt2Scalar(0, 0)
 ONE = Sqrt2Scalar(1, 0)
 SQRT2 = Sqrt2Scalar(0, 1)

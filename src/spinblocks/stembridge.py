@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .abacus import core_weight, ell, neighbors
+from .abacus import core_weight, ell, neighbors, runner_label
 from .chars import CharSpace, CharVector, eps_ratio
 from .exceptions import DomainError, ShapeError
 from .partitions import (
@@ -326,10 +326,6 @@ def induce(mu: Partition, nu: Partition, support=None) -> CharVector:
     return CharVector.make(space, out)
 
 
-def _runner_label(p: int, j: int) -> Partition:
-    return (p - j, j) if j else (p,)
-
-
 def _block_context(part: Partition, p: int, weight_shift: int):
     """Core, weight-after-shift and Rouquier check for branching inputs."""
     core, wt = core_weight(part, p)
@@ -359,8 +355,8 @@ def rock_branch(part: Partition, p: int, j: int | None = None, direction: str = 
             raise DomainError(f"runner index must lie in 0..{L}: {j}")
         rho, d = _block_context(part, p, 1)
         space = CharSpace.block(rho, p, d)
-        e_mu_j = epsilon_exponent((part, _runner_label(p, j)))
-        ej = epsilon_exponent((_runner_label(p, j),))
+        e_mu_j = epsilon_exponent((part, runner_label(p, j)))
+        ej = epsilon_exponent((runner_label(p, j),))
         out = {}
         for i in range(L - j + 1):
             for lam in neighbors(part, p, i, "add"):
@@ -376,12 +372,12 @@ def rock_branch(part: Partition, p: int, j: int | None = None, direction: str = 
         e_lam = epsilon_exponent((part,))
         out = {}
         for jj in range(L + 1):
-            ej = epsilon_exponent((_runner_label(p, jj),))
+            ej = epsilon_exponent((runner_label(p, jj),))
             for i in range(L - jj + 1):
                 for mu in neighbors(part, p, i, "remove"):
                     coeff = eps_ratio(
                         (e_lam, epsilon_exponent((mu, part)), ej),
-                        (epsilon_exponent((mu, _runner_label(p, jj))),),
+                        (epsilon_exponent((mu, runner_label(p, jj))),),
                     )
                     key = (mu, jj)
                     out[key] = out.get(key, Sqrt2Scalar(0, 0)) + coeff
@@ -409,7 +405,7 @@ def rock_branch_refined(part: Partition, p: int, j: int, sign: int = 0) -> CharV
     part = as_strict(part)
     super_vec = rock_branch(part, p, j, "induce")
     space = super_vec.space
-    odd_input = epsilon_exponent((part, _runner_label(p, j))) == 1
+    odd_input = epsilon_exponent((part, runner_label(p, j))) == 1
     if odd_input and sign not in (1, -1):
         raise ValueError("an odd label needs sign +1 or -1")
     if not odd_input and sign != 0:

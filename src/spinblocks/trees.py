@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .abacus import ell
 from .exceptions import DomainError
 from .partitions import Partition, as_strict, is_odd_partition
 from .rouquier import is_rouquier, rho_extension
@@ -149,18 +150,18 @@ def weight_one_map(rho: Partition, p: int) -> WeightOneTree:
     rho = as_strict(rho)
     if not is_rouquier(rho, p, 1):
         raise DomainError(f"{rho} is not a 1-Rouquier core for p={p}")
-    ell = (p - 1) // 2
-    ext = {j: rho_extension(rho, p, j) for j in range(ell + 1)}
+    L = ell(p)
+    ext = {j: rho_extension(rho, p, j) for j in range(L + 1)}
     assignment = {}
     if is_odd_partition(rho):
-        tree = build("A", ell)
+        tree = build("A", L)
         assignment["0"] = ((ext[0], 1), (ext[0], -1))
-        for j in range(1, ell + 1):
+        for j in range(1, L + 1):
             assignment[str(j)] = ((ext[j], 0),)
     else:
-        tree = build("B", ell)
+        tree = build("B", L)
         assignment["0"] = ((ext[0], 0),)
-        for j in range(1, ell + 1):
+        for j in range(1, L + 1):
             assignment[f"{j}+"] = ((ext[j], 1),)
             assignment[f"{j}-"] = ((ext[j], -1),)
     return WeightOneTree(rho, p, tree, tuple(sorted(assignment.items())))

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial
 
-from .abacus import block_enum, ell, k_product, neighbors, quotient
-from .chars import REFINED, SUPER, CharSpace, CharVector, eps_ratio, m_action
+from .abacus import block_enum, ell, k_product, neighbors, quotient, runner_label
+from .chars import REFINED, CharSpace, CharVector, eps_ratio, m_action, runner_tuples
 from .exceptions import CheckFailure, DomainError, SpaceMismatch
 from .hnf import integral_solution_exists, lattice_member, row_echelon_basis
 from .partitions import (
@@ -26,10 +26,6 @@ from .partitions import (
 from .rouquier import is_rouquier
 from .sqrt2 import Sqrt2Scalar
 from .stembridge import rock_branch
-
-
-def _runner_label(p: int, j: int) -> Partition:
-    return (p - j, j) if j else (p,)
 
 
 def compositions(total: int, slots: int) -> list[tuple]:
@@ -121,9 +117,7 @@ def nmv_basis(space: CharSpace) -> NmvLattice:
     L = ell(space.p)
     gens = []
     if space.kind == "L":
-        others_list = [()]
-        for _ in range(space.d - 1):
-            others_list = [t + (j,) for t in others_list for j in range(L + 1)]
+        others_list = runner_tuples(space.p, space.d - 1)
         seen = set()
         for k in range(space.d):
             for others in others_list:
@@ -164,7 +158,7 @@ def phi(v: CharVector) -> Sqrt2Scalar:
     for (label, _sign), c in v.coeffs:
         e = (
             epsilon_exponent((space.rho,))
-            + sum(epsilon_exponent((_runner_label(space.p, j),)) for j in label)
+            + sum(epsilon_exponent((runner_label(space.p, j),)) for j in label)
             - space.eps_exponent(label)
         )
         value = Sqrt2Scalar.sqrt2_power(e)
@@ -190,7 +184,7 @@ def hyp_coeffs(rho: Partition, p: int, dcomp) -> CharVector:
         raise DomainError(f"{rho} is not a {d}-Rouquier core for p={p}")
     space = CharSpace.block(rho, p, d)
     e_tuple = epsilon_exponent(
-        (rho,) + tuple(_runner_label(p, j) for j in range(len(dcomp)) for _ in range(dcomp[j]))
+        (rho,) + tuple(runner_label(p, j) for j in range(len(dcomp)) for _ in range(dcomp[j]))
     )
     out = {}
     for lam in block_enum(rho, p, d, dcomp):
@@ -236,12 +230,7 @@ def _jsonable(x):
     if isinstance(x, Sqrt2Scalar):
         return {"a": x.a, "b": x.b}
     if isinstance(x, CharVector):
-        return [
-            {"label": x.space.format_label(l if x.basis == SUPER else l[0])
-             + ("" if x.basis == SUPER else {1: "+", -1: "-", 0: ""}[l[1]]),
-             "a": c.a, "b": c.b}
-            for l, c in x.coeffs
-        ]
+        return x.rows()
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -349,10 +338,10 @@ def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
     L = ell(p)
     out = {}
     for j in range(L + 1):
-        ej = epsilon_exponent((_runner_label(p, j),))
+        ej = epsilon_exponent((runner_label(p, j),))
         for mu in neighbors(lam, p, j, "remove"):
             coeff = eps_ratio(
-                (epsilon_exponent((mu, lam)), epsilon_exponent((lam, _runner_label(p, j)))),
+                (epsilon_exponent((mu, lam)), epsilon_exponent((lam, runner_label(p, j)))),
                 (epsilon_exponent((mu,)), ej),
             )
             key = (mu, j)
@@ -403,10 +392,10 @@ def restrict_recursion_sides(lam, p: int) -> dict:
             mu_q0 = quotient(mu, p).q0
             e = (
                 epsilon_exponent((mu, lam))
-                + epsilon_exponent((lam, _runner_label(p, k)))
-                + epsilon_exponent((mu, _runner_label(p, k)))
+                + epsilon_exponent((lam, runner_label(p, k)))
+                + epsilon_exponent((mu, runner_label(p, k)))
                 - epsilon_exponent((mu,))
-                - epsilon_exponent((_runner_label(p, k),))
+                - epsilon_exponent((runner_label(p, k),))
                 + sum(mu_q0)
                 - len(mu_q0)
             )
@@ -487,9 +476,8 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     failures = []
     for mu in block_enum(rho, p, d - 1):
         for j in range(L + 1):
-            nu = (p - j, j) if j else (p,)
             tableau_route = CharVector.make(
-                space, induce(mu, nu, support=block).as_dict()
+                space, induce(mu, runner_label(p, j), support=block).as_dict()
             )
             abacus_route = rock_branch(mu, p, j, "induce")
             if tableau_route.as_dict() != abacus_route.as_dict():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spinblocks.cli import main
 from spinblocks.partitions import PATH_COUNT_MEMO
 
@@ -153,6 +155,10 @@ def test_exit_code_usage_error(capsys):
     code, out, err = run_cli(capsys, "core", "--p", "4", "--partition", "2,1")
     assert code == 2
     assert "odd prime" in err
+    # too large for a float square root; 3 divides it
+    code, out, err = run_cli(capsys, "core", "--p", str(3**700), "--partition", "2,1")
+    assert code == 2
+    assert "odd prime" in err
 
 
 def test_exit_code_domain_error(capsys):
@@ -191,6 +197,26 @@ def test_cache_round_trip(tmp_path, capsys):
     PATH_COUNT_MEMO.clear()
     code, _, _ = run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "6")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not a cache\n",
+        "spinblocks-kcache 1\nstrict\t2,1\n",
+        "spinblocks-kcache 1\nweird\t2,2\t5\n",
+    ],
+)
+def test_corrupt_cache_is_an_input_error(tmp_path, capsys, text):
+    cache = tmp_path / "kcache.tsv"
+    cache.write_text(text)
+    code, out, err = run_cli(
+        capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "2,1"
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+    assert cache.read_text() == text
 
 
 def test_timing_flag(capsys):
