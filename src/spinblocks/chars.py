@@ -166,10 +166,6 @@ class CharVector:
     def unit(cls, space, label, basis=SUPER) -> "CharVector":
         return cls.make(space, {label: 1}, basis)
 
-    @classmethod
-    def zero(cls, space, basis=SUPER) -> "CharVector":
-        return cls.make(space, {}, basis)
-
     def as_dict(self) -> dict:
         return dict(self.coeffs)
 

@@ -438,11 +438,12 @@ def main(argv=None) -> int:
         if args.cache:
             load_cache(args.cache)
         outputs, code = run_command(args)
-    except (DomainError, ShapeError, SpaceMismatch, ValueError, IndexError, KeyError) as exc:
+        if args.cache:
+            save_cache(args.cache)
+    except (DomainError, ShapeError, SpaceMismatch, ValueError, IndexError, KeyError,
+            OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if args.cache:
-        save_cache(args.cache)
     report = {"command": args.command, "inputs": _jsonable(inputs), "outputs": outputs}
     if "verdicts" in outputs:
         report["verdicts"] = outputs["verdicts"]

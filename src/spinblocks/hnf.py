@@ -1,16 +1,14 @@
-"""Integer row lattices: Hermite-style echelon bases and membership tests.
+"""Integer lattices: Hermite-style echelon bases and membership tests.
 
-Primary route: bring the generator matrix to an integer row-echelon basis
-(gcd elimination, no pivots lost) and test membership by successive exact
-reduction.  Independent oracle: solve the linear system over the rationals
-and decide whether an integral solution exists by scanning free-variable
-residues; both are pure integer/fraction arithmetic.
+Primary route: bring the generator rows to an integer row-echelon basis
+(Euclid steps within each column, no pivots lost) and test membership by
+successive exact reduction.  Independent oracle: a column Hermite solve
+that folds the generator columns one coordinate at a time with unimodular
+Bezout steps and reduces the target by forward substitution.  The two
+routes share no code; both are pure integer arithmetic.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 
 def row_echelon_basis(rows) -> list[list[int]]:
@@ -66,67 +64,48 @@ def lattice_member(basis: list[list[int]], vector) -> bool:
     return not any(reduce_against(basis, vector))
 
 
-class OracleTooLarge(RuntimeError):
-    pass
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g, where g is a gcd of a and b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
-def integral_solution_exists(columns: list[list[int]], target, residue_cap: int = 200_000) -> bool:
+def integral_solution_exists(columns: list[list[int]], target) -> bool:
     """Whether sum_i x_i * columns[i] = target has an integer solution.
 
-    Naive route: exact Gaussian elimination over Q, then scan free-variable
-    residues modulo the common denominator for an integral assignment.
+    Column Hermite solve: at each coordinate, unimodular Bezout column
+    operations fold every generator column that is nonzero there into one
+    pivot column.  The pivot's multiple in the target is forced, so the
+    target is reduced by it and the pivot is retired; the other columns
+    are zero at that coordinate from then on.
     """
-    if not columns:
-        return not any(target)
-    ncols = len(columns)
-    nrows = len(columns[0])
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-        for i in range(nrows)
-    ]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pr is None:
+    active = [list(map(int, c)) for c in columns if any(c)]
+    rest = list(map(int, target))
+    for r in range(len(rest)):
+        live = [c for c in active if c[r]]
+        if not live:
+            if rest[r]:
+                return False
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        aug[r] = [a / aug[r][c] for a in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
+        active = [c for c in active if not c[r]]
+        pivot = live[0]
+        for col in live[1:]:
+            g, s, t = _bezout(pivot[r], col[r])
+            a, b = pivot[r] // g, col[r] // g
+            pivot, col = (
+                [s * x + t * y for x, y in zip(pivot, col)],
+                [a * y - b * x for x, y in zip(pivot, col)],
+            )
+            if any(col):
+                active.append(col)
+        q, m = divmod(rest[r], pivot[r])
+        if m:
             return False
-    free = [c for c in range(ncols) if c not in pivots]
-    exprs = []  # x_pivot = const - sum coef_j * t_j over free vars
-    for i, c in enumerate(pivots):
-        exprs.append((aug[i][ncols], [aug[i][f] for f in free]))
-    denoms = [e[0].denominator for e in exprs]
-    for _, coefs in exprs:
-        denoms.extend(x.denominator for x in coefs)
-    modulus = lcm(*denoms) if denoms else 1
-    if modulus == 1:
-        return True
-    if modulus ** len(free) > residue_cap:
-        raise OracleTooLarge(
-            f"residue scan of size {modulus}^{len(free)} exceeds the cap"
-        )
-    assignments = [()]
-    for _ in free:
-        assignments = [a + (t,) for a in assignments for t in range(modulus)]
-    for assignment in assignments:
-        ok = True
-        for const, coefs in exprs:
-            value = const - sum(f * t for f, t in zip(coefs, assignment))
-            if value.denominator != 1:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+        if q:
+            rest = [x - q * y for x, y in zip(rest, pivot)]
+    return True

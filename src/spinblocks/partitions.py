@@ -43,14 +43,6 @@ def validate(parts: Iterable[int], kind: str) -> Partition:
     raise ValueError(f"unknown partition kind: {kind!r}")
 
 
-def size(lam: Partition) -> int:
-    return sum(lam)
-
-
-def length(lam: Partition) -> int:
-    return len(lam)
-
-
 def is_odd_partition(lam: Partition) -> bool:
     """True when |lam| - h(lam) is odd (the partition's sign type)."""
     return (sum(lam) - len(lam)) % 2 == 1

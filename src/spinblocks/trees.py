@@ -78,19 +78,10 @@ def build(kind: str, ell: int) -> BrauerTree:
 def walk(tree: BrauerTree) -> GreenWalk:
     """The Green walk: from one end of the path to the other and back,
     phased to start at the node ell+ (kind B) or ell (kind A)."""
-    ell = tree.ell
+    path = tree.path
     if tree.kind == "B":
-        nodes = (
-            [f"{i}+" for i in range(ell, 0, -1)]
-            + ["0"]
-            + [f"{i}-" for i in range(1, ell + 1)]
-            + [f"{i}-" for i in range(ell - 1, 0, -1)]
-            + ["0"]
-            + [f"{i}+" for i in range(1, ell)]
-        )
-    else:
-        nodes = [str(i) for i in range(ell, -1, -1)] + [str(i) for i in range(1, ell)]
-    return GreenWalk(tree, tuple(nodes))
+        return GreenWalk(tree, path + path[-2:0:-1])
+    return GreenWalk(tree, path[::-1] + path[1:-1])
 
 
 def heller(tree: BrauerTree, start, n: int) -> list[tuple]:

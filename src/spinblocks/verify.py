@@ -7,7 +7,8 @@ both sides in machine-readable form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 from .abacus import block_enum, ell, k_product, neighbors, quotient, runner_label
@@ -47,18 +48,17 @@ class NmvLattice:
     L or H space, in the sign-refined basis.
 
     Membership flattens each coefficient a + b*sqrt(2) to the integer pair
-    (a, b) and reduces against a cached echelon basis.
+    (a, b).  The generators are flattened once into `matrix`; the primary
+    route reduces against its echelon basis, the oracle solves over its
+    columns, and both copy it rather than change it.
     """
 
     space: CharSpace
     generators: list
-    _basis: list = field(default=None, repr=False)
-    _labels: list = field(default=None, repr=False)
 
+    @cached_property
     def refined_labels(self) -> list:
-        if self._labels is None:
-            self._labels = self.space.refined_labels()
-        return self._labels
+        return self.space.refined_labels()
 
     def flatten(self, v: CharVector) -> list[int]:
         if v.space != self.space:
@@ -66,24 +66,26 @@ class NmvLattice:
         v = v.refine()
         d = v.as_dict()
         out = []
-        for label in self.refined_labels():
+        for label in self.refined_labels:
             c = d.pop(label, Sqrt2Scalar(0, 0))
             out.extend((c.a, c.b))
         if d:
             raise ValueError(f"labels outside the space: {sorted(map(repr, d))}")
         return out
 
-    def basis(self) -> list:
-        if self._basis is None:
-            self._basis = row_echelon_basis([self.flatten(g) for g in self.generators])
-        return self._basis
+    @cached_property
+    def matrix(self) -> list[list[int]]:
+        return [self.flatten(g) for g in self.generators]
+
+    @cached_property
+    def basis(self) -> list[list[int]]:
+        return row_echelon_basis(self.matrix)
 
     def member(self, v: CharVector) -> bool:
-        return lattice_member(self.basis(), self.flatten(v))
+        return lattice_member(self.basis, self.flatten(v))
 
     def member_oracle(self, v: CharVector) -> bool:
-        columns = [self.flatten(g) for g in self.generators]
-        return integral_solution_exists(columns, self.flatten(v))
+        return integral_solution_exists(self.matrix, self.flatten(v))
 
 
 def _pair_generators(space, low_label, high_label, low_odd, high_odd):
@@ -439,27 +441,39 @@ def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
     )
 
 
-def check_core_order(p: int, max_n: int = 14, samples: int = 40, orders: int = 50,
-                     seed: int = 20260810) -> CheckReport:
+# Fixed sizes of the randomized core-order replay and of the tree suite;
+# they are part of the report params, hence of the `verify all` verdict keys.
+CORE_ORDER_MAX_N = 14
+CORE_ORDER_SAMPLES = 40
+CORE_ORDER_ORDERS = 50
+CORE_ORDER_SEED = 20260810
+TREE_SUITE_COUNT = 3
+
+
+def check_core_order(p: int) -> CheckReport:
     """Bar-cores are independent of the removal order (randomized replay)."""
     import random
 
     from .abacus import core_weight
 
-    rng = random.Random(seed)
+    rng = random.Random(CORE_ORDER_SEED)
     pool = [
-        lam for n in range(1, max_n + 1) for lam in enumerate_partitions(n, STRICT)
+        lam
+        for n in range(1, CORE_ORDER_MAX_N + 1)
+        for lam in enumerate_partitions(n, STRICT)
     ]
     failures = []
-    for lam in rng.sample(pool, min(samples, len(pool))):
+    for lam in rng.sample(pool, min(CORE_ORDER_SAMPLES, len(pool))):
         expected = core_weight(lam, p)
-        for _ in range(orders):
+        for _ in range(CORE_ORDER_ORDERS):
             got = core_weight(lam, p, rng=rng)
             if got != expected:
                 failures.append({"lam": lam, "expected": expected, "got": got})
                 break
     return CheckReport(
-        "core-order", {"p": p, "max_n": max_n, "samples": samples, "orders": orders},
+        "core-order",
+        {"p": p, "max_n": CORE_ORDER_MAX_N, "samples": CORE_ORDER_SAMPLES,
+         "orders": CORE_ORDER_ORDERS},
         not failures, None, None, failures or None,
     )
 
@@ -495,7 +509,7 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     )
 
 
-def check_tree_suite(p: int, count: int = 3) -> CheckReport:
+def check_tree_suite(p: int) -> CheckReport:
     """Walk periodicity plus weight-one edge sums against the
     non-maximal-support generators, for generated cores of both parities."""
     from . import trees
@@ -510,7 +524,7 @@ def check_tree_suite(p: int, count: int = 3) -> CheckReport:
             if trees.heller(tree, start, n + period) != trees.heller(tree, start, n):
                 failures.append({"kind": kind, "n": n})
     for parity in ("even", "odd"):
-        for rho in generate(p, 1, parity, count):
+        for rho in generate(p, 1, parity, TREE_SUITE_COUNT):
             wt = trees.weight_one_map(rho, p)
             runner_of = {rho_extension(rho, p, j): (j,) for j in range(L + 1)}
             edges = {
@@ -525,7 +539,7 @@ def check_tree_suite(p: int, count: int = 3) -> CheckReport:
             if edges != gens:
                 failures.append({"rho": rho, "edges": sorted(map(str, edges))})
     return CheckReport(
-        "tree-suite", {"p": p, "count": count}, not failures, None, None,
+        "tree-suite", {"p": p, "count": TREE_SUITE_COUNT}, not failures, None, None,
         failures or None,
     )
 

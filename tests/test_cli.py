@@ -219,6 +219,17 @@ def test_corrupt_cache_is_an_input_error(tmp_path, capsys, text):
     assert cache.read_text() == text
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_cache_os_error_is_an_input_error(tmp_path, capsys, where):
+    cache = tmp_path if where == "directory" else tmp_path / "missing" / "k.tsv"
+    code, out, err = run_cli(
+        capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "2,1"
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_timing_flag(capsys):
     report = run_json(capsys, "--timing", "core", "--p", "5", "--partition", "5")
     assert "timing" in report

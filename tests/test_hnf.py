@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import lcm
+
 from hypothesis import given, settings, strategies as st
 
 from spinblocks.hnf import (
@@ -6,6 +9,54 @@ from spinblocks.hnf import (
     reduce_against,
     row_echelon_basis,
 )
+
+
+def rational_solution_exists(columns, target) -> bool:
+    """Third route, for tests only: exact Gauss-Jordan over Q, then a scan of
+    the free-variable residues modulo the common denominator."""
+    if not columns:
+        return not any(target)
+    ncols = len(columns)
+    nrows = len(columns[0])
+    aug = [
+        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
+        for i in range(nrows)
+    ]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        aug[r] = [a / aug[r][c] for a in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    if any(aug[i][ncols] != 0 for i in range(r, nrows)):
+        return False
+    free = [c for c in range(ncols) if c not in pivots]
+    # x_pivot = const - sum coef_f * t_f over the free variables t
+    exprs = [(aug[i][ncols], [aug[i][f] for f in free]) for i in range(len(pivots))]
+    denoms = [e[0].denominator for e in exprs]
+    for _, coefs in exprs:
+        denoms.extend(x.denominator for x in coefs)
+    modulus = lcm(*denoms) if denoms else 1
+    assignments = [()]
+    for _ in free:
+        assignments = [a + (t,) for a in assignments for t in range(modulus)]
+    return any(
+        all(
+            (const - sum(f * t for f, t in zip(coefs, assignment))).denominator == 1
+            for const, coefs in exprs
+        )
+        for assignment in assignments
+    )
 
 
 def test_echelon_simple():
@@ -43,6 +94,12 @@ def test_oracle_matches_simple_cases():
         assert lattice_member(basis, v) == integral_solution_exists(columns, v)
 
 
+def test_oracle_many_free_variables():
+    # 18 free variables over Q with denominator 2: a residue scan needs 2**18 steps
+    assert integral_solution_exists([[2]] + [[3]] * 18, [1])
+    assert not integral_solution_exists([[4]] + [[6]] * 18, [1])
+
+
 small_int = st.integers(min_value=-4, max_value=4)
 
 
@@ -56,12 +113,16 @@ small_int = st.integers(min_value=-4, max_value=4)
     use_noise=st.booleans(),
 )
 def test_membership_against_oracle(gens, coeffs, noise, use_noise):
-    """The echelon reduction and the rational-solve oracle always agree."""
+    """The echelon reduction, the column Hermite oracle and the rational
+    solve always agree."""
+    snapshot = [list(g) for g in gens]
     basis = row_echelon_basis(gens)
     v = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(4)]
     if use_noise:
         v = [a + b for a, b in zip(v, noise)]
     member = lattice_member(basis, v)
-    assert member == integral_solution_exists([list(g) for g in gens], v)
+    assert member == integral_solution_exists(gens, v)
+    assert member == rational_solution_exists(gens, v)
+    assert gens == snapshot  # both routes copy the generators
     if not use_noise:
         assert member  # exact integer combinations always belong
