@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import index
 
 from .exceptions import DomainError
 from .partitions import (
@@ -217,10 +218,9 @@ def _quotient(lam: Partition, p: int) -> BarQuotient:
 def block_enum(
     rho: Partition, p: int, d: int, dcomp: tuple | None = None
 ) -> list[Partition]:
-    """All strict partitions with bar-core rho and bar-weight d.
-
-    Breadth-first closure of rho under one-bar additions; when dcomp is
-    given, keep only partitions whose quotient component sizes match it.
+    """All strict partitions with bar-core rho and bar-weight d, descending;
+    with dcomp, only those whose quotient component sizes equal dcomp.
+    Memoized per (rho, p, d); each call returns a new list.
     """
     rho = as_strict(rho)
     _check_prime(p)
@@ -228,22 +228,34 @@ def block_enum(
         raise DomainError(f"{rho} is not a bar-core for p={p}")
     if d < 0:
         raise ValueError("weight must be nonnegative")
-    L = ell(p)
-    if dcomp is not None:
-        dcomp = as_composition(dcomp, p)
-        if sum(dcomp) != d:
-            raise ValueError(f"composition {dcomp} does not sum to {d}")
+    if dcomp is None:
+        return list(_block(rho, p, index(d)))
+    dcomp = as_composition(dcomp, p)
+    if sum(dcomp) != d:
+        raise ValueError(f"composition {dcomp} does not sum to {d}")
+    return list(_block_by_sizes(rho, p, index(d)).get(dcomp, ()))
+
+
+@lru_cache(maxsize=None)
+def _block(rho: Partition, p: int, d: int) -> tuple:
+    """Breadth-first closure of rho under d rounds of one-bar additions."""
     frontier = {rho}
     for _ in range(d):
         nxt = set()
         for lam in frontier:
-            for j in range(L + 1):
+            for j in range(ell(p) + 1):
                 nxt.update(_neighbors(lam, p, j, "add"))
         frontier = nxt
-    result = sorted(frontier, reverse=True)
-    if dcomp is not None:
-        result = [lam for lam in result if _quotient(lam, p).sizes() == dcomp]
-    return result
+    return tuple(sorted(frontier, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _block_by_sizes(rho: Partition, p: int, d: int) -> dict:
+    """The block split by quotient component sizes, each part descending."""
+    parts = {}
+    for lam in _block(rho, p, d):
+        parts.setdefault(_quotient(lam, p).sizes(), []).append(lam)
+    return {sizes: tuple(labels) for sizes, labels in parts.items()}
 
 
 @lru_cache(maxsize=None)

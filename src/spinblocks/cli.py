@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -55,7 +56,9 @@ def load_cache(path: str):
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except FileNotFoundError:
-        return
+        if os.path.isdir(os.path.dirname(path) or "."):
+            return  # a new cache; save_cache can write it
+        raise
     if not lines or lines[0] != CACHE_HEADER:
         raise DomainError(f"{path} is not a spinblocks K-cache")
     entries = {}
@@ -77,10 +80,17 @@ def save_cache(path: str):
         (kind, ",".join(map(str, lam)), str(v))
         for (kind, lam), v in PATH_COUNT_MEMO.items()
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CACHE_HEADER + "\n")
-        for kind, parts, value in rows:
-            fh.write(f"{kind}\t{parts}\t{value}\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(CACHE_HEADER + "\n")
+            for kind, parts, value in rows:
+                fh.write(f"{kind}\t{parts}\t{value}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def emit(report: dict, fmt: str):

@@ -301,16 +301,19 @@ def induce(mu: Partition, nu: Partition, support=None) -> CharVector:
     without touching the rest of the expansion.
     """
     mu, nu = as_strict(mu), as_strict(nu)
-    n = sum(mu) + sum(nu)
-    space = CharSpace.full(n)
+    if support is not None:
+        support = [as_strict(lam) for lam in support]
+        if any(sum(lam) != sum(mu) + sum(nu) for lam in support):
+            raise ValueError("support labels must be partitions of |mu| + |nu|")
+    return _induce(mu, nu, support)
+
+
+def _induce(mu: Partition, nu: Partition, support) -> CharVector:
     e_pair = epsilon_exponent((mu, nu))
     if support is None:
         candidates = _grown_partitions(mu, sum(nu))
     else:
-        candidates = [as_strict(lam) for lam in support]
-        if any(sum(lam) != n for lam in candidates):
-            raise ValueError("support labels must be partitions of |mu| + |nu|")
-        candidates = [lam for lam in candidates if contains(lam, mu)]
+        candidates = [lam for lam in support if contains(lam, mu)]
     out = {}
     for lam in candidates:
         f = f_coeff(lam, mu, nu)
@@ -323,7 +326,7 @@ def induce(mu: Partition, nu: Partition, support=None) -> CharVector:
         if coeff.a < 0:
             raise AssertionError(f"negative coefficient {coeff} at {lam}")
         out[lam] = coeff
-    return CharVector.make(space, out)
+    return CharVector.make(CharSpace.full(sum(mu) + sum(nu)), out)
 
 
 def _block_context(part: Partition, p: int, weight_shift: int):

@@ -481,7 +481,7 @@ def check_core_order(p: int) -> CheckReport:
 def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     """Tableau-enumerated induction projected to the block equals the
     abacus closed form, coefficient for coefficient."""
-    from .stembridge import induce
+    from .stembridge import _induce
 
     rho = as_strict(rho)
     L = ell(p)
@@ -491,7 +491,7 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     for mu in block_enum(rho, p, d - 1):
         for j in range(L + 1):
             tableau_route = CharVector.make(
-                space, induce(mu, runner_label(p, j), support=block).as_dict()
+                space, _induce(mu, runner_label(p, j), block).as_dict()
             )
             abacus_route = rock_branch(mu, p, j, "induce")
             if tableau_route.as_dict() != abacus_route.as_dict():

@@ -1,9 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
+from spinblocks import abacus
 from spinblocks.abacus import (
     Abacus,
+    BarQuotient,
     block_enum,
     core_weight,
     is_bar_core,
@@ -189,3 +192,82 @@ def test_k_product_examples():
         if quotient(lam, 5).qs[1] == (1, 1)
     )
     assert k_product(lam, 5) == 1
+
+
+def from_quotient(rho, p, q0, qs):
+    """Quotient-first construction of the label with quotient (q0; qs) over
+    the Rouquier core rho: runner 0 holds a bead at p*k for each part k of
+    q0, and runner i keeps the m_i beads of rho, raised by the parts of q_i
+    (padded with zeros) from the top bead down."""
+    beads = {p * k for k in q0}
+    for i, q in enumerate(qs, 1):
+        m = sum(1 for b in rho if b % p == i)
+        assert len(q) <= m, (rho, p, i, q)
+        padded = q + (0,) * (m - len(q))
+        beads.update(i + p * (padded[k] + m - 1 - k) for k in range(m))
+    return tuple(sorted(beads, reverse=True))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_block_enum_against_quotient_first_product(p, parity):
+    """Each composition part of a Rouquier block is the product
+    strict(d0) x ordinary(d1) x ... built quotient-first, and the parts
+    partition the whole block."""
+    from spinblocks.rouquier import generate
+
+    L = (p - 1) // 2
+    for d in range(1, 5):
+        rho = generate(p, d, parity, 1)[0]
+        assert from_quotient(rho, p, (), ((),) * L) == rho
+        union = []
+        for dcomp in product(range(d + 1), repeat=L + 1):
+            if sum(dcomp) != d:
+                continue
+            built = []
+            for q0, *qs in product(
+                enumerate_partitions(dcomp[0], STRICT),
+                *(enumerate_partitions(di, ORDINARY) for di in dcomp[1:]),
+            ):
+                lam = from_quotient(rho, p, q0, tuple(qs))
+                assert quotient(lam, p) == BarQuotient(q0, tuple(qs))
+                built.append(lam)
+            part = block_enum(rho, p, d, dcomp)
+            assert part == sorted(built, reverse=True), (rho, p, d, dcomp)
+            union.extend(part)
+        assert len(union) == len(set(union))
+        assert sorted(union, reverse=True) == block_enum(rho, p, d)
+
+
+def test_block_enum_returns_fresh_lists():
+    rho = (12, 7, 6, 2, 1)
+    for dcomp in (None, (0, 2, 0)):
+        first = block_enum(rho, 5, 2, dcomp)
+        expected = list(first)
+        first.clear()
+        first.append((1,))
+        assert block_enum(rho, 5, 2, dcomp) == expected
+
+
+def test_block_enum_domain_error_is_not_memoized():
+    # (2, 1) is 1-Rouquier only, so its weight-2 block leaves the quotient domain
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            block_enum((2, 1), 5, 2, (0, 2, 0))
+
+
+def test_block_memo_does_not_accept_a_float_weight():
+    block_enum((2, 1), 5, 1)
+    with pytest.raises(TypeError):
+        block_enum((2, 1), 5, 1.0)
+
+
+def test_block_memos_clear():
+    block_enum((12, 7, 6, 2, 1), 5, 2, (0, 2, 0))
+    for memo in (abacus._block, abacus._block_by_sizes):
+        assert memo.cache_info().currsize > 0
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+    assert block_enum((12, 7, 6, 2, 1), 5, 2, (0, 2, 0)) == [
+        (16, 12, 7, 2, 1), (12, 11, 7, 6, 2),
+    ]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spinblocks import cli
 from spinblocks.cli import main
 from spinblocks.partitions import PATH_COUNT_MEMO
 
@@ -220,7 +221,11 @@ def test_corrupt_cache_is_an_input_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
-def test_cache_os_error_is_an_input_error(tmp_path, capsys, where):
+def test_cache_os_error_is_an_input_error(tmp_path, capsys, monkeypatch, where):
+    def never(args):
+        raise AssertionError("the command ran on a bad cache path")
+
+    monkeypatch.setattr(cli, "run_command", never)
     cache = tmp_path if where == "directory" else tmp_path / "missing" / "k.tsv"
     code, out, err = run_cli(
         capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "2,1"
@@ -228,6 +233,42 @@ def test_cache_os_error_is_an_input_error(tmp_path, capsys, where):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_failed_cache_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "kcache.tsv"
+    assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "5")[0] == 0
+    before = cache.read_bytes()
+
+    class FailingWriter:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError("disk full")
+            self.fh.write(text)
+
+    real_open = open
+
+    def failing_open(file, mode="r", **kwargs):
+        fh = real_open(file, mode, **kwargs)
+        return FailingWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code, out, err = run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "6")
+    assert code == 2
+    assert err == "error: disk full\n"
+    assert out == ""
+    assert cache.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kcache.tsv"]
 
 
 def test_timing_flag(capsys):
