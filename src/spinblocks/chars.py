@@ -15,13 +15,12 @@ exact elements of Z[sqrt(2)].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
 from .abacus import as_composition, block_enum, core_weight, ell, runner_label
 from .exceptions import SpaceMismatch
-from .partitions import Partition, as_strict, epsilon_exponent
+from .partitions import STRICT, Partition, as_strict, enumerate_partitions, epsilon_exponent
 from .sqrt2 import Sqrt2Scalar
 
 SUPER = "super"
@@ -100,7 +99,17 @@ class CharSpace:
         return (mu, int(j))
 
     def labels(self) -> list:
-        return _space_labels(self)
+        """The basis labels in their canonical order, as a new list."""
+        if self.kind == "block":
+            return block_enum(self.rho, self.p, self.d)
+        if self.kind == "L":
+            return runner_tuples(self.p, self.d)
+        if self.kind == "H":
+            mus = block_enum(self.rho, self.p, self.d - 1)
+            return [(mu, j) for mu in mus for j in range(ell(self.p) + 1)]
+        if self.kind == "full":
+            return enumerate_partitions(self.n, STRICT)
+        raise ValueError(f"unknown space kind {self.kind!r}")
 
     def refined_labels(self) -> list:
         out = []
@@ -119,22 +128,6 @@ class CharSpace:
         mu, j = label
         mu_s = ",".join(map(str, mu)) if mu else "-"
         return f"{mu_s}|{j}"
-
-
-@lru_cache(maxsize=None)
-def _space_labels(space: CharSpace) -> list:
-    if space.kind == "block":
-        return block_enum(space.rho, space.p, space.d)
-    if space.kind == "L":
-        return runner_tuples(space.p, space.d)
-    if space.kind == "H":
-        mus = block_enum(space.rho, space.p, space.d - 1)
-        return [(mu, j) for mu in mus for j in range(ell(space.p) + 1)]
-    if space.kind == "full":
-        from .partitions import STRICT, enumerate_partitions
-
-        return enumerate_partitions(space.n, STRICT)
-    raise ValueError(f"unknown space kind {space.kind!r}")
 
 
 def runner_tuples(p: int, length: int) -> list:

@@ -2,7 +2,8 @@
 deterministic JSON (default) or CSV on stdout.
 
 Exit codes: 0 success or all checks passed, 1 at least one check failed,
-2 usage or domain error.  Output is byte-deterministic unless --timing is
+2 usage or domain error, 3 internal error (an internal consistency assertion
+failed; no report is printed).  Output is byte-deterministic unless --timing is
 requested.
 """
 
@@ -454,6 +455,9 @@ def main(argv=None) -> int:
             OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except AssertionError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     report = {"command": args.command, "inputs": _jsonable(inputs), "outputs": outputs}
     if "verdicts" in outputs:
         report["verdicts"] = outputs["verdicts"]

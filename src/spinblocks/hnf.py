@@ -18,6 +18,7 @@ def row_echelon_basis(rows) -> list[list[int]]:
         return []
     ncols = len(work[0])
     basis = []
+    pivots = []  # pivot column of each basis row, strictly increasing
     start = 0
     for col in range(ncols):
         live = [i for i in range(start, len(work)) if work[i][col] != 0]
@@ -36,10 +37,11 @@ def row_echelon_basis(rows) -> list[list[int]]:
         if work[start][col] < 0:
             work[start] = [-a for a in work[start]]
         basis.append(work[start])
+        pivots.append(col)
         start += 1
     # normalize entries above each pivot into [0, pivot)
     for k in range(len(basis) - 1, -1, -1):
-        col = next(c for c, a in enumerate(basis[k]) if a != 0)
+        col = pivots[k]
         piv = basis[k][col]
         for j in range(k):
             q = basis[j][col] // piv
@@ -49,10 +51,16 @@ def row_echelon_basis(rows) -> list[list[int]]:
 
 
 def reduce_against(basis: list[list[int]], vector) -> list[int]:
-    """Reduce a vector by the echelon basis; zero output means membership."""
+    """Reduce a vector by the echelon basis; zero output means membership.
+
+    Pivot columns strictly increase down the basis, so one column index
+    walks forward across the rows to find each pivot.
+    """
     v = list(map(int, vector))
+    col = 0
     for row in basis:
-        col = next(c for c, a in enumerate(row) if a != 0)
+        while row[col] == 0:
+            col += 1
         if v[col] % row[col] == 0:
             q = v[col] // row[col]
             if q:

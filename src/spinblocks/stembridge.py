@@ -10,7 +10,6 @@ leftmost occurrence of every letter value is unmarked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .abacus import core_weight, ell, neighbors, runner_label
@@ -265,18 +264,13 @@ def _phase_two_ok(word: tuple, height: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _f_coeff_cached(lam: Partition, mu: Partition, nu: Partition) -> int:
-    return _count_lattice_fillings(skew_boxes(lam, mu), nu)
-
-
 def f_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Number of lattice fillings of the shifted skew shape lam minus mu
     with content nu (the shifted branching multiplicity)."""
     lam, mu, nu = as_strict(lam), as_strict(mu), as_strict(nu)
     if sum(lam) != sum(mu) + sum(nu):
         raise ShapeError(f"|{lam}| != |{mu}| + |{nu}|")
-    return _f_coeff_cached(lam, mu, nu)
+    return _count_lattice_fillings(skew_boxes(lam, mu), nu)
 
 
 def _grown_partitions(mu: Partition, extra: int) -> list[Partition]:

@@ -302,28 +302,29 @@ def check_block_count(rho, p: int, d: int) -> CheckReport:
 
 def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
     """eps_lam^2 * induce coefficient == eps_(mu,j)^2 * restrict coefficient
-    for every branch pair in the block."""
+    for every branch pair in the block.  Both sides are compared on the
+    union of their supports; a pair missing on one side counts as zero."""
     rho = as_strict(rho)
-    L = ell(p)
-    block_space = CharSpace.block(rho, p, d)
-    failures = []
-    restrictions = {
-        lam: rock_branch(lam, p, direction="restrict") for lam in block_space.labels()
-    }
-    h_space = CharSpace.h_space(rho, p, d)
+    restricted = {}
+    for lam in block_enum(rho, p, d):
+        for (mu, j), b in rock_branch(lam, p, direction="restrict").coeffs:
+            restricted[mu, j, lam] = b * 2 ** epsilon_exponent((mu, runner_label(p, j)))
+    induced = {}
     for mu in block_enum(rho, p, d - 1):
-        for j in range(L + 1):
-            up = rock_branch(mu, p, j, "induce")
-            e_mu_j = h_space.eps_exponent((mu, j))
-            for lam in block_space.labels():
-                a = up.coefficient(lam)
-                b = restrictions[lam].coefficient((mu, j))
-                lhs = Sqrt2Scalar.sqrt2_power(2 * block_space.eps_exponent(lam)) * a
-                rhs = Sqrt2Scalar.sqrt2_power(2 * e_mu_j) * b
-                if lhs != rhs:
-                    failures.append(
-                        {"mu": mu, "j": j, "lam": lam, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
-                    )
+        for j in range(ell(p) + 1):
+            for lam, a in rock_branch(mu, p, j, "induce").coeffs:
+                induced[mu, j, lam] = a * 2 ** epsilon_exponent((lam,))
+    zero = Sqrt2Scalar(0, 0)
+    failures = []
+    # mu and lam descending as in block_enum, j ascending
+    for key in sorted(induced.keys() | restricted.keys(), key=lambda k: (k[0], -k[1], k[2]),
+                      reverse=True):
+        lhs, rhs = induced.get(key, zero), restricted.get(key, zero)
+        if lhs != rhs:
+            mu, j, lam = key
+            failures.append(
+                {"mu": mu, "j": j, "lam": lam, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
+            )
     return CheckReport(
         "htog-adjoint", {"rho": rho, "p": p, "d": d}, not failures,
         None, None, failures or None,
@@ -486,15 +487,13 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     rho = as_strict(rho)
     L = ell(p)
     block = block_enum(rho, p, d)
-    space = CharSpace.block(rho, p, d)
     failures = []
     for mu in block_enum(rho, p, d - 1):
         for j in range(L + 1):
-            tableau_route = CharVector.make(
-                space, _induce(mu, runner_label(p, j), block).as_dict()
-            )
+            # both coefficient tuples are zero-free and sorted by repr(label)
+            tableau_route = _induce(mu, runner_label(p, j), block)
             abacus_route = rock_branch(mu, p, j, "induce")
-            if tableau_route.as_dict() != abacus_route.as_dict():
+            if tableau_route.coeffs != abacus_route.coeffs:
                 failures.append(
                     {
                         "mu": mu,

@@ -24,6 +24,22 @@ def test_space_labels(h_space):
     assert B.labels() == [(7, 1), (6, 2), (5, 2, 1)]
 
 
+@pytest.mark.parametrize(
+    "space",
+    [
+        CharSpace.block((2, 1), 5, 1),
+        CharSpace.h_space((2, 1), 5, 1),
+        CharSpace.l_space((2, 1), 5, 2),
+    ],
+    ids=lambda s: s.kind,
+)
+def test_space_labels_are_a_new_list_each_call(space):
+    first = space.labels()
+    expected = list(first)
+    first.append("changed")
+    assert space.labels() == expected
+
+
 def test_label_parity(h_space):
     # (2,1) odd with an even bar label gives an odd pair, and conversely
     assert h_space.is_odd(((2, 1), 0))

@@ -168,6 +168,17 @@ def test_exit_code_domain_error(capsys):
     assert "quotient" in err
 
 
+def test_exit_code_internal_error(capsys, monkeypatch):
+    def broken(lam, p):
+        raise AssertionError("weight drifted")
+
+    monkeypatch.setattr(cli, "quotient", broken)
+    code, out, err = run_cli(capsys, "quotient", "--p", "5", "--lambda", "2,1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: weight drifted\n"
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "1")
     _, second, _ = run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "1")

@@ -1,6 +1,7 @@
 """The library stays integer-exact and dependency-free: no float literal, no
 true division, no float() call, and no import from outside the standard
-library and the package, in any module under src/spinblocks."""
+library and the package, in any module under src/spinblocks.  Its memos are
+a fixed, named set of module-level functools caches."""
 
 import ast
 import sys
@@ -57,3 +58,68 @@ def test_checker_catches_each_kind():
 def test_no_declared_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines
+
+
+# The benchmark's reset between passes empties only module-level caches, and
+# the README names these three; a cache anywhere else would run warm.
+MEMOS = ["_block", "_block_by_sizes", "_k_product"]
+CACHE_NAMES = {"lru_cache", "cache"}
+
+
+def functools_caches(tree: ast.Module) -> tuple[list, int]:
+    """(function name, is module-level) for every function decorated with
+    functools.lru_cache or functools.cache, and the number of other uses of
+    those two names (a wrapper made by a call rather than a decorator)."""
+    local = set()
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            local.update(a.asname or a.name for a in node.names if a.name in CACHE_NAMES)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+
+    def is_cache(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in local
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHE_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        )
+
+    decorated = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if is_cache(dec.func if isinstance(dec, ast.Call) else dec):
+                    decorated.append((node.name, node in tree.body))
+    uses = sum(1 for node in ast.walk(tree) if is_cache(node))
+    return decorated, uses - len(decorated)
+
+
+def test_memos_are_the_named_module_level_caches():
+    decorated, stray = [], 0
+    for path in MODULES:
+        found, extra = functools_caches(ast.parse(path.read_text(), filename=str(path)))
+        decorated.extend(found)
+        stray += extra
+    assert stray == 0
+    assert all(module_level for _, module_level in decorated)
+    assert sorted(name for name, _ in decorated) == MEMOS
+
+
+def test_memo_checker_catches_each_kind():
+    source = (
+        "import functools\nfrom functools import lru_cache as lc\n"
+        "@lc(maxsize=None)\ndef top(x): return x\n"
+        "@functools.cache\ndef other(x): return x\n"
+        "class C:\n    @functools.lru_cache\n    def method(self): return 1\n"
+        "def outer():\n    @lc\n    def inner(): return 1\n    return inner\n"
+        "wrapped = functools.cache(len)\n"
+    )
+    decorated, stray = functools_caches(ast.parse(source))
+    assert sorted(decorated) == [
+        ("inner", False), ("method", False), ("other", True), ("top", True)
+    ]
+    assert stray == 1

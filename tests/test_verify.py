@@ -183,6 +183,57 @@ def test_named_checks_pass():
     assert run_check("hyp-nonneg", rho=(12, 7, 6, 2, 1), p=5, d=2).passed
 
 
+def _patched_branch(monkeypatch, edit):
+    """Route verify's rock_branch through `edit(args, coefficient dict)`."""
+    import spinblocks.verify as V
+
+    real = V.rock_branch
+
+    def branch(part, p, j=None, direction="induce"):
+        v = real(part, p, j, direction)
+        coeffs = v.as_dict()
+        edit((part, p, j, direction), coeffs)
+        return CharVector.make(v.space, coeffs)
+
+    monkeypatch.setattr(V, "rock_branch", branch)
+
+
+def _add_restrict_term(args, coeffs):
+    # restriction of (7,1) claims ((2,1), 2); that induction has no (7,1) term
+    if args == ((7, 1), 5, None, "restrict"):
+        coeffs[((2, 1), 2)] = Sqrt2Scalar(1, 0)
+
+
+def _drop_induce_term(args, coeffs):
+    # the induction of ((2,1), 1) loses (6,2); restriction of (6,2) keeps it
+    if args == ((2, 1), 5, 1, "induce"):
+        del coeffs[(6, 2)]
+
+
+def _add_induce_term(args, coeffs):
+    # the induction of ((2,1), 2) claims (7,1); restriction of (7,1) lacks it
+    if args == ((2, 1), 5, 2, "induce"):
+        coeffs[(7, 1)] = Sqrt2Scalar(1, 0)
+
+
+@pytest.mark.parametrize(
+    "edit, j, lam, lhs, rhs",
+    [
+        (_add_restrict_term, 2, (7, 1), 0, 1),
+        (_drop_induce_term, 1, (6, 2), 0, 2),
+        (_add_induce_term, 2, (7, 1), 1, 0),
+    ],
+    ids=["restrict-only", "induce-dropped", "induce-only"],
+)
+def test_htog_adjoint_catches_a_one_sided_difference(monkeypatch, edit, j, lam, lhs, rhs):
+    _patched_branch(monkeypatch, edit)
+    report = run_check("htog-adjoint", rho=(2, 1), p=5, d=1)
+    assert report.passed is False
+    assert report.witness == [
+        {"mu": (2, 1), "j": j, "lam": lam, "lhs": {"a": lhs, "b": 0}, "rhs": {"a": rhs, "b": 0}}
+    ]
+
+
 def test_strict_mode_raises_check_failure():
     from spinblocks.exceptions import CheckFailure
 
