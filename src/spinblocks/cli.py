@@ -21,7 +21,7 @@ from . import trees
 from .abacus import block_enum, core_weight, ell, neighbors, quotient
 from .chars import SIGN_SUFFIX, CharSpace, CharVector, m_action, orbit_sum
 from .exceptions import DomainError, ShapeError, SpaceMismatch
-from .partitions import PATH_COUNT_MEMO, enumerate_partitions, validate
+from .partitions import PATH_COUNT_MEMO, STRICT, _hook_formula, enumerate_partitions, validate
 from .rouquier import generate, is_rouquier, strip_classify
 from .stembridge import f_coeff, induce, rock_branch
 from .verify import (
@@ -70,8 +70,10 @@ def load_cache(path: str):
             count = int(value)
         except ValueError as exc:
             raise DomainError(f"{path} line {number}: bad record {line!r}: {exc}") from None
-        if count < 1:
-            raise DomainError(f"{path} line {number}: count must be positive: {line!r}")
+        # a count this process already holds was computed or checked before
+        known = PATH_COUNT_MEMO.get(key)
+        if count != (_hook_formula(key[1], kind == STRICT) if known is None else known):
+            raise DomainError(f"{path} line {number}: wrong count for {kind} {parts}: {line!r}")
         entries[key] = count
     PATH_COUNT_MEMO.update(entries)
 

@@ -8,6 +8,7 @@ order so goldens are stable.
 
 from __future__ import annotations
 
+from math import factorial
 from operator import ge, gt
 from typing import Iterable, Iterator
 
@@ -157,6 +158,26 @@ def _path_count(lam: Partition, kind: str) -> int:
         hit = sum(_path_count(mu, kind) for mu in moves)
         PATH_COUNT_MEMO[key] = hit
     return hit
+
+
+def _hook_formula(lam: Partition, strict: bool) -> int:
+    """path_count in closed form, sharing nothing with the recursion.
+
+    With beta the first-column hook lengths lam_i + h(lam) - i of an
+    ordinary shape, or the parts of a strict one, the count is
+    n! / prod(beta_i!) * prod_{i<j} (beta_i - beta_j), divided for a strict
+    shape by prod_{i<j} (beta_i + beta_j): the hook length formula of Frame,
+    Robinson and Thrall in Frobenius's form, and Thrall's shifted formula.
+    """
+    beta = lam if strict else [part + len(lam) - i for i, part in enumerate(lam, 1)]
+    num, den = factorial(sum(lam)), 1
+    for i, a in enumerate(beta):
+        den *= factorial(a)
+        for b in beta[i + 1 :]:
+            num *= a - b
+            if strict:
+                den *= a + b
+    return num // den
 
 
 def count_chains_bruteforce(lam: Partition, kind: str) -> int:

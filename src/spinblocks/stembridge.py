@@ -15,14 +15,7 @@ from typing import Iterator
 from .abacus import core_weight, ell, neighbors, runner_label
 from .chars import CharSpace, CharVector, eps_ratio
 from .exceptions import DomainError, ShapeError
-from .partitions import (
-    STRICT,
-    Partition,
-    as_strict,
-    box_moves,
-    contains,
-    epsilon_exponent,
-)
+from .partitions import Partition, _box_moves, as_strict, contains, epsilon_exponent
 from .rouquier import is_rouquier
 from .sqrt2 import Sqrt2Scalar
 
@@ -128,140 +121,59 @@ def enumerate_tableaux(boxes: tuple, content: Partition) -> Iterator[MarkedTable
     yield from fill(0)
 
 
-def satisfies_lattice(word: tuple) -> bool:
-    """The two-phase lattice condition on a word over the marked alphabet.
-
-    Phase one scans suffix multiplicities of unmarked letters from the right;
-    phase two continues with marked letters from the left.  Whenever the
-    running counts of i and i-1 tie, the next letter scanned must not push i
-    ahead.
-    """
-    n = len(word)
-    if n == 0:
-        return True
-    top = max(k for k, _ in word)
-    for i in range(2, top + 2):
-        mi = mi1 = 0
-        for j in range(n):
-            nxt = word[n - j - 1]
-            if mi == mi1 and nxt[0] == i:
-                return False
-            if nxt == (i, False):
-                mi += 1
-            elif nxt == (i - 1, False):
-                mi1 += 1
-        for j in range(n):
-            nxt = word[j]
-            if mi == mi1 and nxt in ((i - 1, False), (i, True)):
-                return False
-            if nxt == (i, True):
-                mi += 1
-            elif nxt == (i - 1, True):
-                mi1 += 1
-    return True
-
-
-def leftmost_letters_unmarked(word: tuple, height: int) -> bool:
-    for i in range(1, height + 1):
-        for k, marked in word:
-            if k == i:
-                if marked:
-                    return False
-                break
-    return True
-
-
 def _count_lattice_fillings(boxes: tuple, content: Partition) -> int:
     """Count content fillings whose word passes both lattice phases and the
     leftmost-unmarked rule.
 
     Boxes are filled in reverse word order (top row first, right to left),
-    which extends the word's suffix one letter at a time, so the tie
-    condition of the suffix phase prunes inside the backtracking.
+    so each step extends the word's suffix by one letter, and all three
+    rules are checked on that suffix as it grows; no word is built at a
+    leaf.  A letter (k, marked) is coded as 2k - marked.  Since rows and
+    columns weakly increase, the tableau rules reduce to the right and upper
+    neighbours, both already filled: with right key R and upper key U the
+    value k may be placed, marked or not, exactly when U < 2k <= R.  The
+    suffix phase forbids value k while the suffix holds as many unmarked k
+    as unmarked k-1.  Before word position j the prefix phase's count of i
+    is content_i minus the marked i in word[j:], so it is a suffix count
+    too: a marked k is forbidden when its tie with k-1 holds after placing
+    it, an unmarked k when k+1 ties with k.  The last copy of a value placed
+    is its leftmost letter, so it must be unmarked.
     """
     n = len(boxes)
     if n != sum(content):
         return 0
     h = len(content)
-    order = sorted(range(n), key=lambda t: (boxes[t][0], -boxes[t][1]))
-    index = {boxes[t]: t for t in range(n)}
-    entries = [None] * n
-    remaining = list(content)
-    suffix_counts = [0] * (h + 2)  # unmarked count per value, values 1..h
+    order = sorted(boxes, key=lambda b: (b[0], -b[1]))
+    step = {b: s for s, b in enumerate(order)}
+    up = [step.get((row - 1, col), n) for row, col in order]
+    right = [step.get((row, col + 1), n + 1) for row, col in order]
+    keys = [0] * n + [0, 2 * h]  # missing neighbours read as keys 0 and 2h
+    remaining = [0, *content, 0]
+    unmarked = [-1] + [0] * (h + 1)  # unmarked k in the suffix
+    ties = [-n - 2, *content, 0]  # content_k minus the marked k in the suffix
 
-    def fits(t: int, letter) -> bool:
-        k, marked = letter
-        row, col = boxes[t]
-        right = index.get((row, col + 1))
-        if right is not None and entries[right] is not None:
-            if _letter_key(letter) > _letter_key(entries[right]):
-                return False
-        up = index.get((row - 1, col))
-        if up is not None and entries[up] is not None:
-            if _letter_key(entries[up]) > _letter_key(letter):
-                return False
-        if marked:
-            for c2 in range(col + 1, col + n + 1):
-                t2 = index.get((row, c2))
-                if t2 is None or entries[t2] is None:
-                    break
-                if entries[t2] == letter:
-                    return False
-        else:
-            for r2 in range(row - 1, 0, -1):
-                t2 = index.get((r2, col))
-                if t2 is None or entries[t2] is None:
-                    break
-                if entries[t2] == letter:
-                    return False
-        return True
-
-    def finish() -> bool:
-        word = tuple(entries[order[t]] for t in range(n - 1, -1, -1))
-        return _phase_two_ok(word, h) and leftmost_letters_unmarked(word, h)
-
-    def fill(step: int) -> int:
-        if step == n:
-            return 1 if finish() else 0
-        t = order[step]
+    def fill(s: int) -> int:
+        if s == n:
+            return 1
         total = 0
-        for k in range(1, h + 1):
-            if remaining[k - 1] == 0:
+        for k in range(keys[up[s]] // 2 + 1, keys[right[s]] // 2 + 1):
+            if remaining[k] == 0 or unmarked[k] == unmarked[k - 1]:
                 continue
-            if k >= 2 and suffix_counts[k] == suffix_counts[k - 1]:
-                continue  # suffix-phase tie forbids both k and k'
-            for marked in (True, False):
-                letter = (k, marked)
-                if fits(t, letter):
-                    entries[t] = letter
-                    remaining[k - 1] -= 1
-                    if not marked:
-                        suffix_counts[k] += 1
-                    total += fill(step + 1)
-                    if not marked:
-                        suffix_counts[k] -= 1
-                    remaining[k - 1] += 1
-                    entries[t] = None
+            remaining[k] -= 1
+            if remaining[k] and ties[k] - 1 != ties[k - 1]:
+                ties[k] -= 1
+                keys[s] = 2 * k - 1
+                total += fill(s + 1)
+                ties[k] += 1
+            if ties[k + 1] != ties[k]:
+                unmarked[k] += 1
+                keys[s] = 2 * k
+                total += fill(s + 1)
+                unmarked[k] -= 1
+            remaining[k] += 1
         return total
 
     return fill(0)
-
-
-def _phase_two_ok(word: tuple, height: int) -> bool:
-    """Second lattice phase: rescan from the left counting marked letters."""
-    n = len(word)
-    for i in range(2, height + 2):
-        mi = sum(1 for c in word if c == (i, False))
-        mi1 = sum(1 for c in word if c == (i - 1, False))
-        for j in range(n):
-            nxt = word[j]
-            if mi == mi1 and nxt in ((i - 1, False), (i, True)):
-                return False
-            if nxt == (i, True):
-                mi += 1
-            elif nxt == (i - 1, True):
-                mi1 += 1
-    return True
 
 
 def f_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -279,7 +191,7 @@ def _grown_partitions(mu: Partition, extra: int) -> list[Partition]:
     for _ in range(extra):
         nxt = set()
         for lam in level:
-            nxt.update(box_moves(lam, STRICT, "add"))
+            nxt.update(_box_moves(lam, True, "add"))
         level = nxt
     return sorted(level, reverse=True)
 

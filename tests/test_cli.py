@@ -231,6 +231,29 @@ def test_corrupt_cache_is_an_input_error(tmp_path, capsys, text):
     assert cache.read_text() == text
 
 
+@pytest.mark.parametrize("fresh_process", [True, False])
+@pytest.mark.parametrize(
+    "record, wrong",
+    [("strict\t7,5\t132\n", "strict\t7,5\t13\n"), ("ordinary\t3,2\t5\n", "ordinary\t3,2\t6\n")],
+)
+def test_wrong_cache_count_is_an_input_error(tmp_path, capsys, record, wrong, fresh_process):
+    """A well-formed cache with one wrong count must not reach a verdict,
+    whether the count is new to the process (closed form) or already held."""
+    cache = tmp_path / "kcache.tsv"
+    assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "12")[0] == 0
+    text = cache.read_text()
+    assert record in text
+    cache.write_text(text.replace(record, wrong))
+    before = cache.read_bytes()
+    if fresh_process:
+        PATH_COUNT_MEMO.clear()
+    code, out, err = run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "12")
+    assert code == 2
+    assert err.startswith("error:") and "wrong count" in err
+    assert out == ""
+    assert cache.read_bytes() == before
+
+
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 def test_cache_os_error_is_an_input_error(tmp_path, capsys, monkeypatch, where):
     def never(args):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from spinblocks.partitions import (
     ORDINARY,
     STRICT,
+    _hook_formula,
     as_partition,
     as_strict,
     box_moves,
@@ -76,6 +77,20 @@ def test_path_count_matches_bruteforce(kind):
     for n in range(8):
         for lam in enumerate_partitions(n, kind):
             assert path_count(lam, kind) == count_chains_bruteforce(lam, kind)
+
+
+@pytest.mark.parametrize("kind", [ORDINARY, STRICT])
+def test_path_count_matches_hook_formula(kind):
+    for n in range(13):
+        for lam in enumerate_partitions(n, kind):
+            assert path_count(lam, kind) == _hook_formula(lam, kind == STRICT), lam
+
+
+def test_hook_formula_examples():
+    assert _hook_formula((7, 5), True) == 132
+    assert _hook_formula((3, 2), False) == 5
+    assert _hook_formula((3, 2, 1), True) == 2
+    assert _hook_formula((), False) == _hook_formula((), True) == 1
 
 
 @pytest.mark.parametrize("kind", [ORDINARY, STRICT])

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import spinblocks.stembridge as stembridge
 from spinblocks.abacus import block_enum, core_weight, ell
 from spinblocks.chars import CharSpace, CharVector
 from spinblocks.exceptions import DomainError, ShapeError
-from spinblocks.partitions import STRICT, enumerate_partitions
+from spinblocks.partitions import STRICT, contains, enumerate_partitions
 from spinblocks.rouquier import generate, rho_extension
 from spinblocks.sqrt2 import Sqrt2Scalar
 from spinblocks.stembridge import (
@@ -12,9 +14,62 @@ from spinblocks.stembridge import (
     induce,
     rock_branch,
     rock_branch_refined,
-    satisfies_lattice,
     skew_boxes,
 )
+from spinblocks.verify import check_stembridge_cross
+
+
+def satisfies_lattice(word: tuple) -> bool:
+    """The two-phase lattice condition on a word over the marked alphabet.
+
+    Phase one scans suffix multiplicities of unmarked letters from the right;
+    phase two continues with marked letters from the left.  Whenever the
+    running counts of i and i-1 tie, the next letter scanned must not push i
+    ahead.
+    """
+    n = len(word)
+    if n == 0:
+        return True
+    top = max(k for k, _ in word)
+    for i in range(2, top + 2):
+        mi = mi1 = 0
+        for j in range(n):
+            nxt = word[n - j - 1]
+            if mi == mi1 and nxt[0] == i:
+                return False
+            if nxt == (i, False):
+                mi += 1
+            elif nxt == (i - 1, False):
+                mi1 += 1
+        for j in range(n):
+            nxt = word[j]
+            if mi == mi1 and nxt in ((i - 1, False), (i, True)):
+                return False
+            if nxt == (i, True):
+                mi += 1
+            elif nxt == (i - 1, True):
+                mi1 += 1
+    return True
+
+
+def leftmost_letters_unmarked(word: tuple, height: int) -> bool:
+    for i in range(1, height + 1):
+        for k, marked in word:
+            if k == i:
+                if marked:
+                    return False
+                break
+    return True
+
+
+def brute_force_count(boxes, content, leftmost_rule=True):
+    """Independent oracle: enumerate every filling, test each word whole."""
+    return sum(
+        1
+        for tab in enumerate_tableaux(boxes, content)
+        if satisfies_lattice(tab.word())
+        and (not leftmost_rule or leftmost_letters_unmarked(tab.word(), len(content)))
+    )
 
 
 def project_to_block(v, rho, p, d):
@@ -30,6 +85,46 @@ def test_f_coeff_examples():
     assert f_coeff((6, 2), (2, 1), (5,)) == 1
     assert f_coeff((6, 2), (2, 1), (3, 2)) == 0
     assert f_coeff((6, 2), (2, 1), (4, 1)) == 1
+
+
+def test_f_coeff_needs_lattice_phase_two():
+    # the smallest case the prefix phase alone decides: without it the count is 1
+    assert f_coeff((3, 2, 1), (2, 1), (2, 1)) == 0
+    boxes = skew_boxes((3, 2, 1), (2, 1))
+    assert brute_force_count(boxes, (2, 1)) == 0
+    assert len(list(enumerate_tableaux(boxes, (2, 1)))) > 0
+
+
+@st.composite
+def strict_skew_problem(draw, max_n=12):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    lam = draw(st.sampled_from(enumerate_partitions(n, STRICT)))
+    m = draw(st.integers(min_value=0, max_value=n))
+    inner = [mu for mu in enumerate_partitions(m, STRICT) if contains(lam, mu)]
+    mu = draw(st.sampled_from(inner)) if inner else ()
+    nu = draw(st.sampled_from(enumerate_partitions(n - sum(mu), STRICT)))
+    return lam, mu, nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(strict_skew_problem())
+def test_f_coeff_against_brute_force(problem):
+    lam, mu, nu = problem
+    assert f_coeff(lam, mu, nu) == brute_force_count(skew_boxes(lam, mu), nu)
+
+
+@pytest.mark.parametrize("leftmost_rule", [True, False])
+def test_stembridge_cross_sees_the_leftmost_unmarked_rule(monkeypatch, leftmost_rule):
+    """The brute-force counter passes the cross-check, and fails it once the
+    leftmost-unmarked rule is dropped."""
+
+    def counter(boxes, content):
+        return brute_force_count(boxes, content, leftmost_rule)
+
+    monkeypatch.setattr(stembridge, "_count_lattice_fillings", counter)
+    for parity in ("even", "odd"):
+        rho = generate(5, 2, parity, 1)[0]
+        assert check_stembridge_cross(rho, 5, 2).passed is leftmost_rule, parity
 
 
 def test_f_coeff_straight_shapes_are_delta():
