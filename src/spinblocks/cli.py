@@ -36,6 +36,11 @@ from .verify import (
 )
 
 CACHE_HEADER = "spinblocks-kcache 1"
+# path_count recurses through two frames per box, so under Python's default
+# recursion limit no command counts a shape of 500 boxes from an empty memo;
+# a larger record is rejected before its closed form, which grows with |lam|
+# (seconds at 500 boxes of one column, far longer for a corrupt 10^8).
+CACHE_MAX_SIZE = 500
 
 
 def parse_partition(text: str) -> tuple:
@@ -70,9 +75,9 @@ def load_cache(path: str):
             count = int(value)
         except ValueError as exc:
             raise DomainError(f"{path} line {number}: bad record {line!r}: {exc}") from None
-        # a count this process already holds was computed or checked before
-        known = PATH_COUNT_MEMO.get(key)
-        if count != (_hook_formula(key[1], kind == STRICT) if known is None else known):
+        if sum(key[1]) >= CACHE_MAX_SIZE:
+            raise DomainError(f"{path} line {number}: shape too large: {line!r}")
+        if count != _hook_formula(key[1], kind == STRICT):
             raise DomainError(f"{path} line {number}: wrong count for {kind} {parts}: {line!r}")
         entries[key] = count
     PATH_COUNT_MEMO.update(entries)

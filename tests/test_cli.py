@@ -4,7 +4,7 @@ import pytest
 
 from spinblocks import cli
 from spinblocks.cli import main
-from spinblocks.partitions import PATH_COUNT_MEMO
+from spinblocks.partitions import ORDINARY, PATH_COUNT_MEMO, path_count
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +217,7 @@ def test_cache_round_trip(tmp_path, capsys):
         "not a cache\n",
         "spinblocks-kcache 1\nstrict\t2,1\n",
         "spinblocks-kcache 1\nweird\t2,2\t5\n",
+        "spinblocks-kcache 1\nordinary\t100000000\t1\n",
     ],
 )
 def test_corrupt_cache_is_an_input_error(tmp_path, capsys, text):
@@ -231,6 +232,20 @@ def test_corrupt_cache_is_an_input_error(tmp_path, capsys, text):
     assert cache.read_text() == text
 
 
+def test_cache_size_limit_keeps_the_largest_countable_shape(tmp_path, capsys):
+    """The size cap rejects only shapes no command can count: a one-row shape
+    just below it loads, and path_count fails on one at the cap."""
+    size = cli.CACHE_MAX_SIZE - 1
+    cache = tmp_path / "kcache.tsv"
+    cache.write_text(f"spinblocks-kcache 1\nordinary\t{size}\t1\n")
+    code, _, _ = run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "2,1")
+    assert code == 0
+    assert PATH_COUNT_MEMO[(ORDINARY, (size,))] == 1
+    PATH_COUNT_MEMO.clear()
+    with pytest.raises(RecursionError):
+        path_count((cli.CACHE_MAX_SIZE,), ORDINARY)
+
+
 @pytest.mark.parametrize("fresh_process", [True, False])
 @pytest.mark.parametrize(
     "record, wrong",
@@ -238,7 +253,7 @@ def test_corrupt_cache_is_an_input_error(tmp_path, capsys, text):
 )
 def test_wrong_cache_count_is_an_input_error(tmp_path, capsys, record, wrong, fresh_process):
     """A well-formed cache with one wrong count must not reach a verdict,
-    whether the count is new to the process (closed form) or already held."""
+    whether or not the process already holds that count."""
     cache = tmp_path / "kcache.tsv"
     assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "12")[0] == 0
     text = cache.read_text()
