@@ -57,7 +57,8 @@ def vector_payload(v: CharVector) -> list:
     return sorted(v.rows(), key=lambda r: r["label"])
 
 
-def load_cache(path: str):
+def load_cache(path: str) -> set | None:
+    """Check and load every record; returns their keys, None if no file."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -81,9 +82,13 @@ def load_cache(path: str):
             raise DomainError(f"{path} line {number}: wrong count for {kind} {parts}: {line!r}")
         entries[key] = count
     PATH_COUNT_MEMO.update(entries)
+    return set(entries)
 
 
-def save_cache(path: str):
+def save_cache(path: str, loaded: set | None):
+    """Write the memo, unless it holds no key beyond those `loaded` from the file."""
+    if loaded is not None and PATH_COUNT_MEMO.keys() <= loaded:
+        return
     rows = sorted(
         (kind, ",".join(map(str, lam)), str(v))
         for (kind, lam), v in PATH_COUNT_MEMO.items()
@@ -130,10 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--timing", action="store_true", help="include elapsed time")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        return sp
-
+    add = sub.add_parser
     sp = add("enumerate")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--kind", choices=("ordinary", "strict"), required=True)
@@ -329,13 +331,10 @@ def run_command(args) -> tuple[dict, int]:
         t = parse_comp(args.runner_tuple)
         space = CharSpace.l_space(rho, args.p, len(t))
         sign = {"+": 1, "-": -1, "0": 0}[args.sign]
-        if sign == 0:
-            v = CharVector.unit(space, t).refine()
-        else:
-            if not space.is_odd(t):
-                raise DomainError(f"{t} labels an even character; drop --sign")
-            v = CharVector.make(space, {(t, sign): 1}, "refined")
-        value = phi(v)
+        if sign and not space.is_odd(t):
+            raise DomainError(f"{t} labels an even character; drop --sign")
+        unit = CharVector.make(space, {(t, sign): 1}, "refined") if sign else CharVector.unit(space, t)
+        value = phi(unit)
         return {"value": {"a": value.a, "b": value.b}}, 0
     if cmd == "tree":
         if args.action == "build":
@@ -443,9 +442,11 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> tuple[dict, int]:
     return payload, 0 if passed else 1
 
 
+PARSER = build_parser()  # built once; parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     started = time.monotonic()
     inputs = {
         k: v
@@ -453,11 +454,10 @@ def main(argv=None) -> int:
         if k not in ("command", "format", "cache", "timing") and v is not None
     }
     try:
-        if args.cache:
-            load_cache(args.cache)
+        loaded = load_cache(args.cache) if args.cache else None
         outputs, code = run_command(args)
         if args.cache:
-            save_cache(args.cache)
+            save_cache(args.cache, loaded)
     except (DomainError, ShapeError, SpaceMismatch, ValueError, IndexError, KeyError,
             OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

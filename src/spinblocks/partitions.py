@@ -180,18 +180,6 @@ def _hook_formula(lam: Partition, strict: bool) -> int:
     return num // den
 
 
-def count_chains_bruteforce(lam: Partition, kind: str) -> int:
-    """Independent oracle: explicitly walk every chain () -> lam."""
-    lam = validate(lam, kind)
-
-    def walk(mu: Partition) -> int:
-        if not mu:
-            return 1
-        return sum(walk(nu) for nu in box_moves(mu, kind, "remove"))
-
-    return walk(lam)
-
-
 def epsilon_exponent(partitions: Iterable[Partition]) -> int:
     """0 when the number of odd entries is even, else 1."""
     return sum(1 for lam in partitions if is_odd_partition(lam)) % 2

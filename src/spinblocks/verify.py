@@ -7,7 +7,7 @@ both sides in machine-readable form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 
@@ -45,67 +45,97 @@ def compositions(total: int, slots: int) -> list[tuple]:
 @dataclass
 class NmvLattice:
     """Integer lattice spanned by the non-maximal-support generators of an
-    L or H space, in the sign-refined basis.
-
-    Membership flattens each coefficient a + b*sqrt(2) to the integer pair
-    (a, b).  The generators are flattened once into `matrix`; the primary
-    route reduces against its echelon basis, the oracle solves over its
-    columns, and both copy it rather than change it.
+    L or H space, in the sign-refined basis: the direct sum of one small
+    lattice per connected component of the generators (an H component holds
+    the labels (mu, 0..ell) of one mu).  A coefficient a + b*sqrt(2) becomes
+    the integer pair (a, b) at its label's position in its component.  Each
+    touched component is tested on its own: the primary route reduces
+    against its echelon basis, built on first use; the oracle solves over
+    its generator columns.
     """
 
     space: CharSpace
     generators: list
+    bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def refined_labels(self) -> list:
-        return self.space.refined_labels()
+    def split(self) -> tuple[dict, list]:
+        """(label -> (component, position), sizes), by union-find on supports."""
+        parent = {}
 
-    def flatten(self, v: CharVector) -> list[int]:
+        def find(x):
+            while parent.setdefault(x, x) != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for g in self.generators:
+            support = g.refine().support()
+            for label in support:
+                parent[find(label)] = find(support[0])
+        comps = {}
+        for label in parent:
+            at = comps.setdefault(find(label), {})
+            at[label] = len(at)
+        index = {l: (c, i) for c, at in enumerate(comps.values()) for l, i in at.items()}
+        return index, [len(at) for at in comps.values()]
+
+    @cached_property
+    def rows(self) -> list[list[list[int]]]:
+        """The generators of each component as integer rows."""
+        rows = [[] for _ in self.split[1]]
+        for g in self.generators:
+            parts = self.parts(g)  # a broken split must not mislead both routes
+            assert len(parts) == 1, f"generator {g} straddles components {sorted(parts)}"
+            for comp, row in parts.items():
+                rows[comp].append(row)
+        return rows
+
+    def parts(self, v: CharVector) -> dict | None:
+        """v as integer vectors of the components it touches, or None when
+        a nonzero coefficient sits on a label that no generator touches."""
         if v.space != self.space:
             raise SpaceMismatch(f"{v.space} vs {self.space}")
-        v = v.refine()
-        d = v.as_dict()
-        out = []
-        for label in self.refined_labels:
-            c = d.pop(label, Sqrt2Scalar(0, 0))
-            out.extend((c.a, c.b))
-        if d:
-            raise ValueError(f"labels outside the space: {sorted(map(repr, d))}")
-        return out
-
-    @cached_property
-    def matrix(self) -> list[list[int]]:
-        return [self.flatten(g) for g in self.generators]
-
-    @cached_property
-    def basis(self) -> list[list[int]]:
-        return row_echelon_basis(self.matrix)
+        index, sizes = self.split
+        refined = v.refine().coeffs
+        parts = {}
+        for label, c in refined:
+            if label not in index:
+                known = set(self.space.refined_labels())
+                outside = sorted(repr(l) for l, _ in refined if l not in known)
+                if outside:
+                    raise ValueError(f"labels outside the space: {outside}")
+                return None
+            comp, i = index[label]
+            vec = parts.setdefault(comp, [0] * (2 * sizes[comp]))
+            vec[2 * i], vec[2 * i + 1] = c.a, c.b
+        return parts
 
     def member(self, v: CharVector) -> bool:
-        return lattice_member(self.basis, self.flatten(v))
+        parts = self.parts(v)
+        for comp in parts or ():
+            if comp not in self.bases:
+                self.bases[comp] = row_echelon_basis(self.rows[comp])
+        return parts is not None and all(
+            lattice_member(self.bases[comp], vec) for comp, vec in parts.items()
+        )
 
     def member_oracle(self, v: CharVector) -> bool:
-        return integral_solution_exists(self.matrix, self.flatten(v))
+        parts = self.parts(v)
+        return parts is not None and all(
+            integral_solution_exists(self.rows[comp], vec) for comp, vec in parts.items()
+        )
 
 
 def _pair_generators(space, low_label, high_label, low_odd, high_odd):
     """Sign-refined generator vectors for a projective edge low + high."""
     mk = lambda m: CharVector.make(space, m, REFINED)
     if low_odd and high_odd:
-        return [
-            mk({(low_label, 1): 1, (high_label, 1): 1}),
-            mk({(low_label, -1): 1, (high_label, -1): 1}),
-        ]
+        return [mk({(low_label, s): 1, (high_label, s): 1}) for s in (1, -1)]
     if not low_odd and not high_odd:
         return [mk({(low_label, 0): 1, (high_label, 0): 1})]
-    if not low_odd and high_odd:
-        return [
-            mk({(low_label, 0): 1, (high_label, 1): 1}),
-            mk({(low_label, 0): 1, (high_label, -1): 1}),
-        ]
-    return [
-        mk({(low_label, 1): 1, (low_label, -1): 1, (high_label, 0): 1}),
-    ]
+    if not low_odd:
+        return [mk({(low_label, 0): 1, (high_label, s): 1}) for s in (1, -1)]
+    return [mk({(low_label, 1): 1, (low_label, -1): 1, (high_label, 0): 1})]
 
 
 def nmv_basis(space: CharSpace) -> NmvLattice:
@@ -115,34 +145,24 @@ def nmv_basis(space: CharSpace) -> NmvLattice:
     runner value j_k below ell, the characters at j_k and j_k + 1 add up to
     a projective character, with signs matched along associate pairs.  For
     an H space the same happens in the single runner slot over every mu.
+    The edge (t, t + e_k) fixes k, so no generator comes up twice.
     """
     L = ell(space.p)
-    gens = []
     if space.kind == "L":
-        others_list = runner_tuples(space.p, space.d - 1)
-        seen = set()
-        for k in range(space.d):
-            for others in others_list:
-                for jk in range(L):
-                    t = others[:k] + (jk,) + others[k:]
-                    t2 = others[:k] + (jk + 1,) + others[k:]
-                    for g in _pair_generators(
-                        space, t, t2, space.is_odd(t), space.is_odd(t2)
-                    ):
-                        key = g.coeffs
-                        if key not in seen:
-                            seen.add(key)
-                            gens.append(g)
+        edges = [
+            (others[:k] + (jk,) + others[k:], others[:k] + (jk + 1,) + others[k:])
+            for k in range(space.d)
+            for others in runner_tuples(space.p, space.d - 1)
+            for jk in range(L)
+        ]
     elif space.kind == "H":
-        for mu in block_enum(space.rho, space.p, space.d - 1):
-            for j in range(L):
-                a, b = (mu, j), (mu, j + 1)
-                gens.extend(
-                    _pair_generators(space, a, b, space.is_odd(a), space.is_odd(b))
-                )
+        mus = block_enum(space.rho, space.p, space.d - 1)
+        edges = [((mu, j), (mu, j + 1)) for mu in mus for j in range(L)]
     else:
         raise SpaceMismatch("non-maximal-support lattices live on L or H spaces")
-    return NmvLattice(space, gens)
+    return NmvLattice(space, [
+        g for a, b in edges for g in _pair_generators(space, a, b, space.is_odd(a), space.is_odd(b))
+    ])
 
 
 def phi(v: CharVector) -> Sqrt2Scalar:
@@ -155,18 +175,13 @@ def phi(v: CharVector) -> Sqrt2Scalar:
     space = v.space
     if space.kind != "L":
         raise SpaceMismatch("phi is a functional on L spaces")
-    v = v.refine()
+    e_rho = epsilon_exponent((space.rho,))
+    e_runner = [epsilon_exponent((runner_label(space.p, j),)) for j in range(ell(space.p) + 1)]
     total = Sqrt2Scalar(0, 0)
-    for (label, _sign), c in v.coeffs:
-        e = (
-            epsilon_exponent((space.rho,))
-            + sum(epsilon_exponent((runner_label(space.p, j),)) for j in label)
-            - space.eps_exponent(label)
-        )
-        value = Sqrt2Scalar.sqrt2_power(e)
-        if sum(label) % 2:
-            value = -value
-        total = total + c * value
+    for (label, _sign), c in v.refine().coeffs:
+        e = e_rho + sum(e_runner[j] for j in label)
+        # e % 2 is the exponent of the whole tuple
+        total = total + c * Sqrt2Scalar.sqrt2_power(e - e % 2) * (-1) ** sum(label)
     return total
 
 
@@ -347,8 +362,7 @@ def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
                 (epsilon_exponent((mu, lam)), epsilon_exponent((lam, runner_label(p, j)))),
                 (epsilon_exponent((mu,)), ej),
             )
-            key = (mu, j)
-            out[key] = out.get(key, Sqrt2Scalar(0, 0)) + coeff
+            out[mu, j] = out.get((mu, j), Sqrt2Scalar(0, 0)) + coeff
     rhs = CharVector.make(space, out)
     return lhs, rhs
 
@@ -530,10 +544,9 @@ def check_tree_suite(p: int) -> CheckReport:
                 tuple(sorted((runner_of[lam], s) for lam, s in edge))
                 for edge in wt.edge_sums()
             }
-            space = CharSpace.l_space(rho, p, 1)
             gens = {
                 tuple(sorted(label for label, _ in g.coeffs))
-                for g in nmv_basis(space).generators
+                for g in nmv_basis(CharSpace.l_space(rho, p, 1)).generators
             }
             if edges != gens:
                 failures.append({"rho": rho, "edges": sorted(map(str, edges))})
@@ -546,8 +559,7 @@ def check_tree_suite(p: int) -> CheckReport:
 def check_phi_kernel(rho, p: int, d: int) -> CheckReport:
     """phi vanishes on every non-maximal-support generator of the L space."""
     rho = as_strict(rho)
-    space = CharSpace.l_space(rho, p, d)
-    lattice = nmv_basis(space)
+    lattice = nmv_basis(CharSpace.l_space(rho, p, d))
     failures = []
     for g in lattice.generators:
         value = phi(g)

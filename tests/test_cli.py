@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +289,8 @@ def test_cache_os_error_is_an_input_error(tmp_path, capsys, monkeypatch, where):
 
 
 def test_failed_cache_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    # from an empty memo, so that the --n 6 run has new records to write
+    PATH_COUNT_MEMO.clear()
     cache = tmp_path / "kcache.tsv"
     assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "5")[0] == 0
     before = cache.read_bytes()
@@ -325,3 +331,60 @@ def test_timing_flag(capsys):
     assert "timing" in report
     _, out, _ = run_cli(capsys, "core", "--p", "5", "--partition", "5")
     assert "timing" not in json.loads(out)
+
+
+def test_unchanged_cache_is_not_rewritten(tmp_path, capsys):
+    PATH_COUNT_MEMO.clear()
+    cache = tmp_path / "kcache.tsv"
+    assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "5")[0] == 0
+    before, inode = cache.read_bytes(), cache.stat().st_ino
+    # a fresh process: every record is loaded and checked, and core adds none
+    PATH_COUNT_MEMO.clear()
+    assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "2,1")[0] == 0
+    assert cache.read_bytes() == before
+    assert cache.stat().st_ino == inode
+    # new counts are still written
+    assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "6")[0] == 0
+    assert cache.stat().st_ino != inode
+    text = cache.read_text()
+    assert "ordinary\t3,2,1\t16\n" in text and "strict\t3,2,1\t2\n" in text
+    assert set(before.decode().splitlines()) < set(text.splitlines())
+
+
+SESSION = [
+    ["core", "--p", "5", "--partition", "7,4,2,1"],
+    ["verify", "htoj", "--p", "5", "--lambda", "5,2,1", "--oracle"],
+    ["core", "--p", "five", "--partition", "2,1"],
+    ["--format", "csv", "branch", "--p", "5", "--rho", "2,1", "--j", "0", "--dir", "induce"],
+    ["verify", "all", "--p", "3", "--dmax", "1"],
+    ["nmv", "--p", "5", "--rho", "2,1", "--d", "1", "--space", "H"],
+    ["enumerate", "--n", "5"],
+    ["core", "--p", "5", "--partition", "7,4,2,1"],
+]
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """main reuses one parser: a run of calls in one process, usage errors
+    among them, prints the bytes and exit codes of separate fresh processes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = []
+    for argv in SESSION:
+        done = subprocess.run(
+            [sys.executable, "-m", "spinblocks.cli", *argv], capture_output=True, env=env
+        )
+        fresh.append((done.returncode, done.stdout.decode(), done.stderr.decode()))
+
+    def never():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", never)
+    session = []
+    for argv in SESSION:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        session.append((code, out.out, out.err))
+    assert session == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 0]

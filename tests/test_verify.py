@@ -1,13 +1,16 @@
 import json
+import random
 
 import pytest
 
-from spinblocks.abacus import ell
+from spinblocks.abacus import block_enum, ell
 from spinblocks.chars import CharSpace, CharVector
 from spinblocks.exceptions import DomainError, SpaceMismatch
+from spinblocks.hnf import lattice_member, row_echelon_basis
 from spinblocks.rouquier import generate
 from spinblocks.sqrt2 import Sqrt2Scalar
 from spinblocks.verify import (
+    NmvLattice,
     check_htoj,
     htoj_sides,
     hyp_coeffs,
@@ -103,6 +106,134 @@ def test_htoj_detects_perturbation():
     bad = diff - CharVector.unit(diff.space, ((2, 1), 2))
     assert not lattice.member(bad)
     assert not lattice.member_oracle(bad)
+
+
+def dense_route(lattice):
+    """Third membership route, for tests only: flatten over every refined
+    label of the space and reduce against one echelon basis of all the
+    generators, with no split into components."""
+    labels = lattice.space.refined_labels()
+
+    def flatten(v):
+        coeffs = v.refine().as_dict()
+        out = []
+        for label in labels:
+            c = coeffs.pop(label, Sqrt2Scalar(0, 0))
+            out.extend((c.a, c.b))
+        assert not coeffs, f"labels outside the space: {sorted(coeffs)}"
+        return out
+
+    basis = row_echelon_basis([flatten(g) for g in lattice.generators])
+    return lambda v: lattice_member(basis, flatten(v))
+
+
+SMALL_GRID = [(p, d) for p in (3, 5, 7) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("p,d", SMALL_GRID)
+def test_membership_routes_agree(p, d):
+    """Per-component echelon, dense echelon and per-component column Hermite
+    solve agree on every htoj difference, on random integer combinations of
+    generators, and on those combinations plus one unit coefficient or plus
+    sqrt(2) times a generator."""
+    rng = random.Random(1000 * p + d)
+    for parity in ("even", "odd"):
+        rho = generate(p, d, parity, 1)[0]
+        h_space = CharSpace.h_space(rho, p, d)
+        for lattice in (nmv_basis(h_space), nmv_basis(CharSpace.l_space(rho, p, d))):
+            dense = dense_route(lattice)
+
+            def routes(v):
+                return lattice.member(v), dense(v), lattice.member_oracle(v)
+
+            if lattice.space == h_space:
+                for lam in block_enum(rho, p, d):
+                    lhs, rhs = htoj_sides(lam, p)
+                    assert routes(lhs - rhs) == (True, True, True), lam
+            labels = lattice.space.refined_labels()
+            for _ in range(4):
+                combo = CharVector.make(lattice.space, {}, "refined")
+                for g in rng.sample(lattice.generators, min(6, len(lattice.generators))):
+                    combo = combo + g.scale(rng.randint(-3, 3))
+                assert routes(combo) == (True, True, True)
+                # a unit leaves the lattice: the alternating functional of
+                # its component is nonzero on it and zero on every generator
+                unit = CharVector.make(lattice.space, {rng.choice(labels): 1}, "refined")
+                assert routes(combo + unit) == (False, False, False)
+                # the generators are integral, so a sqrt(2) part leaves it too
+                root = rng.choice(lattice.generators).scale(Sqrt2Scalar(0, 1))
+                assert routes(combo + root) == (False, False, False)
+
+
+@pytest.mark.parametrize("p,d", SMALL_GRID)
+def test_h_components_are_single_mu(p, d):
+    for parity in ("even", "odd"):
+        rho = generate(p, d, parity, 1)[0]
+        lattice = nmv_basis(CharSpace.h_space(rho, p, d))
+        index, rows = lattice.split
+        components = {}
+        for (label, _sign), (comp, _at) in index.items():
+            components.setdefault(comp, []).append(label)
+        assert len(components) == len(rows) == len(block_enum(rho, p, d - 1))
+        for labels in components.values():
+            assert len({mu for mu, _j in labels}) == 1
+            assert len(labels) <= 2 * (ell(p) + 1)
+        # every refined label of the space is touched by some generator
+        assert sorted(map(repr, index)) == sorted(map(repr, lattice.space.refined_labels()))
+
+
+def test_membership_rejects_labels_outside_the_space():
+    lhs, rhs = htoj_sides((5, 2, 1), 5)
+    lattice = nmv_basis(lhs.space)
+    assert lhs.space.is_odd(((2, 1), 0))
+    stray = CharVector.make(lhs.space, {(((2, 1), 0), 0): 1}, "refined")
+    with pytest.raises(ValueError, match="outside the space"):
+        lattice.member(stray)
+    with pytest.raises(ValueError, match="outside the space"):
+        lattice.member_oracle(stray)
+    with pytest.raises(SpaceMismatch):
+        lattice.member(CharVector.unit(CharSpace.h_space((2, 1), 5, 2), ((7, 1), 0)))
+
+
+def test_membership_fails_on_a_label_no_generator_touches():
+    space = CharSpace.h_space((2, 1), 5, 1)
+    g = CharVector.make(space, {(((2, 1), 1), 0): 1, (((2, 1), 2), 0): 1}, "refined")
+    lattice = NmvLattice(space, [g])
+    assert lattice.member(g.scale(3)) and lattice.member_oracle(g.scale(3))
+    lone = g.scale(3) + CharVector.make(space, {(((2, 1), 0), 1): 1}, "refined")
+    assert not lattice.member(lone) and not lattice.member_oracle(lone)
+    with pytest.raises(ValueError, match="outside the space"):
+        lattice.member(lone + CharVector.make(space, {(((2, 1), 0), 0): 1}, "refined"))
+
+
+def _straddling_split(monkeypatch):
+    """Move one label of a two-label generator into a component of its own,
+    as a union-find that failed to join it would."""
+    import spinblocks.verify as V
+
+    real = V.NmvLattice.split.func
+
+    def split(self):
+        index, sizes = real(self)
+        label = next(g for g in self.generators if len(g.coeffs) > 1).coeffs[1][0]
+        return {**index, label: (len(sizes), 0)}, sizes + [1]
+
+    monkeypatch.setattr(V.NmvLattice, "split", property(split))
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_a_generator_straddling_components_is_an_internal_error(monkeypatch, capsys, oracle):
+    from spinblocks import cli
+
+    _straddling_split(monkeypatch)
+    lhs, rhs = htoj_sides((5, 2, 1), 5)
+    lattice = nmv_basis(lhs.space)
+    with pytest.raises(AssertionError, match="straddles"):
+        (lattice.member_oracle if oracle else lattice.member)(lhs - rhs)
+    argv = ["verify", "htoj", "--p", "5", "--lambda", "5,2,1"] + ["--oracle"] * oracle
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("internal error: generator")
 
 
 def test_check_htoj_reports():
