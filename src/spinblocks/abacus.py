@@ -93,19 +93,27 @@ def as_composition(dcomp, p: int) -> tuple:
     return dcomp
 
 
-def removal_moves(lam: Partition, p: int) -> list[frozenset]:
-    """All bead sets reachable from lam by a single bar-removal move."""
-    beads = frozenset(lam)
+def _removals(beads: frozenset, p: int, j: int | None = None) -> list[frozenset]:
+    """Bead sets one bar removal below `beads`, unsorted: on the runner pair
+    {j, p-j}, or on every pair when j is None.  A move slides a bead from r
+    up to a free r-p (from p, off the abacus) or takes out the pair j, p-j."""
     out = []
-    for b in sorted(beads):
+    for b in beads:
+        if j is not None and b % p not in (j, p - j):
+            continue
         if b == p:
             out.append(beads - {b})
-        elif b > p and (b - p) not in beads:
+        elif b > p and b - p not in beads:
             out.append(beads - {b} | {b - p})
-    for j in range(1, ell(p) + 1):
-        if j in beads and (p - j) in beads:
-            out.append(beads - {j, p - j})
+    for i in range(1, ell(p) + 1) if j is None else (j,):
+        if i in beads and p - i in beads:
+            out.append(beads - {i, p - i})
     return out
+
+
+def removal_moves(lam: Partition, p: int) -> list[frozenset]:
+    """All bead sets reachable from lam by a single bar-removal move."""
+    return _removals(frozenset(lam), p)
 
 
 def core_weight(
@@ -125,17 +133,16 @@ def core_weight(
 def _core_weight(lam: Partition, p: int, rng: random.Random | None = None):
     current = frozenset(lam)
     weight = 0
-    while True:
-        moves = removal_moves(tuple(sorted(current, reverse=True)), p)
-        if not moves:
-            break
+    while moves := _removals(current, p):
         current = rng.choice(moves) if rng is not None else moves[0]
         weight += 1
     return tuple(sorted(current, reverse=True)), weight
 
 
 def is_bar_core(lam: Partition, p: int) -> bool:
-    return not removal_moves(as_strict(lam), p)
+    lam = as_strict(lam)
+    _check_prime(p)
+    return not removal_moves(lam, p)
 
 
 def neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition]:
@@ -156,25 +163,16 @@ def neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition]
 
 def _neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition]:
     beads = frozenset(lam)
-    residues = {j % p, (p - j) % p}
-    results = []
-    if direction == "add":
-        for b in beads:
-            if b % p in residues and (b + p) not in beads:
-                results.append(beads - {b} | {b + p})
+    if direction == "remove":
+        results = _removals(beads, p, j)
+    else:
+        results = [
+            beads - {b} | {b + p} for b in beads if b % p in (j, p - j) and b + p not in beads
+        ]
         if j == 0 and p not in beads:
             results.append(beads | {p})
         if j != 0 and j not in beads and (p - j) not in beads:
             results.append(beads | {j, p - j})
-    else:
-        for b in beads:
-            if b % p in residues:
-                if b == p:
-                    results.append(beads - {b})
-                elif b > p and (b - p) not in beads:
-                    results.append(beads - {b} | {b - p})
-        if j != 0 and j in beads and (p - j) in beads:
-            results.append(beads - {j, p - j})
     return sorted({tuple(sorted(r, reverse=True)) for r in results}, reverse=True)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .abacus import as_composition, block_enum, core_weight, ell, runner_label
+from .abacus import _check_prime, as_composition, block_enum, core_weight, ell, runner_label
 from .exceptions import SpaceMismatch
 from .partitions import STRICT, Partition, as_strict, enumerate_partitions, epsilon_exponent
 from .sqrt2 import Sqrt2Scalar
@@ -35,6 +35,10 @@ class CharSpace:
     rho: Partition = ()
     d: int = 0
     n: int = 0
+
+    def __post_init__(self):
+        if self.kind != "full":
+            _check_prime(self.p)
 
     @classmethod
     def block(cls, rho, p, d):
@@ -311,6 +315,7 @@ def orbit_sum(rho: Partition, p: int, dcomp) -> tuple[CharVector, int]:
     multinomial(d; dcomp) * eps^2.
     """
     rho = as_strict(rho)
+    _check_prime(p)
     dcomp = as_composition(dcomp, p)
     d = sum(dcomp)
     space = CharSpace.l_space(rho, p, d)

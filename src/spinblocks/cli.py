@@ -290,6 +290,8 @@ def run_command(args) -> tuple[dict, int]:
         return {"vector": vector_payload(v)}, 0
     if cmd == "branch":
         if args.dir == "induce":
+            if args.mu is None and args.rho is None:
+                raise DomainError("branch --dir induce needs --mu")
             mu = parse_partition(args.mu if args.mu is not None else args.rho)
             if args.j is None:
                 raise DomainError("branch --dir induce needs --j")
@@ -330,6 +332,7 @@ def run_command(args) -> tuple[dict, int]:
         rho = parse_partition(args.rho)
         t = parse_comp(args.runner_tuple)
         space = CharSpace.l_space(rho, args.p, len(t))
+        t = space.validate_label(t)
         sign = {"+": 1, "-": -1, "0": 0}[args.sign]
         if sign and not space.is_odd(t):
             raise DomainError(f"{t} labels an even character; drop --sign")
@@ -364,41 +367,38 @@ def run_command(args) -> tuple[dict, int]:
     raise DomainError(f"unhandled command {cmd}")
 
 
+# The flags each `verify` target needs, asked for in this order; each names
+# its keyword argument of the check.
+VERIFY_NEEDS = {
+    "all": ("p",),
+    "dim-sqd": ("n",),
+    "htoj": ("p", "lam"),
+    "core-order": ("p",),
+    "tree-suite": ("p",),
+    "dim-reduced": ("p", "rho", "dcomp"),
+    **dict.fromkeys(
+        ("block-count", "htog-adjoint", "restrict-recursion", "hyp-nonneg", "phi-kernel",
+         "stembridge-cross"),
+        ("p", "rho", "d"),
+    ),
+}
+FLAG_PARSERS = {"lam": parse_partition, "rho": parse_partition, "dcomp": parse_comp}
+
+
 def run_verify(args) -> tuple[dict, int]:
-    if args.name == "all":
-        if args.p is None:
-            raise DomainError("verify all needs --p")
-        return verify_all(args.p, args.dmax, oracle=args.oracle)
-    if args.name not in CHECKS:
+    if args.name not in VERIFY_NEEDS:
         raise DomainError(f"unknown check {args.name!r}; have {sorted(CHECKS)} or 'all'")
     params = {}
-    if args.name == "dim-sqd":
-        if args.n is None:
-            raise DomainError("dim-sqd needs --n")
-        params["n"] = args.n
-    else:
-        if args.p is None:
-            raise DomainError(f"{args.name} needs --p")
-        params["p"] = args.p
-        if args.name == "htoj":
-            if args.lam is None:
-                raise DomainError("htoj needs --lambda")
-            params["lam"] = parse_partition(args.lam)
-            params["oracle"] = args.oracle
-        elif args.name in ("core-order", "tree-suite"):
-            pass
-        else:
-            if args.rho is None:
-                raise DomainError(f"{args.name} needs --rho")
-            params["rho"] = parse_partition(args.rho)
-            if args.name == "dim-reduced":
-                if args.dcomp is None:
-                    raise DomainError("dim-reduced needs --dcomp")
-                params["dcomp"] = parse_comp(args.dcomp)
-            else:
-                if args.d is None:
-                    raise DomainError(f"{args.name} needs --d")
-                params["d"] = args.d
+    for key in VERIFY_NEEDS[args.name]:
+        value = getattr(args, key)
+        if value is None:
+            target = "verify all" if args.name == "all" else args.name
+            raise DomainError(f"{target} needs --{'lambda' if key == 'lam' else key}")
+        params[key] = FLAG_PARSERS[key](value) if key in FLAG_PARSERS else value
+    if args.name == "all":
+        return verify_all(params["p"], args.dmax, oracle=args.oracle)
+    if args.name == "htoj":
+        params["oracle"] = args.oracle
     report = run_check(args.name, **params)
     payload = report.to_json()
     return payload, 0 if report.passed else 1

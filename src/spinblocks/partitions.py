@@ -12,6 +12,7 @@ from math import factorial
 from operator import ge, gt
 from typing import Iterable, Iterator
 
+from .exceptions import ShapeError
 from .sqrt2 import Sqrt2Scalar
 
 Partition = tuple  # tuple[int, ...]
@@ -61,6 +62,17 @@ def shifted_diagram(lam: Partition) -> frozenset:
     return frozenset(
         (i, j) for i, part in enumerate(lam, 1) for j in range(i, part + i)
     )
+
+
+def skew_boxes(lam: Partition, mu: Partition) -> tuple:
+    """The boxes of shifted_diagram(lam) outside shifted_diagram(mu), sorted."""
+    if not contains(lam, mu):
+        raise ShapeError(f"{mu} does not fit inside {lam}")
+    boxes = []
+    for i, part in enumerate(lam, 1):
+        start = mu[i - 1] + i if i <= len(mu) else i
+        boxes.extend((i, j) for j in range(start, part + i))
+    return tuple(boxes)
 
 
 def enumerate_partitions(n: int, kind: str) -> list[Partition]:

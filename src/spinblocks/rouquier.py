@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus, ell, is_bar_core, neighbors
+from .abacus import Abacus, _check_prime, _neighbors, ell, is_bar_core, neighbors
 from .exceptions import DomainError, ShapeError
-from .partitions import Partition, as_strict, contains, shifted_diagram
+from .partitions import Partition, as_strict, skew_boxes
 
 
 def is_rouquier(rho: Partition, p: int, d: int) -> bool:
@@ -33,6 +33,9 @@ def generate(p: int, d: int, parity: str, count: int) -> list[Partition]:
     beads stacked on runner ell; sizes increase strictly along the stack, so
     "smallest" is well defined.
     """
+    _check_prime(p)
+    if d < 1:
+        raise ValueError("d must be positive")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be even or odd: {parity!r}")
     if count < 1:
@@ -76,31 +79,21 @@ def strip_classify(lam: Partition, mu: Partition, p: int) -> StripCertificate:
     the hook strip the runner dictates.  Raises ShapeError otherwise.
     """
     lam, mu = as_strict(lam), as_strict(mu)
-    if not contains(lam, mu) or sum(lam) - sum(mu) != p:
-        raise ShapeError(f"{lam} is not a one-bar extension of {mu}")
-    added = sorted(set(lam) - set(mu))
-    removed = sorted(set(mu) - set(lam))
-    if len(added) == 2 and not removed and added[0] + added[1] == p:
-        i = min(added[0] % p, (p - added[0]) % p)
-    elif len(added) == 1 and not removed and added[0] == p:
-        i = 0
-    elif len(added) == 1 and len(removed) == 1 and added[0] - removed[0] == p:
-        r = added[0] % p
-        i = min(r, p - r)
-    else:
-        raise ShapeError(f"{lam} does not differ from {mu} by one bar move")
-    if lam not in neighbors(mu, p, i, "add"):
-        raise ShapeError(f"{lam} is not a runner-{i} extension of {mu}")
-    boxes = sorted(shifted_diagram(lam) - shifted_diagram(mu))
+    _check_prime(p)
     L = ell(p)
+    runners = [i for i in range(L + 1) if lam in _neighbors(mu, p, i, "add")]
+    if len(runners) != 1:
+        raise ShapeError(f"{lam} is not a one-bar extension of {mu}")
+    i = runners[0]
+    boxes = skew_boxes(lam, mu)
     r0, c0 = boxes[0]
     expected = [(r0, c0 + t) for t in range(L + i + 1)]
     expected += [(r0 + t, c0) for t in range(1, L - i + 1)]
-    if boxes != sorted(expected):
+    if boxes != tuple(sorted(expected)):
         raise ShapeError(
             f"skew boxes of {lam} over {mu} do not form the runner-{i} strip"
         )
-    return StripCertificate(i, tuple(boxes))
+    return StripCertificate(i, boxes)
 
 
 def rho_extension(rho: Partition, p: int, j: int) -> Partition:
@@ -109,10 +102,7 @@ def rho_extension(rho: Partition, p: int, j: int) -> Partition:
     rho = as_strict(rho)
     if not is_rouquier(rho, p, 1):
         raise DomainError(f"{rho} is not a 1-Rouquier core for p={p}")
-    beads = set(rho)
-    if j == 0:
-        if p in beads:
-            raise DomainError(f"position p occupied on the abacus of {rho}")
-        return tuple(sorted(beads | {p}, reverse=True))
-    top = max(b for b in beads if b % p == j)
-    return tuple(sorted(beads - {top} | {top + p}, reverse=True))
+    moves = neighbors(rho, p, j, "add")
+    if len(moves) != 1:
+        raise AssertionError(f"{rho} has {len(moves)} runner-{j} extensions, not one")
+    return moves[0]

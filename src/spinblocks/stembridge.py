@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .abacus import core_weight, ell, neighbors, runner_label
+from .abacus import _check_prime, core_weight, ell, neighbors, runner_label
 from .chars import CharSpace, CharVector, eps_ratio
 from .exceptions import DomainError, ShapeError
-from .partitions import Partition, _box_moves, as_strict, contains, epsilon_exponent
+from .partitions import Partition, _box_moves, as_strict, contains, epsilon_exponent, skew_boxes
 from .rouquier import is_rouquier
 from .sqrt2 import Sqrt2Scalar
 
@@ -50,16 +50,6 @@ class MarkedTableau:
 def _letter_key(letter) -> int:
     k, marked = letter
     return 2 * k - (1 if marked else 0)
-
-
-def skew_boxes(lam: Partition, mu: Partition) -> tuple:
-    if not contains(lam, mu):
-        raise ShapeError(f"{mu} does not fit inside {lam}")
-    boxes = []
-    for i, part in enumerate(lam, 1):
-        start = mu[i - 1] + i if i <= len(mu) else i
-        boxes.extend((i, j) for j in range(start, part + i))
-    return tuple(boxes)
 
 
 def enumerate_tableaux(boxes: tuple, content: Partition) -> Iterator[MarkedTableau]:
@@ -258,6 +248,7 @@ def rock_branch(part: Partition, p: int, j: int | None = None, direction: str = 
     eps_lam eps_(mu,lam) eps_j / eps_(mu,j).
     """
     part = as_strict(part)
+    _check_prime(p)
     L = ell(p)
     if direction == "induce":
         if j is None or not 0 <= j <= L:

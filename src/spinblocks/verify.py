@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 
-from .abacus import block_enum, ell, k_product, neighbors, quotient, runner_label
+from .abacus import _check_prime, block_enum, ell, k_product, neighbors, quotient, runner_label
 from .chars import REFINED, CharSpace, CharVector, eps_ratio, m_action, runner_tuples
 from .exceptions import CheckFailure, DomainError, SpaceMismatch
 from .hnf import integral_solution_exists, lattice_member, row_echelon_basis
@@ -440,6 +440,7 @@ def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
 
 def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
     rho = as_strict(rho)
+    _check_prime(p)
     L = ell(p)
     failures = []
     totals = {}
@@ -528,6 +529,7 @@ def check_tree_suite(p: int) -> CheckReport:
     from . import trees
     from .rouquier import generate, rho_extension
 
+    _check_prime(p)
     L = ell(p)
     failures = []
     for kind, period in (("B", 4 * L), ("A", 2 * L)):

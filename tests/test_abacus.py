@@ -13,6 +13,7 @@ from spinblocks.abacus import (
     k_product,
     neighbors,
     quotient,
+    removal_moves,
 )
 from spinblocks.exceptions import DomainError
 from spinblocks.partitions import (
@@ -76,15 +77,38 @@ def test_neighbors_examples():
     assert neighbors((), 5, 0, "add") == [(5,)]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_neighbors_mutually_inverse(p):
+def bar_removals_on_parts(lam, p):
+    """The one-bar removals of the strict partition lam, stated on its parts:
+    subtract p from a part when the difference is not already a part, drop a
+    part equal to p, or drop two parts that sum to p."""
+    out = []
+    for i, part in enumerate(lam):
+        rest = lam[:i] + lam[i + 1 :]
+        if part == p:
+            out.append(rest)
+        elif part > p and part - p not in lam:
+            out.append(tuple(sorted(rest + (part - p,), reverse=True)))
+        out.extend(rest[:k] + rest[k + 1 :] for k in range(i, len(rest)) if part + rest[k] == p)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_bar_moves_against_the_rule_on_parts(p):
+    """removal_moves, the per-runner removals and the additions all agree
+    with the removal rule written on parts; every removal lies on exactly
+    one runner pair."""
     ell = (p - 1) // 2
-    for lam in all_strict(12):
+    for lam in all_strict(16):
+        expected = bar_removals_on_parts(lam, p)
+        moves = sorted(tuple(sorted(m, reverse=True)) for m in removal_moves(lam, p))
+        assert moves == expected, lam
+        per_runner = [mu for j in range(ell + 1) for mu in neighbors(lam, p, j, "remove")]
+        assert sorted(per_runner) == expected, lam
         for j in range(ell + 1):
-            for mu in neighbors(lam, p, j, "add"):
-                assert lam in neighbors(mu, p, j, "remove")
             for mu in neighbors(lam, p, j, "remove"):
                 assert lam in neighbors(mu, p, j, "add")
+            for nu in neighbors(lam, p, j, "add"):
+                assert lam in neighbors(nu, p, j, "remove")
 
 
 def test_quotient_examples():

@@ -1,14 +1,20 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from spinblocks import cli
 from spinblocks.cli import main
 from spinblocks.partitions import ORDINARY, PATH_COUNT_MEMO, path_count
+from spinblocks.verify import CHECKS
 
 
 def run_cli(capsys, *argv):
@@ -388,3 +394,202 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
         session.append((code, out.out, out.err))
     assert session == fresh
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 0]
+
+
+def test_branch_induce_without_mu_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "branch", "--p", "5", "--dir", "induce", "--j", "0")
+    assert (code, out, err) == (2, "", "error: branch --dir induce needs --mu\n")
+
+
+@pytest.mark.parametrize("runner_tuple", ["-1", "1,-2", "9", "3"])
+def test_phi_rejects_a_tuple_off_the_runners(capsys, runner_tuple):
+    code, out, err = run_cli(
+        capsys, "phi", "--p", "5", "--rho", "2,1", f"--tuple={runner_tuple}"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "is not a runner tuple" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "hyp-nonneg", "--p", "0", "--rho", "2,1", "--d", "1"], "odd prime"),
+        (["verify", "hyp-nonneg", "--p=-1", "--rho", "2,1", "--d", "1"], "odd prime"),
+        (["rouquier", "gen", "--p", "0", "--d", "2", "--parity", "odd"], "odd prime"),
+        (["rouquier", "gen", "--p", "5", "--d", "0", "--parity", "odd"], "d must be positive"),
+    ],
+)
+def test_bad_prime_or_weight_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+# Each verify target with all the flags it needs, in the order they are asked for.
+VERIFY_FLAGS = [
+    ("all", ["--p", "5"]),
+    ("dim-sqd", ["--n", "3"]),
+    ("htoj", ["--p", "5", "--lambda", "5,2,1"]),
+    ("core-order", ["--p", "5"]),
+    ("tree-suite", ["--p", "5"]),
+    ("dim-reduced", ["--p", "5", "--rho", "2,1", "--dcomp", "1,0,0"]),
+] + [
+    (name, ["--p", "5", "--rho", "2,1", "--d", "1"])
+    for name in (
+        "block-count", "htog-adjoint", "restrict-recursion", "hyp-nonneg", "phi-kernel",
+        "stembridge-cross",
+    )
+]
+
+
+def test_verify_flag_table_covers_every_check():
+    assert {name for name, _ in VERIFY_FLAGS} == set(CHECKS) | {"all"}
+
+
+@pytest.mark.parametrize(
+    "name, given, missing",
+    [(name, flags[:k], flags[k]) for name, flags in VERIFY_FLAGS for k in range(0, len(flags), 2)],
+)
+def test_verify_names_the_first_missing_flag(capsys, name, given, missing):
+    """With the first flags given and the rest left out, the error names the
+    first one left out: every message, in the order the flags are asked for."""
+    target = "verify all" if name == "all" else name
+    code, out, err = run_cli(capsys, "verify", name, *given)
+    assert (code, out, err) == (2, "", f"error: {target} needs {missing}\n")
+
+
+def test_verify_unknown_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "no-such-check", "--p", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown check 'no-such-check'")
+
+
+# Flag values for the exit-code fuzz: p <= 7, d and dmax <= 2, n <= 8, at
+# most 12 boxes per partition.  Every flag gets a small value, valid or not;
+# in half the draws one of them is then replaced by a malformed string.
+def joined(values):
+    return values.map(lambda xs: ",".join(map(str, xs)))
+
+
+P = st.sampled_from(["3", "5", "7", "0", "1", "4", "-3"])
+D = st.sampled_from(["1", "2", "0", "-1"])
+N = st.integers(-2, 8).map(str)
+J = st.sampled_from(["0", "1", "2", "3", "-1"])
+# small Rouquier cores for p = 3, 5, 7, members of their weight-one blocks,
+# and arbitrary lists, strict or not
+KNOWN = st.sampled_from(["1", "4,1", "2,1", "3,2,1", "-", "4", "3,1", "7,1", "6,2", "5,2,1"])
+PART = st.one_of(
+    KNOWN,
+    KNOWN,
+    joined(
+        st.one_of(
+            st.sets(st.integers(1, 9), max_size=4).map(lambda xs: sorted(xs, reverse=True)),
+            st.lists(st.integers(-1, 9), max_size=4),
+        ).filter(lambda xs: sum(map(abs, xs)) <= 12)
+    ),
+)
+COMP = joined(
+    st.lists(st.integers(-1, 2), min_size=1, max_size=4).filter(lambda xs: sum(map(abs, xs)) <= 2)
+)
+MALFORMED = st.sampled_from(["", "x", "1.5", "-", "1,,2", ","])
+TREE = {"--kind": st.sampled_from(["A", "B"]), "--ell": st.sampled_from(["1", "2", "3", "0", "-1"])}
+
+
+def maybe(values):
+    return st.one_of(st.none(), values)
+
+
+COMMANDS = {
+    ("enumerate",): {"--n": N, "--kind": st.sampled_from(["ordinary", "strict"])},
+    ("core",): {"--p": P, "--partition": PART},
+    ("quotient",): {"--p": P, "--lambda": PART},
+    ("neighbors",): {"--p": P, "--lambda": PART, "--j": J, "--dir": st.sampled_from(["add", "remove"])},
+    ("block",): {"--p": P, "--rho": PART, "--d": D, "--dcomp": maybe(COMP)},
+    ("rouquier", "check"): {"--p": P, "--rho": PART, "--d": D},
+    ("rouquier", "gen"): {
+        "--p": P, "--d": D, "--parity": st.sampled_from(["even", "odd"]),
+        "--count": maybe(st.sampled_from(["1", "3", "0", "-1"])),
+    },
+    ("strip",): {"--p": P, "--lambda": PART, "--mu": PART},
+    ("fcoeff",): {"--lambda": PART, "--mu": PART, "--nu": PART},
+    ("induce",): {"--mu": PART, "--nu": PART},
+    ("branch",): {
+        "--p": P, "--dir": st.sampled_from(["induce", "restrict"]), "--mu": maybe(PART),
+        "--lambda": maybe(PART), "--rho": maybe(PART), "--j": maybe(J),
+    },
+    ("maction",): {"--p": P, "--rho": PART, "--mu": maybe(PART), "--j": J},
+    ("orbit",): {"--p": P, "--rho": PART, "--dcomp": COMP},
+    ("hyp",): {"--p": P, "--rho": PART, "--dcomp": COMP},
+    ("nmv",): {"--p": P, "--rho": PART, "--d": D, "--space": maybe(st.sampled_from(["L", "H"]))},
+    ("phi",): {
+        "--p": P, "--rho": PART,
+        "--tuple": joined(st.lists(st.integers(-1, 3), min_size=1, max_size=2)),
+        "--sign": maybe(st.sampled_from(["+", "-", "0"])),
+    },
+    ("verify",): {
+        "": st.sampled_from(sorted(CHECKS) + ["all", "no-such-check"]),
+        "--n": maybe(N), "--p": maybe(P), "--rho": maybe(PART), "--d": maybe(D),
+        "--dcomp": maybe(COMP), "--lambda": maybe(PART), "--dmax": maybe(D),
+        "--oracle": maybe(st.just(True)),
+    },
+    ("tree", "build"): TREE,
+    ("tree", "walk"): TREE,
+    ("tree", "heller"): {
+        **TREE, "--start": st.sampled_from(["0", "3", "2+", "1-", "x"]), "--n": N,
+    },
+    ("tree", "weight1"): {"--p": P, "--rho": PART},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    values = {flag: draw(strategy) for flag, strategy in COMMANDS[command].items()}
+    given = [flag for flag, value in values.items() if isinstance(value, str)]
+    if draw(st.booleans()):
+        values[draw(st.sampled_from(given))] = draw(MALFORMED)
+    argv = [draw(st.sampled_from(["--format=json", "--format=csv"])), *command]
+    for flag, value in values.items():
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv.append(f"{flag}={value}" if flag else value)
+    return argv
+
+
+VALID_CACHE = b"spinblocks-kcache 1\nstrict\t2,1\t1\nordinary\t2,1\t2\n"
+CACHES = st.one_of(
+    st.sampled_from([None, "absent", VALID_CACHE]),
+    st.sampled_from([None, "absent", VALID_CACHE]),
+    st.binary(max_size=48),
+    st.just(VALID_CACHE.replace(b"\t2\n", b"\t3\n")),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs(), cache=CACHES)
+@example(argv=["branch", "--p=5", "--dir=induce", "--j=0"], cache=None)
+@example(argv=["phi", "--p=5", "--rho=2,1", "--tuple=-1"], cache=None)
+@example(argv=["verify", "hyp-nonneg", "--p=0", "--rho=2,1", "--d=1"], cache=None)
+def test_exit_code_contract(argv, cache):
+    """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
+    a traceback, and an exit-2 run leaves the cache file as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "kcache.tsv"
+        if cache is not None:
+            argv = [f"--cache={path}", *argv]
+            if cache != "absent":
+                path.write_bytes(cache)
+        before = path.read_bytes() if path.exists() else None
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        after = path.read_bytes() if path.exists() else None
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert code != 1 or "verify" in argv, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert after == before
