@@ -46,6 +46,8 @@ class CharSpace:
 
     @classmethod
     def l_space(cls, rho, p, d):
+        if d < 1:
+            raise ValueError("an L space needs weight at least 1")
         return cls("L", p, as_strict(rho), d)
 
     @classmethod

@@ -23,7 +23,9 @@ class Sqrt2Scalar:
     def of(cls, x: "Sqrt2Scalar | int") -> "Sqrt2Scalar":
         if isinstance(x, Sqrt2Scalar):
             return x
-        return cls(x, 0)
+        if isinstance(x, int):
+            return _unchecked(x, 0)
+        return cls(x, 0)  # raises TypeError
 
     @classmethod
     def sqrt2_power(cls, e: int) -> "Sqrt2Scalar":
@@ -31,12 +33,12 @@ class Sqrt2Scalar:
         if e < 0:
             raise ValueError(f"sqrt(2)**{e} is not in Z[sqrt(2)]")
         if e % 2 == 0:
-            return cls(1 << (e // 2), 0)
-        return cls(0, 1 << (e // 2))
+            return _unchecked(1 << (e // 2), 0)
+        return _unchecked(0, 1 << (e // 2))
 
     def __add__(self, other):
         other = Sqrt2Scalar.of(other)
-        return Sqrt2Scalar(self.a + other.a, self.b + other.b)
+        return _unchecked(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
@@ -47,11 +49,11 @@ class Sqrt2Scalar:
         return (-self) + other
 
     def __neg__(self):
-        return Sqrt2Scalar(-self.a, -self.b)
+        return _unchecked(-self.a, -self.b)
 
     def __mul__(self, other):
         other = Sqrt2Scalar.of(other)
-        return Sqrt2Scalar(
+        return _unchecked(
             self.a * other.a + 2 * self.b * other.b,
             self.a * other.b + self.b * other.a,
         )
@@ -60,7 +62,7 @@ class Sqrt2Scalar:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Sqrt2Scalar(other, 0)
+            other = _unchecked(other, 0)
         if not isinstance(other, Sqrt2Scalar):
             return NotImplemented
         return self.a == other.a and self.b == other.b
@@ -72,7 +74,7 @@ class Sqrt2Scalar:
         return self.a != 0 or self.b != 0
 
     def conjugate(self) -> "Sqrt2Scalar":
-        return Sqrt2Scalar(self.a, -self.b)
+        return _unchecked(self.a, -self.b)
 
     def norm(self) -> int:
         return self.a * self.a - 2 * self.b * self.b
@@ -84,7 +86,7 @@ class Sqrt2Scalar:
         """Exact division by 2; raises when either component is odd."""
         if self.a % 2 or self.b % 2:
             raise ValueError(f"{self} is not divisible by 2 in Z[sqrt(2)]")
-        return Sqrt2Scalar(self.a // 2, self.b // 2)
+        return _unchecked(self.a // 2, self.b // 2)
 
     def __repr__(self):
         return f"Sqrt2Scalar({self.a}, {self.b})"
@@ -95,6 +97,15 @@ class Sqrt2Scalar:
         if self.a == 0:
             return f"{self.b}√2"
         return f"{self.a}{self.b:+}√2"
+
+
+def _unchecked(a: int, b: int) -> Sqrt2Scalar:
+    """a + b*sqrt(2) from components already known to be ints, as the
+    results of integer arithmetic are; skips the constructor's type check."""
+    x = object.__new__(Sqrt2Scalar)
+    state = x.__dict__
+    state["a"], state["b"] = a, b
+    return x
 
 
 ONE = Sqrt2Scalar(1, 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .abacus import _check_prime, core_weight, ell, neighbors, runner_label
+from .abacus import _check_prime, _neighbors, core_weight, ell, runner_label
 from .chars import CharSpace, CharVector, eps_ratio
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, _box_moves, as_strict, contains, epsilon_exponent, skew_boxes
@@ -172,6 +172,10 @@ def f_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     lam, mu, nu = as_strict(lam), as_strict(mu), as_strict(nu)
     if sum(lam) != sum(mu) + sum(nu):
         raise ShapeError(f"|{lam}| != |{mu}| + |{nu}|")
+    return _f_coeff(lam, mu, nu)
+
+
+def _f_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _count_lattice_fillings(skew_boxes(lam, mu), nu)
 
 
@@ -212,7 +216,7 @@ def _induce(mu: Partition, nu: Partition, support) -> CharVector:
         candidates = [lam for lam in support if contains(lam, mu)]
     out = {}
     for lam in candidates:
-        f = f_coeff(lam, mu, nu)
+        f = _f_coeff(lam, mu, nu)
         if f == 0:
             continue
         exponent = (
@@ -249,40 +253,41 @@ def rock_branch(part: Partition, p: int, j: int | None = None, direction: str = 
     """
     part = as_strict(part)
     _check_prime(p)
-    L = ell(p)
     if direction == "induce":
-        if j is None or not 0 <= j <= L:
-            raise DomainError(f"runner index must lie in 0..{L}: {j}")
+        if j is None or not 0 <= j <= ell(p):
+            raise DomainError(f"runner index must lie in 0..{ell(p)}: {j}")
         rho, d = _block_context(part, p, 1)
-        space = CharSpace.block(rho, p, d)
-        e_mu_j = epsilon_exponent((part, runner_label(p, j)))
-        ej = epsilon_exponent((runner_label(p, j),))
-        out = {}
-        for i in range(L - j + 1):
-            for lam in neighbors(part, p, i, "add"):
-                coeff = eps_ratio(
-                    (e_mu_j, epsilon_exponent((part, lam)), ej),
-                    (epsilon_exponent((lam,)),),
-                )
-                out[lam] = out.get(lam, Sqrt2Scalar(0, 0)) + coeff
-        return _integral_vector(space, out)
-    if direction == "restrict":
+    elif direction == "restrict":
         rho, d = _block_context(part, p, 0)
-        space = CharSpace.h_space(rho, p, d)
-        e_lam = epsilon_exponent((part,))
-        out = {}
-        for jj in range(L + 1):
-            ej = epsilon_exponent((runner_label(p, jj),))
-            for i in range(L - jj + 1):
-                for mu in neighbors(part, p, i, "remove"):
-                    coeff = eps_ratio(
-                        (e_lam, epsilon_exponent((mu, part)), ej),
-                        (epsilon_exponent((mu, runner_label(p, jj))),),
-                    )
-                    key = (mu, jj)
-                    out[key] = out.get(key, Sqrt2Scalar(0, 0)) + coeff
-        return _integral_vector(space, out)
-    raise ValueError(f"direction must be induce or restrict: {direction!r}")
+    else:
+        raise ValueError(f"direction must be induce or restrict: {direction!r}")
+    return _rock_branch(part, p, j, direction, rho, d)
+
+
+def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: int) -> CharVector:
+    """rock_branch without its checks: part is canonical, of weight d-1 to
+    induce or d to restrict over the d-Rouquier core rho, and j in 0..ell."""
+    L = ell(p)
+    e_part = epsilon_exponent((part,))
+    e_run = [epsilon_exponent((runner_label(p, i),)) for i in range(L + 1)]
+    out = {}
+    if direction == "induce":
+        e_mu_j = (e_part + e_run[j]) % 2
+        for i in range(L - j + 1):
+            for lam in _neighbors(part, p, i, "add"):
+                e_lam = epsilon_exponent((lam,))
+                coeff = eps_ratio((e_mu_j, (e_part + e_lam) % 2, e_run[j]), (e_lam,))
+                out[lam] = out.get(lam, Sqrt2Scalar(0, 0)) + coeff
+        return _integral_vector(CharSpace.block(rho, p, d), out)
+    for jj in range(L + 1):
+        for i in range(L - jj + 1):
+            for mu in _neighbors(part, p, i, "remove"):
+                e_mu = epsilon_exponent((mu,))
+                coeff = eps_ratio(
+                    (e_part, (e_mu + e_part) % 2, e_run[jj]), ((e_mu + e_run[jj]) % 2,)
+                )
+                out[mu, jj] = out.get((mu, jj), Sqrt2Scalar(0, 0)) + coeff
+    return _integral_vector(CharSpace.h_space(rho, p, d), out)
 
 
 def _integral_vector(space, mapping) -> CharVector:

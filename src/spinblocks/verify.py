@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 
-from .abacus import _check_prime, block_enum, ell, k_product, neighbors, quotient, runner_label
+from .abacus import _check_prime, _k_product, _neighbors, _quotient, block_enum, ell, runner_label
 from .chars import REFINED, CharSpace, CharVector, eps_ratio, m_action, runner_tuples
 from .exceptions import CheckFailure, DomainError, SpaceMismatch
 from .hnf import integral_solution_exists, lattice_member, row_echelon_basis
@@ -26,7 +26,7 @@ from .partitions import (
 )
 from .rouquier import is_rouquier
 from .sqrt2 import Sqrt2Scalar
-from .stembridge import rock_branch
+from .stembridge import _block_context, _induce, _rock_branch
 
 
 def compositions(total: int, slots: int) -> list[tuple]:
@@ -172,16 +172,26 @@ def phi(v: CharVector) -> Sqrt2Scalar:
     eps_rho * prod_k (-1)^{j_k} eps_{j_k} / eps of the whole tuple; it kills
     every non-maximal-support generator.
     """
-    space = v.space
-    if space.kind != "L":
+    if v.space.kind != "L":
         raise SpaceMismatch("phi is a functional on L spaces")
+    refined = v.refine()
+    return _phi(refined, _phi_table(v.space, [label for (label, _sign), _ in refined.coeffs]))
+
+
+def _phi_table(space: CharSpace, tuples) -> dict:
+    """phi on the basis characters of the given runner tuples: each value is
+    a signed power of 2."""
     e_rho = epsilon_exponent((space.rho,))
     e_runner = [epsilon_exponent((runner_label(space.p, j),)) for j in range(ell(space.p) + 1)]
+    # with e the sum of the exponents, e % 2 is that of the whole tuple
+    return {t: (-1) ** sum(t) * 2 ** ((e_rho + sum(e_runner[j] for j in t)) // 2) for t in tuples}
+
+
+def _phi(v: CharVector, table: dict) -> Sqrt2Scalar:
+    """phi of a refined L-space vector, read off a table of its labels."""
     total = Sqrt2Scalar(0, 0)
-    for (label, _sign), c in v.refine().coeffs:
-        e = e_rho + sum(e_runner[j] for j in label)
-        # e % 2 is the exponent of the whole tuple
-        total = total + c * Sqrt2Scalar.sqrt2_power(e - e % 2) * (-1) ** sum(label)
+    for (label, _sign), c in v.coeffs:
+        total = total + c * table[label]
     return total
 
 
@@ -205,9 +215,9 @@ def hyp_coeffs(rho: Partition, p: int, dcomp) -> CharVector:
     )
     out = {}
     for lam in block_enum(rho, p, d, dcomp):
-        q0 = quotient(lam, p).q0
+        q0 = _quotient(lam, p).q0
         e = e_tuple - epsilon_exponent((lam,)) + sum(q0) - len(q0)
-        coeff = Sqrt2Scalar.sqrt2_power(e) * k_product(lam, p)
+        coeff = Sqrt2Scalar.sqrt2_power(e) * _k_product(lam, p)
         if not coeff.is_nonneg_integer() or coeff.a <= 0:
             raise AssertionError(f"coefficient {coeff} at {lam} is not a positive integer")
         out[lam] = coeff
@@ -255,6 +265,14 @@ def _jsonable(x):
     return x
 
 
+def _rouquier_core(rho, p: int, d: int) -> Partition:
+    """rho as a canonical tuple, checked to be a d-Rouquier core."""
+    rho = as_strict(rho)
+    if not is_rouquier(rho, p, d):
+        raise DomainError(f"{rho} is not a {d}-Rouquier core for p={p}")
+    return rho
+
+
 def check_dim_sqd(n: int) -> CheckReport:
     lhs_ord = sum(path_count(lam, ORDINARY) ** 2 for lam in enumerate_partitions(n, ORDINARY))
     lhs_strict = sum(
@@ -276,8 +294,8 @@ def check_dim_reduced(rho, p: int, dcomp) -> CheckReport:
     d = sum(dcomp)
     total = 0
     for lam in block_enum(rho, p, d, dcomp):
-        q0 = quotient(lam, p).q0
-        total += 2 ** (sum(q0) - len(q0)) * k_product(lam, p) ** 2
+        q0 = _quotient(lam, p).q0
+        total += 2 ** (sum(q0) - len(q0)) * _k_product(lam, p) ** 2
     rhs = 1
     for x in dcomp:
         rhs *= factorial(x)
@@ -319,15 +337,15 @@ def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
     """eps_lam^2 * induce coefficient == eps_(mu,j)^2 * restrict coefficient
     for every branch pair in the block.  Both sides are compared on the
     union of their supports; a pair missing on one side counts as zero."""
-    rho = as_strict(rho)
+    rho = _rouquier_core(rho, p, d)
     restricted = {}
     for lam in block_enum(rho, p, d):
-        for (mu, j), b in rock_branch(lam, p, direction="restrict").coeffs:
+        for (mu, j), b in _rock_branch(lam, p, None, "restrict", rho, d).coeffs:
             restricted[mu, j, lam] = b * 2 ** epsilon_exponent((mu, runner_label(p, j)))
     induced = {}
     for mu in block_enum(rho, p, d - 1):
         for j in range(ell(p) + 1):
-            for lam, a in rock_branch(mu, p, j, "induce").coeffs:
+            for lam, a in _rock_branch(mu, p, j, "induce", rho, d).coeffs:
                 induced[mu, j, lam] = a * 2 ** epsilon_exponent((lam,))
     zero = Sqrt2Scalar(0, 0)
     failures = []
@@ -350,14 +368,14 @@ def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
     """Both sides of the one-bar restriction congruence: the M action applied
     to the full restriction, and the single-runner closed form."""
     lam = as_strict(lam)
-    restricted = rock_branch(lam, p, direction="restrict")
+    restricted = _rock_branch(lam, p, None, "restrict", *_block_context(lam, p, 0))
     lhs = m_action(restricted)
     space = restricted.space
     L = ell(p)
     out = {}
     for j in range(L + 1):
         ej = epsilon_exponent((runner_label(p, j),))
-        for mu in neighbors(lam, p, j, "remove"):
+        for mu in _neighbors(lam, p, j, "remove"):
             coeff = eps_ratio(
                 (epsilon_exponent((mu, lam)), epsilon_exponent((lam, runner_label(p, j)))),
                 (epsilon_exponent((mu,)), ej),
@@ -395,18 +413,19 @@ def restrict_recursion_sides(lam, p: int) -> dict:
     by the tableau-count recursion to  eps_lam 2^((|lam0|-h(lam0))/2) K(lam).
     """
     lam = as_strict(lam)
+    _check_prime(p)
     L = ell(p)
-    q = quotient(lam, p)
+    q = _quotient(lam, p)
     e_lam = epsilon_exponent((lam,))
     q0 = q.q0
-    rhs = Sqrt2Scalar.sqrt2_power(e_lam + sum(q0) - len(q0)) * k_product(lam, p)
+    rhs = Sqrt2Scalar.sqrt2_power(e_lam + sum(q0) - len(q0)) * _k_product(lam, p)
     sides = {}
     for k in range(L + 1):
         if sum(q.component(k)) == 0:
             continue
         total = Sqrt2Scalar(0, 0)
-        for mu in neighbors(lam, p, k, "remove"):
-            mu_q0 = quotient(mu, p).q0
+        for mu in _neighbors(lam, p, k, "remove"):
+            mu_q0 = _quotient(mu, p).q0
             e = (
                 epsilon_exponent((mu, lam))
                 + epsilon_exponent((lam, runner_label(p, k)))
@@ -416,15 +435,13 @@ def restrict_recursion_sides(lam, p: int) -> dict:
                 + sum(mu_q0)
                 - len(mu_q0)
             )
-            total = total + Sqrt2Scalar.sqrt2_power(e) * k_product(mu, p)
+            total = total + Sqrt2Scalar.sqrt2_power(e) * _k_product(mu, p)
         sides[k] = (total, rhs)
     return sides
 
 
 def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
-    rho = as_strict(rho)
-    if not is_rouquier(rho, p, d):
-        raise DomainError(f"{rho} is not a {d}-Rouquier core for p={p}")
+    rho = _rouquier_core(rho, p, d)
     failures = []
     for lam in block_enum(rho, p, d):
         for k, (lhs, rhs) in restrict_recursion_sides(lam, p).items():
@@ -441,6 +458,8 @@ def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
 def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
     rho = as_strict(rho)
     _check_prime(p)
+    if d < 1:
+        raise ValueError("d must be positive")
     L = ell(p)
     failures = []
     totals = {}
@@ -497,9 +516,7 @@ def check_core_order(p: int) -> CheckReport:
 def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     """Tableau-enumerated induction projected to the block equals the
     abacus closed form, coefficient for coefficient."""
-    from .stembridge import _induce
-
-    rho = as_strict(rho)
+    rho = _rouquier_core(rho, p, d)
     L = ell(p)
     block = block_enum(rho, p, d)
     failures = []
@@ -507,7 +524,7 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
         for j in range(L + 1):
             # both coefficient tuples are zero-free and sorted by repr(label)
             tableau_route = _induce(mu, runner_label(p, j), block)
-            abacus_route = rock_branch(mu, p, j, "induce")
+            abacus_route = _rock_branch(mu, p, j, "induce", rho, d)
             if tableau_route.coeffs != abacus_route.coeffs:
                 failures.append(
                     {
@@ -559,16 +576,18 @@ def check_tree_suite(p: int) -> CheckReport:
 
 
 def check_phi_kernel(rho, p: int, d: int) -> CheckReport:
-    """phi vanishes on every non-maximal-support generator of the L space."""
-    rho = as_strict(rho)
-    lattice = nmv_basis(CharSpace.l_space(rho, p, d))
-    failures = []
+    """phi vanishes on every non-maximal-support generator of the L space
+    and on no unit label of it."""
+    space = CharSpace.l_space(rho, p, d)
+    lattice = nmv_basis(space)
+    table = _phi_table(space, space.labels())
+    failures = [{"unit": t, "phi": value} for t, value in table.items() if value == 0]
     for g in lattice.generators:
-        value = phi(g)
+        value = _phi(g, table)
         if value != 0:
             failures.append({"generator": _jsonable(g), "phi": _jsonable(value)})
     return CheckReport(
-        "phi-kernel", {"rho": rho, "p": p, "d": d}, not failures,
+        "phi-kernel", {"rho": space.rho, "p": p, "d": d}, not failures,
         len(lattice.generators), 0, failures or None,
     )
 

@@ -425,6 +425,29 @@ def test_bad_prime_or_weight_is_a_usage_error(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "phi-kernel", "--p", "5", "--rho", "2,1", "--d=-1"], "L space needs weight"),
+        (["verify", "phi-kernel", "--p", "5", "--rho", "2,1", "--d", "0"], "L space needs weight"),
+        (["verify", "hyp-nonneg", "--p", "5", "--rho", "2,1", "--d=-1"], "d must be positive"),
+        (["nmv", "--p", "5", "--rho", "2,1", "--d=-1", "--space", "L"], "L space needs weight"),
+    ],
+)
+def test_an_l_space_weight_below_one_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("check", ["htog-adjoint", "stembridge-cross"])
+def test_a_core_that_is_not_d_rouquier_is_a_usage_error(capsys, check):
+    # (2, 1) is a 1-Rouquier core for p = 5 but not a 2-Rouquier one
+    code, out, err = run_cli(capsys, "verify", check, "--p", "5", "--rho", "2,1", "--d", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: (2, 1) is not a 2-Rouquier core for p=5\n"
+
+
 # Each verify target with all the flags it needs, in the order they are asked for.
 VERIFY_FLAGS = [
     ("all", ["--p", "5"]),
@@ -571,6 +594,9 @@ CACHES = st.one_of(
 @example(argv=["branch", "--p=5", "--dir=induce", "--j=0"], cache=None)
 @example(argv=["phi", "--p=5", "--rho=2,1", "--tuple=-1"], cache=None)
 @example(argv=["verify", "hyp-nonneg", "--p=0", "--rho=2,1", "--d=1"], cache=None)
+@example(argv=["verify", "phi-kernel", "--p=5", "--rho=2,1", "--d=-1"], cache=None)
+@example(argv=["verify", "hyp-nonneg", "--p=5", "--rho=2,1", "--d=-1"], cache=None)
+@example(argv=["nmv", "--p=5", "--rho=2,1", "--d=-1", "--space=L"], cache=None)
 def test_exit_code_contract(argv, cache):
     """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
     a traceback, and an exit-2 run leaves the cache file as it was."""

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from spinblocks.chars import CharSpace, CharVector
 from spinblocks.sqrt2 import ONE, SQRT2, Sqrt2Scalar
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -46,3 +47,43 @@ def test_multiplication_commutes(x, y):
 @given(scalars, scalars, scalars)
 def test_distributivity(x, y, z):
     assert x * (y + z) == x * y + x * z
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Sqrt2Scalar(1.5, 0),
+        lambda: Sqrt2Scalar(0, 2.0),
+        lambda: Sqrt2Scalar.of(0.5),
+        lambda: CharVector.make(CharSpace.full(3), {(3,): 0.5}),
+    ],
+    ids=["a", "b", "of", "CharVector.make"],
+)
+def test_non_integer_components_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@given(scalars, scalars, ints, st.integers(min_value=0, max_value=64))
+def test_arithmetic_results_equal_checked_construction(x, y, k, e):
+    """Results of the ring operations skip the constructor's type check;
+    each must be the same value the checked constructor builds."""
+    cases = [
+        (x + y, x.a + y.a, x.b + y.b),
+        (x + k, x.a + k, x.b),
+        (k + x, x.a + k, x.b),
+        (x - y, x.a - y.a, x.b - y.b),
+        (k - x, k - x.a, -x.b),
+        (-x, -x.a, -x.b),
+        (x * y, x.a * y.a + 2 * x.b * y.b, x.a * y.b + x.b * y.a),
+        (x * k, x.a * k, x.b * k),
+        (x.conjugate(), x.a, -x.b),
+        (Sqrt2Scalar(2 * x.a, 2 * x.b).halve(), x.a, x.b),
+        (Sqrt2Scalar.of(k), k, 0),
+        (Sqrt2Scalar.sqrt2_power(e), 2 ** (e // 2) * (1 - e % 2), 2 ** (e // 2) * (e % 2)),
+    ]
+    for got, a, b in cases:
+        want = Sqrt2Scalar(a, b)
+        assert vars(got) == vars(want) and type(got) is Sqrt2Scalar
+        assert type(got.a) is int and type(got.b) is int
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)

@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinblocks.stembridge as stembridge
-from spinblocks.abacus import block_enum, core_weight, ell
+from spinblocks.abacus import block_enum, core_weight, ell, runner_label
 from spinblocks.chars import CharSpace, CharVector
 from spinblocks.exceptions import DomainError, ShapeError
 from spinblocks.partitions import STRICT, contains, enumerate_partitions
 from spinblocks.rouquier import generate, rho_extension
 from spinblocks.sqrt2 import Sqrt2Scalar
 from spinblocks.stembridge import (
+    _f_coeff,
+    _rock_branch,
     enumerate_tableaux,
     f_coeff,
     induce,
@@ -273,3 +275,27 @@ def test_refined_branching_sign_argument():
         rock_branch_refined((2, 1), 5, 1, +1)  # even label has no sign
     even = rock_branch_refined((2, 1), 5, 1, 0)
     assert even.as_dict() == rock_branch((2, 1), 5, 1, "induce").refine().as_dict()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cores_match_the_validating_entry_points(p):
+    """The checks call _rock_branch and _f_coeff with the block they hold;
+    on every label of every block with d <= 3 they give what rock_branch
+    and f_coeff give after their own checks, in both directions."""
+    for d in (1, 2, 3):
+        for parity in ("even", "odd"):
+            rho = generate(p, d, parity, 1)[0]
+            block = block_enum(rho, p, d)
+            for lam in block:
+                assert _rock_branch(lam, p, None, "restrict", rho, d) == rock_branch(
+                    lam, p, direction="restrict"
+                ), (lam, p)
+            for mu in block_enum(rho, p, d - 1):
+                for j in range(ell(p) + 1):
+                    assert _rock_branch(mu, p, j, "induce", rho, d) == rock_branch(
+                        mu, p, j, "induce"
+                    ), (mu, p, j)
+                    nu = runner_label(p, j)
+                    for lam in block:
+                        if contains(lam, mu):
+                            assert _f_coeff(lam, mu, nu) == f_coeff(lam, mu, nu), (lam, mu, nu)

@@ -31,6 +31,19 @@ def test_phi_examples():
     assert phi(CharVector.unit(space, (2,))) == 2
 
 
+def test_phi_kernel_fails_on_the_zero_functional(monkeypatch):
+    """The zero functional kills every generator too; phi-kernel must still
+    fail it, since phi is nonzero on every unit label of the L space."""
+    import spinblocks.verify as V
+
+    real = V._phi_table
+    monkeypatch.setattr(V, "_phi_table", lambda space, tuples: dict.fromkeys(real(space, tuples), 0))
+    report = run_check("phi-kernel", rho=(2, 1), p=5, d=1)
+    assert report.passed is False
+    assert report.witness == [{"unit": (j,), "phi": 0} for j in range(3)]
+    assert (report.lhs, report.rhs) == (2, 0)
+
+
 def test_phi_space_guard():
     H = CharSpace.h_space((2, 1), 5, 1)
     with pytest.raises(SpaceMismatch):
@@ -315,18 +328,19 @@ def test_named_checks_pass():
 
 
 def _patched_branch(monkeypatch, edit):
-    """Route verify's rock_branch through `edit(args, coefficient dict)`."""
+    """Route verify's branching core through `edit(args, coefficient dict)`;
+    the checks call the core, not the validating rock_branch."""
     import spinblocks.verify as V
 
-    real = V.rock_branch
+    real = V._rock_branch
 
-    def branch(part, p, j=None, direction="induce"):
-        v = real(part, p, j, direction)
+    def branch(part, p, j, direction, rho, d):
+        v = real(part, p, j, direction, rho, d)
         coeffs = v.as_dict()
         edit((part, p, j, direction), coeffs)
         return CharVector.make(v.space, coeffs)
 
-    monkeypatch.setattr(V, "rock_branch", branch)
+    monkeypatch.setattr(V, "_rock_branch", branch)
 
 
 def _add_restrict_term(args, coeffs):
