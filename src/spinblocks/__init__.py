@@ -30,7 +30,7 @@ from .partitions import (
 )
 from .rouquier import StripCertificate, generate, is_rouquier, rho_extension, strip_classify
 from .sqrt2 import Sqrt2Scalar
-from .stembridge import MarkedTableau, f_coeff, induce, rock_branch, rock_branch_refined
+from .stembridge import f_coeff, induce, rock_branch, rock_branch_refined
 from .trees import BrauerTree, GreenWalk, WeightOneTree, build, heller, walk, weight_one_map
 from .verify import (
     CheckReport,
@@ -54,7 +54,6 @@ __all__ = [
     "CheckReport",
     "DomainError",
     "GreenWalk",
-    "MarkedTableau",
     "NmvLattice",
     "ORDINARY",
     "STRICT",

@@ -1,7 +1,7 @@
 """Shifted skew tableaux over the marked alphabet and branching rules.
 
-The alphabet is 1' < 1 < 2' < 2 < ...; a letter is encoded as a pair
-(k, marked).  Words are read row by row from the bottom row upwards, each
+The alphabet is 1' < 1 < 2' < 2 < ...; the letter k is coded as 2k and
+k' as 2k - 1.  Words are read row by row from the bottom row upwards, each
 row left to right.  The coefficient f computed here counts the tableaux
 of a given content whose word satisfies the lattice property and whose
 leftmost occurrence of every letter value is unmarked.
@@ -9,111 +9,44 @@ leftmost occurrence of every letter value is unmarked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from itertools import zip_longest
 
 from .abacus import _check_prime, _neighbors, core_weight, ell, runner_label
 from .chars import CharSpace, CharVector, eps_ratio
 from .exceptions import DomainError, ShapeError
-from .partitions import Partition, _box_moves, as_strict, contains, epsilon_exponent, skew_boxes
+from .partitions import Partition, as_strict, contains, epsilon_exponent
 from .rouquier import is_rouquier
 from .sqrt2 import Sqrt2Scalar
 
 
-@dataclass(frozen=True)
-class MarkedTableau:
-    """Filling of a shifted skew shape by marked letters.
+def _fill_steps(lam: Partition, mu: Partition) -> tuple[list, list]:
+    """Upper and right neighbours of the boxes of lam/mu in fill order.
 
-    entries maps each box (row, col) to a letter (k, marked); rows and
-    columns weakly increase, no column repeats an unmarked letter and no
-    row repeats a marked one.
+    Row i (from 0) of the shifted skew shape runs over columns
+    mu_i + i .. lam_i + i - 1 and is filled right to left, top row first,
+    so a right neighbour is the step just before, and the upper neighbour
+    in column c is step base - c, for base the first step of row i - 1 plus
+    that row's last column.  A missing neighbour reads as step n (upper) or
+    n + 1 (right), for n boxes.
     """
-
-    boxes: tuple  # sorted (row, col) pairs
-    entries: tuple  # letters (k, marked) aligned with boxes
-
-    def word(self) -> tuple:
-        order = sorted(
-            range(len(self.boxes)), key=lambda t: (-self.boxes[t][0], self.boxes[t][1])
-        )
-        return tuple(self.entries[t] for t in order)
-
-    def content(self) -> tuple:
-        counts = {}
-        for k, _ in self.entries:
-            counts[k] = counts.get(k, 0) + 1
-        if not counts:
-            return ()
-        return tuple(counts.get(k, 0) for k in range(1, max(counts) + 1))
+    n = sum(lam) - sum(mu)
+    up, right = [], []
+    start, base = (lam[0] if lam else 0), 0
+    for i, part in enumerate(lam):
+        lo = (mu[i] if i < len(mu) else 0) + i
+        hi = part + i
+        off = len(up)
+        up.extend(base - c if c >= start else n for c in range(hi - 1, lo - 1, -1))
+        if hi > lo:
+            right.append(n + 1)
+            right.extend(range(off, off + hi - lo - 1))
+        start, base = lo, off + hi - 1
+    return up, right
 
 
-def _letter_key(letter) -> int:
-    k, marked = letter
-    return 2 * k - (1 if marked else 0)
-
-
-def enumerate_tableaux(boxes: tuple, content: Partition) -> Iterator[MarkedTableau]:
-    """All marked fillings of the skew boxes with the exact given content."""
-    boxes = tuple(sorted(boxes))
-    n = len(boxes)
-    if n != sum(content):
-        return
-    h = len(content)
-    index = {b: t for t, b in enumerate(boxes)}
-    entries = [None] * n
-    remaining = list(content)
-
-    def fits(t: int, letter) -> bool:
-        k, marked = letter
-        row, col = boxes[t]
-        left = index.get((row, col - 1))
-        if left is not None and entries[left] is not None:
-            if _letter_key(entries[left]) > _letter_key(letter):
-                return False
-        up = index.get((row - 1, col))
-        if up is not None and entries[up] is not None:
-            if _letter_key(entries[up]) > _letter_key(letter):
-                return False
-        if marked:
-            # at most one k' per row
-            for c2 in range(col - 1, 0, -1):
-                t2 = index.get((row, c2))
-                if t2 is None:
-                    break
-                if entries[t2] == letter:
-                    return False
-        else:
-            # at most one k per column
-            for r2 in range(row - 1, 0, -1):
-                t2 = index.get((r2, col))
-                if t2 is None:
-                    break
-                if entries[t2] == letter:
-                    return False
-        return True
-
-    def fill(t: int) -> Iterator[MarkedTableau]:
-        if t == n:
-            yield MarkedTableau(boxes, tuple(entries))
-            return
-        for k in range(1, h + 1):
-            if remaining[k - 1] == 0:
-                continue
-            for marked in (True, False):
-                letter = (k, marked)
-                if fits(t, letter):
-                    entries[t] = letter
-                    remaining[k - 1] -= 1
-                    yield from fill(t + 1)
-                    remaining[k - 1] += 1
-                    entries[t] = None
-
-    yield from fill(0)
-
-
-def _count_lattice_fillings(boxes: tuple, content: Partition) -> int:
-    """Count content fillings whose word passes both lattice phases and the
-    leftmost-unmarked rule.
+def _count_lattice_fillings(lam: Partition, mu: Partition, content: Partition) -> int:
+    """Count content fillings of the shifted skew shape lam/mu whose word
+    passes both lattice phases and the leftmost-unmarked rule.
 
     Boxes are filled in reverse word order (top row first, right to left),
     so each step extends the word's suffix by one letter, and all three
@@ -129,14 +62,11 @@ def _count_lattice_fillings(boxes: tuple, content: Partition) -> int:
     it, an unmarked k when k+1 ties with k.  The last copy of a value placed
     is its leftmost letter, so it must be unmarked.
     """
-    n = len(boxes)
+    n = sum(lam) - sum(mu)
     if n != sum(content):
         return 0
     h = len(content)
-    order = sorted(boxes, key=lambda b: (b[0], -b[1]))
-    step = {b: s for s, b in enumerate(order)}
-    up = [step.get((row - 1, col), n) for row, col in order]
-    right = [step.get((row, col + 1), n + 1) for row, col in order]
+    up, right = _fill_steps(lam, mu)
     keys = [0] * n + [0, 2 * h]  # missing neighbours read as keys 0 and 2h
     remaining = [0, *content, 0]
     unmarked = [-1] + [0] * (h + 1)  # unmarked k in the suffix
@@ -172,22 +102,42 @@ def f_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     lam, mu, nu = as_strict(lam), as_strict(mu), as_strict(nu)
     if sum(lam) != sum(mu) + sum(nu):
         raise ShapeError(f"|{lam}| != |{mu}| + |{nu}|")
+    if not contains(lam, mu):
+        raise ShapeError(f"{mu} does not fit inside {lam}")
     return _f_coeff(lam, mu, nu)
 
 
 def _f_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
-    return _count_lattice_fillings(skew_boxes(lam, mu), nu)
+    return _count_lattice_fillings(lam, mu, nu)
 
 
-def _grown_partitions(mu: Partition, extra: int) -> list[Partition]:
-    """Strict partitions containing mu with `extra` more boxes."""
-    level = {mu}
-    for _ in range(extra):
-        nxt = set()
-        for lam in level:
-            nxt.update(_box_moves(lam, True, "add"))
-        level = nxt
-    return sorted(level, reverse=True)
+def _grown_partitions(mu: Partition, nu: Partition) -> list[Partition]:
+    """Strict partitions of |mu| + |nu| containing both mu and nu, descending.
+
+    Containing mu is needed for lam/mu to be a shape.  Containing nu loses
+    no nonzero f: the product of Schur P-functions commutes, so
+    f^lam_(mu,nu) = f^lam_(nu,mu), which counts fillings of lam/nu.  Row i
+    runs from max(mu_i, nu_i) up, below the row above, and leaves enough
+    boxes for the lower bounds of the rows under it and no more than the
+    staircase under it can hold.
+    """
+    low = [max(a, b) for a, b in zip_longest(mu, nu, fillvalue=0)]
+    out = []
+
+    def grow(lam: Partition, rest: int) -> None:
+        i = len(lam)
+        if rest == 0:
+            out.append(lam)
+            return
+        first = low[i] if i < len(low) else 1
+        top = min(lam[-1] - 1 if lam else rest, rest - sum(low[i + 1 :]))
+        for part in range(top, first - 1, -1):
+            if rest - part > part * (part - 1) // 2:
+                break
+            grow(lam + (part,), rest - part)
+
+    grow((), sum(mu) + sum(nu))
+    return out
 
 
 def induce(mu: Partition, nu: Partition, support=None) -> CharVector:
@@ -211,7 +161,7 @@ def induce(mu: Partition, nu: Partition, support=None) -> CharVector:
 def _induce(mu: Partition, nu: Partition, support) -> CharVector:
     e_pair = epsilon_exponent((mu, nu))
     if support is None:
-        candidates = _grown_partitions(mu, sum(nu))
+        candidates = _grown_partitions(mu, nu)
     else:
         candidates = [lam for lam in support if contains(lam, mu)]
     out = {}

@@ -178,6 +178,12 @@ def test_exit_code_domain_error(capsys):
     assert "quotient" in err
 
 
+def test_fcoeff_mu_outside_lambda_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "fcoeff", "--lambda", "3", "--mu", "2,1", "--nu", "-")
+    assert code == 2 and out == ""
+    assert "does not fit inside" in err
+
+
 def test_exit_code_internal_error(capsys, monkeypatch):
     def broken(lam, p):
         raise AssertionError("weight drifted")
@@ -597,6 +603,7 @@ CACHES = st.one_of(
 @example(argv=["verify", "phi-kernel", "--p=5", "--rho=2,1", "--d=-1"], cache=None)
 @example(argv=["verify", "hyp-nonneg", "--p=5", "--rho=2,1", "--d=-1"], cache=None)
 @example(argv=["nmv", "--p=5", "--rho=2,1", "--d=-1", "--space=L"], cache=None)
+@example(argv=["fcoeff", "--lambda=3", "--mu=2,1", "--nu=-"], cache=None)
 def test_exit_code_contract(argv, cache):
     """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
     a traceback, and an exit-2 run leaves the cache file as it was."""

@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from typing import Iterator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,20 +8,110 @@ import spinblocks.stembridge as stembridge
 from spinblocks.abacus import block_enum, core_weight, ell, runner_label
 from spinblocks.chars import CharSpace, CharVector
 from spinblocks.exceptions import DomainError, ShapeError
-from spinblocks.partitions import STRICT, contains, enumerate_partitions
+from spinblocks.partitions import (
+    STRICT,
+    Partition,
+    _box_moves,
+    contains,
+    enumerate_partitions,
+    skew_boxes,
+)
 from spinblocks.rouquier import generate, rho_extension
 from spinblocks.sqrt2 import Sqrt2Scalar
 from spinblocks.stembridge import (
     _f_coeff,
+    _fill_steps,
+    _grown_partitions,
     _rock_branch,
-    enumerate_tableaux,
     f_coeff,
     induce,
     rock_branch,
     rock_branch_refined,
-    skew_boxes,
 )
 from spinblocks.verify import check_stembridge_cross
+
+
+@dataclass(frozen=True)
+class MarkedTableau:
+    """Filling of a shifted skew shape by marked letters.
+
+    entries maps each box (row, col) to a letter (k, marked); rows and
+    columns weakly increase, no column repeats an unmarked letter and no
+    row repeats a marked one.
+    """
+
+    boxes: tuple  # sorted (row, col) pairs
+    entries: tuple  # letters (k, marked) aligned with boxes
+
+    def word(self) -> tuple:
+        order = sorted(
+            range(len(self.boxes)), key=lambda t: (-self.boxes[t][0], self.boxes[t][1])
+        )
+        return tuple(self.entries[t] for t in order)
+
+
+def _letter_key(letter) -> int:
+    k, marked = letter
+    return 2 * k - (1 if marked else 0)
+
+
+def enumerate_tableaux(boxes: tuple, content: Partition) -> Iterator[MarkedTableau]:
+    """All marked fillings of the skew boxes with the exact given content."""
+    boxes = tuple(sorted(boxes))
+    n = len(boxes)
+    if n != sum(content):
+        return
+    h = len(content)
+    index = {b: t for t, b in enumerate(boxes)}
+    entries = [None] * n
+    remaining = list(content)
+
+    def fits(t: int, letter) -> bool:
+        k, marked = letter
+        row, col = boxes[t]
+        left = index.get((row, col - 1))
+        if left is not None and entries[left] is not None:
+            if _letter_key(entries[left]) > _letter_key(letter):
+                return False
+        up = index.get((row - 1, col))
+        if up is not None and entries[up] is not None:
+            if _letter_key(entries[up]) > _letter_key(letter):
+                return False
+        if marked:
+            # at most one k' per row
+            for c2 in range(col - 1, 0, -1):
+                t2 = index.get((row, c2))
+                if t2 is None:
+                    break
+                if entries[t2] == letter:
+                    return False
+        else:
+            # at most one k per column
+            for r2 in range(row - 1, 0, -1):
+                t2 = index.get((r2, col))
+                if t2 is None:
+                    break
+                if entries[t2] == letter:
+                    return False
+        return True
+
+    def fill(t: int) -> Iterator[MarkedTableau]:
+        if t == n:
+            yield MarkedTableau(boxes, tuple(entries))
+            return
+        for k in range(1, h + 1):
+            if remaining[k - 1] == 0:
+                continue
+            for marked in (True, False):
+                letter = (k, marked)
+                if fits(t, letter):
+                    entries[t] = letter
+                    remaining[k - 1] -= 1
+                    yield from fill(t + 1)
+                    remaining[k - 1] += 1
+                    entries[t] = None
+
+    yield from fill(0)
 
 
 def satisfies_lattice(word: tuple) -> bool:
@@ -120,13 +213,81 @@ def test_stembridge_cross_sees_the_leftmost_unmarked_rule(monkeypatch, leftmost_
     """The brute-force counter passes the cross-check, and fails it once the
     leftmost-unmarked rule is dropped."""
 
-    def counter(boxes, content):
-        return brute_force_count(boxes, content, leftmost_rule)
+    def counter(lam, mu, content):
+        return brute_force_count(skew_boxes(lam, mu), content, leftmost_rule)
 
     monkeypatch.setattr(stembridge, "_count_lattice_fillings", counter)
     for parity in ("even", "odd"):
         rho = generate(5, 2, parity, 1)[0]
         assert check_stembridge_cross(rho, 5, 2).passed is leftmost_rule, parity
+
+
+def box_layout(lam, mu):
+    """The fill order laid out from the boxes: sort by (row, -col) and look
+    each neighbour up in a step dict."""
+    boxes = skew_boxes(lam, mu)
+    n = len(boxes)
+    order = sorted(boxes, key=lambda b: (b[0], -b[1]))
+    step = {b: s for s, b in enumerate(order)}
+    up = [step.get((row - 1, col), n) for row, col in order]
+    right = [step.get((row, col + 1), n + 1) for row, col in order]
+    return up, right
+
+
+def strict_pairs(max_n):
+    """Every (lam, mu) with mu a strict partition inside lam, |lam| <= max_n."""
+    for n in range(max_n + 1):
+        for lam in enumerate_partitions(n, STRICT):
+            for m in range(n + 1):
+                for mu in enumerate_partitions(m, STRICT):
+                    if contains(lam, mu):
+                        yield lam, mu
+
+
+def test_fill_steps_match_the_box_layout():
+    pairs = list(strict_pairs(12))
+    assert len(pairs) == 1311
+    for lam, mu in pairs:
+        assert _fill_steps(lam, mu) == box_layout(lam, mu), (lam, mu)
+
+
+def grown_by_boxes(mu, extra):
+    """Strict partitions containing mu with `extra` more boxes, grown one box
+    at a time breadth first."""
+    level = {mu}
+    for _ in range(extra):
+        nxt = set()
+        for lam in level:
+            nxt.update(_box_moves(lam, True, "add"))
+        level = nxt
+    return sorted(level, reverse=True)
+
+
+def test_grown_partitions_are_the_grown_shapes_containing_nu():
+    cases = 0
+    for m in range(9):
+        for mu in enumerate_partitions(m, STRICT):
+            for k in range(8):
+                for nu in enumerate_partitions(k, STRICT):
+                    expected = [lam for lam in grown_by_boxes(mu, k) if contains(lam, nu)]
+                    assert _grown_partitions(mu, nu) == expected, (mu, nu)
+                    cases += 1
+    assert cases == 475
+
+
+def test_f_coeff_vanishes_unless_lam_contains_nu():
+    """The premise of dropping candidates that do not contain nu:
+    f^lam_(mu,nu) = f^lam_(nu,mu) = 0 when nu does not fit inside lam."""
+    cases = 0
+    for lam, mu in strict_pairs(14):
+        for nu in enumerate_partitions(sum(lam) - sum(mu), STRICT):
+            if contains(lam, nu):
+                continue
+            assert _f_coeff(lam, mu, nu) == 0, (lam, mu, nu)
+            if sum(lam) <= 8:
+                assert brute_force_count(skew_boxes(lam, mu), nu) == 0, (lam, mu, nu)
+            cases += 1
+    assert cases == 4879
 
 
 def test_f_coeff_straight_shapes_are_delta():
