@@ -13,7 +13,7 @@ from .abacus import (
     neighbors,
     quotient,
 )
-from .chars import CharSpace, CharVector, m_action, m_action_matrix, orbit_sum
+from .chars import CharSpace, CharVector, m_action, orbit_sum
 from .exceptions import CheckFailure, DomainError, ShapeError, SpaceMismatch
 from .partitions import (
     ORDINARY,
@@ -30,7 +30,7 @@ from .partitions import (
 )
 from .rouquier import StripCertificate, generate, is_rouquier, rho_extension, strip_classify
 from .sqrt2 import Sqrt2Scalar
-from .stembridge import f_coeff, induce, rock_branch, rock_branch_refined
+from .stembridge import f_coeff, induce, rock_branch
 from .trees import BrauerTree, GreenWalk, WeightOneTree, build, heller, walk, weight_one_map
 from .verify import (
     CheckReport,
@@ -83,7 +83,6 @@ __all__ = [
     "is_rouquier",
     "k_product",
     "m_action",
-    "m_action_matrix",
     "neighbors",
     "nmv_basis",
     "orbit_sum",
@@ -92,7 +91,6 @@ __all__ = [
     "quotient",
     "rho_extension",
     "rock_branch",
-    "rock_branch_refined",
     "run_check",
     "shifted_diagram",
     "strip_classify",

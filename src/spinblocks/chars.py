@@ -292,16 +292,6 @@ def m_action(v: CharVector) -> CharVector:
     return CharVector.make(space, out, SUPER)
 
 
-def m_action_matrix(space: CharSpace) -> dict:
-    """Matrix entries {(in_label, out_label): coeff} of the M action."""
-    entries = {}
-    for label in space.labels():
-        image = m_action(CharVector.unit(space, label))
-        for out_label, c in image.coeffs:
-            entries[(label, out_label)] = c
-    return entries
-
-
 def multinomial(d: int, dcomp) -> int:
     out = factorial(d)
     for x in dcomp:

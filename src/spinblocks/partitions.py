@@ -79,28 +79,19 @@ def enumerate_partitions(n: int, kind: str) -> list[Partition]:
     """All partitions of n of the given kind, descending lexicographic."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if kind == ORDINARY:
-        return list(_gen_ordinary(n, n))
-    if kind == STRICT:
-        return list(_gen_strict(n, n))
-    raise ValueError(f"unknown partition kind: {kind!r}")
+    if kind not in (ORDINARY, STRICT):
+        raise ValueError(f"unknown partition kind: {kind!r}")
+    return list(_gen_partitions(n, n, int(kind == STRICT)))
 
 
-def _gen_ordinary(n: int, maxpart: int) -> Iterator[Partition]:
+def _gen_partitions(n: int, maxpart: int, drop: int) -> Iterator[Partition]:
+    """Partitions of n with parts at most maxpart, descending; each part
+    bounds the next by itself minus drop (0 ordinary, 1 strict)."""
     if n == 0:
         yield ()
         return
     for first in range(min(n, maxpart), 0, -1):
-        for rest in _gen_ordinary(n - first, first):
-            yield (first,) + rest
-
-
-def _gen_strict(n: int, maxpart: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _gen_strict(n - first, first - 1):
+        for rest in _gen_partitions(n - first, first - drop, drop):
             yield (first,) + rest
 
 

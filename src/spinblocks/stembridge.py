@@ -18,6 +18,10 @@ from .partitions import Partition, as_strict, contains, epsilon_exponent
 from .rouquier import is_rouquier
 from .sqrt2 import Sqrt2Scalar
 
+# The fill recurses once per box of lam/mu, which has |nu| boxes; a nu of
+# this many boxes or more is rejected before the fill starts.
+FILL_MAX_BOXES = 950
+
 
 def _fill_steps(lam: Partition, mu: Partition) -> tuple[list, list]:
     """Upper and right neighbours of the boxes of lam/mu in fill order.
@@ -100,11 +104,17 @@ def f_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Number of lattice fillings of the shifted skew shape lam minus mu
     with content nu (the shifted branching multiplicity)."""
     lam, mu, nu = as_strict(lam), as_strict(mu), as_strict(nu)
+    _check_fill_budget(nu)
     if sum(lam) != sum(mu) + sum(nu):
         raise ShapeError(f"|{lam}| != |{mu}| + |{nu}|")
     if not contains(lam, mu):
         raise ShapeError(f"{mu} does not fit inside {lam}")
     return _f_coeff(lam, mu, nu)
+
+
+def _check_fill_budget(nu: Partition) -> None:
+    if sum(nu) >= FILL_MAX_BOXES:
+        raise DomainError(f"nu has {sum(nu)} boxes; the fill takes at most {FILL_MAX_BOXES - 1}")
 
 
 def _f_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -151,6 +161,7 @@ def induce(mu: Partition, nu: Partition, support=None) -> CharVector:
     without touching the rest of the expansion.
     """
     mu, nu = as_strict(mu), as_strict(nu)
+    _check_fill_budget(nu)
     if support is not None:
         support = [as_strict(lam) for lam in support]
         if any(sum(lam) != sum(mu) + sum(nu) for lam in support):
@@ -246,35 +257,3 @@ def _integral_vector(space, mapping) -> CharVector:
         if not c.is_nonneg_integer():
             raise AssertionError(f"non-integral branching coefficient {c} at {label}")
     return CharVector.make(space, mapping)
-
-
-def rock_branch_refined(part: Partition, p: int, j: int, sign: int = 0) -> CharVector:
-    """Sign-refined induction of a single irreducible (mu, j, sign).
-
-    For an even label pass sign 0; both halves of every odd target get the
-    supercharacter coefficient.  For an odd label pass +1 or -1; every
-    non-exceptional coefficient splits into equal halves (checked to stay
-    in the ring), while the exceptional target mu joined with a bar of (p)
-    keeps the whole coefficient on the matching sign.
-    """
-    part = as_strict(part)
-    super_vec = rock_branch(part, p, j, "induce")
-    space = super_vec.space
-    odd_input = epsilon_exponent((part, runner_label(p, j))) == 1
-    if odd_input and sign not in (1, -1):
-        raise ValueError("an odd label needs sign +1 or -1")
-    if not odd_input and sign != 0:
-        raise ValueError("an even label has no sign")
-    if not odd_input:
-        return super_vec.refine()
-    exceptional = tuple(sorted(part + (p,), reverse=True)) if j == 0 else None
-    out = {}
-    for lam, c in super_vec.coeffs:
-        if lam == exceptional:
-            out[(lam, sign)] = c
-        elif space.is_odd(lam):
-            out[(lam, 1)] = c.halve()
-            out[(lam, -1)] = c.halve()
-        else:
-            out[(lam, 0)] = c.halve()
-    return CharVector.make(space, out, basis="refined")

@@ -46,12 +46,12 @@ def compositions(total: int, slots: int) -> list[tuple]:
 class NmvLattice:
     """Integer lattice spanned by the non-maximal-support generators of an
     L or H space, in the sign-refined basis: the direct sum of one small
-    lattice per connected component of the generators (an H component holds
-    the labels (mu, 0..ell) of one mu).  A coefficient a + b*sqrt(2) becomes
-    the integer pair (a, b) at its label's position in its component.  Each
-    touched component is tested on its own: the primary route reduces
-    against its echelon basis, built on first use; the oracle solves over
-    its generator columns.
+    lattice per component, which in an H space holds the labels (mu, 0..ell)
+    of one mu, and in an L space is the whole space.  A coefficient
+    a + b*sqrt(2) becomes the integer pair (a, b) at its label's position in
+    its component.  Each touched component is tested on its own: the primary
+    route reduces against its echelon basis, built on first use; the oracle
+    solves over its generator columns.
     """
 
     space: CharSpace
@@ -60,22 +60,12 @@ class NmvLattice:
 
     @cached_property
     def split(self) -> tuple[dict, list]:
-        """(label -> (component, position), sizes), by union-find on supports."""
-        parent = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        for g in self.generators:
-            support = g.refine().support()
-            for label in support:
-                parent[find(label)] = find(support[0])
+        """(refined label -> (component, position), sizes), read off the
+        labels in refined_labels() order."""
         comps = {}
-        for label in parent:
-            at = comps.setdefault(find(label), {})
-            at[label] = len(at)
+        for refined in self.space.refined_labels():
+            at = comps.setdefault(refined[0][0] if self.space.kind == "H" else None, {})
+            at[refined] = len(at)
         index = {l: (c, i) for c, at in enumerate(comps.values()) for l, i in at.items()}
         return index, [len(at) for at in comps.values()]
 
@@ -90,21 +80,17 @@ class NmvLattice:
                 rows[comp].append(row)
         return rows
 
-    def parts(self, v: CharVector) -> dict | None:
-        """v as integer vectors of the components it touches, or None when
-        a nonzero coefficient sits on a label that no generator touches."""
+    def parts(self, v: CharVector) -> dict:
+        """v as integer vectors of the components it touches."""
         if v.space != self.space:
             raise SpaceMismatch(f"{v.space} vs {self.space}")
         index, sizes = self.split
         refined = v.refine().coeffs
+        outside = sorted(repr(l) for l, _ in refined if l not in index)
+        if outside:
+            raise ValueError(f"labels outside the space: {outside}")
         parts = {}
         for label, c in refined:
-            if label not in index:
-                known = set(self.space.refined_labels())
-                outside = sorted(repr(l) for l, _ in refined if l not in known)
-                if outside:
-                    raise ValueError(f"labels outside the space: {outside}")
-                return None
             comp, i = index[label]
             vec = parts.setdefault(comp, [0] * (2 * sizes[comp]))
             vec[2 * i], vec[2 * i + 1] = c.a, c.b
@@ -112,17 +98,14 @@ class NmvLattice:
 
     def member(self, v: CharVector) -> bool:
         parts = self.parts(v)
-        for comp in parts or ():
+        for comp in parts:
             if comp not in self.bases:
                 self.bases[comp] = row_echelon_basis(self.rows[comp])
-        return parts is not None and all(
-            lattice_member(self.bases[comp], vec) for comp, vec in parts.items()
-        )
+        return all(lattice_member(self.bases[comp], vec) for comp, vec in parts.items())
 
     def member_oracle(self, v: CharVector) -> bool:
-        parts = self.parts(v)
-        return parts is not None and all(
-            integral_solution_exists(self.rows[comp], vec) for comp, vec in parts.items()
+        return all(
+            integral_solution_exists(self.rows[comp], vec) for comp, vec in self.parts(v).items()
         )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from spinblocks import cli
 from spinblocks.cli import main
 from spinblocks.partitions import ORDINARY, PATH_COUNT_MEMO, path_count
+from spinblocks.stembridge import FILL_MAX_BOXES, _f_coeff
 from spinblocks.verify import CHECKS
 
 
@@ -152,6 +154,23 @@ def test_verify_new_named_checks(capsys):
     assert report["outputs"]["verdict"] == "pass"
 
 
+# stdout sha256 prefixes of the cheap `verify all` rows in the ROADMAP table:
+# a change that keeps them keeps the report byte for byte
+VERIFY_ALL_GOLDEN = {
+    "--p 5 --dmax 4": "8be5e1537f965bfe",
+    "--p 7 --dmax 3": "3a6c7d10ee60f24c",
+    "--p 3 --dmax 7": "84f55d4d19593db2",
+    "--p 7 --dmax 3 --oracle": "853e6fc697ba164b",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(VERIFY_ALL_GOLDEN))
+def test_verify_all_stdout_is_unchanged(capsys, flags):
+    code, out, err = run_cli(capsys, "verify", "all", *flags.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == VERIFY_ALL_GOLDEN[flags]
+
+
 def test_csv_verdict_table(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "csv", "verify", "dim-sqd", "--n", "4"
@@ -260,6 +279,28 @@ def test_cache_size_limit_keeps_the_largest_countable_shape(tmp_path, capsys):
     PATH_COUNT_MEMO.clear()
     with pytest.raises(RecursionError):
         path_count((cli.CACHE_MAX_SIZE,), ORDINARY)
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["fcoeff", "--lambda", "{n}", "--mu", "-", "--nu", "{n}"], {"f": 1}),
+        (["induce", "--mu", "-", "--nu", "{n}"], {"vector": [{"a": 1, "b": 0, "label": "{n}"}]}),
+    ],
+)
+def test_fill_budget_keeps_the_largest_fillable_shape(capsys, argv, outputs):
+    """The box budget rejects only shapes the one-frame-per-box fill cannot
+    reach: a one-row nu just below it is counted, one at it exits 2, and the
+    unchecked fill fails at the recursion limit."""
+    size = FILL_MAX_BOXES - 1
+    got = run_json(capsys, *(a.format(n=size) for a in argv))["outputs"]
+    assert json.dumps(got) == json.dumps(outputs).replace("{n}", str(size))
+    code, out, err = run_cli(capsys, *(a.format(n=size + 1) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: nu has {size + 1} boxes; the fill takes at most {size}\n"
+    n = sys.getrecursionlimit()
+    with pytest.raises(RecursionError):
+        _f_coeff((n,), (), (n,))
 
 
 @pytest.mark.parametrize("fresh_process", [True, False])
@@ -586,6 +627,22 @@ def argvs(draw):
     return argv
 
 
+# fcoeff and induce with a nu at or over the fill budget: a large first part
+# and a few small ones, beside any lambda and mu
+OVER_BUDGET_NU = st.tuples(
+    st.integers(FILL_MAX_BOXES, 10**30), st.sets(st.integers(1, 9), max_size=3)
+).map(lambda t: ",".join(map(str, (t[0], *sorted(t[1], reverse=True)))))
+
+
+@st.composite
+def over_budget_argvs(draw):
+    nu = draw(OVER_BUDGET_NU)
+    if draw(st.booleans()):
+        lam = draw(st.one_of(PART, st.just(nu)))
+        return ["fcoeff", f"--lambda={lam}", f"--mu={draw(PART)}", f"--nu={nu}"]
+    return ["induce", f"--mu={draw(PART)}", f"--nu={nu}"]
+
+
 VALID_CACHE = b"spinblocks-kcache 1\nstrict\t2,1\t1\nordinary\t2,1\t2\n"
 CACHES = st.one_of(
     st.sampled_from([None, "absent", VALID_CACHE]),
@@ -595,18 +652,23 @@ CACHES = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=argvs(), cache=CACHES)
-@example(argv=["branch", "--p=5", "--dir=induce", "--j=0"], cache=None)
-@example(argv=["phi", "--p=5", "--rho=2,1", "--tuple=-1"], cache=None)
-@example(argv=["verify", "hyp-nonneg", "--p=0", "--rho=2,1", "--d=1"], cache=None)
-@example(argv=["verify", "phi-kernel", "--p=5", "--rho=2,1", "--d=-1"], cache=None)
-@example(argv=["verify", "hyp-nonneg", "--p=5", "--rho=2,1", "--d=-1"], cache=None)
-@example(argv=["nmv", "--p=5", "--rho=2,1", "--d=-1", "--space=L"], cache=None)
-@example(argv=["fcoeff", "--lambda=3", "--mu=2,1", "--nu=-"], cache=None)
-def test_exit_code_contract(argv, cache):
+@settings(max_examples=260, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs(), cache=CACHES, over_budget=st.one_of(*[st.none()] * 3, over_budget_argvs()))
+@example(argv=["branch", "--p=5", "--dir=induce", "--j=0"], cache=None, over_budget=None)
+@example(argv=["phi", "--p=5", "--rho=2,1", "--tuple=-1"], cache=None, over_budget=None)
+@example(argv=["verify", "hyp-nonneg", "--p=0", "--rho=2,1", "--d=1"], cache=None, over_budget=None)
+@example(argv=["verify", "phi-kernel", "--p=5", "--rho=2,1", "--d=-1"], cache=None, over_budget=None)
+@example(argv=["verify", "hyp-nonneg", "--p=5", "--rho=2,1", "--d=-1"], cache=None, over_budget=None)
+@example(argv=["nmv", "--p=5", "--rho=2,1", "--d=-1", "--space=L"], cache=None, over_budget=None)
+@example(argv=["fcoeff", "--lambda=3", "--mu=2,1", "--nu=-"], cache=None, over_budget=None)
+@example(argv=[], cache=None, over_budget=["fcoeff", "--lambda=1100", "--mu=-", "--nu=1100"])
+@example(argv=[], cache=None, over_budget=["induce", "--mu=-", "--nu=1100"])
+def test_exit_code_contract(argv, cache, over_budget):
     """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
-    a traceback, and an exit-2 run leaves the cache file as it was."""
+    a traceback, and an exit-2 run leaves the cache file as it was.  A
+    quarter of the draws replace argv by one over a size budget, which must
+    exit 2."""
+    argv = over_budget or argv
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "kcache.tsv"
         if cache is not None:
@@ -624,5 +686,6 @@ def test_exit_code_contract(argv, cache):
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert code != 1 or "verify" in argv, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert code == 2 or not over_budget, (argv, code)
     if code == 2:
         assert after == before

@@ -26,7 +26,6 @@ from spinblocks.stembridge import (
     f_coeff,
     induce,
     rock_branch,
-    rock_branch_refined,
 )
 from spinblocks.verify import check_stembridge_cross
 
@@ -414,28 +413,6 @@ def test_hook_strip_law(p):
             for j in range(L + 1):
                 nu = (p - j, j) if j else (p,)
                 assert f_coeff(lam, rho, nu) == (1 if i + j <= L else 0)
-
-
-def test_refined_branching_convention():
-    plus = rock_branch_refined((2, 1), 5, 0, +1)
-    minus = rock_branch_refined((2, 1), 5, 0, -1)
-    exceptional = (5, 2, 1)
-    assert plus.coefficient((exceptional, 1)) == 1
-    assert plus.coefficient((exceptional, -1)) == 0
-    assert minus.coefficient((exceptional, -1)) == 1
-    assert plus.coefficient(((6, 2), 0)) == 1
-    # the two halves sum back to the equal-split refinement
-    total = plus + minus
-    assert total.as_dict() == rock_branch((2, 1), 5, 0, "induce").refine().as_dict()
-
-
-def test_refined_branching_sign_argument():
-    with pytest.raises(ValueError):
-        rock_branch_refined((2, 1), 5, 0, 0)  # odd label needs a sign
-    with pytest.raises(ValueError):
-        rock_branch_refined((2, 1), 5, 1, +1)  # even label has no sign
-    even = rock_branch_refined((2, 1), 5, 1, 0)
-    assert even.as_dict() == rock_branch((2, 1), 5, 1, "induce").refine().as_dict()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

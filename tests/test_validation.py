@@ -23,7 +23,6 @@ from spinblocks import (
     quotient,
     rho_extension,
     rock_branch,
-    rock_branch_refined,
     strip_classify,
     weight_one_map,
 )
@@ -74,7 +73,6 @@ PRIME_ENTRY_POINTS = {
     "strip_classify": lambda p: strip_classify((6, 2), (2, 1), p),
     "rho_extension": lambda p: rho_extension((2, 1), p, 0),
     "rock_branch": lambda p: rock_branch((2, 1), p, 0, "induce"),
-    "rock_branch_refined": lambda p: rock_branch_refined((2, 1), p, 0),
     "weight_one_map": lambda p: weight_one_map((2, 1), p),
     "hyp_coeffs": lambda p: hyp_coeffs((2, 1), p, (1, 0)),
     "htoj_sides": lambda p: verify.htoj_sides((5, 2, 1), p),

@@ -180,19 +180,21 @@ def test_membership_routes_agree(p, d):
 
 @pytest.mark.parametrize("p,d", SMALL_GRID)
 def test_h_components_are_single_mu(p, d):
+    """The generators touch every refined label and none joins two mu, so
+    one component per mu loses no generator; an L space is one component."""
     for parity in ("even", "odd"):
         rho = generate(p, d, parity, 1)[0]
         lattice = nmv_basis(CharSpace.h_space(rho, p, d))
-        index, rows = lattice.split
-        components = {}
-        for (label, _sign), (comp, _at) in index.items():
-            components.setdefault(comp, []).append(label)
-        assert len(components) == len(rows) == len(block_enum(rho, p, d - 1))
-        for labels in components.values():
-            assert len({mu for mu, _j in labels}) == 1
-            assert len(labels) <= 2 * (ell(p) + 1)
-        # every refined label of the space is touched by some generator
-        assert sorted(map(repr, index)) == sorted(map(repr, lattice.space.refined_labels()))
+        touched = set()
+        for g in lattice.generators:
+            support = g.refine().support()
+            assert len({mu for (mu, _j), _sign in support}) == 1, g
+            touched.update(support)
+        assert sorted(map(repr, touched)) == sorted(map(repr, lattice.space.refined_labels()))
+        sizes = lattice.split[1]
+        assert len(sizes) == len(block_enum(rho, p, d - 1))
+        assert all(size <= 2 * (ell(p) + 1) for size in sizes)
+        assert len(nmv_basis(CharSpace.l_space(rho, p, d)).split[1]) == 1
 
 
 def test_membership_rejects_labels_outside_the_space():
@@ -221,7 +223,7 @@ def test_membership_fails_on_a_label_no_generator_touches():
 
 def _straddling_split(monkeypatch):
     """Move one label of a two-label generator into a component of its own,
-    as a union-find that failed to join it would."""
+    as a split that cut through a generator would."""
     import spinblocks.verify as V
 
     real = V.NmvLattice.split.func
