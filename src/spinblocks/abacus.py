@@ -71,9 +71,12 @@ class BarQuotient:
         return (sum(self.q0),) + tuple(sum(q) for q in self.qs)
 
 
+P_MAX = 10**7  # `core --p 9999991` takes 0.5 s: each bar removal walks the ell runner pairs
+
+
 def _check_prime(p: int):
-    if p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)):
-        raise DomainError(f"p must be an odd prime: {p}")
+    if p >= P_MAX or p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)):
+        raise DomainError(f"p must be an odd prime below {P_MAX}: {p}")
 
 
 def ell(p: int) -> int:
@@ -189,6 +192,11 @@ def quotient(lam: Partition, p: int) -> BarQuotient:
     return _quotient(lam, p)
 
 
+def _q0(lam: Partition, p: int) -> Partition:
+    """The strict runner-0 component of the bar-quotient of canonical lam."""
+    return tuple(b // p for b in lam if b % p == 0)
+
+
 def _quotient(lam: Partition, p: int) -> BarQuotient:
     L = ell(p)
     ab = Abacus(p, frozenset(lam))
@@ -197,14 +205,13 @@ def _quotient(lam: Partition, p: int) -> BarQuotient:
             raise DomainError(
                 f"quotient not defined here: runner {i} of {lam} is occupied"
             )
-    q0 = tuple(sorted((b // p for b in ab.runner(0)), reverse=True))
     qs = []
     for i in range(1, L + 1):
         offsets = sorted((b // p for b in ab.runner(i)), reverse=True)
         m = len(offsets)
         comp = tuple(c - (m - 1 - k) for k, c in enumerate(offsets))
         qs.append(tuple(x for x in comp if x > 0))
-    q = BarQuotient(q0, tuple(qs))
+    q = BarQuotient(_q0(lam, p), tuple(qs))
     core, wt = _core_weight(lam, p)
     if q.weight() != wt:
         raise AssertionError(

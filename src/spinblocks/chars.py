@@ -14,7 +14,7 @@ exact elements of Z[sqrt(2)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
 
@@ -35,10 +35,14 @@ class CharSpace:
     rho: Partition = ()
     d: int = 0
     n: int = 0
+    runner_exponents: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind != "full":
             _check_prime(self.p)
+        if self.kind in ("L", "H"):
+            table = (epsilon_exponent((runner_label(self.p, j),)) for j in range(ell(self.p) + 1))
+            object.__setattr__(self, "runner_exponents", tuple(table))
 
     @classmethod
     def block(cls, rho, p, d):
@@ -72,6 +76,13 @@ class CharSpace:
         raise ValueError(f"unknown space kind {self.kind!r}")
 
     def eps_exponent(self, label) -> int:
+        """epsilon_exponent(eps_tuple(label)): rho's parity plus that of each
+        runner in an L label; mu's plus runner j's for an H label (mu, j)."""
+        if self.kind == "L":
+            return (epsilon_exponent((self.rho,)) + sum(self.runner_exponents[j] for j in label)) % 2
+        if self.kind == "H":
+            mu, j = label
+            return (epsilon_exponent((mu,)) + self.runner_exponents[j]) % 2
         return epsilon_exponent(self.eps_tuple(label))
 
     def is_odd(self, label) -> bool:
@@ -274,20 +285,14 @@ def m_action(v: CharVector) -> CharVector:
     if v.basis != SUPER:
         raise SpaceMismatch("the M action is defined on the supercharacter basis")
     L = ell(space.p)
+    e_run = space.runner_exponents
     out = {}
     for label, c in v.coeffs:
-        if space.kind == "H":
-            mu, i = label
-            make = lambda j: (mu, j)
-        else:
-            (i,) = label
-            make = lambda j: (j,)
-        ei = epsilon_exponent([runner_label(space.p, i)])
+        *mu, i = label  # (mu, i) in an H space, (i,) in an L space
         e_mu_i = space.eps_exponent(label)
         for j in range(L - i + 1):
-            ej = epsilon_exponent([runner_label(space.p, j)])
-            target = make(j)
-            coeff = eps_ratio((e_mu_i, ei, ej), (space.eps_exponent(target),))
+            target = (*mu, j)
+            coeff = eps_ratio((e_mu_i, e_run[i], e_run[j]), (space.eps_exponent(target),))
             out[target] = out.get(target, Sqrt2Scalar(0, 0)) + c * coeff
     return CharVector.make(space, out, SUPER)
 

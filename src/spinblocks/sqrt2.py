@@ -1,8 +1,7 @@
 """Exact arithmetic in Z[sqrt(2)].
 
 Elements are pairs (a, b) representing a + b*sqrt(2) with arbitrary-precision
-integers.  The only division is exact halving, which raises when the quotient
-leaves Z[sqrt(2)]; nothing here ever touches floating point.
+integers.  There is no division, and nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -81,12 +80,6 @@ class Sqrt2Scalar:
 
     def is_nonneg_integer(self) -> bool:
         return self.b == 0 and self.a >= 0
-
-    def halve(self) -> "Sqrt2Scalar":
-        """Exact division by 2; raises when either component is odd."""
-        if self.a % 2 or self.b % 2:
-            raise ValueError(f"{self} is not divisible by 2 in Z[sqrt(2)]")
-        return _unchecked(self.a // 2, self.b // 2)
 
     def __repr__(self):
         return f"Sqrt2Scalar({self.a}, {self.b})"

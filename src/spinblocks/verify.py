@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
 
-from .abacus import _check_prime, _k_product, _neighbors, _quotient, block_enum, ell, runner_label
+from .abacus import (
+    _check_prime, _k_product, _neighbors, _q0, _quotient, block_enum, ell, runner_label,
+)
 from .chars import REFINED, CharSpace, CharVector, eps_ratio, m_action, runner_tuples
 from .exceptions import CheckFailure, DomainError, SpaceMismatch
 from .hnf import integral_solution_exists, lattice_member, row_echelon_basis
@@ -20,6 +22,7 @@ from .partitions import (
     STRICT,
     Partition,
     as_strict,
+    contains,
     enumerate_partitions,
     epsilon_exponent,
     path_count,
@@ -47,16 +50,22 @@ class NmvLattice:
     """Integer lattice spanned by the non-maximal-support generators of an
     L or H space, in the sign-refined basis: the direct sum of one small
     lattice per component, which in an H space holds the labels (mu, 0..ell)
-    of one mu, and in an L space is the whole space.  A coefficient
-    a + b*sqrt(2) becomes the integer pair (a, b) at its label's position in
-    its component.  Each touched component is tested on its own: the primary
-    route reduces against its echelon basis, built on first use; the oracle
-    solves over its generator columns.
+    of one mu, and in an L space is the whole space.  Each generator is an
+    edge row of refined labels with coefficient 1; `generators` builds their
+    CharVectors on first use.  A coefficient a + b*sqrt(2) is the integer
+    pair (a, b) at its label's position in its component.  Each touched
+    component is tested alone: the primary route reduces against its echelon
+    basis, built on first use; the oracle solves over its generator columns.
     """
 
     space: CharSpace
-    generators: list
+    edge_rows: list
     bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def generators(self) -> list[CharVector]:
+        space = self.space
+        return [CharVector.make(space, dict.fromkeys(row, 1), REFINED) for row in self.edge_rows]
 
     @cached_property
     def split(self) -> tuple[dict, list]:
@@ -72,12 +81,16 @@ class NmvLattice:
     @cached_property
     def rows(self) -> list[list[list[int]]]:
         """The generators of each component as integer rows."""
-        rows = [[] for _ in self.split[1]]
-        for g in self.generators:
-            parts = self.parts(g)  # a broken split must not mislead both routes
-            assert len(parts) == 1, f"generator {g} straddles components {sorted(parts)}"
-            for comp, row in parts.items():
-                rows[comp].append(row)
+        index, sizes = self.split
+        rows = [[] for _ in sizes]
+        for edge in self.edge_rows:
+            # a broken split must not mislead both routes
+            comps = sorted({index[label][0] for label in edge})
+            assert len(comps) == 1, f"generator {edge} straddles components {comps}"
+            row = [0] * (2 * sizes[comps[0]])
+            for label in edge:
+                row[2 * index[label][1]] = 1
+            rows[comps[0]].append(row)
         return rows
 
     def parts(self, v: CharVector) -> dict:
@@ -109,16 +122,16 @@ class NmvLattice:
         )
 
 
-def _pair_generators(space, low_label, high_label, low_odd, high_odd):
-    """Sign-refined generator vectors for a projective edge low + high."""
-    mk = lambda m: CharVector.make(space, m, REFINED)
+def _pair_generators(low_label, high_label, low_odd, high_odd):
+    """Sign-refined generators for a projective edge low + high, each a
+    tuple of refined labels with coefficient 1."""
     if low_odd and high_odd:
-        return [mk({(low_label, s): 1, (high_label, s): 1}) for s in (1, -1)]
+        return [((low_label, s), (high_label, s)) for s in (1, -1)]
     if not low_odd and not high_odd:
-        return [mk({(low_label, 0): 1, (high_label, 0): 1})]
+        return [((low_label, 0), (high_label, 0))]
     if not low_odd:
-        return [mk({(low_label, 0): 1, (high_label, s): 1}) for s in (1, -1)]
-    return [mk({(low_label, 1): 1, (low_label, -1): 1, (high_label, 0): 1})]
+        return [((low_label, 0), (high_label, s)) for s in (1, -1)]
+    return [((low_label, 1), (low_label, -1), (high_label, 0))]
 
 
 def nmv_basis(space: CharSpace) -> NmvLattice:
@@ -144,7 +157,7 @@ def nmv_basis(space: CharSpace) -> NmvLattice:
     else:
         raise SpaceMismatch("non-maximal-support lattices live on L or H spaces")
     return NmvLattice(space, [
-        g for a, b in edges for g in _pair_generators(space, a, b, space.is_odd(a), space.is_odd(b))
+        row for a, b in edges for row in _pair_generators(a, b, space.is_odd(a), space.is_odd(b))
     ])
 
 
@@ -157,25 +170,23 @@ def phi(v: CharVector) -> Sqrt2Scalar:
     """
     if v.space.kind != "L":
         raise SpaceMismatch("phi is a functional on L spaces")
-    refined = v.refine()
-    return _phi(refined, _phi_table(v.space, [label for (label, _sign), _ in refined.coeffs]))
+    refined = v.refine().coeffs
+    return _phi(refined, _phi_table(v.space, [label for (label, _sign), _ in refined]))
 
 
 def _phi_table(space: CharSpace, tuples) -> dict:
     """phi on the basis characters of the given runner tuples: each value is
     a signed power of 2."""
     e_rho = epsilon_exponent((space.rho,))
-    e_runner = [epsilon_exponent((runner_label(space.p, j),)) for j in range(ell(space.p) + 1)]
+    e_runner = space.runner_exponents
     # with e the sum of the exponents, e % 2 is that of the whole tuple
     return {t: (-1) ** sum(t) * 2 ** ((e_rho + sum(e_runner[j] for j in t)) // 2) for t in tuples}
 
 
-def _phi(v: CharVector, table: dict) -> Sqrt2Scalar:
-    """phi of a refined L-space vector, read off a table of its labels."""
-    total = Sqrt2Scalar(0, 0)
-    for (label, _sign), c in v.coeffs:
-        total = total + c * table[label]
-    return total
+def _phi(coeffs, table: dict) -> Sqrt2Scalar:
+    """phi of refined L-space coefficients ((label, sign), c), read off a
+    table of their labels; c is a Sqrt2Scalar or an int."""
+    return Sqrt2Scalar.of(sum(c * table[label] for (label, _sign), c in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +198,16 @@ def hyp_coeffs(rho: Partition, p: int, dcomp) -> CharVector:
     coefficient of lambda is
       eps_(rho,dcomp) / eps_lambda * 2^((|lam0| - h(lam0))/2) * K(lambda),
     checked to be a positive integer."""
-    rho = as_strict(rho)
     dcomp = tuple(int(x) for x in dcomp)
     d = sum(dcomp)
-    if not is_rouquier(rho, p, d):
-        raise DomainError(f"{rho} is not a {d}-Rouquier core for p={p}")
+    rho = _rouquier_core(rho, p, d)
     space = CharSpace.block(rho, p, d)
     e_tuple = epsilon_exponent(
         (rho,) + tuple(runner_label(p, j) for j in range(len(dcomp)) for _ in range(dcomp[j]))
     )
     out = {}
     for lam in block_enum(rho, p, d, dcomp):
-        q0 = _quotient(lam, p).q0
+        q0 = _q0(lam, p)
         e = e_tuple - epsilon_exponent((lam,)) + sum(q0) - len(q0)
         coeff = Sqrt2Scalar.sqrt2_power(e) * _k_product(lam, p)
         if not coeff.is_nonneg_integer() or coeff.a <= 0:
@@ -277,11 +286,9 @@ def check_dim_reduced(rho, p: int, dcomp) -> CheckReport:
     d = sum(dcomp)
     total = 0
     for lam in block_enum(rho, p, d, dcomp):
-        q0 = _quotient(lam, p).q0
+        q0 = _q0(lam, p)
         total += 2 ** (sum(q0) - len(q0)) * _k_product(lam, p) ** 2
-    rhs = 1
-    for x in dcomp:
-        rhs *= factorial(x)
+    rhs = prod(map(factorial, dcomp))
     passed = total == rhs
     return CheckReport(
         "dim-reduced", {"rho": rho, "p": p, "dcomp": dcomp}, passed, total, rhs,
@@ -408,7 +415,7 @@ def restrict_recursion_sides(lam, p: int) -> dict:
             continue
         total = Sqrt2Scalar(0, 0)
         for mu in _neighbors(lam, p, k, "remove"):
-            mu_q0 = _quotient(mu, p).q0
+            mu_q0 = _q0(mu, p)
             e = (
                 epsilon_exponent((mu, lam))
                 + epsilon_exponent((lam, runner_label(p, k)))
@@ -504,9 +511,10 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     block = block_enum(rho, p, d)
     failures = []
     for mu in block_enum(rho, p, d - 1):
+        support = [lam for lam in block if contains(lam, mu)]  # the same for every runner
         for j in range(L + 1):
             # both coefficient tuples are zero-free and sorted by repr(label)
-            tableau_route = _induce(mu, runner_label(p, j), block)
+            tableau_route = _induce(mu, runner_label(p, j), support)
             abacus_route = _rock_branch(mu, p, j, "induce", rho, d)
             if tableau_route.coeffs != abacus_route.coeffs:
                 failures.append(
@@ -546,10 +554,7 @@ def check_tree_suite(p: int) -> CheckReport:
                 tuple(sorted((runner_of[lam], s) for lam, s in edge))
                 for edge in wt.edge_sums()
             }
-            gens = {
-                tuple(sorted(label for label, _ in g.coeffs))
-                for g in nmv_basis(CharSpace.l_space(rho, p, 1)).generators
-            }
+            gens = {tuple(sorted(row)) for row in nmv_basis(CharSpace.l_space(rho, p, 1)).edge_rows}
             if edges != gens:
                 failures.append({"rho": rho, "edges": sorted(map(str, edges))})
     return CheckReport(
@@ -565,13 +570,13 @@ def check_phi_kernel(rho, p: int, d: int) -> CheckReport:
     lattice = nmv_basis(space)
     table = _phi_table(space, space.labels())
     failures = [{"unit": t, "phi": value} for t, value in table.items() if value == 0]
-    for g in lattice.generators:
-        value = _phi(g, table)
+    for k, row in enumerate(lattice.edge_rows):
+        value = _phi(((label, 1) for label in row), table)
         if value != 0:
-            failures.append({"generator": _jsonable(g), "phi": _jsonable(value)})
+            failures.append({"generator": lattice.generators[k].rows(), "phi": _jsonable(value)})
     return CheckReport(
         "phi-kernel", {"rho": space.rho, "p": p, "d": d}, not failures,
-        len(lattice.generators), 0, failures or None,
+        len(lattice.edge_rows), 0, failures or None,
     )
 
 

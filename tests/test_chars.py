@@ -7,6 +7,8 @@ from spinblocks.chars import (
     orbit_sum,
 )
 from spinblocks.exceptions import SpaceMismatch
+from spinblocks.partitions import epsilon_exponent
+from spinblocks.rouquier import generate
 from spinblocks.sqrt2 import SQRT2, Sqrt2Scalar
 
 
@@ -44,6 +46,21 @@ def test_label_parity(h_space):
     assert h_space.is_odd(((2, 1), 0))
     assert not h_space.is_odd(((2, 1), 1))
     assert h_space.eps(((2, 1), 0)) == SQRT2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_parity_rule_matches_the_epsilon_tuple(p):
+    """An L or H space reads its labels' parities off its runner table; each
+    must be the parity count of the label's whole epsilon tuple."""
+    for d in (1, 2, 3):
+        for parity in ("even", "odd"):
+            rho = generate(p, d, parity, 1)[0]
+            for space in (CharSpace.l_space(rho, p, d), CharSpace.h_space(rho, p, d)):
+                exponents = {
+                    label: epsilon_exponent(space.eps_tuple(label)) for label in space.labels()
+                }
+                assert {label: space.eps_exponent(label) for label in exponents} == exponents
+                assert set(exponents.values()) == {0, 1}
 
 
 def test_vector_arithmetic(h_space):

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spinblocks import cli
+from spinblocks.abacus import P_MAX
 from spinblocks.cli import main
 from spinblocks.partitions import ORDINARY, PATH_COUNT_MEMO, path_count
 from spinblocks.stembridge import FILL_MAX_BOXES, _f_coeff
@@ -161,6 +162,8 @@ VERIFY_ALL_GOLDEN = {
     "--p 7 --dmax 3": "3a6c7d10ee60f24c",
     "--p 3 --dmax 7": "84f55d4d19593db2",
     "--p 7 --dmax 3 --oracle": "853e6fc697ba164b",
+    "--p 7 --dmax 4": "2a0edfa756512fc8",
+    "--p 7 --dmax 4 --oracle": "6c7eba2fa902e186",
 }
 
 
@@ -189,6 +192,19 @@ def test_exit_code_usage_error(capsys):
     code, out, err = run_cli(capsys, "core", "--p", str(3**700), "--partition", "2,1")
     assert code == 2
     assert "odd prime" in err
+
+
+def test_prime_budget_keeps_the_largest_prime_below_it(capsys):
+    """9999991 is the largest prime below P_MAX: `core` answers there, and
+    exits 2 from P_MAX up before any trial division."""
+    assert P_MAX == 10**7
+    code, out, err = run_cli(capsys, "core", "--p", "9999991", "--partition", "2,1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outputs"] == {"core": [2, 1], "weight": 0}
+    for p in (P_MAX, P_MAX + 19, 10**30 + 57):
+        code, out, err = run_cli(capsys, "core", "--p", str(p), "--partition", "2,1")
+        assert (code, out) == (2, "")
+        assert err == f"error: p must be an odd prime below {P_MAX}: {p}\n"
 
 
 def test_exit_code_domain_error(capsys):
@@ -611,6 +627,16 @@ COMMANDS = {
 }
 
 
+def command_argv(command, values) -> list:
+    argv = list(command)
+    for flag, value in values.items():
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv.append(f"{flag}={value}" if flag else value)
+    return argv
+
+
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
@@ -618,13 +644,8 @@ def argvs(draw):
     given = [flag for flag, value in values.items() if isinstance(value, str)]
     if draw(st.booleans()):
         values[draw(st.sampled_from(given))] = draw(MALFORMED)
-    argv = [draw(st.sampled_from(["--format=json", "--format=csv"])), *command]
-    for flag, value in values.items():
-        if value is True:
-            argv.append(flag)
-        elif value is not None:
-            argv.append(f"{flag}={value}" if flag else value)
-    return argv
+    fmt = draw(st.sampled_from(["--format=json", "--format=csv"]))
+    return [fmt, *command_argv(command, values)]
 
 
 # fcoeff and induce with a nu at or over the fill budget: a large first part
@@ -634,8 +655,21 @@ OVER_BUDGET_NU = st.tuples(
 ).map(lambda t: ",".join(map(str, (t[0], *sorted(t[1], reverse=True)))))
 
 
+# every command that reads --p, with the checks of `verify` that need it
+P_COMMANDS = sorted(command for command, flags in COMMANDS.items() if "--p" in flags)
+P_CHECKS = sorted(set(CHECKS) - {"dim-sqd"}) + ["all"]
+
+
 @st.composite
 def over_budget_argvs(draw):
+    if draw(st.booleans()):
+        # a p at or over the prime budget, with small values for the rest
+        command = draw(st.sampled_from(P_COMMANDS))
+        values = {flag: draw(strategy) for flag, strategy in COMMANDS[command].items()}
+        values["--p"] = str(draw(st.integers(P_MAX, 10**30)))
+        if command == ("verify",):
+            values[""] = draw(st.sampled_from(P_CHECKS))
+        return command_argv(command, values)
     nu = draw(OVER_BUDGET_NU)
     if draw(st.booleans()):
         lam = draw(st.one_of(PART, st.just(nu)))
@@ -663,6 +697,7 @@ CACHES = st.one_of(
 @example(argv=["fcoeff", "--lambda=3", "--mu=2,1", "--nu=-"], cache=None, over_budget=None)
 @example(argv=[], cache=None, over_budget=["fcoeff", "--lambda=1100", "--mu=-", "--nu=1100"])
 @example(argv=[], cache=None, over_budget=["induce", "--mu=-", "--nu=1100"])
+@example(argv=[], cache=None, over_budget=["core", f"--p={10**30 + 57}", "--partition=2,1"])
 def test_exit_code_contract(argv, cache, over_budget):
     """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
     a traceback, and an exit-2 run leaves the cache file as it was.  A

@@ -27,12 +27,6 @@ def test_sqrt2_powers():
         Sqrt2Scalar.sqrt2_power(-1)
 
 
-def test_halve():
-    assert Sqrt2Scalar(4, 6).halve() == Sqrt2Scalar(2, 3)
-    with pytest.raises(ValueError):
-        Sqrt2Scalar(1, 2).halve()
-
-
 @given(scalars)
 def test_conjugate_norm(x):
     assert x * x.conjugate() == Sqrt2Scalar(x.norm(), 0)
@@ -78,7 +72,6 @@ def test_arithmetic_results_equal_checked_construction(x, y, k, e):
         (x * y, x.a * y.a + 2 * x.b * y.b, x.a * y.b + x.b * y.a),
         (x * k, x.a * k, x.b * k),
         (x.conjugate(), x.a, -x.b),
-        (Sqrt2Scalar(2 * x.a, 2 * x.b).halve(), x.a, x.b),
         (Sqrt2Scalar.of(k), k, 0),
         (Sqrt2Scalar.sqrt2_power(e), 2 ** (e // 2) * (1 - e % 2), 2 ** (e // 2) * (e % 2)),
     ]

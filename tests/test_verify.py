@@ -4,9 +4,10 @@ import random
 import pytest
 
 from spinblocks.abacus import block_enum, ell
-from spinblocks.chars import CharSpace, CharVector
+from spinblocks.chars import REFINED, CharSpace, CharVector, runner_tuples
 from spinblocks.exceptions import DomainError, SpaceMismatch
 from spinblocks.hnf import lattice_member, row_echelon_basis
+from spinblocks.partitions import epsilon_exponent
 from spinblocks.rouquier import generate
 from spinblocks.sqrt2 import Sqrt2Scalar
 from spinblocks.verify import (
@@ -75,6 +76,75 @@ def test_nmv_generator_families_h_space():
     )
     # edges: (0,1) twice signed, (1,2) twice signed matched
     assert len(lattice.generators) == 4
+
+
+def old_generators(space):
+    """The generators as nmv_basis built them before it kept edge rows: one
+    CharVector per projective edge and sign choice, made straight from the
+    sign rule, in edge order, with parities counted on the whole epsilon
+    tuple.  An oracle for the lazily built generators."""
+    L = ell(space.p)
+    if space.kind == "L":
+        edges = [
+            (others[:k] + (jk,) + others[k:], others[:k] + (jk + 1,) + others[k:])
+            for k in range(space.d)
+            for others in runner_tuples(space.p, space.d - 1)
+            for jk in range(L)
+        ]
+    else:
+        mus = block_enum(space.rho, space.p, space.d - 1)
+        edges = [((mu, j), (mu, j + 1)) for mu in mus for j in range(L)]
+    mk = lambda m: CharVector.make(space, m, REFINED)
+    odd = lambda label: epsilon_exponent(space.eps_tuple(label)) == 1
+    out = []
+    for low, high in edges:
+        low_odd, high_odd = odd(low), odd(high)
+        if low_odd and high_odd:
+            out.extend(mk({(low, s): 1, (high, s): 1}) for s in (1, -1))
+        elif not low_odd and not high_odd:
+            out.append(mk({(low, 0): 1, (high, 0): 1}))
+        elif not low_odd:
+            out.extend(mk({(low, 0): 1, (high, s): 1}) for s in (1, -1))
+        else:
+            out.append(mk({(low, 1): 1, (low, -1): 1, (high, 0): 1}))
+    return out
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7) for d in (1, 2, 3)])
+def test_generators_from_edge_rows_match_the_old_construction(p, d):
+    for parity in ("even", "odd"):
+        rho = generate(p, d, parity, 1)[0]
+        for space in (CharSpace.l_space(rho, p, d), CharSpace.h_space(rho, p, d)):
+            lattice = nmv_basis(space)
+            assert lattice.generators == old_generators(space)
+            assert len(lattice.edge_rows) == len(lattice.generators)
+
+
+def test_phi_kernel_reports_a_planted_row_as_its_vector(monkeypatch):
+    """A generator row with one label dropped is no longer killed by phi;
+    the witness is the CharVector of that row, with phi of it."""
+    import spinblocks.verify as V
+
+    real = V.nmv_basis
+    planted = {}
+
+    def basis(space):
+        lattice = real(space)
+        rows = list(lattice.edge_rows)
+        k = next(i for i, row in enumerate(rows) if len(row) == 3)
+        planted["row"] = rows[k] = rows[k][:2]
+        planted["space"] = space
+        return NmvLattice(space, rows)
+
+    monkeypatch.setattr(V, "nmv_basis", basis)
+    report = run_check("phi-kernel", rho=(2, 1), p=5, d=2)
+    vector = CharVector.make(planted["space"], dict.fromkeys(planted["row"], 1), "refined")
+    value = phi(vector)
+    assert value != 0
+    assert report.passed is False
+    assert json.loads(json.dumps(report.to_json()))["witness"] == [
+        {"generator": vector.rows(), "phi": {"a": value.a, "b": value.b}}
+    ]
 
 
 @pytest.mark.parametrize("p,d", [(5, 1), (5, 2), (3, 2), (7, 1)])
@@ -212,8 +282,9 @@ def test_membership_rejects_labels_outside_the_space():
 
 def test_membership_fails_on_a_label_no_generator_touches():
     space = CharSpace.h_space((2, 1), 5, 1)
+    lattice = NmvLattice(space, [((((2, 1), 1), 0), (((2, 1), 2), 0))])
     g = CharVector.make(space, {(((2, 1), 1), 0): 1, (((2, 1), 2), 0): 1}, "refined")
-    lattice = NmvLattice(space, [g])
+    assert lattice.generators == [g]
     assert lattice.member(g.scale(3)) and lattice.member_oracle(g.scale(3))
     lone = g.scale(3) + CharVector.make(space, {(((2, 1), 0), 1): 1}, "refined")
     assert not lattice.member(lone) and not lattice.member_oracle(lone)
