@@ -43,10 +43,6 @@ class Abacus:
     def to_partition(self) -> Partition:
         return tuple(sorted(self.beads, reverse=True))
 
-    def runner(self, i: int) -> tuple:
-        """Bead positions on runner i, ascending."""
-        return tuple(sorted(b for b in self.beads if b % self.p == i))
-
     def runner_counts(self) -> tuple:
         counts = [0] * self.p
         for b in self.beads:
@@ -199,18 +195,17 @@ def _q0(lam: Partition, p: int) -> Partition:
 
 def _quotient(lam: Partition, p: int) -> BarQuotient:
     L = ell(p)
-    ab = Abacus(p, frozenset(lam))
-    for i in range(L + 1, p):
-        if ab.runner(i):
-            raise DomainError(
-                f"quotient not defined here: runner {i} of {lam} is occupied"
-            )
-    qs = []
-    for i in range(1, L + 1):
-        offsets = sorted((b // p for b in ab.runner(i)), reverse=True)
-        m = len(offsets)
-        comp = tuple(c - (m - 1 - k) for k, c in enumerate(offsets))
-        qs.append(tuple(x for x in comp if x > 0))
+    runners = {}  # occupied runner -> its bead offsets, descending (lam is)
+    for b in lam:
+        runners.setdefault(b % p, []).append(b // p)
+    above = [i for i in runners if i > L]
+    if above:
+        raise DomainError(f"quotient not defined here: runner {min(above)} of {lam} is occupied")
+    qs = [()] * L
+    for i, offsets in runners.items():
+        if i:
+            m = len(offsets)
+            qs[i - 1] = tuple(x for x in (c - m + 1 + k for k, c in enumerate(offsets)) if x > 0)
     q = BarQuotient(_q0(lam, p), tuple(qs))
     core, wt = _core_weight(lam, p)
     if q.weight() != wt:

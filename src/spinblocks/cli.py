@@ -41,6 +41,9 @@ CACHE_HEADER = "spinblocks-kcache 1"
 # a larger record is rejected before its closed form, which grows with |lam|
 # (seconds at 500 boxes of one column, far longer for a corrupt 10^8).
 CACHE_MAX_SIZE = 500
+# Each record line that passed load_cache's checks, by its exact text, as its
+# (key, count): the checks read nothing else, so a process checks a line once.
+CACHE_RECORD_MEMO: dict = {}
 
 
 def parse_partition(text: str) -> tuple:
@@ -70,16 +73,19 @@ def load_cache(path: str) -> set | None:
         raise DomainError(f"{path} is not a spinblocks K-cache")
     entries = {}
     for number, line in enumerate(lines[1:], 2):
-        try:
-            kind, parts, value = line.split("\t")
-            key = (kind, validate(parts.split(",") if parts else (), kind))
-            count = int(value)
-        except ValueError as exc:
-            raise DomainError(f"{path} line {number}: bad record {line!r}: {exc}") from None
-        if sum(key[1]) >= CACHE_MAX_SIZE:
-            raise DomainError(f"{path} line {number}: shape too large: {line!r}")
-        if count != _hook_formula(key[1], kind == STRICT):
-            raise DomainError(f"{path} line {number}: wrong count for {kind} {parts}: {line!r}")
+        if line not in CACHE_RECORD_MEMO:
+            try:
+                kind, parts, value = line.split("\t")
+                key = (kind, validate(parts.split(",") if parts else (), kind))
+                count = int(value)
+            except ValueError as exc:
+                raise DomainError(f"{path} line {number}: bad record {line!r}: {exc}") from None
+            if sum(key[1]) >= CACHE_MAX_SIZE:
+                raise DomainError(f"{path} line {number}: shape too large: {line!r}")
+            if count != _hook_formula(key[1], kind == STRICT):
+                raise DomainError(f"{path} line {number}: wrong count for {kind} {parts}: {line!r}")
+            CACHE_RECORD_MEMO[line] = key, count
+        key, count = CACHE_RECORD_MEMO[line]
         entries[key] = count
     PATH_COUNT_MEMO.update(entries)
     return set(entries)

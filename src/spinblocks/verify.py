@@ -156,8 +156,9 @@ def nmv_basis(space: CharSpace) -> NmvLattice:
         edges = [((mu, j), (mu, j + 1)) for mu in mus for j in range(L)]
     else:
         raise SpaceMismatch("non-maximal-support lattices live on L or H spaces")
+    odd = {label: space.is_odd(label) for label in space.labels()}
     return NmvLattice(space, [
-        row for a, b in edges for row in _pair_generators(a, b, space.is_odd(a), space.is_odd(b))
+        row for a, b in edges for row in _pair_generators(a, b, odd[a], odd[b])
     ])
 
 

@@ -126,6 +126,62 @@ def test_quotient_domain_error():
         quotient((3,), 5)
 
 
+def quotient_by_runner_scan(lam, p):
+    """The quotient as _quotient built it before it grouped the beads in one
+    pass: a filter and sort of the beads for each of the p runners.  An
+    oracle for the one-pass grouping."""
+    L = (p - 1) // 2
+
+    def runner(i):
+        return sorted(b for b in lam if b % p == i)
+
+    for i in range(L + 1, p):
+        if runner(i):
+            raise DomainError(f"quotient not defined here: runner {i} of {lam} is occupied")
+    qs = []
+    for i in range(1, L + 1):
+        offsets = sorted((b // p for b in runner(i)), reverse=True)
+        m = len(offsets)
+        comp = tuple(c - (m - 1 - k) for k, c in enumerate(offsets))
+        qs.append(tuple(x for x in comp if x > 0))
+    return BarQuotient(tuple(b // p for b in lam if b % p == 0), tuple(qs))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_quotient_matches_the_runner_scan_on_rouquier_blocks(p):
+    from spinblocks.rouquier import generate
+
+    seen = 0
+    for parity in ("even", "odd"):
+        for d in range(1, 5):
+            rho = generate(p, d, parity, 1)[0]
+            for lam in block_enum(rho, p, d):
+                assert quotient(lam, p) == quotient_by_runner_scan(lam, p), (lam, p)
+                seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_quotient_error_names_the_smallest_occupied_runner(p):
+    """On every strict partition of at most 12, the one-pass quotient and the
+    runner scan agree: the same quotient, or the same DomainError naming the
+    smallest occupied runner above ell."""
+    errors = 0
+    for lam in all_strict(12):
+        try:
+            expected = quotient_by_runner_scan(lam, p)
+        except DomainError as exc:
+            errors += 1
+            with pytest.raises(DomainError) as got:
+                quotient(lam, p)
+            assert str(got.value) == str(exc)
+        else:
+            assert quotient(lam, p) == expected, (lam, p)
+    assert errors
+    with pytest.raises(DomainError, match=r"runner 4 of \(6, 5, 4\) is occupied"):
+        quotient((6, 5, 4), 7)
+
+
 def rouquier_core_for(d, parity="odd"):
     from spinblocks.rouquier import generate
 

@@ -269,18 +269,34 @@ def test_cache_round_trip(tmp_path, capsys):
         "spinblocks-kcache 1\nstrict\t2,1\n",
         "spinblocks-kcache 1\nweird\t2,2\t5\n",
         "spinblocks-kcache 1\nordinary\t100000000\t1\n",
+        "spinblocks-kcache 1\nstrict\t2,1\t1\nordinary\t2,1\t3\n",
     ],
 )
 def test_corrupt_cache_is_an_input_error(tmp_path, capsys, text):
+    """Exit 2 with the file untouched, and the same message, line number
+    included, whether or not a good file's records were checked before."""
     cache = tmp_path / "kcache.tsv"
-    cache.write_text(text)
-    code, out, err = run_cli(
-        capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "2,1"
-    )
-    assert code == 2
-    assert err.startswith("error:")
-    assert out == ""
-    assert cache.read_text() == text
+    good = tmp_path / "good.tsv"
+    errors = []
+    for warm in (False, True, "again"):  # again: the same file once more, memo kept
+        if warm != "again":
+            cli.CACHE_RECORD_MEMO.clear()
+        if warm is True:
+            good.write_bytes(VALID_CACHE)
+            assert run_cli(capsys, "--cache", str(good), "core", "--p", "5", "--partition", "5")[0] == 0
+            assert "strict\t2,1\t1" in cli.CACHE_RECORD_MEMO
+        cache.write_text(text)
+        code, out, err = run_cli(
+            capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "2,1"
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+        assert cache.read_text() == text
+        errors.append(err)
+    assert errors[0] == errors[1] == errors[2]
+    if text.count("\n") > 2:
+        assert f"{cache} line 3: wrong count" in errors[0]
 
 
 def test_cache_size_limit_keeps_the_largest_countable_shape(tmp_path, capsys):
@@ -326,20 +342,77 @@ def test_fill_budget_keeps_the_largest_fillable_shape(capsys, argv, outputs):
 )
 def test_wrong_cache_count_is_an_input_error(tmp_path, capsys, record, wrong, fresh_process):
     """A well-formed cache with one wrong count must not reach a verdict,
-    whether or not the process already holds that count."""
+    whether or not the process already holds that count, and whether or not
+    it already checked the file with the right count in that line."""
     cache = tmp_path / "kcache.tsv"
     assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "12")[0] == 0
     text = cache.read_text()
     assert record in text
-    cache.write_text(text.replace(record, wrong))
+    number = text.splitlines().index(record.rstrip("\n")) + 1
+    errors = []
+    for warm in (False, True, "again"):  # again: the same file once more, memo kept
+        if warm != "again":
+            cli.CACHE_RECORD_MEMO.clear()
+        if warm is True:
+            cache.write_text(text)
+            assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")[0] == 0
+            assert record.rstrip("\n") in cli.CACHE_RECORD_MEMO
+        cache.write_text(text.replace(record, wrong))
+        before = cache.read_bytes()
+        if fresh_process:
+            PATH_COUNT_MEMO.clear()
+        code, out, err = run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "12")
+        assert code == 2
+        assert err.startswith(f"error: {cache} line {number}: wrong count")
+        assert out == ""
+        assert cache.read_bytes() == before
+        errors.append(err)
+    assert errors[0] == errors[1] == errors[2]
+
+
+def test_each_cache_record_line_is_checked_once_per_process(tmp_path, capsys, monkeypatch):
+    """Three loads of one file run the closed form once per distinct record
+    line; the memo of counts is restored from the checked lines after it is
+    cleared; a fresh process checks every record again."""
+    PATH_COUNT_MEMO.clear()
+    cache = tmp_path / "kcache.tsv"
+    assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "6")[0] == 0
+    entries = dict(PATH_COUNT_MEMO)
+    lines = cache.read_text().splitlines()
+    cache.write_text("\n".join(lines + lines[1:3]) + "\n")  # two lines twice
     before = cache.read_bytes()
-    if fresh_process:
-        PATH_COUNT_MEMO.clear()
-    code, out, err = run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "12")
-    assert code == 2
-    assert err.startswith("error:") and "wrong count" in err
-    assert out == ""
+    distinct = len(set(lines[1:]))
+    assert distinct == len(entries) > 2
+
+    calls = []
+    real = cli._hook_formula
+
+    def counted(lam, strict):
+        calls.append((lam, strict))
+        return real(lam, strict)
+
+    monkeypatch.setattr(cli, "_hook_formula", counted)
+    cli.CACHE_RECORD_MEMO.clear()
+    for _ in range(3):
+        assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")[0] == 0
+    assert len(calls) == distinct
     assert cache.read_bytes() == before
+    PATH_COUNT_MEMO.clear()
+    assert cli.load_cache(str(cache)) == set(entries)
+    assert PATH_COUNT_MEMO == entries
+    assert len(calls) == distinct
+
+    script = (
+        "import sys; from spinblocks import cli; calls = []; real = cli._hook_formula\n"
+        "cli._hook_formula = lambda *a: calls.append(a) or real(*a)\n"
+        "code = cli.main(['--cache', sys.argv[1], 'core', '--p', '5', '--partition', '5'])\n"
+        "print(code, len(calls))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(cache)], capture_output=True, env=env, text=True
+    )
+    assert done.stdout.splitlines()[-1] == f"0 {distinct}", done.stderr
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])

@@ -1,7 +1,7 @@
 """The library stays integer-exact and dependency-free: no float literal, no
 true division, no float() call, and no import from outside the standard
 library and the package, in any module under src/spinblocks.  Its memos are
-a fixed, named set of module-level functools caches."""
+a fixed, named set of module-level functools caches and *MEMO dicts."""
 
 import ast
 import sys
@@ -60,9 +60,11 @@ def test_no_declared_dependencies():
     assert "dependencies = []" in lines
 
 
-# The benchmark's reset between passes empties only module-level caches, and
-# the README names these three; a cache anywhere else would run warm.
+# The benchmark's reset between passes empties only module-level caches and
+# module-level dicts whose names end in MEMO, and the README names these five;
+# a cache anywhere else would run warm.
 MEMOS = ["_block", "_block_by_sizes", "_k_product"]
+DICT_MEMOS = ["CACHE_RECORD_MEMO", "PATH_COUNT_MEMO"]
 CACHE_NAMES = {"lru_cache", "cache"}
 
 
@@ -107,6 +109,28 @@ def test_memos_are_the_named_module_level_caches():
     assert stray == 0
     assert all(module_level for _, module_level in decorated)
     assert sorted(name for name, _ in decorated) == MEMOS
+
+
+def module_level_names(tree: ast.Module) -> list[str]:
+    """Every name a module-level statement binds by assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_memo_dicts_are_the_named_ones():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(name for name in module_level_names(tree) if name.endswith("MEMO"))
+    assert sorted(found) == DICT_MEMOS
 
 
 def test_memo_checker_catches_each_kind():
