@@ -68,6 +68,8 @@ class BarQuotient:
 
 
 P_MAX = 10**7  # `core --p 9999991` takes 0.5 s: each bar removal walks the ell runner pairs
+# `block --p 3 --rho - --d 24` takes about 2 s; at larger p the block grows faster in d
+D_MAX = 24
 
 
 def _check_prime(p: int):
@@ -224,6 +226,8 @@ def block_enum(
     """
     rho = as_strict(rho)
     _check_prime(p)
+    if d > D_MAX:
+        raise DomainError(f"weight must be at most {D_MAX}: {d}")
     if removal_moves(rho, p):
         raise DomainError(f"{rho} is not a bar-core for p={p}")
     if d < 0:

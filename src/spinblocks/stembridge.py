@@ -240,10 +240,11 @@ def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: 
                 coeff = eps_ratio((e_mu_j, (e_part + e_lam) % 2, e_run[j]), (e_lam,))
                 out[lam] = out.get(lam, Sqrt2Scalar(0, 0)) + coeff
         return _integral_vector(CharSpace.block(rho, p, d), out)
-    for jj in range(L + 1):
-        for i in range(L - jj + 1):
-            for mu in _neighbors(part, p, i, "remove"):
-                e_mu = epsilon_exponent((mu,))
+    # each runner's removals once; a removal on runner i lands on runners 0..ell-i
+    for i in range(L + 1):
+        for mu in _neighbors(part, p, i, "remove"):
+            e_mu = epsilon_exponent((mu,))
+            for jj in range(L - i + 1):
                 coeff = eps_ratio(
                     (e_part, (e_mu + e_part) % 2, e_run[jj]), ((e_mu + e_run[jj]) % 2,)
                 )

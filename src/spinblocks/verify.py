@@ -7,14 +7,14 @@ both sides in machine-readable form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
 
 from .abacus import (
     _check_prime, _k_product, _neighbors, _q0, _quotient, block_enum, ell, runner_label,
 )
-from .chars import REFINED, CharSpace, CharVector, eps_ratio, m_action, runner_tuples
+from .chars import REFINED, SUPER, CharSpace, CharVector, eps_ratio, m_action, runner_tuples
 from .exceptions import CheckFailure, DomainError, SpaceMismatch
 from .hnf import integral_solution_exists, lattice_member, row_echelon_basis
 from .partitions import (
@@ -53,14 +53,12 @@ class NmvLattice:
     of one mu, and in an L space is the whole space.  Each generator is an
     edge row of refined labels with coefficient 1; `generators` builds their
     CharVectors on first use.  A coefficient a + b*sqrt(2) is the integer
-    pair (a, b) at its label's position in its component.  Each touched
-    component is tested alone: the primary route reduces against its echelon
-    basis, built on first use; the oracle solves over its generator columns.
+    pair (a, b) at its label's position in its component.  The oracle
+    solves over each touched component's generator columns.
     """
 
     space: CharSpace
     edge_rows: list
-    bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def generators(self) -> list[CharVector]:
@@ -78,20 +76,55 @@ class NmvLattice:
         index = {l: (c, i) for c, at in enumerate(comps.values()) for l, i in at.items()}
         return index, [len(at) for at in comps.values()]
 
+    def component(self, edge) -> int:
+        comps = {self.split[0][label][0] for label in edge}
+        # a broken split must not mislead both routes
+        assert len(comps) == 1, f"generator {edge} straddles components {sorted(comps)}"
+        return comps.pop()
+
     @cached_property
     def rows(self) -> list[list[list[int]]]:
         """The generators of each component as integer rows."""
         index, sizes = self.split
         rows = [[] for _ in sizes]
         for edge in self.edge_rows:
-            # a broken split must not mislead both routes
-            comps = sorted({index[label][0] for label in edge})
-            assert len(comps) == 1, f"generator {edge} straddles components {comps}"
-            row = [0] * (2 * sizes[comps[0]])
+            comp = self.component(edge)
+            row = [0] * (2 * sizes[comp])
             for label in edge:
                 row[2 * index[label][1]] = 1
-            rows[comps[0]].append(row)
+            rows[comp].append(row)
         return rows
+
+    @cached_property
+    def echelon(self) -> list[list[int]]:
+        return row_echelon_basis(self.rows[0])  # an L space is one component
+
+    @cached_property
+    def colouring(self) -> dict:
+        """{basis: {label: ((tree, sign), ...)}} of an H space for `member`,
+        read off the edge rows, each joining two trees into one."""
+        pairs = {l for row in self.edge_rows for l, s in row if s == 1 and (l, -1) in row}
+        colour = {r: (r, 1) for r in self.split[0]}  # node -> (its tree's first node, sign)
+        trees = {r: [r] for r in colour}
+        for row in self.edge_rows:
+            self.component(row)
+            # a pair stands as its + half, and a row holds both halves or neither
+            ends = [r for r in row if r[1] != -1 or r[0] not in pairs]
+            assert len(ends) == 2 and all((l, -s) in row for l, s in row if l in pairs), (
+                f"generator {row} is not an edge between two nodes"
+            )
+            (tu, su), (tw, sw) = colour[ends[0]], colour[ends[1]]
+            assert tu != tw, f"generator {row} closes a cycle"
+            for x in trees.pop(tw):  # w's tree joins u's, coloured so that u and w differ
+                colour[x] = tu, -su * sw * colour[x][1]
+                trees[tu].append(x)
+        refined = {r: (c,) for r, c in colour.items()}
+        for l in pairs:
+            refined[l, 1] += (((l, -1), -1),)  # the - half is a tree alone: the halves agree
+        sup = {}
+        for (l, _s), weights in refined.items():
+            sup[l] = sup.get(l, ()) + weights
+        return {REFINED: refined, SUPER: sup}
 
     def parts(self, v: CharVector) -> dict:
         """v as integer vectors of the components it touches."""
@@ -110,11 +143,28 @@ class NmvLattice:
         return parts
 
     def member(self, v: CharVector) -> bool:
-        parts = self.parts(v)
-        for comp in parts:
-            if comp not in self.bases:
-                self.bases[comp] = row_echelon_basis(self.rows[comp])
-        return all(lattice_member(self.bases[comp], vec) for comp, vec in parts.items())
+        """On an H space each row is an edge between two nodes, refined
+        labels or a label's two halves sharing a row, and the edges make a
+        forest of Brauer trees.  v is a member exactly when it has no
+        sqrt(2) part, equal halves on each pair and 2-colour signed sum 0
+        on each tree: every generator has these, integrally; conversely a
+        leaf's integer coefficient c is forced on its one edge, so subtract
+        c times that edge sum and drop the leaf, until each tree is one
+        node holding its signed sum, 0 (Schrijver 1986, section 19).  An L
+        space's graph has cycles for d >= 2, so it keeps the echelon."""
+        if self.space.kind == "L":
+            return all(lattice_member(self.echelon, vec) for vec in self.parts(v).values())
+        if v.space != self.space:
+            raise SpaceMismatch(f"{v.space} vs {self.space}")
+        weights, sums, irrational = self.colouring[v.basis], {}, False
+        for label, c in v.coeffs:
+            if label not in weights:
+                outside = sorted(repr(l) for l, _ in v.coeffs if l not in weights)
+                raise ValueError(f"labels outside the space: {outside}")
+            irrational = irrational or c.b != 0
+            for key, x in weights[label]:
+                sums[key] = sums.get(key, 0) + x * c.a
+        return not irrational and not any(sums.values())
 
     def member_oracle(self, v: CharVector) -> bool:
         return all(
@@ -266,7 +316,13 @@ def _rouquier_core(rho, p: int, d: int) -> Partition:
     return rho
 
 
+# `verify dim-sqd --n 30` takes about 1.2 s; each step up in n costs about 1.3 times more
+DIM_SQD_MAX_N = 30
+
+
 def check_dim_sqd(n: int) -> CheckReport:
+    if n > DIM_SQD_MAX_N:
+        raise DomainError(f"n must be at most {DIM_SQD_MAX_N}: {n}")
     lhs_ord = sum(path_count(lam, ORDINARY) ** 2 for lam in enumerate_partitions(n, ORDINARY))
     lhs_strict = sum(
         2 ** (n - len(lam)) * path_count(lam, STRICT) ** 2

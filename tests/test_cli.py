@@ -13,11 +13,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spinblocks import cli
-from spinblocks.abacus import P_MAX
+from spinblocks.abacus import D_MAX, P_MAX
 from spinblocks.cli import main
 from spinblocks.partitions import ORDINARY, PATH_COUNT_MEMO, path_count
 from spinblocks.stembridge import FILL_MAX_BOXES, _f_coeff
-from spinblocks.verify import CHECKS
+from spinblocks.trees import ELL_MAX
+from spinblocks.verify import CHECKS, DIM_SQD_MAX_N
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +175,31 @@ def test_verify_all_stdout_is_unchanged(capsys, flags):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == VERIFY_ALL_GOLDEN[flags]
 
 
+# stdout sha256 prefixes of single `verify htoj` queries, whose reports print
+# both sides' rows: three lambda per p, of weights 1 to 3 and both core parities
+VERIFY_HTOJ_GOLDEN = {
+    "--p 5 --lambda 6,2": "8baa6e251f427f7b",
+    "--p 5 --lambda 6,2 --oracle": "d6dc99935186a244",
+    "--p 5 --lambda 27,17,12,11,7,2,1": "581e33b651afc625",
+    "--p 5 --lambda 27,17,12,11,7,2,1 --oracle": "922f23dc19807090",
+    "--p 5 --lambda 37,32,22,17,12,11,7,6,5,2,1": "18ce695cf3d904a9",
+    "--p 5 --lambda 37,32,22,17,12,11,7,6,5,2,1 --oracle": "655b53ba43d9cad3",
+    "--p 7 --lambda 31,17,16,10,9,8,7,3,2,1": "2e26495a40b66f61",
+    "--p 7 --lambda 31,17,16,10,9,8,7,3,2,1 --oracle": "d35dd5460d19139d",
+    "--p 7 --lambda 59,45,38,37,31,24,23,17,16,15,10,9,8,7,3,2,1": "27f22f3efe346c89",
+    "--p 7 --lambda 59,45,38,37,31,24,23,17,16,15,10,9,8,7,3,2,1 --oracle": "2e3746d914c835a5",
+    "--p 7 --lambda 52,38,37,31,24,23,17,16,15,10,9,8,7,3,2,1": "3c387a6e602b73f2",
+    "--p 7 --lambda 52,38,37,31,24,23,17,16,15,10,9,8,7,3,2,1 --oracle": "5cd70823e2902183",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(VERIFY_HTOJ_GOLDEN))
+def test_verify_htoj_stdout_is_unchanged(capsys, flags):
+    code, out, err = run_cli(capsys, "verify", "htoj", *flags.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == VERIFY_HTOJ_GOLDEN[flags]
+
+
 def test_csv_verdict_table(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "csv", "verify", "dim-sqd", "--n", "4"
@@ -205,6 +231,26 @@ def test_prime_budget_keeps_the_largest_prime_below_it(capsys):
         code, out, err = run_cli(capsys, "core", "--p", str(p), "--partition", "2,1")
         assert (code, out) == (2, "")
         assert err == f"error: p must be an odd prime below {P_MAX}: {p}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, budget, name",
+    [
+        (["verify", "dim-sqd", "--n"], DIM_SQD_MAX_N, "n"),
+        (["block", "--p", "3", "--rho", "-", "--d"], D_MAX, "weight"),
+        (["tree", "walk", "--kind", "B", "--ell"], ELL_MAX, "ell"),
+    ],
+)
+def test_size_budgets_exit_2_just_past_the_budget(capsys, argv, budget, name):
+    assert (DIM_SQD_MAX_N, D_MAX, ELL_MAX) == (30, 24, 10**5)
+    code, out, err = run_cli(capsys, *argv, str(budget + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} must be at most {budget}: {budget + 1}\n"
+
+
+def test_tree_build_answers_at_the_ell_budget(capsys):
+    report = run_json(capsys, "tree", "build", "--kind", "A", "--ell", str(ELL_MAX))
+    assert len(report["outputs"]["path"]) == ELL_MAX + 1
 
 
 def test_exit_code_domain_error(capsys):
@@ -733,9 +779,25 @@ P_COMMANDS = sorted(command for command, flags in COMMANDS.items() if "--p" in f
 P_CHECKS = sorted(set(CHECKS) - {"dim-sqd"}) + ["all"]
 
 
+# commands with a size flag past its budget: (command, other flags, flag, budget)
+SIZE_BUDGETS = [
+    (("verify",), {"": st.just("dim-sqd")}, "--n", DIM_SQD_MAX_N),
+    (("block",), COMMANDS[("block",)], "--d", D_MAX),
+    *[(command, COMMANDS[command], "--ell", ELL_MAX)
+      for command in (("tree", "build"), ("tree", "walk"), ("tree", "heller"))],
+]
+
+
 @st.composite
 def over_budget_argvs(draw):
-    if draw(st.booleans()):
+    branch = draw(st.sampled_from(["p", "size", "nu"]))
+    if branch == "size":
+        # one size flag past its budget, with small values for the rest
+        command, flags, flag, budget = draw(st.sampled_from(SIZE_BUDGETS))
+        values = {f: draw(strategy) for f, strategy in flags.items()}
+        values[flag] = str(draw(st.integers(budget + 1, 10**30)))
+        return command_argv(command, values)
+    if branch == "p":
         # a p at or over the prime budget, with small values for the rest
         command = draw(st.sampled_from(P_COMMANDS))
         values = {flag: draw(strategy) for flag, strategy in COMMANDS[command].items()}
@@ -771,6 +833,9 @@ CACHES = st.one_of(
 @example(argv=[], cache=None, over_budget=["fcoeff", "--lambda=1100", "--mu=-", "--nu=1100"])
 @example(argv=[], cache=None, over_budget=["induce", "--mu=-", "--nu=1100"])
 @example(argv=[], cache=None, over_budget=["core", f"--p={10**30 + 57}", "--partition=2,1"])
+@example(argv=[], cache=None, over_budget=["verify", "dim-sqd", "--n=1000000000000"])
+@example(argv=[], cache=None, over_budget=["tree", "build", "--kind=A", "--ell=100000000"])
+@example(argv=[], cache=None, over_budget=["block", "--p=5", "--rho=-", f"--d={10**30}"])
 def test_exit_code_contract(argv, cache, over_budget):
     """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
     a traceback, and an exit-2 run leaves the cache file as it was.  A

@@ -2,9 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinblocks.abacus import block_enum, ell
-from spinblocks.chars import REFINED, CharSpace, CharVector, runner_tuples
+from spinblocks.chars import REFINED, SUPER, CharSpace, CharVector, runner_tuples
 from spinblocks.exceptions import DomainError, SpaceMismatch
 from spinblocks.hnf import lattice_member, row_echelon_basis
 from spinblocks.partitions import epsilon_exponent
@@ -248,6 +249,90 @@ def test_membership_routes_agree(p, d):
                 assert routes(combo + root) == (False, False, False)
 
 
+def echelon_route(lattice):
+    """The per-component echelon route, for tests only: reduce each touched
+    component against the echelon basis of its generator rows, built on
+    first use."""
+    bases = {}
+
+    def member(v):
+        parts = lattice.parts(v)
+        for comp in parts:
+            if comp not in bases:
+                bases[comp] = row_echelon_basis(lattice.rows[comp])
+        return all(lattice_member(bases[comp], vec) for comp, vec in parts.items())
+
+    return member
+
+
+H_GRID = [
+    (p, d, parity)
+    for p in (3, 5, 7, 11)
+    for d in range(1, 3 if p == 11 else 4)
+    for parity in ("even", "odd")
+]
+H_LATTICES = {}  # (p, d, parity) -> (lattice, echelon route, dense route)
+
+
+def h_lattice(p, d, parity):
+    if (p, d, parity) not in H_LATTICES:
+        lattice = nmv_basis(CharSpace.h_space(generate(p, d, parity, 1)[0], p, d))
+        H_LATTICES[p, d, parity] = lattice, echelon_route(lattice), dense_route(lattice)
+    return H_LATTICES[p, d, parity]
+
+
+def swap_signs(v):
+    return CharVector.make(v.space, {(l, -s): c for (l, s), c in v.coeffs}, REFINED)
+
+
+NONZERO = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: ab != (0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tree_functionals_agree_with_the_echelon_routes_and_the_oracle(data):
+    """The tree functionals of `member`, the per-component echelon, the
+    dense echelon and the column Hermite oracle give one verdict on members
+    of an H lattice, in either basis, and on members plus a unit carrying
+    a + b*sqrt(2), plus sqrt(2) times a member, or with unequal halves on
+    an odd label.  A super-basis member is a refined member plus its sign
+    swap (the generators are closed under it), whose halves agree."""
+    lattice, echelon, dense = h_lattice(*data.draw(st.sampled_from(H_GRID)))
+    space, gens = lattice.space, lattice.generators
+    basis = data.draw(st.sampled_from([REFINED, SUPER]))
+
+    def member_of(picks):
+        v = CharVector.make(space, {}, REFINED)
+        for k, c in picks:
+            v = v + gens[k].scale(c)
+        return v if basis == REFINED else (v + swap_signs(v)).unrefine()
+
+    pick = st.tuples(st.integers(0, len(gens) - 1), st.integers(-3, 3))
+    v = member_of(data.draw(st.lists(pick, max_size=6)))
+    kind = data.draw(st.sampled_from(["member", "unit", "root", "halves"]))
+    expected = kind == "member"
+    if kind == "unit":
+        labels = space.refined_labels() if basis == REFINED else space.labels()
+        a, b = data.draw(NONZERO)
+        label = data.draw(st.sampled_from(labels))
+        v = v + CharVector.make(space, {label: Sqrt2Scalar(a, b)}, basis)
+    elif kind == "root":
+        v = v + member_of([data.draw(pick.filter(lambda kc: kc[1]))]).scale(Sqrt2Scalar(0, 1))
+    elif kind == "halves":
+        odd = [l for l in space.labels() if space.is_odd(l)]
+        if not odd:
+            return
+        label = data.draw(st.sampled_from(odd))
+        # a pair node, whose halves share a generator, needs equal halves;
+        # the halves of any other odd label are two nodes of one colour
+        pair = any((label, 1) in row and (label, -1) in row for row in lattice.edge_rows)
+        unequal = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda t: t[0] != t[1])
+        plus, minus = data.draw(unequal if pair else st.integers(1, 3).map(lambda c: (c, -c)))
+        v = v.refine() + CharVector.make(space, {(label, 1): plus, (label, -1): minus}, REFINED)
+        expected = not pair
+    assert (lattice.member(v), echelon(v), dense(v), lattice.member_oracle(v)) == (expected,) * 4
+
+
 @pytest.mark.parametrize("p,d", SMALL_GRID)
 def test_h_components_are_single_mu(p, d):
     """The generators touch every refined label and none joins two mu, so
@@ -290,6 +375,27 @@ def test_membership_fails_on_a_label_no_generator_touches():
     assert not lattice.member(lone) and not lattice.member_oracle(lone)
     with pytest.raises(ValueError, match="outside the space"):
         lattice.member(lone + CharVector.make(space, {(((2, 1), 0), 0): 1}, "refined"))
+
+
+MU0, MU1, MU2 = (((2, 1), j) for j in range(3))  # (2, 1) is odd: MU0 is a pair node
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([((MU1, 0), (MU2, 0)), ((MU2, 0), (MU1, 0))], "closes a cycle"),
+        ([((MU0, 1), (MU0, -1), (MU1, 0)), ((MU0, 1), (MU2, 0))], "not an edge"),
+        ([((MU0, 1), (MU1, 0), (MU2, 0))], "not an edge"),
+    ],
+    ids=["cycle", "pair-split", "three-nodes"],
+)
+def test_rows_that_are_not_a_forest_of_edges_are_an_internal_error(rows, message):
+    """The tree functionals hold only for edge sums of a forest whose pair
+    nodes keep their halves together; other custom rows are refused."""
+    lattice = NmvLattice(CharSpace.h_space((2, 1), 5, 1), rows)
+    with pytest.raises(AssertionError, match=message):
+        lattice.member(CharVector.unit(lattice.space, MU1))
+    assert lattice.member_oracle(lattice.generators[0])
 
 
 def _straddling_split(monkeypatch):
