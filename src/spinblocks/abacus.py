@@ -70,11 +70,17 @@ class BarQuotient:
 P_MAX = 10**7  # `core --p 9999991` takes 0.5 s: each bar removal walks the ell runner pairs
 # `block --p 3 --rho - --d 24` takes about 2 s; at larger p the block grows faster in d
 D_MAX = 24
+SIZE_MAX = 10**5  # `core --p 3` on the staircase (446, ..., 1), size 99681, takes about 1.3 s
 
 
 def _check_prime(p: int):
     if p >= P_MAX or p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)):
         raise DomainError(f"p must be an odd prime below {P_MAX}: {p}")
+
+
+def _check_size(lam: Partition):
+    if sum(lam) > SIZE_MAX:
+        raise DomainError(f"partition size must be at most {SIZE_MAX}: {sum(lam)}")
 
 
 def ell(p: int) -> int:
@@ -128,6 +134,7 @@ def core_weight(
     """
     lam = as_strict(lam)
     _check_prime(p)
+    _check_size(lam)
     return _core_weight(lam, p, rng)
 
 
@@ -187,6 +194,7 @@ def quotient(lam: Partition, p: int) -> BarQuotient:
     """
     lam = as_strict(lam)
     _check_prime(p)
+    _check_size(lam)
     return _quotient(lam, p)
 
 

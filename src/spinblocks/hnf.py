@@ -1,8 +1,9 @@
 """Integer lattices: Hermite-style echelon bases and membership tests.
 
-Primary route: bring the generator rows to an integer row-echelon basis
-(Euclid steps within each column, no pivots lost) and test membership by
-successive exact reduction.  Independent oracle: a column Hermite solve
+Echelon route: an integer row-echelon basis by Euclid steps within each
+column, and membership by exact reduction; the tests cross-check against
+it, and the benchmark's spans wrap it by name.  Oracle (`verify --oracle`;
+`verify`'s own membership test is a closed form): a column Hermite solve
 that folds the generator columns one coordinate at a time with unimodular
 Bezout steps and reduces the target by forward substitution.  The two
 routes share no code; both are pure integer arithmetic.

@@ -16,7 +16,7 @@ from .abacus import (
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, eps_ratio, m_action, runner_tuples
 from .exceptions import CheckFailure, DomainError, SpaceMismatch
-from .hnf import integral_solution_exists, lattice_member, row_echelon_basis
+from .hnf import integral_solution_exists
 from .partitions import (
     ORDINARY,
     STRICT,
@@ -48,13 +48,12 @@ def compositions(total: int, slots: int) -> list[tuple]:
 @dataclass
 class NmvLattice:
     """Integer lattice spanned by the non-maximal-support generators of an
-    L or H space, in the sign-refined basis: the direct sum of one small
-    lattice per component, which in an H space holds the labels (mu, 0..ell)
-    of one mu, and in an L space is the whole space.  Each generator is an
-    edge row of refined labels with coefficient 1; `generators` builds their
-    CharVectors on first use.  A coefficient a + b*sqrt(2) is the integer
-    pair (a, b) at its label's position in its component.  The oracle
-    solves over each touched component's generator columns.
+    L or H space, in the sign-refined basis: the direct sum of one lattice
+    per component, the labels (mu, 0..ell) of one mu in an H space and the
+    whole L space.  Each generator is an edge row of refined labels with
+    coefficient 1, its CharVector built on first use.  `member` reads the
+    labels, never the rows; the oracle solves over the generator columns
+    of each touched component, a + b*sqrt(2) being the pair (a, b).
     """
 
     space: CharSpace
@@ -76,55 +75,34 @@ class NmvLattice:
         index = {l: (c, i) for c, at in enumerate(comps.values()) for l, i in at.items()}
         return index, [len(at) for at in comps.values()]
 
-    def component(self, edge) -> int:
-        comps = {self.split[0][label][0] for label in edge}
-        # a broken split must not mislead both routes
-        assert len(comps) == 1, f"generator {edge} straddles components {sorted(comps)}"
-        return comps.pop()
-
     @cached_property
     def rows(self) -> list[list[list[int]]]:
         """The generators of each component as integer rows."""
         index, sizes = self.split
         rows = [[] for _ in sizes]
         for edge in self.edge_rows:
-            comp = self.component(edge)
-            row = [0] * (2 * sizes[comp])
+            comps = {index[label][0] for label in edge}
+            assert len(comps) == 1, f"generator {edge} straddles components {sorted(comps)}"
+            row = [0] * (2 * sizes[comp := comps.pop()])
             for label in edge:
                 row[2 * index[label][1]] = 1
             rows[comp].append(row)
         return rows
 
     @cached_property
-    def echelon(self) -> list[list[int]]:
-        return row_echelon_basis(self.rows[0])  # an L space is one component
-
-    @cached_property
-    def colouring(self) -> dict:
-        """{basis: {label: ((tree, sign), ...)}} of an H space for `member`,
-        read off the edge rows, each joining two trees into one."""
-        pairs = {l for row in self.edge_rows for l, s in row if s == 1 and (l, -1) in row}
-        colour = {r: (r, 1) for r in self.split[0]}  # node -> (its tree's first node, sign)
-        trees = {r: [r] for r in colour}
-        for row in self.edge_rows:
-            self.component(row)
-            # a pair stands as its + half, and a row holds both halves or neither
-            ends = [r for r in row if r[1] != -1 or r[0] not in pairs]
-            assert len(ends) == 2 and all((l, -s) in row for l, s in row if l in pairs), (
-                f"generator {row} is not an edge between two nodes"
-            )
-            (tu, su), (tw, sw) = colour[ends[0]], colour[ends[1]]
-            assert tu != tw, f"generator {row} closes a cycle"
-            for x in trees.pop(tw):  # w's tree joins u's, coloured so that u and w differ
-                colour[x] = tu, -su * sw * colour[x][1]
-                trees[tu].append(x)
-        refined = {r: (c,) for r, c in colour.items()}
-        for l in pairs:
-            refined[l, 1] += (((l, -1), -1),)  # the - half is a tree alone: the halves agree
-        sup = {}
-        for (l, _s), weights in refined.items():
-            sup[l] = sup.get(l, ()) + weights
-        return {REFINED: refined, SUPER: sup}
+    def weights(self) -> dict:
+        """{basis: {label: ((key, x), ...)}} for `member`: each label's weight
+        toward its component's sum, keyed by the base (rho in L, mu in H),
+        and an odd all-zero runner label's sign toward its halves check."""
+        space, tables = self.space, {REFINED: {}, SUPER: {}}
+        for label, sign in space.refined_labels():
+            base, t = (label[0], label[1:]) if space.kind == "H" else (space.rho, label)
+            terms = ((base, _label_weight(space, epsilon_exponent((base,)), t)),)
+            if sign and not any(t):
+                terms += (((base, "halves"), sign),)
+            tables[REFINED][label, sign] = terms
+            tables[SUPER][label] = tables[SUPER].get(label, ()) + terms
+        return tables
 
     def parts(self, v: CharVector) -> dict:
         """v as integer vectors of the components it touches."""
@@ -143,20 +121,28 @@ class NmvLattice:
         return parts
 
     def member(self, v: CharVector) -> bool:
-        """On an H space each row is an edge between two nodes, refined
-        labels or a label's two halves sharing a row, and the edges make a
-        forest of Brauer trees.  v is a member exactly when it has no
-        sqrt(2) part, equal halves on each pair and 2-colour signed sum 0
-        on each tree: every generator has these, integrally; conversely a
-        leaf's integer coefficient c is forced on its one edge, so subtract
-        c times that edge sum and drop the leaf, until each tree is one
-        node holding its signed sum, 0 (Schrijver 1986, section 19).  An L
-        space's graph has cycles for d >= 2, so it keeps the echelon."""
-        if self.space.kind == "L":
-            return all(lattice_member(self.echelon, vec) for vec in self.parts(v).values())
+        """v, in either basis, is a member exactly when (i) it has no
+        sqrt(2) part, (ii) the halves of each component's all-zero runner
+        label agree if that label is odd, and (iii) each component's sum
+        of a parts weighted by `_label_weight` is 0.
+
+        The generators are integral and meet (ii) (one that touches an odd
+        all-zero label holds both halves) and (iii) (phi-kernel checks it;
+        over mu they are those of weight 1 over a core of mu's parity).
+        Conversely, over one mu or in weight 1 the edges form a Brauer tree:
+        ell+ ... 1+ 0 1- ... ell- (shape B) if label 0 is even, else
+        {0+, 0-} - 1 - ... - ell (shape A).  Subtracting from v a leaf's
+        integer coefficient times its one edge sum drops the leaf and keeps
+        (i)-(iii), down to node 0, which then holds 0 by (ii) and (iii)
+        (Schrijver 1986, section 19).  In weight d, peel slot d: over each
+        prefix t' the edges (t', j) - (t', j + 1) make that tree, of shape
+        B or A as (t', 0) is even or odd.  Peeling moves v onto the labels
+        with t_d = 0, the weight-(d - 1) lattice with the same weights and
+        parities (runner 0 has exponent 0), so induct down to d = 1.
+        """
         if v.space != self.space:
             raise SpaceMismatch(f"{v.space} vs {self.space}")
-        weights, sums, irrational = self.colouring[v.basis], {}, False
+        weights, sums, irrational = self.weights[v.basis], {}, False
         for label, c in v.coeffs:
             if label not in weights:
                 outside = sorted(repr(l) for l, _ in v.coeffs if l not in weights)
@@ -226,12 +212,16 @@ def phi(v: CharVector) -> Sqrt2Scalar:
 
 
 def _phi_table(space: CharSpace, tuples) -> dict:
-    """phi on the basis characters of the given runner tuples: each value is
-    a signed power of 2."""
+    """phi on the basis characters of the given runner tuples."""
     e_rho = epsilon_exponent((space.rho,))
-    e_runner = space.runner_exponents
-    # with e the sum of the exponents, e % 2 is that of the whole tuple
-    return {t: (-1) ** sum(t) * 2 ** ((e_rho + sum(e_runner[j] for j in t)) // 2) for t in tuples}
+    return {t: _label_weight(space, e_rho, t) for t in tuples}
+
+
+def _label_weight(space: CharSpace, e_base: int, t: tuple) -> int:
+    """phi's value on the basis character of runner tuple t over a base of
+    epsilon exponent e_base, a signed power of 2: with e the sum of the
+    exponents, e % 2 is that of the whole tuple."""
+    return (-1) ** sum(t) * 2 ** ((e_base + sum(space.runner_exponents[j] for j in t)) // 2)
 
 
 def _phi(coeffs, table: dict) -> Sqrt2Scalar:
@@ -444,7 +434,7 @@ def check_htoj(lam, p: int, lattice: NmvLattice | None = None, oracle: bool = Fa
         if oracle_ok != ok:
             return CheckReport(
                 "htoj", {"lam": lam, "p": p}, False, lhs, rhs,
-                {"disagreement": {"hnf": ok, "oracle": oracle_ok}},
+                {"disagreement": {"member": ok, "oracle": oracle_ok}},
             )
     return CheckReport(
         "htoj", {"lam": lam, "p": p}, ok, lhs, rhs,

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spinblocks import cli
-from spinblocks.abacus import D_MAX, P_MAX
+from spinblocks.abacus import D_MAX, P_MAX, SIZE_MAX
 from spinblocks.cli import main
 from spinblocks.partitions import ORDINARY, PATH_COUNT_MEMO, path_count
 from spinblocks.stembridge import FILL_MAX_BOXES, _f_coeff
@@ -239,13 +239,29 @@ def test_prime_budget_keeps_the_largest_prime_below_it(capsys):
         (["verify", "dim-sqd", "--n"], DIM_SQD_MAX_N, "n"),
         (["block", "--p", "3", "--rho", "-", "--d"], D_MAX, "weight"),
         (["tree", "walk", "--kind", "B", "--ell"], ELL_MAX, "ell"),
+        (["core", "--p", "5", "--partition"], SIZE_MAX, "partition size"),
+        (["quotient", "--p", "5", "--lambda"], SIZE_MAX, "partition size"),
     ],
 )
 def test_size_budgets_exit_2_just_past_the_budget(capsys, argv, budget, name):
-    assert (DIM_SQD_MAX_N, D_MAX, ELL_MAX) == (30, 24, 10**5)
+    assert (DIM_SQD_MAX_N, D_MAX, ELL_MAX, SIZE_MAX) == (30, 24, 10**5, 10**5)
     code, out, err = run_cli(capsys, *argv, str(budget + 1))
     assert (code, out) == (2, "")
     assert err == f"error: {name} must be at most {budget}: {budget + 1}\n"
+
+
+def test_core_and_quotient_answer_at_the_size_budget(capsys):
+    """A partition of size SIZE_MAX still answers; past it, the staircase
+    (447, ..., 1), the costliest shape per box, exits 2 before any bar
+    removal, and so does a part of 10^12."""
+    report = run_json(capsys, "core", "--p", "3", "--partition", str(SIZE_MAX))
+    assert report["outputs"] == {"core": [1], "weight": SIZE_MAX // 3}
+    report = run_json(capsys, "quotient", "--p", "5", "--lambda", str(SIZE_MAX))
+    assert report["outputs"] == {"components": [[], []], "q0": [SIZE_MAX // 5]}
+    for lam in (",".join(map(str, range(447, 0, -1))), str(10**12)):
+        size = sum(map(int, lam.split(",")))
+        code, out, err = run_cli(capsys, "core", "--p", "5", "--partition", lam)
+        assert (code, out, err) == (2, "", f"error: partition size must be at most {SIZE_MAX}: {size}\n")
 
 
 def test_tree_build_answers_at_the_ell_budget(capsys):
@@ -779,12 +795,24 @@ P_COMMANDS = sorted(command for command, flags in COMMANDS.items() if "--p" in f
 P_CHECKS = sorted(set(CHECKS) - {"dim-sqd"}) + ["all"]
 
 
-# commands with a size flag past its budget: (command, other flags, flag, budget)
+def past(budget):
+    return st.integers(budget + 1, 10**30).map(str)
+
+
+# a partition past the size budget: one large part, or a staircase of 447 parts or more
+OVER_BUDGET_PARTITION = st.one_of(
+    past(SIZE_MAX), st.integers(447, 2000).map(lambda n: ",".join(map(str, range(n, 0, -1))))
+)
+
+
+# commands with a size flag past its budget: (command, other flags, flag, its values)
 SIZE_BUDGETS = [
-    (("verify",), {"": st.just("dim-sqd")}, "--n", DIM_SQD_MAX_N),
-    (("block",), COMMANDS[("block",)], "--d", D_MAX),
-    *[(command, COMMANDS[command], "--ell", ELL_MAX)
+    (("verify",), {"": st.just("dim-sqd")}, "--n", past(DIM_SQD_MAX_N)),
+    (("block",), COMMANDS[("block",)], "--d", past(D_MAX)),
+    *[(command, COMMANDS[command], "--ell", past(ELL_MAX))
       for command in (("tree", "build"), ("tree", "walk"), ("tree", "heller"))],
+    (("core",), COMMANDS[("core",)], "--partition", OVER_BUDGET_PARTITION),
+    (("quotient",), COMMANDS[("quotient",)], "--lambda", OVER_BUDGET_PARTITION),
 ]
 
 
@@ -793,9 +821,9 @@ def over_budget_argvs(draw):
     branch = draw(st.sampled_from(["p", "size", "nu"]))
     if branch == "size":
         # one size flag past its budget, with small values for the rest
-        command, flags, flag, budget = draw(st.sampled_from(SIZE_BUDGETS))
+        command, flags, flag, over = draw(st.sampled_from(SIZE_BUDGETS))
         values = {f: draw(strategy) for f, strategy in flags.items()}
-        values[flag] = str(draw(st.integers(budget + 1, 10**30)))
+        values[flag] = draw(over)
         return command_argv(command, values)
     if branch == "p":
         # a p at or over the prime budget, with small values for the rest
@@ -836,6 +864,7 @@ CACHES = st.one_of(
 @example(argv=[], cache=None, over_budget=["verify", "dim-sqd", "--n=1000000000000"])
 @example(argv=[], cache=None, over_budget=["tree", "build", "--kind=A", "--ell=100000000"])
 @example(argv=[], cache=None, over_budget=["block", "--p=5", "--rho=-", f"--d={10**30}"])
+@example(argv=[], cache=None, over_budget=["core", "--p=5", "--partition=1000000000000"])
 def test_exit_code_contract(argv, cache, over_budget):
     """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
     a traceback, and an exit-2 run leaves the cache file as it was.  A

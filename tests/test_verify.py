@@ -265,20 +265,30 @@ def echelon_route(lattice):
     return member
 
 
-H_GRID = [
-    (p, d, parity)
+LATTICE_GRID = [
+    (kind, p, d, parity)
+    for kind in ("L", "H")
     for p in (3, 5, 7, 11)
     for d in range(1, 3 if p == 11 else 4)
     for parity in ("even", "odd")
 ]
-H_LATTICES = {}  # (p, d, parity) -> (lattice, echelon route, dense route)
+LATTICES = {}  # (kind, p, d, parity) -> (lattice, echelon route, dense route)
 
 
-def h_lattice(p, d, parity):
-    if (p, d, parity) not in H_LATTICES:
-        lattice = nmv_basis(CharSpace.h_space(generate(p, d, parity, 1)[0], p, d))
-        H_LATTICES[p, d, parity] = lattice, echelon_route(lattice), dense_route(lattice)
-    return H_LATTICES[p, d, parity]
+def lattice_of(kind, p, d, parity):
+    if (kind, p, d, parity) not in LATTICES:
+        space = (CharSpace.l_space if kind == "L" else CharSpace.h_space)(
+            generate(p, d, parity, 1)[0], p, d
+        )
+        lattice = nmv_basis(space)
+        LATTICES[kind, p, d, parity] = lattice, echelon_route(lattice), dense_route(lattice)
+    return LATTICES[kind, p, d, parity]
+
+
+def all_zero(space, label):
+    """Whether label is its component's all-zero runner label: (mu, 0) in
+    an H space, (0, ..., 0) in an L space."""
+    return not any(label[1:] if space.kind == "H" else label)
 
 
 def swap_signs(v):
@@ -286,18 +296,21 @@ def swap_signs(v):
 
 
 NONZERO = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ab: ab != (0, 0))
+UNEQUAL = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda t: t[0] != t[1])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_tree_functionals_agree_with_the_echelon_routes_and_the_oracle(data):
-    """The tree functionals of `member`, the per-component echelon, the
-    dense echelon and the column Hermite oracle give one verdict on members
-    of an H lattice, in either basis, and on members plus a unit carrying
+    """The weighted sums of `member`, the per-component echelon, the dense
+    echelon and the column Hermite oracle give one verdict on members of an
+    L or H lattice, in either basis, and on members plus a unit carrying
     a + b*sqrt(2), plus sqrt(2) times a member, or with unequal halves on
     an odd label.  A super-basis member is a refined member plus its sign
-    swap (the generators are closed under it), whose halves agree."""
-    lattice, echelon, dense = h_lattice(*data.draw(st.sampled_from(H_GRID)))
+    swap (the generators are closed under it), whose halves agree.  Unequal
+    halves at the all-zero runner label leave the lattice; at any other
+    odd label the echelon and the oracle decide."""
+    lattice, echelon, dense = lattice_of(*data.draw(st.sampled_from(LATTICE_GRID)))
     space, gens = lattice.space, lattice.generators
     basis = data.draw(st.sampled_from([REFINED, SUPER]))
 
@@ -323,13 +336,9 @@ def test_tree_functionals_agree_with_the_echelon_routes_and_the_oracle(data):
         if not odd:
             return
         label = data.draw(st.sampled_from(odd))
-        # a pair node, whose halves share a generator, needs equal halves;
-        # the halves of any other odd label are two nodes of one colour
-        pair = any((label, 1) in row and (label, -1) in row for row in lattice.edge_rows)
-        unequal = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda t: t[0] != t[1])
-        plus, minus = data.draw(unequal if pair else st.integers(1, 3).map(lambda c: (c, -c)))
+        plus, minus = data.draw(st.one_of(st.integers(1, 3).map(lambda c: (c, -c)), UNEQUAL))
         v = v.refine() + CharVector.make(space, {(label, 1): plus, (label, -1): minus}, REFINED)
-        expected = not pair
+        expected = False if all_zero(space, label) and plus != minus else echelon(v)
     assert (lattice.member(v), echelon(v), dense(v), lattice.member_oracle(v)) == (expected,) * 4
 
 
@@ -381,21 +390,26 @@ MU0, MU1, MU2 = (((2, 1), j) for j in range(3))  # (2, 1) is odd: MU0 is a pair 
 
 
 @pytest.mark.parametrize(
-    "rows, message",
+    "rows",
     [
-        ([((MU1, 0), (MU2, 0)), ((MU2, 0), (MU1, 0))], "closes a cycle"),
-        ([((MU0, 1), (MU0, -1), (MU1, 0)), ((MU0, 1), (MU2, 0))], "not an edge"),
-        ([((MU0, 1), (MU1, 0), (MU2, 0))], "not an edge"),
+        [((MU1, 0), (MU2, 0)), ((MU2, 0), (MU1, 0))],
+        [((MU0, 1), (MU0, -1), (MU1, 0)), ((MU0, 1), (MU2, 0))],
+        [((MU0, 1), (MU1, 0), (MU2, 0))],
     ],
     ids=["cycle", "pair-split", "three-nodes"],
 )
-def test_rows_that_are_not_a_forest_of_edges_are_an_internal_error(rows, message):
-    """The tree functionals hold only for edge sums of a forest whose pair
-    nodes keep their halves together; other custom rows are refused."""
-    lattice = NmvLattice(CharSpace.h_space((2, 1), 5, 1), rows)
-    with pytest.raises(AssertionError, match=message):
-        lattice.member(CharVector.unit(lattice.space, MU1))
-    assert lattice.member_oracle(lattice.generators[0])
+def test_member_ignores_custom_rows_and_the_oracle_follows_them(rows):
+    """`member` reads the labels, never the rows, so a lattice with custom
+    rows (here a cycle, a split pair node and a three-node row) gets the
+    verdicts of the true lattice; the oracle solves over the rows it is
+    given."""
+    space = CharSpace.h_space((2, 1), 5, 1)
+    custom, true = NmvLattice(space, rows), nmv_basis(space)
+    vectors = custom.generators + true.generators
+    for g in vectors:
+        assert custom.member(g) == true.member(g) == true.member_oracle(g)
+        assert custom.member_oracle(g) == (g in custom.generators)
+    assert any(custom.member(g) != custom.member_oracle(g) for g in vectors)
 
 
 def _straddling_split(monkeypatch):
@@ -415,17 +429,48 @@ def _straddling_split(monkeypatch):
 
 @pytest.mark.parametrize("oracle", [False, True])
 def test_a_generator_straddling_components_is_an_internal_error(monkeypatch, capsys, oracle):
+    """A straddling generator is an internal error of the oracle, which lays
+    the generators out by the split (exit 3).  `member` reads no split, so
+    without --oracle the same broken split leaves the verdict as it was."""
     from spinblocks import cli
 
     _straddling_split(monkeypatch)
     lhs, rhs = htoj_sides((5, 2, 1), 5)
     lattice = nmv_basis(lhs.space)
-    with pytest.raises(AssertionError, match="straddles"):
-        (lattice.member_oracle if oracle else lattice.member)(lhs - rhs)
+    assert lattice.member(lhs - rhs)
+    if oracle:
+        with pytest.raises(AssertionError, match="straddles"):
+            lattice.member_oracle(lhs - rhs)
     argv = ["verify", "htoj", "--p", "5", "--lambda", "5,2,1"] + ["--oracle"] * oracle
-    assert cli.main(argv) == 3
+    assert cli.main(argv) == (3 if oracle else 0)
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("internal error: generator")
+    if oracle:
+        assert out.out == "" and out.err.startswith("internal error: generator")
+    else:
+        assert json.loads(out.out)["verdicts"] == {"htoj": "pass"} and out.err == ""
+
+
+def test_a_flipped_runner_sign_in_the_shared_weights_fails_phi_kernel_and_htoj(monkeypatch, capsys):
+    """phi, phi-kernel and `member` read one weight helper.  With runner 1's
+    sign flipped there, phi no longer kills the generators and `member`
+    refuses true htoj differences: `verify all` fails exactly those two
+    checks, and with --oracle every failing htoj reports that `member` and
+    the oracle disagree."""
+    import spinblocks.verify as V
+    from spinblocks import cli
+
+    real = V._label_weight
+    monkeypatch.setattr(V, "_label_weight", lambda space, e, t: real(space, e, t) * (-1) ** t.count(1))
+    for oracle in (False, True):
+        code = cli.main(["verify", "all", "--p", "5", "--dmax", "3"] + ["--oracle"] * oracle)
+        report = json.loads(capsys.readouterr().out)
+        failed = {key.split()[0] for key, verdict in report["verdicts"].items() if verdict == "fail"}
+        assert (code, failed) == (1, {"phi-kernel", "htoj"})
+        htoj = [f["witness"] for f in report["outputs"]["failures"] if f["check"] == "htoj"]
+        if oracle:
+            assert all(w == {"disagreement": {"member": False, "oracle": True}} for w in htoj)
+        else:
+            assert all("difference" in w for w in htoj)
 
 
 def test_check_htoj_reports():
