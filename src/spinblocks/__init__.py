@@ -22,7 +22,6 @@ from .partitions import (
     as_strict,
     box_moves,
     enumerate_partitions,
-    epsilon,
     epsilon_exponent,
     is_odd_partition,
     path_count,
@@ -71,7 +70,6 @@ __all__ = [
     "core_weight",
     "ell",
     "enumerate_partitions",
-    "epsilon",
     "epsilon_exponent",
     "f_coeff",
     "generate",

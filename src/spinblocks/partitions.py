@@ -9,11 +9,10 @@ order so goldens are stable.
 from __future__ import annotations
 
 from math import factorial
-from operator import ge, gt
+from operator import ge, gt, le
 from typing import Iterable, Iterator
 
-from .exceptions import ShapeError
-from .sqrt2 import Sqrt2Scalar
+from .exceptions import DomainError, ShapeError
 
 Partition = tuple  # tuple[int, ...]
 
@@ -54,7 +53,7 @@ def contains(lam: Partition, mu: Partition) -> bool:
     """Whether mu fits inside lam row by row."""
     if len(mu) > len(lam):
         return False
-    return all(m <= l for m, l in zip(mu, lam))
+    return all(map(le, mu, lam))
 
 
 def shifted_diagram(lam: Partition) -> frozenset:
@@ -75,12 +74,19 @@ def skew_boxes(lam: Partition, mu: Partition) -> tuple:
     return tuple(boxes)
 
 
+# `enumerate --n 45 --kind ordinary` lists 89,134 partitions and `--n 80 --kind
+# strict` 77,312, each in about 1 s
+ENUMERATE_MAX_N = {ORDINARY: 45, STRICT: 80}
+
+
 def enumerate_partitions(n: int, kind: str) -> list[Partition]:
     """All partitions of n of the given kind, descending lexicographic."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if kind not in (ORDINARY, STRICT):
         raise ValueError(f"unknown partition kind: {kind!r}")
+    if n > ENUMERATE_MAX_N[kind]:
+        raise DomainError(f"n must be at most {ENUMERATE_MAX_N[kind]} for {kind} partitions: {n}")
     return list(_gen_partitions(n, n, int(kind == STRICT)))
 
 
@@ -186,12 +192,3 @@ def _hook_formula(lam: Partition, strict: bool) -> int:
 def epsilon_exponent(partitions: Iterable[Partition]) -> int:
     """0 when the number of odd entries is even, else 1."""
     return sum(1 for lam in partitions if is_odd_partition(lam)) % 2
-
-
-def epsilon(*partitions: Partition) -> Sqrt2Scalar:
-    """1 for an even tuple of partitions, sqrt(2) for an odd one.
-
-    Symmetric in its arguments; the square counts the irreducible
-    constituents of the corresponding supercharacter.
-    """
-    return Sqrt2Scalar.sqrt2_power(epsilon_exponent(partitions))

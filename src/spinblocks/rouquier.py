@@ -18,11 +18,18 @@ def is_rouquier(rho: Partition, p: int, d: int) -> bool:
         raise ValueError("d must be positive")
     if not is_bar_core(rho, p):
         raise DomainError(f"{rho} is not a bar-core for p={p}")
-    counts = Abacus.from_partition(rho, p).runner_counts()
-    L = ell(p)
-    if counts[1] < d:
-        return False
-    return all(counts[i + 1] >= counts[i] + (d - 1) for i in range(1, L))
+    return _is_rouquier(rho, p, d)
+
+
+def _is_rouquier(rho: Partition, p: int, d: int) -> bool:
+    """is_rouquier without its checks: rho a canonical bar-core, d >= 1."""
+    counts = Abacus(p, frozenset(rho)).runner_counts()
+    return counts[1] >= d and all(counts[i + 1] >= counts[i] + (d - 1) for i in range(1, ell(p)))
+
+
+# `rouquier gen --p 5 --d 2 --parity even --count 1000` takes about 1 s; each
+# candidate costs time linear in its size, so the total grows with count^2
+GEN_MAX_COUNT = 1000
 
 
 def generate(p: int, d: int, parity: str, count: int) -> list[Partition]:
@@ -40,6 +47,8 @@ def generate(p: int, d: int, parity: str, count: int) -> list[Partition]:
         raise ValueError(f"parity must be even or odd: {parity!r}")
     if count < 1:
         raise ValueError("count must be positive")
+    if count > GEN_MAX_COUNT:
+        raise DomainError(f"count must be at most {GEN_MAX_COUNT}: {count}")
     L = ell(p)
     beads = []
     for j in range(1, L + 1):

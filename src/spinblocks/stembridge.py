@@ -15,7 +15,7 @@ from .abacus import _check_prime, _neighbors, core_weight, ell, runner_label
 from .chars import CharSpace, CharVector, eps_ratio
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, as_strict, contains, epsilon_exponent
-from .rouquier import is_rouquier
+from .rouquier import _is_rouquier
 from .sqrt2 import Sqrt2Scalar
 
 # The fill recurses once per box of lam/mu, which has |nu| boxes; a nu of
@@ -23,22 +23,30 @@ from .sqrt2 import Sqrt2Scalar
 FILL_MAX_BOXES = 950
 
 
-def _fill_steps(lam: Partition, mu: Partition) -> tuple[list, list]:
-    """Upper and right neighbours of the boxes of lam/mu in fill order.
+def _fill_steps(lam: Partition, mu: Partition, n: int) -> tuple[list, list]:
+    """Upper and right neighbours of the n boxes of lam/mu in fill order.
 
     Row i (from 0) of the shifted skew shape runs over columns
     mu_i + i .. lam_i + i - 1 and is filled right to left, top row first,
     so a right neighbour is the step just before, and the upper neighbour
     in column c is step base - c, for base the first step of row i - 1 plus
     that row's last column.  A missing neighbour reads as step n (upper) or
-    n + 1 (right), for n boxes.
+    n + 1 (right).  Only the rows from the first to the last where lam and
+    mu differ are laid out: the rest hold no box, and a row with no box
+    gives the row under it no upper neighbour, as the first row has none.
     """
-    n = sum(lam) - sum(mu)
     up, right = [], []
-    start, base = (lam[0] if lam else 0), 0
-    for i, part in enumerate(lam):
-        lo = (mu[i] if i < len(mu) else 0) + i
-        hi = part + i
+    if not n:
+        return up, right
+    m = len(mu)
+    first = next((i for i in range(m) if lam[i] != mu[i]), m)
+    last = len(lam)
+    if last == m:
+        last = next(i for i in range(m - 1, first - 1, -1) if lam[i] != mu[i]) + 1
+    start, base = lam[first] + first, 0
+    for i in range(first, last):
+        lo = (mu[i] if i < m else 0) + i
+        hi = lam[i] + i
         off = len(up)
         up.extend(base - c if c >= start else n for c in range(hi - 1, lo - 1, -1))
         if hi > lo:
@@ -70,7 +78,7 @@ def _count_lattice_fillings(lam: Partition, mu: Partition, content: Partition) -
     if n != sum(content):
         return 0
     h = len(content)
-    up, right = _fill_steps(lam, mu)
+    up, right = _fill_steps(lam, mu, n)
     keys = [0] * n + [0, 2 * h]  # missing neighbours read as keys 0 and 2h
     remaining = [0, *content, 0]
     unmarked = [-1] + [0] * (h + 1)  # unmarked k in the suffix
@@ -166,17 +174,15 @@ def induce(mu: Partition, nu: Partition, support=None) -> CharVector:
         support = [as_strict(lam) for lam in support]
         if any(sum(lam) != sum(mu) + sum(nu) for lam in support):
             raise ValueError("support labels must be partitions of |mu| + |nu|")
+        support = [lam for lam in support if contains(lam, mu)]
     return _induce(mu, nu, support)
 
 
 def _induce(mu: Partition, nu: Partition, support) -> CharVector:
+    """induce without its checks; a support holds only labels containing mu."""
     e_pair = epsilon_exponent((mu, nu))
-    if support is None:
-        candidates = _grown_partitions(mu, nu)
-    else:
-        candidates = [lam for lam in support if contains(lam, mu)]
     out = {}
-    for lam in candidates:
+    for lam in _grown_partitions(mu, nu) if support is None else support:
         f = _f_coeff(lam, mu, nu)
         if f == 0:
             continue
@@ -194,7 +200,7 @@ def _block_context(part: Partition, p: int, weight_shift: int):
     """Core, weight-after-shift and Rouquier check for branching inputs."""
     core, wt = core_weight(part, p)
     d = wt + weight_shift
-    if d < 1 or not is_rouquier(core, p, d):
+    if d < 1 or not _is_rouquier(core, p, d):
         raise DomainError(
             f"{part} does not sit under a {d}-Rouquier core for p={p}"
         )
@@ -238,7 +244,7 @@ def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: 
             for lam in _neighbors(part, p, i, "add"):
                 e_lam = epsilon_exponent((lam,))
                 coeff = eps_ratio((e_mu_j, (e_part + e_lam) % 2, e_run[j]), (e_lam,))
-                out[lam] = out.get(lam, Sqrt2Scalar(0, 0)) + coeff
+                out[lam] = out[lam] + coeff if lam in out else coeff
         return _integral_vector(CharSpace.block(rho, p, d), out)
     # each runner's removals once; a removal on runner i lands on runners 0..ell-i
     for i in range(L + 1):
@@ -248,7 +254,7 @@ def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: 
                 coeff = eps_ratio(
                     (e_part, (e_mu + e_part) % 2, e_run[jj]), ((e_mu + e_run[jj]) % 2,)
                 )
-                out[mu, jj] = out.get((mu, jj), Sqrt2Scalar(0, 0)) + coeff
+                out[mu, jj] = out[mu, jj] + coeff if (mu, jj) in out else coeff
     return _integral_vector(CharSpace.h_space(rho, p, d), out)
 
 

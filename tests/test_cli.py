@@ -14,8 +14,12 @@ from hypothesis import strategies as st
 
 from spinblocks import cli
 from spinblocks.abacus import D_MAX, P_MAX, SIZE_MAX
+from spinblocks.chars import L_MAX_LABELS
 from spinblocks.cli import main
-from spinblocks.partitions import ORDINARY, PATH_COUNT_MEMO, path_count
+from spinblocks.partitions import (
+    ENUMERATE_MAX_N, ORDINARY, PATH_COUNT_MEMO, STRICT, enumerate_partitions, path_count,
+)
+from spinblocks.rouquier import GEN_MAX_COUNT
 from spinblocks.stembridge import FILL_MAX_BOXES, _f_coeff
 from spinblocks.trees import ELL_MAX
 from spinblocks.verify import CHECKS, DIM_SQD_MAX_N
@@ -241,10 +245,12 @@ def test_prime_budget_keeps_the_largest_prime_below_it(capsys):
         (["tree", "walk", "--kind", "B", "--ell"], ELL_MAX, "ell"),
         (["core", "--p", "5", "--partition"], SIZE_MAX, "partition size"),
         (["quotient", "--p", "5", "--lambda"], SIZE_MAX, "partition size"),
+        (["rouquier", "gen", "--p", "5", "--d", "2", "--parity", "even", "--count"],
+         GEN_MAX_COUNT, "count"),
     ],
 )
 def test_size_budgets_exit_2_just_past_the_budget(capsys, argv, budget, name):
-    assert (DIM_SQD_MAX_N, D_MAX, ELL_MAX, SIZE_MAX) == (30, 24, 10**5, 10**5)
+    assert (DIM_SQD_MAX_N, D_MAX, ELL_MAX, SIZE_MAX, GEN_MAX_COUNT) == (30, 24, 10**5, 10**5, 1000)
     code, out, err = run_cli(capsys, *argv, str(budget + 1))
     assert (code, out) == (2, "")
     assert err == f"error: {name} must be at most {budget}: {budget + 1}\n"
@@ -262,6 +268,45 @@ def test_core_and_quotient_answer_at_the_size_budget(capsys):
         size = sum(map(int, lam.split(",")))
         code, out, err = run_cli(capsys, "core", "--p", "5", "--partition", lam)
         assert (code, out, err) == (2, "", f"error: partition size must be at most {SIZE_MAX}: {size}\n")
+
+
+def test_enumerate_budget_is_per_kind(capsys):
+    """n up to 45 (89,134 ordinary partitions) or 80 (77,312 strict ones)
+    lists; one more exits 2 before any partition is listed."""
+    assert ENUMERATE_MAX_N == {ORDINARY: 45, STRICT: 80}
+    assert len(enumerate_partitions(45, ORDINARY)) == 89134
+    assert len(enumerate_partitions(80, STRICT)) == 77312
+    for kind, budget in ENUMERATE_MAX_N.items():
+        for n in (budget + 1, 200, 10**30):
+            code, out, err = run_cli(capsys, "enumerate", "--n", str(n), "--kind", kind)
+            assert (code, out, err) == (2, "", f"error: n must be at most {budget} for {kind} partitions: {n}\n")
+
+
+# the largest weight of an L space within the label budget at any p (p = 3, ell + 1 = 2)
+L_MAX_D = L_MAX_LABELS.bit_length() - 1
+
+
+@pytest.mark.parametrize(
+    "argv, base",
+    [
+        (["verify", "phi-kernel", "--p", "5", "--rho", "2,1", "--d"], 3),
+        (["nmv", "--p", "5", "--rho", "2,1", "--space", "L", "--d"], 3),
+        (["verify", "phi-kernel", "--p", "3", "--rho", "1", "--d"], 2),
+        (["verify", "phi-kernel", "--p", "7", "--rho", "3,2,1", "--d"], 4),
+    ],
+)
+def test_l_space_label_budget(capsys, argv, base):
+    """(ell + 1)^d labels are counted before any is listed: at most 4096,
+    which the phi-kernel rows of `verify all --p 7 --dmax 6` (4^6) and
+    `--p 3 --dmax 9` need; one weight more exits 2, and so does 10^30."""
+    assert (L_MAX_LABELS, L_MAX_D) == (4096, 12)
+    largest = max(d for d in range(1, L_MAX_D + 1) if base**d <= L_MAX_LABELS)
+    if argv[0] == "verify":
+        report = run_json(capsys, *argv, str(largest))
+        assert report["verdicts"] == {"phi-kernel": "pass"}
+    for d in (largest + 1, 20, 10**30):
+        code, out, err = run_cli(capsys, *argv, str(d))
+        assert (code, out, err) == (2, "", f"error: an L space has at most 4096 labels: {base}^{d}\n")
 
 
 def test_tree_build_answers_at_the_ell_budget(capsys):
@@ -813,6 +858,14 @@ SIZE_BUDGETS = [
       for command in (("tree", "build"), ("tree", "walk"), ("tree", "heller"))],
     (("core",), COMMANDS[("core",)], "--partition", OVER_BUDGET_PARTITION),
     (("quotient",), COMMANDS[("quotient",)], "--lambda", OVER_BUDGET_PARTITION),
+    (("rouquier", "gen"), COMMANDS[("rouquier", "gen")], "--count", past(GEN_MAX_COUNT)),
+    *[(("enumerate",), {"--kind": st.just(kind)}, "--n", past(budget))
+      for kind, budget in ENUMERATE_MAX_N.items()],
+    # an L space of weight past L_MAX_D is over the label budget at every p
+    (("nmv",), {**COMMANDS[("nmv",)], "--space": st.just("L")}, "--d", past(L_MAX_D)),
+    (("verify",), {"": st.just("phi-kernel"), "--p": P, "--rho": PART}, "--d", past(L_MAX_D)),
+    (("phi",), COMMANDS[("phi",)], "--tuple",
+     joined(st.lists(st.integers(0, 3), min_size=L_MAX_D + 1, max_size=40))),
 ]
 
 
@@ -865,6 +918,12 @@ CACHES = st.one_of(
 @example(argv=[], cache=None, over_budget=["tree", "build", "--kind=A", "--ell=100000000"])
 @example(argv=[], cache=None, over_budget=["block", "--p=5", "--rho=-", f"--d={10**30}"])
 @example(argv=[], cache=None, over_budget=["core", "--p=5", "--partition=1000000000000"])
+@example(argv=[], cache=None, over_budget=["verify", "phi-kernel", "--p=5", "--rho=2,1", "--d=12"])
+@example(argv=[], cache=None, over_budget=["nmv", "--p=5", "--rho=2,1", "--d=20", "--space=L"])
+@example(argv=[], cache=None,
+         over_budget=["rouquier", "gen", "--p=5", "--d=2", "--parity=even", f"--count={10**30}"])
+@example(argv=[], cache=None, over_budget=["enumerate", f"--n={10**30}", "--kind=strict"])
+@example(argv=[], cache=None, over_budget=["enumerate", "--n=200", "--kind=ordinary"])
 def test_exit_code_contract(argv, cache, over_budget):
     """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
     a traceback, and an exit-2 run leaves the cache file as it was.  A

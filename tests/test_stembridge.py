@@ -247,7 +247,49 @@ def test_fill_steps_match_the_box_layout():
     pairs = list(strict_pairs(12))
     assert len(pairs) == 1311
     for lam, mu in pairs:
-        assert _fill_steps(lam, mu) == box_layout(lam, mu), (lam, mu)
+        assert _fill_steps(lam, mu, sum(lam) - sum(mu)) == box_layout(lam, mu), (lam, mu)
+
+
+def rock_pairs(p, dmax):
+    """The contained (lam, mu) pairs of stembridge-cross: lam of weight d and
+    mu of weight d - 1 over the first generated d-Rouquier core of each
+    parity, 1 <= d <= dmax."""
+    for parity in ("even", "odd"):
+        for d in range(1, dmax + 1):
+            rho = generate(p, d, parity, 1)[0]
+            block = block_enum(rho, p, d)
+            for mu in block_enum(rho, p, d - 1):
+                yield from ((lam, mu) for lam in block if contains(lam, mu))
+
+
+@pytest.mark.parametrize("p, dmax, count", [(5, 4, 262), (7, 3, 182), (11, 2, 94)])
+def test_fill_steps_match_the_box_layout_on_rock_pairs(p, dmax, count):
+    """Over a RoCK block lam has many rows and lam/mu spans a few of them, so
+    most pairs have equal leading rows and equal trailing rows, which the
+    fill skips."""
+    pairs = list(rock_pairs(p, dmax))
+    assert len(pairs) == count
+    assert sum(lam[0] == mu[0] for lam, mu in pairs) > count // 2
+    assert sum(lam[-1] == mu[-1] for lam, mu in pairs if len(lam) == len(mu)) > count // 2
+    for lam, mu in pairs:
+        assert _fill_steps(lam, mu, sum(lam) - sum(mu)) == box_layout(lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize(
+    "lam, mu",
+    [
+        ((), ()),  # no box
+        ((5, 3, 1), (5, 3, 1)),  # lam = mu, n = 0
+        ((5, 3, 1), ()),  # mu empty: every row differs
+        ((5, 3, 1), (4, 3)),  # rows 0 and 2 differ, row 1 does not
+        ((6, 4, 2, 1), (5, 4, 1)),  # rows 0, 2 and 3
+        ((7, 5, 3, 2), (6, 5, 3)),  # rows 0 and 3, two equal rows between
+        ((7, 5, 3, 2), (7, 4, 3, 2)),  # one row in the middle
+        ((7, 5, 3, 2), (7, 5, 3)),  # the last row only, mu shorter
+    ],
+)
+def test_fill_steps_edge_cases_match_the_box_layout(lam, mu):
+    assert _fill_steps(lam, mu, sum(lam) - sum(mu)) == box_layout(lam, mu)
 
 
 def grown_by_boxes(mu, extra):

@@ -20,6 +20,7 @@ from spinblocks.verify import (
     phi,
     run_check,
 )
+from test_chars import eps_tuple, unrefine
 
 
 def refined_unit(space, label, sign):
@@ -96,7 +97,7 @@ def old_generators(space):
         mus = block_enum(space.rho, space.p, space.d - 1)
         edges = [((mu, j), (mu, j + 1)) for mu in mus for j in range(L)]
     mk = lambda m: CharVector.make(space, m, REFINED)
-    odd = lambda label: epsilon_exponent(space.eps_tuple(label)) == 1
+    odd = lambda label: epsilon_exponent(eps_tuple(space, label)) == 1
     out = []
     for low, high in edges:
         low_odd, high_odd = odd(low), odd(high)
@@ -318,7 +319,7 @@ def test_tree_functionals_agree_with_the_echelon_routes_and_the_oracle(data):
         v = CharVector.make(space, {}, REFINED)
         for k, c in picks:
             v = v + gens[k].scale(c)
-        return v if basis == REFINED else (v + swap_signs(v)).unrefine()
+        return v if basis == REFINED else unrefine(v + swap_signs(v))
 
     pick = st.tuples(st.integers(0, len(gens) - 1), st.integers(-3, 3))
     v = member_of(data.draw(st.lists(pick, max_size=6)))
@@ -479,6 +480,72 @@ def test_check_htoj_reports():
     payload = report.to_json()
     assert payload["verdict"] == "pass"
     json.dumps(payload)  # machine readable
+
+
+RHO_5_2 = (22, 17, 12, 7, 6, 2, 1)  # generate(5, 2, "even", 1)[0]
+
+
+def space_repr(rho, d, kind="H"):
+    return f"CharSpace(kind='{kind}', p=5, rho={rho}, d={d}, n=0)"
+
+
+@pytest.mark.parametrize(
+    "lam, p, space, error, message, argv",
+    [
+        # lam from another block of a d-Rouquier core: its own space is not the lattice's
+        ((27, 17, 12, 7, 6, 2, 1), 5, ("H", RHO_5_2, 2), SpaceMismatch,
+         f"{space_repr(RHO_5_2, 1)} vs {space_repr(RHO_5_2, 2)}", None),
+        ((22, 7, 6, 2, 1), 5, ("H", RHO_5_2, 2), SpaceMismatch,
+         f"{space_repr((12, 7, 6, 2, 1), 2)} vs {space_repr(RHO_5_2, 2)}", None),
+        # lam of the lattice's block, read at another p or against an L lattice
+        ((32, 17, 12, 7, 6, 2, 1), 7, ("H", RHO_5_2, 2), DomainError,
+         "(32, 17, 12, 7, 6, 2, 1) does not sit under a 11-Rouquier core for p=7",
+         ["--p", "7", "--lambda", "32,17,12,7,6,2,1"]),
+        ((32, 17, 12, 7, 6, 2, 1), 0, ("H", RHO_5_2, 2), DomainError,
+         "p must be an odd prime below 10000000: 0", ["--p", "0", "--lambda", "32,17,12,7,6,2,1"]),
+        ((32, 17, 12, 7, 6, 2, 1), 5, ("L", RHO_5_2, 2), SpaceMismatch,
+         f"{space_repr(RHO_5_2, 2)} vs {space_repr(RHO_5_2, 2, 'L')}", None),
+        # the Rouquier core itself, of weight 0
+        (RHO_5_2, 5, ("H", RHO_5_2, 2), DomainError,
+         f"{RHO_5_2} does not sit under a 0-Rouquier core for p=5",
+         ["--p", "5", "--lambda", "22,17,12,7,6,2,1"]),
+        # a lam over the size budget, refused before any bar removal
+        ((10**12,), 5, ("H", RHO_5_2, 2), DomainError,
+         "partition size must be at most 100000: 1000000000000",
+         ["--p", "5", "--lambda", "1000000000000"]),
+        # a lattice over a core that is not 2-Rouquier, and lam of its block
+        ((12, 1), 5, ("H", (2, 1), 2), DomainError,
+         "(12, 1) does not sit under a 2-Rouquier core for p=5", ["--p", "5", "--lambda", "12,1"]),
+    ],
+)
+def test_check_htoj_with_a_lattice_keeps_its_misuse_errors(capsys, lam, p, space, error, message, argv):
+    """A lattice's space supplies (rho, d) only when it holds lam's block over
+    a d-Rouquier core; every other lam raises what it raises without the
+    shortcut, and `verify htoj` exits 2 with the same message."""
+    from spinblocks import cli
+
+    kind, rho, d = space
+    lattice = nmv_basis(CharSpace.h_space(rho, 5, d) if kind == "H" else CharSpace.l_space(rho, 5, d))
+    with pytest.raises(error) as info:
+        check_htoj(lam, p, lattice=lattice)
+    assert str(info.value) == message
+    if argv is not None:
+        assert cli.main(["verify", "htoj", *argv]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+def test_check_htoj_with_a_lattice_matches_the_report_without_one():
+    """The reports of verify all's lattice route equal those of the route
+    that derives (rho, d) from lam, at p = 5 and 7, weights 1 to 3."""
+    for p in (5, 7):
+        for parity in ("even", "odd"):
+            for d in (1, 2, 3):
+                rho = generate(p, d, parity, 1)[0]
+                lattice = nmv_basis(CharSpace.h_space(rho, p, d))
+                for lam in block_enum(rho, p, d):
+                    with_lattice = check_htoj(lam, p, lattice=lattice).to_json()
+                    assert with_lattice == check_htoj(lam, p).to_json(), lam
 
 
 def test_hyp_coeffs_examples():
