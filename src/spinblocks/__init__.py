@@ -22,6 +22,7 @@ from .partitions import (
     as_strict,
     box_moves,
     enumerate_partitions,
+    epsilon,
     epsilon_exponent,
     is_odd_partition,
     path_count,
@@ -70,6 +71,7 @@ __all__ = [
     "core_weight",
     "ell",
     "enumerate_partitions",
+    "epsilon",
     "epsilon_exponent",
     "f_coeff",
     "generate",

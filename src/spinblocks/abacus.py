@@ -40,6 +40,9 @@ class Abacus:
         _check_prime(p)
         return cls(p, frozenset(lam))
 
+    def to_partition(self) -> Partition:
+        return tuple(sorted(self.beads, reverse=True))
+
     def runner_counts(self) -> tuple:
         counts = [0] * self.p
         for b in self.beads:

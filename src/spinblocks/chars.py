@@ -27,6 +27,16 @@ from .sqrt2 import Sqrt2Scalar
 # An L space of weight d has (ell + 1)^d labels, counted before any is listed;
 # `nmv --p 7 --rho 3,2,1 --d 6 --space L` lists 4^6 of them in about 1 s
 L_MAX_LABELS = 4096
+
+
+def _check_l_labels(p: int, d: int):
+    """Raise DomainError when the L space of weight d at p is over L_MAX_LABELS,
+    without computing a power of an absurd d."""
+    _check_prime(p)
+    if d >= L_MAX_LABELS.bit_length() or (ell(p) + 1) ** d > L_MAX_LABELS:
+        raise DomainError(f"an L space has at most {L_MAX_LABELS} labels: {ell(p) + 1}^{d}")
+
+
 SUPER = "super"
 REFINED = "refined"
 SIGN_SUFFIX = {1: "+", -1: "-", 0: ""}
@@ -56,9 +66,7 @@ class CharSpace:
     def l_space(cls, rho, p, d):
         if d < 1:
             raise ValueError("an L space needs weight at least 1")
-        _check_prime(p)
-        if d >= L_MAX_LABELS.bit_length() or (ell(p) + 1) ** d > L_MAX_LABELS:
-            raise DomainError(f"an L space has at most {L_MAX_LABELS} labels: {ell(p) + 1}^{d}")
+        _check_l_labels(p, d)
         return cls("L", p, as_strict(rho), d)
 
     @classmethod
@@ -71,19 +79,32 @@ class CharSpace:
     def full(cls, n):
         return cls("full", n=n)
 
+    def eps_tuple(self, label) -> tuple:
+        """The tuple of partitions whose parity count gives epsilon."""
+        if self.kind in ("block", "full"):
+            return (label,)
+        if self.kind == "L":
+            return (self.rho,) + tuple(runner_label(self.p, j) for j in label)
+        if self.kind == "H":
+            mu, j = label
+            return (mu, runner_label(self.p, j))
+        raise ValueError(f"unknown space kind {self.kind!r}")
+
     def eps_exponent(self, label) -> int:
-        """The parity count of label's epsilon tuple: rho's parity plus that
-        of each runner in an L label, mu's plus runner j's for an H label
-        (mu, j), and the label's own in a block or full space."""
+        """epsilon_exponent(eps_tuple(label)): rho's parity plus that of each
+        runner in an L label; mu's plus runner j's for an H label (mu, j)."""
         if self.kind == "L":
             return (epsilon_exponent((self.rho,)) + sum(self.runner_exponents[j] for j in label)) % 2
         if self.kind == "H":
             mu, j = label
             return (epsilon_exponent((mu,)) + self.runner_exponents[j]) % 2
-        return epsilon_exponent((label,))
+        return epsilon_exponent(self.eps_tuple(label))
 
     def is_odd(self, label) -> bool:
         return self.eps_exponent(label) == 1
+
+    def eps(self, label) -> Sqrt2Scalar:
+        return Sqrt2Scalar.sqrt2_power(self.eps_exponent(label))
 
     def validate_label(self, label):
         if self.kind in ("block", "full"):

@@ -19,7 +19,7 @@ import time
 
 from . import trees
 from .abacus import block_enum, core_weight, ell, neighbors, quotient
-from .chars import SIGN_SUFFIX, CharSpace, CharVector, m_action, orbit_sum
+from .chars import SIGN_SUFFIX, CharSpace, CharVector, _check_l_labels, m_action, orbit_sum
 from .exceptions import DomainError, ShapeError, SpaceMismatch
 from .partitions import PATH_COUNT_MEMO, STRICT, _hook_formula, enumerate_partitions, validate
 from .rouquier import generate, is_rouquier, strip_classify
@@ -411,7 +411,10 @@ def run_verify(args) -> tuple[dict, int]:
 
 
 def verify_all(p: int, dmax: int, oracle: bool = False) -> tuple[dict, int]:
-    """Aggregate suite over the first generated core of each parity."""
+    """Aggregate suite over the first generated core of each parity.  Its
+    phi-kernel rows build the L space of every weight up to dmax, so the
+    L-space label budget is checked for dmax before any check runs."""
+    _check_l_labels(p, dmax)
     verdicts = {}
     failures = []
 

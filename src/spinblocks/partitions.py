@@ -13,6 +13,7 @@ from operator import ge, gt, le
 from typing import Iterable, Iterator
 
 from .exceptions import DomainError, ShapeError
+from .sqrt2 import Sqrt2Scalar
 
 Partition = tuple  # tuple[int, ...]
 
@@ -192,3 +193,12 @@ def _hook_formula(lam: Partition, strict: bool) -> int:
 def epsilon_exponent(partitions: Iterable[Partition]) -> int:
     """0 when the number of odd entries is even, else 1."""
     return sum(1 for lam in partitions if is_odd_partition(lam)) % 2
+
+
+def epsilon(*partitions: Partition) -> Sqrt2Scalar:
+    """1 for an even tuple of partitions, sqrt(2) for an odd one.
+
+    Symmetric in its arguments; the square counts the irreducible
+    constituents of the corresponding supercharacter.
+    """
+    return Sqrt2Scalar.sqrt2_power(epsilon_exponent(partitions))

@@ -47,6 +47,11 @@ class BrauerTree:
             return ("0+", "0-")
         return (node,)
 
+    def edge_characters(self, edge: tuple) -> tuple:
+        """Projective character of an edge: sum over both endpoint nodes."""
+        a, b = edge
+        return self.node_characters(a) + self.node_characters(b)
+
 
 @dataclass(frozen=True)
 class GreenWalk:

@@ -12,8 +12,7 @@ from functools import cached_property
 from math import factorial, prod
 
 from .abacus import (
-    _check_prime, _check_size, _core_weight, _k_product, _neighbors, _q0, _quotient, block_enum,
-    ell, runner_label,
+    _check_prime, _k_product, _neighbors, _q0, _quotient, block_enum, ell, runner_label,
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, eps_ratio, m_action, runner_tuples
 from .exceptions import CheckFailure, DomainError, SpaceMismatch
@@ -28,7 +27,7 @@ from .partitions import (
     epsilon_exponent,
     path_count,
 )
-from .rouquier import _is_rouquier, is_rouquier
+from .rouquier import is_rouquier
 from .sqrt2 import Sqrt2Scalar
 from .stembridge import _block_context, _induce, _rock_branch
 
@@ -406,22 +405,7 @@ def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
     """Both sides of the one-bar restriction congruence: the M action applied
     to the full restriction, and the single-runner closed form."""
     lam = as_strict(lam)
-    return _htoj_sides(lam, p, *_block_context(lam, p, 0))
-
-
-def _lattice_block(lam: Partition, p: int, space: CharSpace):
-    """(rho, d) of the H space when canonical lam lies in its block and rho
-    is d-Rouquier, else None: then htoj_sides raises, or builds lam's own
-    space, as it does without a lattice.  The space checked p when built."""
-    if space.kind != "H" or space.p != p or space.d < 1:
-        return None
-    _check_size(lam)
-    rho, d = space.rho, space.d
-    return (rho, d) if _core_weight(lam, p) == (rho, d) and _is_rouquier(rho, p, d) else None
-
-
-def _htoj_sides(lam: Partition, p: int, rho: Partition, d: int) -> tuple[CharVector, CharVector]:
-    restricted = _rock_branch(lam, p, None, "restrict", rho, d)
+    restricted = _rock_branch(lam, p, None, "restrict", *_block_context(lam, p, 0))
     lhs = m_action(restricted)
     space = restricted.space
     L = ell(p)
@@ -439,12 +423,8 @@ def _htoj_sides(lam: Partition, p: int, rho: Partition, d: int) -> tuple[CharVec
 
 
 def check_htoj(lam, p: int, lattice: NmvLattice | None = None, oracle: bool = False) -> CheckReport:
-    """m_action of lam's restriction minus the single-runner closed form lies
-    in the H lattice; a given lattice's space supplies (rho, d) when it holds
-    lam's block."""
     lam = as_strict(lam)
-    block = lattice is not None and _lattice_block(lam, p, lattice.space)
-    lhs, rhs = _htoj_sides(lam, p, *block) if block else htoj_sides(lam, p)
+    lhs, rhs = htoj_sides(lam, p)
     diff = lhs - rhs
     if lattice is None:
         lattice = nmv_basis(lhs.space)

@@ -1,6 +1,5 @@
 import pytest
 
-from spinblocks.abacus import runner_label
 from spinblocks.chars import (
     SUPER,
     CharSpace,
@@ -47,19 +46,7 @@ def test_label_parity(h_space):
     # (2,1) odd with an even bar label gives an odd pair, and conversely
     assert h_space.is_odd(((2, 1), 0))
     assert not h_space.is_odd(((2, 1), 1))
-    assert Sqrt2Scalar.sqrt2_power(h_space.eps_exponent(((2, 1), 0))) == SQRT2
-
-
-def eps_tuple(space, label) -> tuple:
-    """The tuple of partitions whose parity count gives a label's epsilon:
-    rho and the runner labels of an L label, mu and runner j's label for an
-    H label (mu, j), the label itself in a block or full space."""
-    if space.kind == "L":
-        return (space.rho,) + tuple(runner_label(space.p, j) for j in label)
-    if space.kind == "H":
-        mu, j = label
-        return (mu, runner_label(space.p, j))
-    return (label,)
+    assert h_space.eps(((2, 1), 0)) == SQRT2
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -71,7 +58,7 @@ def test_parity_rule_matches_the_epsilon_tuple(p):
             rho = generate(p, d, parity, 1)[0]
             for space in (CharSpace.l_space(rho, p, d), CharSpace.h_space(rho, p, d)):
                 exponents = {
-                    label: epsilon_exponent(eps_tuple(space, label)) for label in space.labels()
+                    label: epsilon_exponent(space.eps_tuple(label)) for label in space.labels()
                 }
                 assert {label: space.eps_exponent(label) for label in exponents} == exponents
                 assert set(exponents.values()) == {0, 1}

@@ -309,6 +309,21 @@ def test_l_space_label_budget(capsys, argv, base):
         assert (code, out, err) == (2, "", f"error: an L space has at most 4096 labels: {base}^{d}\n")
 
 
+@pytest.mark.parametrize("p, dmax, base", [(5, 8, 3), (7, 7, 4), (11, 5, 6), (13, 5, 7), (3, 13, 2)])
+def test_verify_all_checks_the_l_space_budget_before_any_check(capsys, monkeypatch, p, dmax, base):
+    """`verify all` builds the L space of every weight up to dmax for its
+    phi-kernel rows, so a dmax past the label budget exits 2 before the
+    first check runs (these answered in 7 to 33 s before the budget)."""
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran before the budget was checked")
+
+    monkeypatch.setattr(cli, "run_check", no_check)
+    monkeypatch.setattr(cli, "check_htoj", no_check)
+    code, out, err = run_cli(capsys, "verify", "all", "--p", str(p), "--dmax", str(dmax))
+    assert (code, out, err) == (2, "", f"error: an L space has at most 4096 labels: {base}^{dmax}\n")
+
+
 def test_tree_build_answers_at_the_ell_budget(capsys):
     report = run_json(capsys, "tree", "build", "--kind", "A", "--ell", str(ELL_MAX))
     assert len(report["outputs"]["path"]) == ELL_MAX + 1
@@ -864,6 +879,7 @@ SIZE_BUDGETS = [
     # an L space of weight past L_MAX_D is over the label budget at every p
     (("nmv",), {**COMMANDS[("nmv",)], "--space": st.just("L")}, "--d", past(L_MAX_D)),
     (("verify",), {"": st.just("phi-kernel"), "--p": P, "--rho": PART}, "--d", past(L_MAX_D)),
+    (("verify",), {"": st.just("all"), "--p": P}, "--dmax", past(L_MAX_D)),
     (("phi",), COMMANDS[("phi",)], "--tuple",
      joined(st.lists(st.integers(0, 3), min_size=L_MAX_D + 1, max_size=40))),
 ]
@@ -924,6 +940,7 @@ CACHES = st.one_of(
          over_budget=["rouquier", "gen", "--p=5", "--d=2", "--parity=even", f"--count={10**30}"])
 @example(argv=[], cache=None, over_budget=["enumerate", f"--n={10**30}", "--kind=strict"])
 @example(argv=[], cache=None, over_budget=["enumerate", "--n=200", "--kind=ordinary"])
+@example(argv=[], cache=None, over_budget=["verify", "all", "--p=5", "--dmax=8"])
 def test_exit_code_contract(argv, cache, over_budget):
     """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
     a traceback, and an exit-2 run leaves the cache file as it was.  A

@@ -9,12 +9,13 @@ from spinblocks.partitions import (
     as_strict,
     box_moves,
     enumerate_partitions,
+    epsilon,
     epsilon_exponent,
     is_odd_partition,
     path_count,
     shifted_diagram,
 )
-from spinblocks.sqrt2 import SQRT2, Sqrt2Scalar
+from spinblocks.sqrt2 import SQRT2
 
 
 def test_validators():
@@ -104,15 +105,6 @@ def test_removal_recursion(kind):
         for lam in enumerate_partitions(n, kind):
             total = sum(path_count(mu, kind) for mu in box_moves(lam, kind, "remove"))
             assert total == path_count(lam, kind)
-
-
-def epsilon(*partitions):
-    """1 for an even tuple of partitions, sqrt(2) for an odd one.
-
-    Symmetric in its arguments; the square counts the irreducible
-    constituents of the corresponding supercharacter.
-    """
-    return Sqrt2Scalar.sqrt2_power(epsilon_exponent(partitions))
 
 
 def test_epsilon_values():

@@ -19,17 +19,11 @@ def test_build_examples():
     assert a1.path == ("0", "1")
 
 
-def edge_characters(tree, edge: tuple) -> tuple:
-    """Projective character of an edge: sum over both endpoint nodes."""
-    a, b = edge
-    return tree.node_characters(a) + tree.node_characters(b)
-
-
 def test_edge_characters():
     b2 = build("B", 2)
-    assert edge_characters(b2, ("1+", "0")) == ("1+", "0")
+    assert b2.edge_characters(("1+", "0")) == ("1+", "0")
     a2 = build("A", 2)
-    assert edge_characters(a2, ("0", "1")) == ("0+", "0-", "1")
+    assert a2.edge_characters(("0", "1")) == ("0+", "0-", "1")
 
 
 def test_walk_examples():
