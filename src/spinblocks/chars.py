@@ -15,7 +15,6 @@ exact elements of Z[sqrt(2)].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from math import factorial
 from operator import add, sub
 
@@ -315,8 +314,8 @@ def orbit_sum(rho: Partition, p: int, dcomp) -> tuple[CharVector, int]:
     d = sum(dcomp)
     space = CharSpace.l_space(rho, p, d)
     base = tuple(j for j in range(len(dcomp)) for _ in range(dcomp[j]))
-    tuples = sorted(set(permutations(base)))
-    vec = CharVector.make(space, {t: 1 for t in tuples})
+    # at most L_MAX_LABELS labels to filter, where base has up to d! orderings
+    vec = CharVector.make(space, {t: 1 for t in space.labels() if tuple(sorted(t)) == base})
     eps_sq = 2 ** space.eps_exponent(base)
     certificate = multinomial(d, dcomp) * eps_sq
     return vec, certificate

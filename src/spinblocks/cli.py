@@ -44,6 +44,10 @@ CACHE_MAX_SIZE = 500
 # Each record line that passed load_cache's checks, by its exact text, as its
 # (key, count): the checks read nothing else, so a process checks a line once.
 CACHE_RECORD_MEMO: dict = {}
+# The last text at each path that passed every check, with its entries: a
+# process re-checks a K-file only when its bytes change.  Compared in full, so
+# no edit can hide behind an unchanged size or mtime.
+CACHE_FILE_MEMO: dict = {}
 
 
 def parse_partition(text: str) -> tuple:
@@ -61,14 +65,26 @@ def vector_payload(v: CharVector) -> list:
 
 
 def load_cache(path: str) -> set | None:
-    """Check and load every record; returns their keys, None if no file."""
+    """Check and load every record, unless these exact bytes at this path
+    passed before in this process; returns their keys, None if no file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except FileNotFoundError:
         if os.path.isdir(os.path.dirname(path) or "."):
             return  # a new cache; save_cache can write it
         raise
+    checked_text, entries = CACHE_FILE_MEMO.get(path, (None, None))
+    if text != checked_text:
+        entries = _check_cache(path, text)
+        CACHE_FILE_MEMO[path] = text, entries
+    PATH_COUNT_MEMO.update(entries)
+    return set(entries)
+
+
+def _check_cache(path: str, text: str) -> dict:
+    """Every record of a K-file's text, each checked against its closed form."""
+    lines = text.splitlines()
     if not lines or lines[0] != CACHE_HEADER:
         raise DomainError(f"{path} is not a spinblocks K-cache")
     entries = {}
@@ -87,8 +103,7 @@ def load_cache(path: str) -> set | None:
             CACHE_RECORD_MEMO[line] = key, count
         key, count = CACHE_RECORD_MEMO[line]
         entries[key] = count
-    PATH_COUNT_MEMO.update(entries)
-    return set(entries)
+    return entries
 
 
 def save_cache(path: str, loaded: set | None):

@@ -30,6 +30,11 @@ def _is_rouquier(rho: Partition, p: int, d: int) -> bool:
 # `rouquier gen --p 5 --d 2 --parity even --count 1000` takes about 1 s; each
 # candidate costs time linear in its size, so the total grows with count^2
 GEN_MAX_COUNT = 1000
+# count times the beads of the minimal filling, ell*d + (d-1)*ell*(ell-1)/2,
+# which every core listed holds: checking and printing each core costs time
+# linear in its beads, so `rouquier gen --p 999983 --d 1` (499,991 beads) and
+# `--p 1999 --d 1 --count 500` (999 each) take about 1 s
+GEN_MAX_BEADS = 5 * 10**5
 
 
 def generate(p: int, d: int, parity: str, count: int) -> list[Partition]:
@@ -50,6 +55,9 @@ def generate(p: int, d: int, parity: str, count: int) -> list[Partition]:
     if count > GEN_MAX_COUNT:
         raise DomainError(f"count must be at most {GEN_MAX_COUNT}: {count}")
     L = ell(p)
+    held = count * (L * d + (d - 1) * L * (L - 1) // 2)
+    if held > GEN_MAX_BEADS:
+        raise DomainError(f"beads must be at most {GEN_MAX_BEADS}: {held}")
     beads = []
     for j in range(1, L + 1):
         beads.extend(j + k * p for k in range(d + (j - 1) * (d - 1)))

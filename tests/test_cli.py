@@ -6,6 +6,8 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,13 +15,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spinblocks import cli
-from spinblocks.abacus import D_MAX, P_MAX, SIZE_MAX
+from spinblocks.abacus import D_MAX, P_MAX, SIZE_MAX, runner_label
 from spinblocks.chars import L_MAX_LABELS
 from spinblocks.cli import main
 from spinblocks.partitions import (
-    ENUMERATE_MAX_N, ORDINARY, PATH_COUNT_MEMO, STRICT, enumerate_partitions, path_count,
+    ENUMERATE_MAX_N, ORDINARY, PATH_COUNT_MEMO, STRICT, enumerate_partitions, epsilon_exponent,
+    path_count,
 )
-from spinblocks.rouquier import GEN_MAX_COUNT
+from spinblocks.rouquier import GEN_MAX_BEADS, GEN_MAX_COUNT
 from spinblocks.stembridge import FILL_MAX_BOXES, _f_coeff
 from spinblocks.trees import ELL_MAX
 from spinblocks.verify import CHECKS, DIM_SQD_MAX_N
@@ -116,6 +119,19 @@ def test_maction_orbit_hyp_nmv_phi(capsys):
     assert len(report["outputs"]["generators"]) == 2
     report = run_json(capsys, "phi", "--p", "5", "--rho", "2,1", "--tuple", "1")
     assert report["outputs"]["value"] == {"a": -2, "b": 0}
+
+
+def test_orbit_lists_the_distinct_arrangements_not_the_permutations(capsys):
+    """`orbit --p 3 --rho 1 --dcomp 6,6` (2^12 = 4096 labels, inside the L-space
+    budget) answers with its multinomial(12; 6, 6) = 924 distinct runner tuples,
+    without running through the 12! orderings of one."""
+    report = run_json(capsys, "orbit", "--p", "3", "--rho", "1", "--dcomp", "6,6")
+    eps_tuple = ((1,),) + (runner_label(3, 0),) * 6 + (runner_label(3, 1),) * 6
+    assert report["outputs"]["certificate"] == comb(12, 6) * 2 ** epsilon_exponent(eps_tuple)
+    labels = sorted(
+        "|".join("1" if i in ones else "0" for i in range(12)) for ones in combinations(range(12), 6)
+    )
+    assert report["outputs"]["vector"] == [{"a": 1, "b": 0, "label": label} for label in labels]
 
 
 def test_tree_commands(capsys):
@@ -247,10 +263,15 @@ def test_prime_budget_keeps_the_largest_prime_below_it(capsys):
         (["quotient", "--p", "5", "--lambda"], SIZE_MAX, "partition size"),
         (["rouquier", "gen", "--p", "5", "--d", "2", "--parity", "even", "--count"],
          GEN_MAX_COUNT, "count"),
+        # at p = 3 (ell = 1) one core of weight d holds d beads
+        (["rouquier", "gen", "--p", "3", "--parity", "even", "--count", "1", "--d"],
+         GEN_MAX_BEADS, "beads"),
     ],
 )
 def test_size_budgets_exit_2_just_past_the_budget(capsys, argv, budget, name):
-    assert (DIM_SQD_MAX_N, D_MAX, ELL_MAX, SIZE_MAX, GEN_MAX_COUNT) == (30, 24, 10**5, 10**5, 1000)
+    assert (DIM_SQD_MAX_N, D_MAX, ELL_MAX, SIZE_MAX, GEN_MAX_COUNT, GEN_MAX_BEADS) == (
+        30, 24, 10**5, 10**5, 1000, 5 * 10**5
+    )
     code, out, err = run_cli(capsys, *argv, str(budget + 1))
     assert (code, out) == (2, "")
     assert err == f"error: {name} must be at most {budget}: {budget + 1}\n"
@@ -493,9 +514,10 @@ def test_wrong_cache_count_is_an_input_error(tmp_path, capsys, record, wrong, fr
 
 
 def test_each_cache_record_line_is_checked_once_per_process(tmp_path, capsys, monkeypatch):
-    """Three loads of one file run the closed form once per distinct record
-    line; the memo of counts is restored from the checked lines after it is
-    cleared; a fresh process checks every record again."""
+    """The first load of a file parses and runs the closed form once per
+    distinct record line, and later loads of the same bytes do neither; the
+    memo of counts is restored from the checked file after it is cleared; a
+    fresh process checks every record again."""
     PATH_COUNT_MEMO.clear()
     cache = tmp_path / "kcache.tsv"
     assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "6")[0] == 0
@@ -506,23 +528,31 @@ def test_each_cache_record_line_is_checked_once_per_process(tmp_path, capsys, mo
     distinct = len(set(lines[1:]))
     assert distinct == len(entries) > 2
 
-    calls = []
-    real = cli._hook_formula
+    calls, parses = [], []
+    real, real_validate = cli._hook_formula, cli.validate
 
     def counted(lam, strict):
         calls.append((lam, strict))
         return real(lam, strict)
 
+    def counted_validate(parts, kind):
+        parses.append((parts, kind))
+        return real_validate(parts, kind)
+
     monkeypatch.setattr(cli, "_hook_formula", counted)
+    monkeypatch.setattr(cli, "validate", counted_validate)
     cli.CACHE_RECORD_MEMO.clear()
-    for _ in range(3):
+    cli.CACHE_FILE_MEMO.clear()
+    assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")[0] == 0
+    assert len(calls) == len(parses) == distinct
+    for _ in range(2):
         assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")[0] == 0
-    assert len(calls) == distinct
+    assert len(calls) == len(parses) == distinct
     assert cache.read_bytes() == before
     PATH_COUNT_MEMO.clear()
     assert cli.load_cache(str(cache)) == set(entries)
     assert PATH_COUNT_MEMO == entries
-    assert len(calls) == distinct
+    assert len(calls) == len(parses) == distinct
 
     script = (
         "import sys; from spinblocks import cli; calls = []; real = cli._hook_formula\n"
@@ -535,6 +565,32 @@ def test_each_cache_record_line_is_checked_once_per_process(tmp_path, capsys, mo
         [sys.executable, "-c", script, str(cache)], capture_output=True, env=env, text=True
     )
     assert done.stdout.splitlines()[-1] == f"0 {distinct}", done.stderr
+
+
+def test_same_length_cache_edit_with_its_mtime_restored_is_checked(tmp_path, capsys):
+    """A count rewritten in place to a wrong value of the same length, with
+    the file's old mtime restored, keeps the size, inode and mtime of the
+    file a process already checked; the next load still finds it."""
+    cache = tmp_path / "kcache.tsv"
+    assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "6")[0] == 0
+    assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")[0] == 0
+    assert str(cache) in cli.CACHE_FILE_MEMO
+    text = cache.read_text()
+    record = "ordinary\t3,2\t5\n"
+    number = text.splitlines().index(record.rstrip("\n")) + 1
+    old = cache.stat()
+    with open(cache, "r+b") as fh:
+        fh.seek(text.index(record) + len(record) - 2)
+        fh.write(b"6")
+    os.utime(cache, ns=(old.st_atime_ns, old.st_mtime_ns))
+    new = cache.stat()
+    assert (new.st_size, new.st_ino, new.st_mtime_ns) == (old.st_size, old.st_ino, old.st_mtime_ns)
+    before = cache.read_bytes()
+    assert before == text.replace(record, "ordinary\t3,2\t6\n").encode()
+    code, out, err = run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cache} line {number}: wrong count for ordinary 3,2:")
+    assert cache.read_bytes() == before
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
@@ -874,6 +930,8 @@ SIZE_BUDGETS = [
     (("core",), COMMANDS[("core",)], "--partition", OVER_BUDGET_PARTITION),
     (("quotient",), COMMANDS[("quotient",)], "--lambda", OVER_BUDGET_PARTITION),
     (("rouquier", "gen"), COMMANDS[("rouquier", "gen")], "--count", past(GEN_MAX_COUNT)),
+    # every core holds at least d beads, so a d past the bead budget is over it at any count
+    (("rouquier", "gen"), COMMANDS[("rouquier", "gen")], "--d", past(GEN_MAX_BEADS)),
     *[(("enumerate",), {"--kind": st.just(kind)}, "--n", past(budget))
       for kind, budget in ENUMERATE_MAX_N.items()],
     # an L space of weight past L_MAX_D is over the label budget at every p
@@ -938,6 +996,8 @@ CACHES = st.one_of(
 @example(argv=[], cache=None, over_budget=["nmv", "--p=5", "--rho=2,1", "--d=20", "--space=L"])
 @example(argv=[], cache=None,
          over_budget=["rouquier", "gen", "--p=5", "--d=2", "--parity=even", f"--count={10**30}"])
+@example(argv=[], cache=None,
+         over_budget=["rouquier", "gen", "--p=10007", "--d=2", "--parity=even", "--count=1"])
 @example(argv=[], cache=None, over_budget=["enumerate", f"--n={10**30}", "--kind=strict"])
 @example(argv=[], cache=None, over_budget=["enumerate", "--n=200", "--kind=ordinary"])
 @example(argv=[], cache=None, over_budget=["verify", "all", "--p=5", "--dmax=8"])
