@@ -9,15 +9,20 @@ A single bar move (weight step) is one of:
     target position free; sliding up from position p removes the bead,
     and inserting a bead into the free position p counts as a slide down;
   * pair: remove or insert the two beads at positions j and p-j.
+
+The bar-core is reached by removals in any order, and it is read off the
+runner counts in one pass: runner 0 empties, and on each runner pair
+{i, p-i} the beads slide up and min(a_i, a_(p-i)) bead pairs leave.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from operator import index
+from operator import index, neg
 
 from .exceptions import DomainError
 from .partitions import (
@@ -67,9 +72,11 @@ class BarQuotient:
         return (sum(self.q0),) + tuple(sum(q) for q in self.qs)
 
 
-P_MAX = 10**7  # `core --p 9999991` takes 0.5 s: each bar removal walks the ell runner pairs
-# `block --p 3 --rho - --d 24` takes about 2 s; at larger p the block grows faster in d
-D_MAX = 24
+P_MAX = 10**7  # `rouquier check --p 9999991` takes 0.4 s: a bar-core test walks ell pairs
+D_MAX = 24  # `block --p 3 --rho - --d 24` (23,528 labels) takes about 1 s
+# checked by `_block` before it lists anything, since d alone does not bound a block at
+# large p: `block --p 5 --rho - --d 16` (27,741 labels) takes about 1 s
+BLOCK_MAX_LABELS = 30000
 SIZE_MAX = 10**5  # `core --p 3` on the staircase (446, ..., 1), size 99681, takes about 1.3 s
 
 
@@ -100,19 +107,17 @@ def as_composition(dcomp, p: int) -> tuple:
     return dcomp
 
 
-def _removals(beads: frozenset, p: int, j: int | None = None) -> list[frozenset]:
-    """Bead sets one bar removal below `beads`, unsorted: on the runner pair
-    {j, p-j}, or on every pair when j is None.  A move slides a bead from r
-    up to a free r-p (from p, off the abacus) or takes out the pair j, p-j."""
+def _removals(beads: frozenset, p: int) -> list[frozenset]:
+    """Bead sets one bar removal below `beads`, unsorted.  A move slides a
+    bead from r up to a free r-p (from p, off the abacus) or takes out a
+    pair j, p-j."""
     out = []
     for b in beads:
-        if j is not None and b % p not in (j, p - j):
-            continue
         if b == p:
             out.append(beads - {b})
         elif b > p and b - p not in beads:
             out.append(beads - {b} | {b - p})
-    for i in range(1, ell(p) + 1) if j is None else (j,):
+    for i in range(1, ell(p) + 1):
         if i in beads and p - i in beads:
             out.append(beads - {i, p - i})
     return out
@@ -128,9 +133,10 @@ def core_weight(
 ) -> tuple[Partition, int]:
     """Bar-core and bar-weight of lam.
 
-    Applies bar-removal moves until none is left.  The default move order is
-    deterministic; pass an rng to randomize it (the fixed point is the same
-    either way, which the tests exercise).
+    Without an rng the core is read off the runner counts in one pass;
+    with one, bar-removal moves are applied in a random order until none is
+    left.  Both routes reach the same fixed point, which `verify core-order`
+    and the tests check.
     """
     lam = as_strict(lam)
     _check_prime(p)
@@ -139,12 +145,23 @@ def core_weight(
 
 
 def _core_weight(lam: Partition, p: int, rng: random.Random | None = None):
-    current = frozenset(lam)
-    weight = 0
-    while moves := _removals(current, p):
-        current = rng.choice(moves) if rng is not None else moves[0]
-        weight += 1
-    return tuple(sorted(current, reverse=True)), weight
+    """The closed form of the module docstring (Olsson 1993, section 4), or
+    the walk with an rng.  Each move takes p from the size, so the weight is
+    (|lam| - |core|) / p."""
+    if rng is not None:
+        current, weight = frozenset(lam), 0
+        while moves := _removals(current, p):
+            current, weight = rng.choice(moves), weight + 1
+        return tuple(sorted(current, reverse=True)), weight
+    counts = {}
+    for b in lam:
+        counts[b % p] = counts.get(b % p, 0) + 1
+    core = []
+    for i, a in counts.items():
+        if i:
+            core.extend(range(i, i + (a - min(a, counts.get(p - i, 0))) * p, p))
+    core.sort(reverse=True)
+    return tuple(core), (sum(lam) - sum(core)) // p
 
 
 def is_bar_core(lam: Partition, p: int) -> bool:
@@ -169,19 +186,34 @@ def neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition]
     return _neighbors(lam, p, j, direction)
 
 
+def _insert(parts: tuple, v: int) -> tuple:
+    """The descending tuple parts with the new part v put in its place."""
+    k = bisect_left(parts, -v, key=neg)
+    return parts[:k] + (v,) + parts[k:]
+
+
 def _neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition]:
-    beads = frozenset(lam)
+    """neighbors on canonical lam: each move drops a part and inserts one
+    (or a pair) into the descending tuple; no move repeats another."""
+    parts = set(lam)
+    out = []
+    step = -p if direction == "remove" else p
+    for i, b in enumerate(lam):
+        if b % p in (j, p - j) and b + step not in parts:
+            rest = lam[:i] + lam[i + 1 :]
+            if b + step > 0:
+                out.append(_insert(rest, b + step))
+            elif b == p:
+                out.append(rest)
     if direction == "remove":
-        results = _removals(beads, p, j)
-    else:
-        results = [
-            beads - {b} | {b + p} for b in beads if b % p in (j, p - j) and b + p not in beads
-        ]
-        if j == 0 and p not in beads:
-            results.append(beads | {p})
-        if j != 0 and j not in beads and (p - j) not in beads:
-            results.append(beads | {j, p - j})
-    return sorted({tuple(sorted(r, reverse=True)) for r in results}, reverse=True)
+        if j and j in parts and p - j in parts:
+            out.append(tuple(b for b in lam if b != j and b != p - j))
+    elif j == 0:
+        if p not in parts:
+            out.append(_insert(lam, p))
+    elif j not in parts and p - j not in parts:
+        out.append(_insert(_insert(lam, p - j), j))
+    return sorted(out, reverse=True)
 
 
 def quotient(lam: Partition, p: int) -> BarQuotient:
@@ -230,7 +262,8 @@ def block_enum(
 ) -> list[Partition]:
     """All strict partitions with bar-core rho and bar-weight d, descending;
     with dcomp, only those whose quotient component sizes equal dcomp.
-    Memoized per (rho, p, d); each call returns a new list.
+    Memoized per (rho, p, d); each call returns a new list.  A block of more
+    than BLOCK_MAX_LABELS labels is refused before any is listed.
     """
     rho = as_strict(rho)
     _check_prime(p)
@@ -248,9 +281,36 @@ def block_enum(
     return list(_block_by_sizes(rho, p, index(d)).get(dcomp, ()))
 
 
+def _block_size(p: int, d: int) -> int:
+    """The label count of a block of weight d over any bar-core: its
+    quotients are one strict and ell ordinary components of total size d,
+    so it is [x^d] Q(x) P(x)^ell, with P raised to the power ell by squaring."""
+
+    def series(strict: bool) -> list:  # partition counts of 0..d
+        c = [1] + [0] * d
+        for k in range(1, d + 1):
+            for n in range(d, k - 1, -1) if strict else range(k, d + 1):
+                c[n] += c[n - k]
+        return c
+
+    def times(a: list, b: list) -> list:
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(d + 1)]
+
+    out, base, e = series(True), series(False), ell(p)
+    while e:
+        if e & 1:
+            out = times(out, base)
+        base, e = times(base, base), e >> 1
+    return out[d]
+
+
 @lru_cache(maxsize=None)
 def _block(rho: Partition, p: int, d: int) -> tuple:
-    """Breadth-first closure of rho under d rounds of one-bar additions."""
+    """Breadth-first closure of rho under d rounds of one-bar additions,
+    refused before any listing past the label budget."""
+    labels = _block_size(p, d)
+    if labels > BLOCK_MAX_LABELS:
+        raise DomainError(f"a block has at most {BLOCK_MAX_LABELS} labels: {labels}")
     frontier = {rho}
     for _ in range(d):
         nxt = set()

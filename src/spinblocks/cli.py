@@ -23,7 +23,7 @@ from .chars import SIGN_SUFFIX, CharSpace, CharVector, _check_l_labels, m_action
 from .exceptions import DomainError, ShapeError, SpaceMismatch
 from .partitions import PATH_COUNT_MEMO, STRICT, _hook_formula, enumerate_partitions, validate
 from .rouquier import generate, is_rouquier, strip_classify
-from .stembridge import f_coeff, induce, rock_branch
+from .stembridge import _rock_branch, f_coeff, induce, rock_branch
 from .verify import (
     CHECKS,
     _jsonable,
@@ -428,7 +428,9 @@ def run_verify(args) -> tuple[dict, int]:
 def verify_all(p: int, dmax: int, oracle: bool = False) -> tuple[dict, int]:
     """Aggregate suite over the first generated core of each parity.  Its
     phi-kernel rows build the L space of every weight up to dmax, so the
-    L-space label budget is checked for dmax before any check runs."""
+    L-space label budget is checked for dmax before any check runs.  The
+    branching memo is emptied after each weight, so it holds at most one
+    weight's branchings."""
     _check_l_labels(p, dmax)
     verdicts = {}
     failures = []
@@ -457,6 +459,7 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> tuple[dict, int]:
             lattice = nmv_basis(CharSpace.h_space(rho, p, d))
             for lam in block_enum(rho, p, d):
                 record(check_htoj(lam, p, lattice=lattice, oracle=oracle))
+            _rock_branch.cache_clear()  # no later weight shares a branching
     passed = not failures
     payload = {
         "verdicts": verdicts,

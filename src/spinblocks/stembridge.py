@@ -9,6 +9,7 @@ leftmost occurrence of every letter value is unmarked.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import zip_longest
 
 from .abacus import _check_prime, _neighbors, core_weight, ell, runner_label
@@ -231,9 +232,12 @@ def rock_branch(part: Partition, p: int, j: int | None = None, direction: str = 
     return _rock_branch(part, p, j, direction, rho, d)
 
 
+@lru_cache(maxsize=None)
 def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: int) -> CharVector:
     """rock_branch without its checks: part is canonical, of weight d-1 to
-    induce or d to restrict over the d-Rouquier core rho, and j in 0..ell."""
+    induce or d to restrict over the d-Rouquier core rho, and j in 0..ell.
+    Memoized (pass every argument positionally): `verify all` asks for each
+    branching twice, and clears the memo after each weight."""
     L = ell(p)
     e_part = epsilon_exponent((part,))
     e_run = [epsilon_exponent((runner_label(p, i),)) for i in range(L + 1)]

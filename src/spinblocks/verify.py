@@ -523,7 +523,9 @@ TREE_SUITE_COUNT = 3
 
 
 def check_core_order(p: int) -> CheckReport:
-    """Bar-cores are independent of the removal order (randomized replay)."""
+    """The closed-form bar-core and weight, read off the runner counts, equal
+    the fixed point of bar removals in each of CORE_ORDER_ORDERS random
+    orders, for each sampled strict partition."""
     import random
 
     from .abacus import core_weight

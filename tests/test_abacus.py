@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -109,6 +110,77 @@ def test_bar_moves_against_the_rule_on_parts(p):
                 assert lam in neighbors(mu, p, j, "add")
             for nu in neighbors(lam, p, j, "add"):
                 assert lam in neighbors(nu, p, j, "remove")
+
+
+def neighbors_by_bead_sets(lam, p, j, direction):
+    """The one-bar moves on runner pair {j, p-j} as _neighbors built them
+    before it spliced the sorted tuple: frozenset arithmetic for every move,
+    then a sort of each result.  An oracle for the splicing."""
+    beads = frozenset(lam)
+    if direction == "remove":
+        results = []
+        for b in beads:
+            if b % p not in (j, p - j):
+                continue
+            if b == p:
+                results.append(beads - {b})
+            elif b > p and b - p not in beads:
+                results.append(beads - {b} | {b - p})
+        if j and j in beads and p - j in beads:
+            results.append(beads - {j, p - j})
+    else:
+        results = [
+            beads - {b} | {b + p} for b in beads if b % p in (j, p - j) and b + p not in beads
+        ]
+        if j == 0 and p not in beads:
+            results.append(beads | {p})
+        if j != 0 and j not in beads and (p - j) not in beads:
+            results.append(beads | {j, p - j})
+    return sorted({tuple(sorted(r, reverse=True)) for r in results}, reverse=True)
+
+
+def core_by_walk(lam, p):
+    """The bar-core and weight by removing one bar at a time, always the
+    first move listed, as core_weight found them before it read the runner
+    counts.  An oracle for the closed form."""
+    current, weight = frozenset(lam), 0
+    while moves := removal_moves(current, p):
+        current, weight = moves[0], weight + 1
+    return tuple(sorted(current, reverse=True)), weight
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_closed_forms_match_the_bead_set_oracles(p):
+    """The runner-count core and the spliced one-bar moves equal the move
+    walk and the frozenset moves on every strict partition of at most 20,
+    on every runner pair and in both directions."""
+    for lam in all_strict(20):
+        assert core_weight(lam, p) == core_by_walk(lam, p), lam
+        for j in range((p - 1) // 2 + 1):
+            for direction in ("add", "remove"):
+                expected = neighbors_by_bead_sets(lam, p, j, direction)
+                assert neighbors(lam, p, j, direction) == expected, (lam, j, direction)
+
+
+def test_core_order_fails_on_a_closed_form_without_pair_removal(monkeypatch, capsys):
+    """A closed form that slides every runner up but never takes out the
+    min(a_i, a_(p-i)) bead pairs disagrees with the random walks."""
+    from spinblocks.cli import main
+
+    walk = abacus._core_weight
+
+    def planted(lam, p, rng=None):
+        if rng is not None:
+            return walk(lam, p, rng)
+        counts = [0] * p
+        for b in lam:
+            counts[b % p] += 1
+        core = sorted((i + k * p for i in range(1, p) for k in range(counts[i])), reverse=True)
+        return tuple(core), (sum(lam) - sum(core)) // p
+
+    monkeypatch.setattr(abacus, "_core_weight", planted)
+    assert main(["verify", "core-order", "--p", "5"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdicts"] == {"core-order": "fail"}
 
 
 def test_quotient_examples():
@@ -317,6 +389,18 @@ def test_block_enum_against_quotient_first_product(p, parity):
             union.extend(part)
         assert len(union) == len(set(union))
         assert sorted(union, reverse=True) == block_enum(rho, p, d)
+
+
+def test_block_label_count_matches_the_listed_block():
+    """_block_size, [x^d] Q(x) P(x)^ell, is the length of the listed block
+    over the empty core and over a Rouquier core."""
+    from spinblocks.rouquier import generate
+
+    for p, dmax in ((3, 10), (5, 6), (7, 6), (11, 3), (13, 3)):
+        for d in range(dmax + 1):
+            for rho in ((), generate(p, max(d, 1), "odd", 1)[0]):
+                assert abacus._block_size(p, d) == len(block_enum(rho, p, d)), (rho, p, d)
+    assert [abacus._block_size(p, d) for p, d in ((3, 24), (5, 18), (7, 6))] == [23528, 64565, 455]
 
 
 def test_block_enum_returns_fresh_lists():

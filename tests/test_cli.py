@@ -14,8 +14,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spinblocks import cli
-from spinblocks.abacus import D_MAX, P_MAX, SIZE_MAX, runner_label
+from spinblocks import abacus, cli
+from spinblocks.abacus import (
+    BLOCK_MAX_LABELS, D_MAX, P_MAX, SIZE_MAX, _block_size, block_enum, runner_label,
+)
 from spinblocks.chars import L_MAX_LABELS
 from spinblocks.cli import main
 from spinblocks.partitions import (
@@ -195,6 +197,36 @@ def test_verify_all_stdout_is_unchanged(capsys, flags):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == VERIFY_ALL_GOLDEN[flags]
 
 
+def test_verify_all_branches_once_per_label_per_weight(monkeypatch):
+    """Each weight of `verify all --p 5 --dmax 3` computes each of its
+    distinct branchings once (every restriction of a weight-d label and every
+    induction of a weight-(d-1) label on each runner) and asks for each a
+    second time (htoj or stembridge-cross), and the memo is empty after."""
+    from spinblocks.rouquier import generate
+    from spinblocks.stembridge import _rock_branch
+
+    _rock_branch.cache_clear()
+    seen = []
+
+    class Spy:
+        def cache_clear(self):
+            seen.append(_rock_branch.cache_info())
+            _rock_branch.cache_clear()
+
+    monkeypatch.setattr(cli, "_rock_branch", Spy())
+    p, L = 5, 2
+    payload, code = cli.verify_all(p, 3)
+    assert (code, payload["summary"]["failed"]) == (0, 0)
+    expected = []
+    for parity in ("even", "odd"):
+        for d in range(1, 4):
+            rho = generate(p, d, parity, 1)[0]
+            distinct = len(block_enum(rho, p, d)) + (L + 1) * len(block_enum(rho, p, d - 1))
+            expected.append((distinct, distinct))
+    assert [(info.misses, info.hits) for info in seen] == expected
+    assert _rock_branch.cache_info().currsize == 0
+
+
 # stdout sha256 prefixes of single `verify htoj` queries, whose reports print
 # both sides' rows: three lambda per p, of weights 1 to 3 and both core parities
 VERIFY_HTOJ_GOLDEN = {
@@ -275,6 +307,25 @@ def test_size_budgets_exit_2_just_past_the_budget(capsys, argv, budget, name):
     code, out, err = run_cli(capsys, *argv, str(budget + 1))
     assert (code, out) == (2, "")
     assert err == f"error: {name} must be at most {budget}: {budget + 1}\n"
+
+
+def test_block_label_budget_exits_2_before_listing(capsys, monkeypatch):
+    """A block of more than BLOCK_MAX_LABELS labels exits 2 before any
+    one-bar move, whether d (p = 5, d = 17) or p (ell + 1 labels at d = 1)
+    drives the count; the largest blocks D_MAX lets through at p = 3 and
+    at p = 5 are inside it."""
+    assert BLOCK_MAX_LABELS == 30000
+    assert (_block_size(3, D_MAX), _block_size(5, 16)) == (23528, 27741)
+
+    def never(*args):
+        raise AssertionError("a block was listed")
+
+    monkeypatch.setattr(abacus, "_neighbors", never)
+    for argv, labels in ((["--p", "5", "--d", "17"], 42543), (["--p", "60013", "--d", "1"], 30007),
+                         (["--p", "9999991", "--d", "1"], 4999996)):
+        code, out, err = run_cli(capsys, "block", "--rho", "-", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: a block has at most {BLOCK_MAX_LABELS} labels: {labels}\n"
 
 
 def test_core_and_quotient_answer_at_the_size_budget(capsys):
@@ -925,6 +976,12 @@ OVER_BUDGET_PARTITION = st.one_of(
 SIZE_BUDGETS = [
     (("verify",), {"": st.just("dim-sqd")}, "--n", past(DIM_SQD_MAX_N)),
     (("block",), COMMANDS[("block",)], "--d", past(D_MAX)),
+    # a block past the label budget: weight 17 to D_MAX at p = 5, or a p whose
+    # ell + 1 labels of weight one are already over it
+    (("block",), {"--p": st.just("5"), "--rho": st.just("-")}, "--d",
+     st.integers(17, D_MAX).map(str)),
+    (("block",), {"--rho": st.just("-"), "--d": st.sampled_from(["1", "2", "3"])}, "--p",
+     st.sampled_from(["60013", "99991", "9999991"])),
     *[(command, COMMANDS[command], "--ell", past(ELL_MAX))
       for command in (("tree", "build"), ("tree", "walk"), ("tree", "heller"))],
     (("core",), COMMANDS[("core",)], "--partition", OVER_BUDGET_PARTITION),
@@ -991,6 +1048,7 @@ CACHES = st.one_of(
 @example(argv=[], cache=None, over_budget=["verify", "dim-sqd", "--n=1000000000000"])
 @example(argv=[], cache=None, over_budget=["tree", "build", "--kind=A", "--ell=100000000"])
 @example(argv=[], cache=None, over_budget=["block", "--p=5", "--rho=-", f"--d={10**30}"])
+@example(argv=[], cache=None, over_budget=["block", "--p=9999991", "--rho=-", "--d=1"])
 @example(argv=[], cache=None, over_budget=["core", "--p=5", "--partition=1000000000000"])
 @example(argv=[], cache=None, over_budget=["verify", "phi-kernel", "--p=5", "--rho=2,1", "--d=12"])
 @example(argv=[], cache=None, over_budget=["nmv", "--p=5", "--rho=2,1", "--d=20", "--space=L"])
