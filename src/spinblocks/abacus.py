@@ -48,12 +48,6 @@ class Abacus:
     def to_partition(self) -> Partition:
         return tuple(sorted(self.beads, reverse=True))
 
-    def runner_counts(self) -> tuple:
-        counts = [0] * self.p
-        for b in self.beads:
-            counts[b % self.p] += 1
-        return tuple(counts)
-
 
 @dataclass(frozen=True)
 class BarQuotient:
@@ -72,7 +66,7 @@ class BarQuotient:
         return (sum(self.q0),) + tuple(sum(q) for q in self.qs)
 
 
-P_MAX = 10**7  # `rouquier check --p 9999991` takes 0.4 s: a bar-core test walks ell pairs
+P_MAX = 10**7  # `quotient --p 9999991 --lambda 2,1` lists ell components: about 5 s
 D_MAX = 24  # `block --p 3 --rho - --d 24` (23,528 labels) takes about 1 s
 # checked by `_block` before it lists anything, since d alone does not bound a block at
 # large p: `block --p 5 --rho - --d 16` (27,741 labels) takes about 1 s
@@ -99,6 +93,13 @@ def runner_label(p: int, j: int) -> Partition:
     return (p - j, j) if j else (p,)
 
 
+def runner_parity(j: int) -> int:
+    """The epsilon exponent of runner_label(p, j), the same for every odd p:
+    a strict partition is odd when its size minus its length is, and (p)
+    has p - 1, even, while (p - j, j) for j >= 1 has p - 2, odd."""
+    return 1 if j > 0 else 0
+
+
 def as_composition(dcomp, p: int) -> tuple:
     """dcomp as a tuple of ell + 1 nonnegative runner weights."""
     dcomp = tuple(int(x) for x in dcomp)
@@ -110,22 +111,15 @@ def as_composition(dcomp, p: int) -> tuple:
 def _removals(beads: frozenset, p: int) -> list[frozenset]:
     """Bead sets one bar removal below `beads`, unsorted.  A move slides a
     bead from r up to a free r-p (from p, off the abacus) or takes out a
-    pair j, p-j."""
+    pair j, p-j; the pairs come by increasing j, found among the beads."""
     out = []
     for b in beads:
         if b == p:
             out.append(beads - {b})
         elif b > p and b - p not in beads:
             out.append(beads - {b} | {b - p})
-    for i in range(1, ell(p) + 1):
-        if i in beads and p - i in beads:
-            out.append(beads - {i, p - i})
+    out.extend(beads - {i, p - i} for i in sorted(b for b in beads if 2 * b < p and p - b in beads))
     return out
-
-
-def removal_moves(lam: Partition, p: int) -> list[frozenset]:
-    """All bead sets reachable from lam by a single bar-removal move."""
-    return _removals(frozenset(lam), p)
 
 
 def core_weight(
@@ -144,6 +138,14 @@ def core_weight(
     return _core_weight(lam, p, rng)
 
 
+def _runner_counts(lam: Partition, p: int) -> dict:
+    """Bead counts of the occupied runners only, so O(h(lam)) at any p."""
+    counts = {}
+    for b in lam:
+        counts[b % p] = counts.get(b % p, 0) + 1
+    return counts
+
+
 def _core_weight(lam: Partition, p: int, rng: random.Random | None = None):
     """The closed form of the module docstring (Olsson 1993, section 4), or
     the walk with an rng.  Each move takes p from the size, so the weight is
@@ -153,9 +155,7 @@ def _core_weight(lam: Partition, p: int, rng: random.Random | None = None):
         while moves := _removals(current, p):
             current, weight = rng.choice(moves), weight + 1
         return tuple(sorted(current, reverse=True)), weight
-    counts = {}
-    for b in lam:
-        counts[b % p] = counts.get(b % p, 0) + 1
+    counts = _runner_counts(lam, p)
     core = []
     for i, a in counts.items():
         if i:
@@ -167,7 +167,7 @@ def _core_weight(lam: Partition, p: int, rng: random.Random | None = None):
 def is_bar_core(lam: Partition, p: int) -> bool:
     lam = as_strict(lam)
     _check_prime(p)
-    return not removal_moves(lam, p)
+    return _core_weight(lam, p)[1] == 0
 
 
 def neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition]:
@@ -269,7 +269,7 @@ def block_enum(
     _check_prime(p)
     if d > D_MAX:
         raise DomainError(f"weight must be at most {D_MAX}: {d}")
-    if removal_moves(rho, p):
+    if _core_weight(rho, p)[1]:
         raise DomainError(f"{rho} is not a bar-core for p={p}")
     if d < 0:
         raise ValueError("weight must be nonnegative")

@@ -14,11 +14,13 @@ exact elements of Z[sqrt(2)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from operator import add, sub
 
-from .abacus import _check_prime, as_composition, block_enum, core_weight, ell, runner_label
+from .abacus import (
+    _check_prime, as_composition, block_enum, core_weight, ell, runner_label, runner_parity,
+)
 from .exceptions import DomainError, SpaceMismatch
 from .partitions import STRICT, Partition, as_strict, enumerate_partitions, epsilon_exponent
 from .sqrt2 import Sqrt2Scalar
@@ -48,14 +50,10 @@ class CharSpace:
     rho: Partition = ()
     d: int = 0
     n: int = 0
-    runner_exponents: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind != "full":
             _check_prime(self.p)
-        if self.kind in ("L", "H"):
-            table = (epsilon_exponent((runner_label(self.p, j),)) for j in range(ell(self.p) + 1))
-            object.__setattr__(self, "runner_exponents", tuple(table))
 
     @classmethod
     def block(cls, rho, p, d):
@@ -93,10 +91,10 @@ class CharSpace:
         """epsilon_exponent(eps_tuple(label)): rho's parity plus that of each
         runner in an L label; mu's plus runner j's for an H label (mu, j)."""
         if self.kind == "L":
-            return (epsilon_exponent((self.rho,)) + sum(self.runner_exponents[j] for j in label)) % 2
+            return (epsilon_exponent((self.rho,)) + sum(map(runner_parity, label))) % 2
         if self.kind == "H":
             mu, j = label
-            return (epsilon_exponent((mu,)) + self.runner_exponents[j]) % 2
+            return (epsilon_exponent((mu,)) + runner_parity(j)) % 2
         return epsilon_exponent(self.eps_tuple(label))
 
     def is_odd(self, label) -> bool:
@@ -261,12 +259,6 @@ class CharVector:
         return " + ".join(f"({c})*[{self.label_name(l)}]" for l, c in self.coeffs)
 
 
-def eps_ratio(num_exponents, den_exponents) -> Sqrt2Scalar:
-    """sqrt(2)**(sum(num) - sum(den)); raises if the result leaves the ring."""
-    e = sum(num_exponents) - sum(den_exponents)
-    return Sqrt2Scalar.sqrt2_power(e)
-
-
 def m_action(v: CharVector) -> CharVector:
     """Character action of the weight-one bimodule, extended slotwise.
 
@@ -281,15 +273,15 @@ def m_action(v: CharVector) -> CharVector:
     if v.basis != SUPER:
         raise SpaceMismatch("the M action is defined on the supercharacter basis")
     L = ell(space.p)
-    e_run = space.runner_exponents
     out = {}
     for label, c in v.coeffs:
         *mu, i = label  # (mu, i) in an H space, (i,) in an L space
-        e_mu_i = space.eps_exponent(label)
-        e_mu = e_mu_i - e_run[i]  # mod 2, the parity of mu (H) or of rho (L)
+        e_mu_i, e_i = space.eps_exponent(label), runner_parity(i)
+        e_mu = e_mu_i - e_i  # mod 2, the parity of mu (H) or of rho (L)
         for j in range(L - i + 1):
             target = (*mu, j)
-            term = c * eps_ratio((e_mu_i, e_run[i], e_run[j]), ((e_mu + e_run[j]) % 2,))
+            e_j = runner_parity(j)
+            term = c * Sqrt2Scalar.sqrt2_power(e_mu_i + e_i + e_j - (e_mu + e_j) % 2)
             out[target] = out[target] + term if target in out else term
     return CharVector.make(space, out, SUPER)
 

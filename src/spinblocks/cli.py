@@ -41,12 +41,9 @@ CACHE_HEADER = "spinblocks-kcache 1"
 # a larger record is rejected before its closed form, which grows with |lam|
 # (seconds at 500 boxes of one column, far longer for a corrupt 10^8).
 CACHE_MAX_SIZE = 500
-# Each record line that passed load_cache's checks, by its exact text, as its
-# (key, count): the checks read nothing else, so a process checks a line once.
-CACHE_RECORD_MEMO: dict = {}
-# The last text at each path that passed every check, with its entries: a
-# process re-checks a K-file only when its bytes change.  Compared in full, so
-# no edit can hide behind an unchanged size or mtime.
+# The last text at each path that passed every check or that save_cache wrote,
+# with its entries: a process re-checks a K-file only when its bytes change.
+# Compared in full, so no edit can hide behind an unchanged size or mtime.
 CACHE_FILE_MEMO: dict = {}
 
 
@@ -65,8 +62,8 @@ def vector_payload(v: CharVector) -> list:
 
 
 def load_cache(path: str) -> set | None:
-    """Check and load every record, unless these exact bytes at this path
-    passed before in this process; returns their keys, None if no file."""
+    """Check and load every record, unless this process checked or wrote these
+    exact bytes at this path; returns their keys, None if no file."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -89,19 +86,16 @@ def _check_cache(path: str, text: str) -> dict:
         raise DomainError(f"{path} is not a spinblocks K-cache")
     entries = {}
     for number, line in enumerate(lines[1:], 2):
-        if line not in CACHE_RECORD_MEMO:
-            try:
-                kind, parts, value = line.split("\t")
-                key = (kind, validate(parts.split(",") if parts else (), kind))
-                count = int(value)
-            except ValueError as exc:
-                raise DomainError(f"{path} line {number}: bad record {line!r}: {exc}") from None
-            if sum(key[1]) >= CACHE_MAX_SIZE:
-                raise DomainError(f"{path} line {number}: shape too large: {line!r}")
-            if count != _hook_formula(key[1], kind == STRICT):
-                raise DomainError(f"{path} line {number}: wrong count for {kind} {parts}: {line!r}")
-            CACHE_RECORD_MEMO[line] = key, count
-        key, count = CACHE_RECORD_MEMO[line]
+        try:
+            kind, parts, value = line.split("\t")
+            key = (kind, validate(parts.split(",") if parts else (), kind))
+            count = int(value)
+        except ValueError as exc:
+            raise DomainError(f"{path} line {number}: bad record {line!r}: {exc}") from None
+        if sum(key[1]) >= CACHE_MAX_SIZE:
+            raise DomainError(f"{path} line {number}: shape too large: {line!r}")
+        if count != _hook_formula(key[1], kind == STRICT):
+            raise DomainError(f"{path} line {number}: wrong count for {kind} {parts}: {line!r}")
         entries[key] = count
     return entries
 
@@ -110,21 +104,19 @@ def save_cache(path: str, loaded: set | None):
     """Write the memo, unless it holds no key beyond those `loaded` from the file."""
     if loaded is not None and PATH_COUNT_MEMO.keys() <= loaded:
         return
-    rows = sorted(
-        (kind, ",".join(map(str, lam)), str(v))
-        for (kind, lam), v in PATH_COUNT_MEMO.items()
-    )
+    entries = dict(PATH_COUNT_MEMO)
+    rows = sorted((kind, ",".join(map(str, lam)), str(v)) for (kind, lam), v in entries.items())
+    text = CACHE_HEADER + "\n" + "".join("\t".join(row) + "\n" for row in rows)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(CACHE_HEADER + "\n")
-            for kind, parts, value in rows:
-                fh.write(f"{kind}\t{parts}\t{value}\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+    CACHE_FILE_MEMO[path] = text, entries
 
 
 def emit(report: dict, fmt: str):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus, _check_prime, _neighbors, ell, is_bar_core, neighbors, removal_moves
+from .abacus import (
+    _check_prime, _core_weight, _neighbors, _runner_counts, ell, is_bar_core, neighbors,
+)
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, as_strict, skew_boxes
 
@@ -22,9 +24,12 @@ def is_rouquier(rho: Partition, p: int, d: int) -> bool:
 
 
 def _is_rouquier(rho: Partition, p: int, d: int) -> bool:
-    """is_rouquier without its checks: rho a canonical bar-core, d >= 1."""
-    counts = Abacus(p, frozenset(rho)).runner_counts()
-    return counts[1] >= d and all(counts[i + 1] >= counts[i] + (d - 1) for i in range(1, ell(p)))
+    """is_rouquier without its checks: rho a canonical bar-core, d >= 1.  The
+    scan stops at the first empty runner, so it costs O(h(rho)) at any p."""
+    counts = _runner_counts(rho, p)
+    return counts.get(1, 0) >= d and all(
+        counts.get(i + 1, 0) >= counts[i] + (d - 1) for i in range(1, ell(p))
+    )
 
 
 # `rouquier gen --p 5 --d 2 --parity even --count 1000` takes about 0.6 s; each
@@ -72,7 +77,7 @@ def generate(p: int, d: int, parity: str, count: int) -> list[Partition]:
     while len(out) < count:
         if odd == want_odd:
             rho = tuple(reversed(stack)) + filling  # the stack lies above the filling
-            if removal_moves(rho, p) or not _is_rouquier(rho, p, d):
+            if _core_weight(rho, p)[1] or not _is_rouquier(rho, p, d):
                 raise AssertionError(f"generator produced a non-Rouquier core {rho}")
             out.append(rho)
         stack.append(L + k * p)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 
-from .abacus import _check_prime, _neighbors, core_weight, ell, runner_label
-from .chars import CharSpace, CharVector, eps_ratio
+from .abacus import _check_prime, _neighbors, core_weight, ell, runner_parity
+from .chars import CharSpace, CharVector
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, as_strict, contains, epsilon_exponent
 from .rouquier import _is_rouquier
@@ -240,24 +240,24 @@ def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: 
     branching twice, and clears the memo after each weight."""
     L = ell(p)
     e_part = epsilon_exponent((part,))
-    e_run = [epsilon_exponent((runner_label(p, i),)) for i in range(L + 1)]
     out = {}
     if direction == "induce":
-        e_mu_j = (e_part + e_run[j]) % 2
+        e_j = runner_parity(j)
+        e_mu_j = (e_part + e_j) % 2
         for i in range(L - j + 1):
             for lam in _neighbors(part, p, i, "add"):
                 e_lam = epsilon_exponent((lam,))
-                coeff = eps_ratio((e_mu_j, (e_part + e_lam) % 2, e_run[j]), (e_lam,))
+                coeff = Sqrt2Scalar.sqrt2_power(e_mu_j + (e_part + e_lam) % 2 + e_j - e_lam)
                 out[lam] = out[lam] + coeff if lam in out else coeff
         return _integral_vector(CharSpace.block(rho, p, d), out)
     # each runner's removals once; a removal on runner i lands on runners 0..ell-i
     for i in range(L + 1):
         for mu in _neighbors(part, p, i, "remove"):
             e_mu = epsilon_exponent((mu,))
+            e_num = e_part + (e_mu + e_part) % 2  # eps_lam eps_(mu,lam)
             for jj in range(L - i + 1):
-                coeff = eps_ratio(
-                    (e_part, (e_mu + e_part) % 2, e_run[jj]), ((e_mu + e_run[jj]) % 2,)
-                )
+                e_jj = runner_parity(jj)
+                coeff = Sqrt2Scalar.sqrt2_power(e_num + e_jj - (e_mu + e_jj) % 2)
                 out[mu, jj] = out[mu, jj] + coeff if (mu, jj) in out else coeff
     return _integral_vector(CharSpace.h_space(rho, p, d), out)
 

@@ -13,8 +13,9 @@ from math import factorial, prod
 
 from .abacus import (
     _check_prime, _k_product, _neighbors, _q0, _quotient, block_enum, ell, runner_label,
+    runner_parity,
 )
-from .chars import REFINED, SUPER, CharSpace, CharVector, eps_ratio, m_action, runner_tuples
+from .chars import REFINED, SUPER, CharSpace, CharVector, m_action, runner_tuples
 from .exceptions import CheckFailure, DomainError, SpaceMismatch
 from .hnf import integral_solution_exists
 from .partitions import (
@@ -97,7 +98,7 @@ class NmvLattice:
         space, tables = self.space, {REFINED: {}, SUPER: {}}
         for label, sign in space.refined_labels():
             base, t = (label[0], label[1:]) if space.kind == "H" else (space.rho, label)
-            terms = ((base, _label_weight(space, epsilon_exponent((base,)), t)),)
+            terms = ((base, _label_weight(epsilon_exponent((base,)), t)),)
             if sign and not any(t):
                 terms += (((base, "halves"), sign),)
             tables[REFINED][label, sign] = terms
@@ -214,14 +215,14 @@ def phi(v: CharVector) -> Sqrt2Scalar:
 def _phi_table(space: CharSpace, tuples) -> dict:
     """phi on the basis characters of the given runner tuples."""
     e_rho = epsilon_exponent((space.rho,))
-    return {t: _label_weight(space, e_rho, t) for t in tuples}
+    return {t: _label_weight(e_rho, t) for t in tuples}
 
 
-def _label_weight(space: CharSpace, e_base: int, t: tuple) -> int:
+def _label_weight(e_base: int, t: tuple) -> int:
     """phi's value on the basis character of runner tuple t over a base of
     epsilon exponent e_base, a signed power of 2: with e the sum of the
     exponents, e % 2 is that of the whole tuple."""
-    return (-1) ** sum(t) * 2 ** ((e_base + sum(space.runner_exponents[j] for j in t)) // 2)
+    return (-1) ** sum(t) * 2 ** ((e_base + sum(map(runner_parity, t))) // 2)
 
 
 def _phi(coeffs, table: dict) -> Sqrt2Scalar:
@@ -243,13 +244,14 @@ def hyp_coeffs(rho: Partition, p: int, dcomp) -> CharVector:
     d = sum(dcomp)
     rho = _rouquier_core(rho, p, d)
     space = CharSpace.block(rho, p, d)
-    e_tuple = epsilon_exponent(
-        (rho,) + tuple(runner_label(p, j) for j in range(len(dcomp)) for _ in range(dcomp[j]))
-    )
+    e_runners = sum(runner_parity(j) * x for j, x in enumerate(dcomp))
+    e_tuple = (epsilon_exponent((rho,)) + e_runners) % 2
     out = {}
     for lam in block_enum(rho, p, d, dcomp):
         q0 = _q0(lam, p)
         e = e_tuple - epsilon_exponent((lam,)) + sum(q0) - len(q0)
+        if e < 0:
+            raise AssertionError(f"coefficient sqrt(2)**{e} * K at {lam} leaves Z[sqrt(2)]")
         coeff = Sqrt2Scalar.sqrt2_power(e) * _k_product(lam, p)
         if not coeff.is_nonneg_integer() or coeff.a <= 0:
             raise AssertionError(f"coefficient {coeff} at {lam} is not a positive integer")
@@ -377,8 +379,9 @@ def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
     rho = _rouquier_core(rho, p, d)
     restricted = {}
     for lam in block_enum(rho, p, d):
-        for (mu, j), b in _rock_branch(lam, p, None, "restrict", rho, d).coeffs:
-            restricted[mu, j, lam] = b * 2 ** epsilon_exponent((mu, runner_label(p, j)))
+        branch = _rock_branch(lam, p, None, "restrict", rho, d)
+        for (mu, j), b in branch.coeffs:
+            restricted[mu, j, lam] = b * 2 ** branch.space.eps_exponent((mu, j))
     induced = {}
     for mu in block_enum(rho, p, d - 1):
         for j in range(ell(p) + 1):
@@ -408,15 +411,13 @@ def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
     restricted = _rock_branch(lam, p, None, "restrict", *_block_context(lam, p, 0))
     lhs = m_action(restricted)
     space = restricted.space
-    L = ell(p)
+    e_lam = epsilon_exponent((lam,))
     out = {}
-    for j in range(L + 1):
-        ej = epsilon_exponent((runner_label(p, j),))
+    for j in range(ell(p) + 1):
+        e_j = runner_parity(j)
         for mu in _neighbors(lam, p, j, "remove"):
-            coeff = eps_ratio(
-                (epsilon_exponent((mu, lam)), epsilon_exponent((lam, runner_label(p, j)))),
-                (epsilon_exponent((mu,)), ej),
-            )
+            e_mu = epsilon_exponent((mu,))
+            coeff = Sqrt2Scalar.sqrt2_power((e_mu + e_lam) % 2 + (e_lam + e_j) % 2 - e_mu - e_j)
             out[mu, j] = out.get((mu, j), Sqrt2Scalar(0, 0)) + coeff
     rhs = CharVector.make(space, out)
     return lhs, rhs
@@ -461,16 +462,12 @@ def restrict_recursion_sides(lam, p: int) -> dict:
         if sum(q.component(k)) == 0:
             continue
         total = Sqrt2Scalar(0, 0)
+        e_k = runner_parity(k)
         for mu in _neighbors(lam, p, k, "remove"):
-            mu_q0 = _q0(mu, p)
+            mu_q0, e_mu = _q0(mu, p), epsilon_exponent((mu,))
             e = (
-                epsilon_exponent((mu, lam))
-                + epsilon_exponent((lam, runner_label(p, k)))
-                + epsilon_exponent((mu, runner_label(p, k)))
-                - epsilon_exponent((mu,))
-                - epsilon_exponent((runner_label(p, k),))
-                + sum(mu_q0)
-                - len(mu_q0)
+                (e_mu + e_lam) % 2 + (e_lam + e_k) % 2 + (e_mu + e_k) % 2 - e_mu - e_k
+                + sum(mu_q0) - len(mu_q0)
             )
             total = total + Sqrt2Scalar.sqrt2_power(e) * _k_product(mu, p)
         sides[k] = (total, rhs)
@@ -493,11 +490,14 @@ def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
 
 
 def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
+    """Every closed-form coefficient c_lam is a positive integer, and over each
+    dcomp sum eps_lam^2 c_lam^2 = eps_(rho,dcomp)^2 prod_i d_i!, as in dim-reduced."""
     rho = as_strict(rho)
     _check_prime(p)
     if d < 1:
         raise ValueError("d must be positive")
     L = ell(p)
+    e_rho = epsilon_exponent((rho,))
     failures = []
     totals = {}
     for dcomp in compositions(d, L + 1):
@@ -507,6 +507,12 @@ def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
             failures.append({"dcomp": dcomp, "error": str(exc)})
             continue
         totals[str(dcomp)] = _jsonable(vec)
+        squares = sum(2 ** vec.space.eps_exponent(lam) * c.a * c.a for lam, c in vec.coeffs)
+        # eps_(rho,dcomp) stated apart from hyp_coeffs, so that a slip there shows
+        e_tuple = (e_rho + sum(runner_parity(j) * x for j, x in enumerate(dcomp))) % 2
+        expected = 2 ** e_tuple * prod(map(factorial, dcomp))
+        if squares != expected:
+            failures.append({"dcomp": dcomp, "squares": squares, "expected": expected})
     return CheckReport(
         "hyp-nonneg", {"rho": rho, "p": p, "d": d}, not failures,
         totals, None, failures or None,

@@ -14,7 +14,6 @@ from spinblocks.abacus import (
     k_product,
     neighbors,
     quotient,
-    removal_moves,
 )
 from spinblocks.exceptions import DomainError
 from spinblocks.partitions import (
@@ -95,13 +94,13 @@ def bar_removals_on_parts(lam, p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_bar_moves_against_the_rule_on_parts(p):
-    """removal_moves, the per-runner removals and the additions all agree
+    """_removals, the per-runner removals and the additions all agree
     with the removal rule written on parts; every removal lies on exactly
     one runner pair."""
     ell = (p - 1) // 2
     for lam in all_strict(16):
         expected = bar_removals_on_parts(lam, p)
-        moves = sorted(tuple(sorted(m, reverse=True)) for m in removal_moves(lam, p))
+        moves = sorted(tuple(sorted(m, reverse=True)) for m in abacus._removals(frozenset(lam), p))
         assert moves == expected, lam
         per_runner = [mu for j in range(ell + 1) for mu in neighbors(lam, p, j, "remove")]
         assert sorted(per_runner) == expected, lam
@@ -144,7 +143,7 @@ def core_by_walk(lam, p):
     first move listed, as core_weight found them before it read the runner
     counts.  An oracle for the closed form."""
     current, weight = frozenset(lam), 0
-    while moves := removal_moves(current, p):
+    while moves := abacus._removals(current, p):
         current, weight = moves[0], weight + 1
     return tuple(sorted(current, reverse=True)), weight
 

@@ -1,5 +1,8 @@
+from math import isqrt
+
 import pytest
 
+from spinblocks.abacus import ell, runner_label, runner_parity
 from spinblocks.chars import (
     SUPER,
     CharSpace,
@@ -49,10 +52,20 @@ def test_label_parity(h_space):
     assert h_space.eps(((2, 1), 0)) == SQRT2
 
 
+def test_runner_parity_is_the_parity_of_the_runner_label():
+    """runner_parity(j), which reads no p, is the epsilon exponent of the
+    partition runner_label(p, j) for every odd prime p below 200."""
+    primes = [p for p in range(3, 200, 2) if all(p % k for k in range(3, isqrt(p) + 1, 2))]
+    assert len(primes) == 45
+    for p in primes:
+        for j in range(ell(p) + 1):
+            assert runner_parity(j) == epsilon_exponent((runner_label(p, j),)), (p, j)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_parity_rule_matches_the_epsilon_tuple(p):
-    """An L or H space reads its labels' parities off its runner table; each
-    must be the parity count of the label's whole epsilon tuple."""
+    """An L or H space reads its runners' parities off abacus.runner_parity;
+    each label's must be the parity count of its whole epsilon tuple."""
     for d in (1, 2, 3):
         for parity in ("even", "odd"):
             rho = generate(p, d, parity, 1)[0]

@@ -474,11 +474,11 @@ def test_corrupt_cache_is_an_input_error(tmp_path, capsys, text):
     errors = []
     for warm in (False, True, "again"):  # again: the same file once more, memo kept
         if warm != "again":
-            cli.CACHE_RECORD_MEMO.clear()
+            cli.CACHE_FILE_MEMO.clear()
         if warm is True:
             good.write_bytes(VALID_CACHE)
             assert run_cli(capsys, "--cache", str(good), "core", "--p", "5", "--partition", "5")[0] == 0
-            assert "strict\t2,1\t1" in cli.CACHE_RECORD_MEMO
+            assert str(good) in cli.CACHE_FILE_MEMO
         cache.write_text(text)
         code, out, err = run_cli(
             capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "2,1"
@@ -546,11 +546,11 @@ def test_wrong_cache_count_is_an_input_error(tmp_path, capsys, record, wrong, fr
     errors = []
     for warm in (False, True, "again"):  # again: the same file once more, memo kept
         if warm != "again":
-            cli.CACHE_RECORD_MEMO.clear()
+            cli.CACHE_FILE_MEMO.clear()
         if warm is True:
             cache.write_text(text)
             assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")[0] == 0
-            assert record.rstrip("\n") in cli.CACHE_RECORD_MEMO
+            assert cli.CACHE_FILE_MEMO[str(cache)][0] == text
         cache.write_text(text.replace(record, wrong))
         before = cache.read_bytes()
         if fresh_process:
@@ -566,9 +566,9 @@ def test_wrong_cache_count_is_an_input_error(tmp_path, capsys, record, wrong, fr
 
 def test_each_cache_record_line_is_checked_once_per_process(tmp_path, capsys, monkeypatch):
     """The first load of a file parses and runs the closed form once per
-    distinct record line, and later loads of the same bytes do neither; the
-    memo of counts is restored from the checked file after it is cleared; a
-    fresh process checks every record again."""
+    record line, and later loads of the same bytes do neither; the memo of
+    counts is restored from the checked file after it is cleared; a fresh
+    process checks every record again."""
     PATH_COUNT_MEMO.clear()
     cache = tmp_path / "kcache.tsv"
     assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "6")[0] == 0
@@ -576,8 +576,8 @@ def test_each_cache_record_line_is_checked_once_per_process(tmp_path, capsys, mo
     lines = cache.read_text().splitlines()
     cache.write_text("\n".join(lines + lines[1:3]) + "\n")  # two lines twice
     before = cache.read_bytes()
-    distinct = len(set(lines[1:]))
-    assert distinct == len(entries) > 2
+    records = len(lines) + 1  # the header is not a record; two lines come twice
+    assert len(set(lines[1:])) == len(entries) > 2
 
     calls, parses = [], []
     real, real_validate = cli._hook_formula, cli.validate
@@ -592,18 +592,17 @@ def test_each_cache_record_line_is_checked_once_per_process(tmp_path, capsys, mo
 
     monkeypatch.setattr(cli, "_hook_formula", counted)
     monkeypatch.setattr(cli, "validate", counted_validate)
-    cli.CACHE_RECORD_MEMO.clear()
     cli.CACHE_FILE_MEMO.clear()
     assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")[0] == 0
-    assert len(calls) == len(parses) == distinct
+    assert len(calls) == len(parses) == records
     for _ in range(2):
         assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")[0] == 0
-    assert len(calls) == len(parses) == distinct
+    assert len(calls) == len(parses) == records
     assert cache.read_bytes() == before
     PATH_COUNT_MEMO.clear()
     assert cli.load_cache(str(cache)) == set(entries)
     assert PATH_COUNT_MEMO == entries
-    assert len(calls) == len(parses) == distinct
+    assert len(calls) == len(parses) == records
 
     script = (
         "import sys; from spinblocks import cli; calls = []; real = cli._hook_formula\n"
@@ -615,7 +614,26 @@ def test_each_cache_record_line_is_checked_once_per_process(tmp_path, capsys, mo
     done = subprocess.run(
         [sys.executable, "-c", script, str(cache)], capture_output=True, env=env, text=True
     )
-    assert done.stdout.splitlines()[-1] == f"0 {distinct}", done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 {records}", done.stderr
+
+
+def test_a_cache_file_the_process_wrote_is_not_checked_again(tmp_path, capsys, monkeypatch):
+    """save_cache records the text it wrote with the memo's counts, so the
+    next load of those bytes runs no closed form; once an edit changes them,
+    every record line is checked again."""
+    PATH_COUNT_MEMO.clear()
+    cache = tmp_path / "kcache.tsv"
+    assert run_cli(capsys, "--cache", str(cache), "verify", "dim-sqd", "--n", "6")[0] == 0
+    text = cache.read_text()
+    assert cli.CACHE_FILE_MEMO[str(cache)] == (text, PATH_COUNT_MEMO)
+    calls = []
+    real = cli._hook_formula
+    monkeypatch.setattr(cli, "_hook_formula", lambda *a: calls.append(a) or real(*a))
+    assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")[0] == 0
+    assert calls == []
+    cache.write_text(text + "ordinary\t4,4\t14\n")
+    assert run_cli(capsys, "--cache", str(cache), "core", "--p", "5", "--partition", "5")[0] == 0
+    assert len(calls) == text.count("\n")  # the old records and the new one
 
 
 def test_same_length_cache_edit_with_its_mtime_restored_is_checked(tmp_path, capsys):
@@ -678,7 +696,8 @@ def test_failed_cache_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
 
         def write(self, text):
             self.writes += 1
-            if self.writes > 2:
+            if self.writes > 2 or len(text) > 64:  # the disk fills part way through
+                self.fh.write(text[:64])
                 raise OSError("disk full")
             self.fh.write(text)
 

@@ -61,7 +61,7 @@ def test_no_declared_dependencies():
 
 
 # The benchmark's reset between passes empties only module-level caches and
-# module-level dicts whose names end in MEMO, and the README names these seven;
+# module-level dicts whose names end in MEMO, and the README names these six;
 # a cache anywhere else would run warm.  `stembridge._rock_branch` is memoized
 # because `verify all` asks for each branching twice (htog-adjoint and htoj
 # restrict, htog-adjoint and stembridge-cross induce); every check still
@@ -69,7 +69,7 @@ def test_no_declared_dependencies():
 # induction, tableaux, the M action), so sharing it makes no route less
 # independent, and `verify all` empties it after each weight.
 MEMOS = ["_block", "_block_by_sizes", "_k_product", "_rock_branch"]
-DICT_MEMOS = ["CACHE_FILE_MEMO", "CACHE_RECORD_MEMO", "PATH_COUNT_MEMO"]
+DICT_MEMOS = ["CACHE_FILE_MEMO", "PATH_COUNT_MEMO"]
 CACHE_NAMES = {"lru_cache", "cache"}
 
 
@@ -152,3 +152,64 @@ def test_memo_checker_catches_each_kind():
         ("inner", False), ("method", False), ("other", True), ("top", True)
     ]
     assert stray == 1
+
+
+# Runner j's epsilon exponent has one definition, `abacus.runner_parity`.  A
+# module that derives it again from the partition `runner_label(p, j)`, or
+# keeps a table of it, states the concept a second time.
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def _calls(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def runner_parity_restatements(tree: ast.AST) -> list[str]:
+    """epsilon_exponent calls with a runner_label call among their
+    arguments, and runner-parity tables: a comprehension whose values are
+    runner_parity calls, or a map of runner_parity, unless sum() takes it."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if _calls(node, "epsilon_exponent"):
+            if any(_calls(n, "runner_label") for arg in node.args for n in ast.walk(arg)):
+                found.append(f"{where}: epsilon_exponent of a runner_label")
+            continue
+        if isinstance(node, COMPREHENSIONS):
+            values = node.value if isinstance(node, ast.DictComp) else node.elt
+            table = _calls(values, "runner_parity")
+        else:
+            table = _calls(node, "map") and isinstance(node.args[0], ast.Name) and (
+                node.args[0].id == "runner_parity"
+            )
+        if table and not _calls(parents.get(node), "sum"):
+            found.append(f"{where}: a table of runner parities")
+    return found
+
+
+def test_runner_parity_has_one_definition_and_no_restatement():
+    defined, found = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.extend(
+            path.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "runner_parity"
+        )
+        found.extend(f"{path.name} {where}" for where in runner_parity_restatements(tree))
+    assert defined == ["abacus.py"]
+    assert found == []
+
+
+def test_runner_parity_checker_catches_each_kind():
+    source = (
+        "a = epsilon_exponent((runner_label(p, j),))\n"
+        "b = epsilon_exponent((mu, runner_label(p, j)))\n"
+        "c = [epsilon_exponent((runner_label(p, i),)) for i in range(L + 1)]\n"
+        "d = tuple(runner_parity(j) for j in range(L + 1))\n"
+        "e = {j: runner_parity(j) for j in range(L + 1)}\n"
+        "f = list(map(runner_parity, range(L + 1)))\n"
+        "ok = sum(map(runner_parity, t)) + sum(runner_parity(j) * x for j, x in enumerate(c))\n"
+        "ok = epsilon_exponent((mu,)) + runner_parity(j) + len(runner_label(p, j))\n"
+    )
+    assert len(runner_parity_restatements(ast.parse(source))) == 6

@@ -54,8 +54,8 @@ def test_entry_points_reject_non_strict_partitions(name, bad):
 
 
 # Every public function that takes p.  The arithmetic helpers ell,
-# runner_label, as_composition, removal_moves and runner_tuples are left
-# out: the library calls them only with a p its entry points have checked.
+# runner_label, as_composition and runner_tuples are left out: the library
+# calls them only with a p its entry points have checked.
 PRIME_ENTRY_POINTS = {
     "Abacus.from_partition": lambda p: Abacus.from_partition((2, 1), p),
     "core_weight": lambda p: core_weight((2, 1), p),

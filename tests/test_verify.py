@@ -461,7 +461,7 @@ def test_a_flipped_runner_sign_in_the_shared_weights_fails_phi_kernel_and_htoj(m
     from spinblocks import cli
 
     real = V._label_weight
-    monkeypatch.setattr(V, "_label_weight", lambda space, e, t: real(space, e, t) * (-1) ** t.count(1))
+    monkeypatch.setattr(V, "_label_weight", lambda e, t: real(e, t) * (-1) ** t.count(1))
     for oracle in (False, True):
         code = cli.main(["verify", "all", "--p", "5", "--dmax", "3"] + ["--oracle"] * oracle)
         report = json.loads(capsys.readouterr().out)
@@ -472,6 +472,57 @@ def test_a_flipped_runner_sign_in_the_shared_weights_fails_phi_kernel_and_htoj(m
             assert all(w == {"disagreement": {"member": False, "oracle": True}} for w in htoj)
         else:
             assert all("difference" in w for w in htoj)
+
+
+def test_runner_one_planted_even_fails_five_checks(monkeypatch, capsys):
+    """Every runner epsilon reads abacus.runner_parity.  With runner 1
+    planted even there, `verify all` fails the checks that compare a closed
+    form with a route that never reads it (tableaux, quotient recursion, the
+    M action, the weight-one Brauer tree) and hyp-nonneg, whose coefficients
+    leave Z[sqrt(2)].  htog-adjoint and phi-kernel read it on both sides."""
+    import spinblocks.verify as V
+    from spinblocks import abacus, chars, cli, stembridge
+
+    real = abacus.runner_parity
+    for module in (abacus, chars, stembridge, V):
+        monkeypatch.setattr(module, "runner_parity", lambda j: 0 if j == 1 else real(j))
+    stembridge._rock_branch.cache_clear()
+    try:
+        code = cli.main(["verify", "all", "--p", "5", "--dmax", "3"])
+    finally:
+        stembridge._rock_branch.cache_clear()
+    report = json.loads(capsys.readouterr().out)
+    failed = {key.split()[0] for key, verdict in report["verdicts"].items() if verdict == "fail"}
+    assert (code, failed) == (
+        1, {"htoj", "hyp-nonneg", "restrict-recursion", "stembridge-cross", "tree-suite"}
+    )
+
+
+def test_an_unreduced_tuple_exponent_fails_hyp_nonneg(monkeypatch, capsys):
+    """hyp_coeffs with eps_(rho,dcomp)'s exponent left unreduced mod 2 scales
+    every coefficient of a dcomp by 2^(odd // 2), odd the number of odd
+    partitions in the tuple; they stay positive integers, and only the
+    square-sum identity of hyp-nonneg sees it, where d - dcomp_0 >= 2."""
+    import spinblocks.verify as V
+    from spinblocks import cli
+    from spinblocks.abacus import runner_label
+    from spinblocks.partitions import is_odd_partition
+
+    real = V.hyp_coeffs
+
+    def unreduced(rho, p, dcomp):
+        runners = tuple(runner_label(p, j) for j, x in enumerate(dcomp) for _ in range(x))
+        odd = sum(map(is_odd_partition, (tuple(rho),) + runners))
+        return real(rho, p, dcomp).scale(2 ** (odd // 2))
+
+    monkeypatch.setattr(V, "hyp_coeffs", unreduced)
+    code = cli.main(["verify", "all", "--p", "5", "--dmax", "4"])
+    report = json.loads(capsys.readouterr().out)
+    failed = {key.split()[0] for key, verdict in report["verdicts"].items() if verdict == "fail"}
+    assert (code, failed) == (1, {"hyp-nonneg"})
+    witnesses = [w for f in report["outputs"]["failures"] for w in f["witness"]]
+    assert witnesses
+    assert all(w["squares"] in (4 * w["expected"], 16 * w["expected"]) for w in witnesses)
 
 
 def test_check_htoj_reports():
