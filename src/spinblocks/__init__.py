@@ -3,7 +3,6 @@ blocks: bar-abacus displays, shifted-tableau branching, Brauer-tree walks
 and integer-lattice verification of the block character identities."""
 
 from .abacus import (
-    Abacus,
     BarQuotient,
     block_enum,
     core_weight,
@@ -14,7 +13,7 @@ from .abacus import (
     quotient,
 )
 from .chars import CharSpace, CharVector, m_action, orbit_sum
-from .exceptions import CheckFailure, DomainError, ShapeError, SpaceMismatch
+from .exceptions import DomainError, ShapeError, SpaceMismatch
 from .partitions import (
     ORDINARY,
     STRICT,
@@ -22,11 +21,9 @@ from .partitions import (
     as_strict,
     box_moves,
     enumerate_partitions,
-    epsilon,
     epsilon_exponent,
     is_odd_partition,
     path_count,
-    shifted_diagram,
 )
 from .rouquier import StripCertificate, generate, is_rouquier, rho_extension, strip_classify
 from .sqrt2 import Sqrt2Scalar
@@ -42,15 +39,13 @@ from .verify import (
     run_check,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
-    "Abacus",
     "BarQuotient",
     "BrauerTree",
     "CharSpace",
     "CharVector",
-    "CheckFailure",
     "CheckReport",
     "DomainError",
     "GreenWalk",
@@ -71,7 +66,6 @@ __all__ = [
     "core_weight",
     "ell",
     "enumerate_partitions",
-    "epsilon",
     "epsilon_exponent",
     "f_coeff",
     "generate",
@@ -92,7 +86,6 @@ __all__ = [
     "rho_extension",
     "rock_branch",
     "run_check",
-    "shifted_diagram",
     "strip_classify",
     "walk",
     "weight_one_map",

@@ -35,21 +35,6 @@ from .partitions import (
 
 
 @dataclass(frozen=True)
-class Abacus:
-    p: int
-    beads: frozenset
-
-    @classmethod
-    def from_partition(cls, lam: Partition, p: int) -> "Abacus":
-        lam = as_strict(lam)
-        _check_prime(p)
-        return cls(p, frozenset(lam))
-
-    def to_partition(self) -> Partition:
-        return tuple(sorted(self.beads, reverse=True))
-
-
-@dataclass(frozen=True)
 class BarQuotient:
     """Quotient tuple (q0; q1, ..., q_ell): q0 strict, the rest ordinary."""
 

@@ -5,7 +5,7 @@ A space fixes a basis of supercharacter labels:
   * "block": labels are the strict partitions of a block (core rho, weight d);
   * "L":     labels are runner tuples (j_1, ..., j_d) with entries in 0..ell;
   * "H":     labels are pairs (mu, j) with mu of weight d-1 over rho;
-  * "full":  labels are all strict partitions of n.
+  * "full":  labels are strict partitions of n (induction products; unlisted).
 
 Each label has a parity (odd when its epsilon tuple is odd); odd labels
 split into an associate pair in the sign-refined basis.  Coefficients are
@@ -19,10 +19,10 @@ from math import factorial
 from operator import add, sub
 
 from .abacus import (
-    _check_prime, as_composition, block_enum, core_weight, ell, runner_label, runner_parity,
+    _check_prime, as_composition, block_enum, core_weight, ell, runner_parity,
 )
 from .exceptions import DomainError, SpaceMismatch
-from .partitions import STRICT, Partition, as_strict, enumerate_partitions, epsilon_exponent
+from .partitions import Partition, as_strict, epsilon_exponent
 from .sqrt2 import Sqrt2Scalar
 
 # An L space of weight d has (ell + 1)^d labels, counted before any is listed;
@@ -76,44 +76,24 @@ class CharSpace:
     def full(cls, n):
         return cls("full", n=n)
 
-    def eps_tuple(self, label) -> tuple:
-        """The tuple of partitions whose parity count gives epsilon."""
-        if self.kind in ("block", "full"):
-            return (label,)
-        if self.kind == "L":
-            return (self.rho,) + tuple(runner_label(self.p, j) for j in label)
-        if self.kind == "H":
-            mu, j = label
-            return (mu, runner_label(self.p, j))
-        raise ValueError(f"unknown space kind {self.kind!r}")
-
     def eps_exponent(self, label) -> int:
-        """epsilon_exponent(eps_tuple(label)): rho's parity plus that of each
-        runner in an L label; mu's plus runner j's for an H label (mu, j)."""
+        """The epsilon exponent of the label's tuple of partitions: rho's
+        parity plus that of each runner in an L label; mu's plus runner j's
+        for an H label (mu, j); the partition's own in a block or full space."""
         if self.kind == "L":
             return (epsilon_exponent((self.rho,)) + sum(map(runner_parity, label))) % 2
         if self.kind == "H":
             mu, j = label
             return (epsilon_exponent((mu,)) + runner_parity(j)) % 2
-        return epsilon_exponent(self.eps_tuple(label))
+        return epsilon_exponent((label,))
 
     def is_odd(self, label) -> bool:
         return self.eps_exponent(label) == 1
 
-    def eps(self, label) -> Sqrt2Scalar:
-        return Sqrt2Scalar.sqrt2_power(self.eps_exponent(label))
-
     def validate_label(self, label):
-        if self.kind in ("block", "full"):
-            lam = as_strict(label)
-            if self.kind == "full":
-                if sum(lam) != self.n:
-                    raise ValueError(f"{lam} is not a partition of {self.n}")
-            else:
-                core, wt = core_weight(lam, self.p)
-                if core != self.rho or wt != self.d:
-                    raise ValueError(f"{lam} does not lie in the block {self.rho}, {self.d}")
-            return lam
+        """An L or H label (as `maction` and `phi` take them), made canonical."""
+        if self.kind not in ("L", "H"):
+            raise SpaceMismatch(f"only L and H labels are validated, not {self.kind}")
         L = ell(self.p)
         if self.kind == "L":
             t = tuple(int(j) for j in label)
@@ -136,9 +116,7 @@ class CharSpace:
         if self.kind == "H":
             mus = block_enum(self.rho, self.p, self.d - 1)
             return [(mu, j) for mu in mus for j in range(ell(self.p) + 1)]
-        if self.kind == "full":
-            return enumerate_partitions(self.n, STRICT)
-        raise ValueError(f"unknown space kind {self.kind!r}")
+        raise SpaceMismatch(f"a {self.kind} space does not list its labels")
 
     def refined_labels(self) -> list:
         out = []

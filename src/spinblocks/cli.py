@@ -2,9 +2,9 @@
 deterministic JSON (default) or CSV on stdout.
 
 Exit codes: 0 success or all checks passed, 1 at least one check failed,
-2 usage or domain error, 3 internal error (an internal consistency assertion
-failed; no report is printed).  Output is byte-deterministic unless --timing is
-requested.
+2 bad input (a usage, domain or file error), 3 internal error (any other
+exception, such as a failed consistency assertion; no report is printed).
+Output is byte-deterministic unless --timing is requested.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 from . import trees
 from .abacus import block_enum, core_weight, ell, neighbors, quotient
 from .chars import SIGN_SUFFIX, CharSpace, CharVector, _check_l_labels, m_action, orbit_sum
-from .exceptions import DomainError, ShapeError, SpaceMismatch
+from .exceptions import DomainError
 from .partitions import PATH_COUNT_MEMO, STRICT, _hook_formula, enumerate_partitions, validate
 from .rouquier import generate, is_rouquier, strip_classify
 from .stembridge import _rock_branch, f_coeff, induce, rock_branch
@@ -477,11 +477,10 @@ def main(argv=None) -> int:
         outputs, code = run_command(args)
         if args.cache:
             save_cache(args.cache, loaded)
-    except (DomainError, ShapeError, SpaceMismatch, ValueError, IndexError, KeyError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:  # DomainError, ShapeError, SpaceMismatch among them
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except AssertionError as exc:
+    except Exception as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
     report = {"command": args.command, "inputs": _jsonable(inputs), "outputs": outputs}

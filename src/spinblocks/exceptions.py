@@ -11,11 +11,3 @@ class ShapeError(ValueError):
 
 class SpaceMismatch(ValueError):
     """Vectors or operators built over different character spaces."""
-
-
-class CheckFailure(Exception):
-    """A named verification check failed; carries the failing report."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(report.describe())

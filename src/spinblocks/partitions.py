@@ -13,7 +13,6 @@ from operator import ge, gt, le
 from typing import Iterable, Iterator
 
 from .exceptions import DomainError, ShapeError
-from .sqrt2 import Sqrt2Scalar
 
 Partition = tuple  # tuple[int, ...]
 
@@ -57,15 +56,10 @@ def contains(lam: Partition, mu: Partition) -> bool:
     return all(map(le, mu, lam))
 
 
-def shifted_diagram(lam: Partition) -> frozenset:
-    """Boxes (i, j) with i <= j <= lam_i + i - 1, rows indexed from 1."""
-    return frozenset(
-        (i, j) for i, part in enumerate(lam, 1) for j in range(i, part + i)
-    )
-
-
 def skew_boxes(lam: Partition, mu: Partition) -> tuple:
-    """The boxes of shifted_diagram(lam) outside shifted_diagram(mu), sorted."""
+    """The boxes of the shifted diagram of lam outside that of mu, sorted; the
+    shifted diagram of lam has the boxes (i, j) with i <= j <= lam_i + i - 1,
+    rows indexed from 1."""
     if not contains(lam, mu):
         raise ShapeError(f"{mu} does not fit inside {lam}")
     boxes = []
@@ -191,14 +185,7 @@ def _hook_formula(lam: Partition, strict: bool) -> int:
 
 
 def epsilon_exponent(partitions: Iterable[Partition]) -> int:
-    """0 when the number of odd entries is even, else 1."""
+    """0 when the number of odd entries is even, else 1: epsilon of the tuple
+    is sqrt(2) to this power, and its square counts the irreducible
+    constituents of the corresponding supercharacter."""
     return sum(1 for lam in partitions if is_odd_partition(lam)) % 2
-
-
-def epsilon(*partitions: Partition) -> Sqrt2Scalar:
-    """1 for an even tuple of partitions, sqrt(2) for an odd one.
-
-    Symmetric in its arguments; the square counts the irreducible
-    constituents of the corresponding supercharacter.
-    """
-    return Sqrt2Scalar.sqrt2_power(epsilon_exponent(partitions))

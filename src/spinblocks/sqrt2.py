@@ -28,9 +28,10 @@ class Sqrt2Scalar:
 
     @classmethod
     def sqrt2_power(cls, e: int) -> "Sqrt2Scalar":
-        """sqrt(2)**e for e >= 0; raises for negative e (not in the ring)."""
+        """sqrt(2)**e for e >= 0.  Every caller passes an exponent the library
+        computed, so a negative one (not in the ring) is an internal fault."""
         if e < 0:
-            raise ValueError(f"sqrt(2)**{e} is not in Z[sqrt(2)]")
+            raise AssertionError(f"sqrt(2)**{e} is not in Z[sqrt(2)]")
         if e % 2 == 0:
             return _unchecked(1 << (e // 2), 0)
         return _unchecked(0, 1 << (e // 2))
@@ -71,12 +72,6 @@ class Sqrt2Scalar:
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
-
-    def conjugate(self) -> "Sqrt2Scalar":
-        return _unchecked(self.a, -self.b)
-
-    def norm(self) -> int:
-        return self.a * self.a - 2 * self.b * self.b
 
     def is_nonneg_integer(self) -> bool:
         return self.b == 0 and self.a >= 0

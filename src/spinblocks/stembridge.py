@@ -118,16 +118,12 @@ def f_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
         raise ShapeError(f"|{lam}| != |{mu}| + |{nu}|")
     if not contains(lam, mu):
         raise ShapeError(f"{mu} does not fit inside {lam}")
-    return _f_coeff(lam, mu, nu)
+    return _count_lattice_fillings(lam, mu, nu)
 
 
 def _check_fill_budget(nu: Partition) -> None:
     if sum(nu) >= FILL_MAX_BOXES:
         raise DomainError(f"nu has {sum(nu)} boxes; the fill takes at most {FILL_MAX_BOXES - 1}")
-
-
-def _f_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
-    return _count_lattice_fillings(lam, mu, nu)
 
 
 def _grown_partitions(mu: Partition, nu: Partition) -> list[Partition]:
@@ -159,32 +155,27 @@ def _grown_partitions(mu: Partition, nu: Partition) -> list[Partition]:
     return out
 
 
-def induce(mu: Partition, nu: Partition, support=None) -> CharVector:
+def induce(mu: Partition, nu: Partition) -> CharVector:
     """Supercharacter induction product of mu with nu over the full space.
 
     The coefficient of lambda is
         eps_(mu,nu) / eps_lambda * 2^((h(mu)+h(nu)-h(lambda))/2) * f,
     with f the tableau count; every coefficient is checked to land in
-    Z[sqrt(2)] with nonnegative integer part.  The formula is diagonal in
-    lambda, so passing `support` computes the projection onto those labels
-    without touching the rest of the expansion.
+    Z[sqrt(2)] with nonnegative integer part.
     """
     mu, nu = as_strict(mu), as_strict(nu)
     _check_fill_budget(nu)
-    if support is not None:
-        support = [as_strict(lam) for lam in support]
-        if any(sum(lam) != sum(mu) + sum(nu) for lam in support):
-            raise ValueError("support labels must be partitions of |mu| + |nu|")
-        support = [lam for lam in support if contains(lam, mu)]
-    return _induce(mu, nu, support)
+    return _induce(mu, nu, None)
 
 
 def _induce(mu: Partition, nu: Partition, support) -> CharVector:
-    """induce without its checks; a support holds only labels containing mu."""
+    """induce without its checks.  The formula is diagonal in lambda, so a
+    support (labels of size |mu| + |nu| containing mu) gives the projection
+    onto those labels without touching the rest of the expansion."""
     e_pair = epsilon_exponent((mu, nu))
     out = {}
     for lam in _grown_partitions(mu, nu) if support is None else support:
-        f = _f_coeff(lam, mu, nu)
+        f = _count_lattice_fillings(lam, mu, nu)
         if f == 0:
             continue
         exponent = (

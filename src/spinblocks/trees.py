@@ -42,15 +42,10 @@ class BrauerTree:
 
     def node_characters(self, node: str) -> tuple:
         if node not in self.node_set:
-            raise KeyError(f"{node} is not a node of this tree")
+            raise DomainError(f"{node} is not a node of this tree")
         if self.kind == "A" and node == "0":
             return ("0+", "0-")
         return (node,)
-
-    def edge_characters(self, edge: tuple) -> tuple:
-        """Projective character of an edge: sum over both endpoint nodes."""
-        a, b = edge
-        return self.node_characters(a) + self.node_characters(b)
 
 
 @dataclass(frozen=True)
@@ -98,24 +93,21 @@ def walk(tree: BrauerTree) -> GreenWalk:
 def heller(tree: BrauerTree, start, n: int) -> list[tuple]:
     """Walk entries n syzygy steps ahead of every occurrence of `start`.
 
-    `start` may be a walk index, a node name, or a character tuple; the
-    result lists the character tuples guaranteed at offset n (one per
-    occurrence of the start on the walk, deduplicated in walk order).
+    `start` may be a walk index or a node name; the result lists the
+    character tuples guaranteed at offset n (one per occurrence of the start
+    on the walk, deduplicated in walk order).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     w = walk(tree)
     if isinstance(start, int):
         if not 0 <= start < len(w):
-            raise IndexError(f"walk index out of range: {start}")
+            raise DomainError(f"walk index out of range: {start}")
         positions = [start]
     else:
-        if isinstance(start, tuple):
-            positions = [t for t, v in enumerate(w.nodes) if tree.node_characters(v) == start]
-        else:
-            positions = [t for t, v in enumerate(w.nodes) if v == start]
+        positions = [t for t, v in enumerate(w.nodes) if v == start]
         if not positions:
-            raise IndexError(f"{start!r} does not occur on the walk")
+            raise DomainError(f"{start!r} does not occur on the walk")
     out = []
     for t in positions:
         entry = tree.node_characters(w.nodes[(t + n) % len(w)])
@@ -138,9 +130,6 @@ class WeightOneTree:
     p: int
     tree: BrauerTree
     node_chars: tuple  # ((node, ((lam, sign), ...)), ...)
-
-    def characters(self, node: str) -> tuple:
-        return dict(self.node_chars)[node]
 
     def edge_sums(self) -> list[tuple]:
         """Projective characters: for each edge the refined block labels."""

@@ -16,7 +16,7 @@ from .abacus import (
     runner_parity,
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, m_action, runner_tuples
-from .exceptions import CheckFailure, DomainError, SpaceMismatch
+from .exceptions import DomainError, SpaceMismatch
 from .hnf import integral_solution_exists
 from .partitions import (
     ORDINARY,
@@ -271,11 +271,6 @@ class CheckReport:
     lhs: object = None
     rhs: object = None
     witness: object = None
-
-    def describe(self) -> str:
-        state = "pass" if self.passed else "fail"
-        extra = "" if self.passed else f"; witness={self.witness!r}"
-        return f"check {self.name} {self.params}: {state}{extra}"
 
     def to_json(self) -> dict:
         return {
@@ -650,12 +645,9 @@ CHECKS = {
 }
 
 
-def run_check(name: str, strict: bool = False, **params) -> CheckReport:
-    """Run a named check; with strict=True a failing report is raised as a
-    CheckFailure carrying the offending labels and both sides."""
+def run_check(name: str, **params) -> CheckReport:
+    """Run a named check; a failing report carries the offending labels and
+    both sides."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; have {sorted(CHECKS)}")
-    report = CHECKS[name](**params)
-    if strict and not report.passed:
-        raise CheckFailure(report)
-    return report
+    return CHECKS[name](**params)

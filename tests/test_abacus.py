@@ -6,7 +6,6 @@ import pytest
 
 from spinblocks import abacus
 from spinblocks.abacus import (
-    Abacus,
     BarQuotient,
     block_enum,
     core_weight,
@@ -32,17 +31,7 @@ def all_strict(max_n):
     return out
 
 
-def test_abacus_round_trip():
-    for lam in all_strict(10):
-        ab = Abacus.from_partition(lam, 5)
-        assert ab.to_partition() == lam
-        assert 0 not in ab.beads
-        assert len(ab.beads) == len(lam)
-
-
 def test_abacus_rejects_bad_p():
-    with pytest.raises(DomainError):
-        Abacus.from_partition((2, 1), 4)
     with pytest.raises(DomainError):
         core_weight((2, 1), 9)
 

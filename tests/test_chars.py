@@ -49,7 +49,7 @@ def test_label_parity(h_space):
     # (2,1) odd with an even bar label gives an odd pair, and conversely
     assert h_space.is_odd(((2, 1), 0))
     assert not h_space.is_odd(((2, 1), 1))
-    assert h_space.eps(((2, 1), 0)) == SQRT2
+    assert Sqrt2Scalar.sqrt2_power(h_space.eps_exponent(((2, 1), 0))) == SQRT2
 
 
 def test_runner_parity_is_the_parity_of_the_runner_label():
@@ -62,6 +62,17 @@ def test_runner_parity_is_the_parity_of_the_runner_label():
             assert runner_parity(j) == epsilon_exponent((runner_label(p, j),)), (p, j)
 
 
+def eps_tuple(space, label) -> tuple:
+    """The tuple of partitions whose parity count gives epsilon: rho and the
+    runner label of each slot in an L space, mu and runner j's label for an
+    H label (mu, j).  An oracle for `CharSpace.eps_exponent`, which reads the
+    runner parities off abacus.runner_parity instead."""
+    if space.kind == "L":
+        return (space.rho,) + tuple(runner_label(space.p, j) for j in label)
+    mu, j = label
+    return (mu, runner_label(space.p, j))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_parity_rule_matches_the_epsilon_tuple(p):
     """An L or H space reads its runners' parities off abacus.runner_parity;
@@ -71,7 +82,7 @@ def test_parity_rule_matches_the_epsilon_tuple(p):
             rho = generate(p, d, parity, 1)[0]
             for space in (CharSpace.l_space(rho, p, d), CharSpace.h_space(rho, p, d)):
                 exponents = {
-                    label: epsilon_exponent(space.eps_tuple(label)) for label in space.labels()
+                    label: epsilon_exponent(eps_tuple(space, label)) for label in space.labels()
                 }
                 assert {label: space.eps_exponent(label) for label in exponents} == exponents
                 assert set(exponents.values()) == {0, 1}

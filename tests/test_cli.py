@@ -25,7 +25,7 @@ from spinblocks.partitions import (
     path_count,
 )
 from spinblocks.rouquier import GEN_MAX_BEADS, GEN_MAX_COUNT
-from spinblocks.stembridge import FILL_MAX_BOXES, _f_coeff
+from spinblocks.stembridge import FILL_MAX_BOXES, _count_lattice_fillings
 from spinblocks.trees import ELL_MAX
 from spinblocks.verify import CHECKS, DIM_SQD_MAX_N
 
@@ -424,6 +424,24 @@ def test_exit_code_internal_error(capsys, monkeypatch):
     assert err == "internal error: weight drifted\n"
 
 
+def test_a_library_fault_inside_a_check_exits_3(capsys, monkeypatch):
+    """With runner 0 planted odd in abacus.runner_parity, `verify all` computes
+    a negative sqrt(2) exponent.  No input can ask for one, so the run exits
+    3, the internal-error code, not 2, the bad-input one."""
+    from spinblocks import chars, stembridge, verify
+
+    real = abacus.runner_parity
+    for module in (abacus, chars, stembridge, verify):
+        monkeypatch.setattr(module, "runner_parity", lambda j: 1 if j == 0 else real(j))
+    stembridge._rock_branch.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "3")
+    finally:
+        stembridge._rock_branch.cache_clear()
+    assert (code, out) == (3, "")
+    assert err == "internal error: sqrt(2)**-2 is not in Z[sqrt(2)]\n"
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "1")
     _, second, _ = run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "1")
@@ -526,7 +544,7 @@ def test_fill_budget_keeps_the_largest_fillable_shape(capsys, argv, outputs):
     assert err == f"error: nu has {size + 1} boxes; the fill takes at most {size}\n"
     n = sys.getrecursionlimit()
     with pytest.raises(RecursionError):
-        _f_coeff((n,), (), (n,))
+        _count_lattice_fillings((n,), (), (n,))
 
 
 @pytest.mark.parametrize("fresh_process", [True, False])

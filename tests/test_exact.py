@@ -1,7 +1,8 @@
 """The library stays integer-exact and dependency-free: no float literal, no
 true division, no float() call, and no import from outside the standard
 library and the package, in any module under src/spinblocks.  Its memos are
-a fixed, named set of module-level functools caches and *MEMO dicts."""
+a fixed, named set of module-level functools caches and *MEMO dicts, and
+every function in it has a caller in it or is public API."""
 
 import ast
 import sys
@@ -213,3 +214,73 @@ def test_runner_parity_checker_catches_each_kind():
         "ok = epsilon_exponent((mu,)) + runner_parity(j) + len(runner_label(p, j))\n"
     )
     assert len(runner_parity_restatements(ast.parse(source))) == 6
+
+
+# Every function and method under src/spinblocks is referenced from src
+# outside its own body, or exported in spinblocks.__all__; an oracle only the
+# tests call lives with the tests.  Dunder methods are called by Python
+# itself.  What stays public without a caller in src:
+UNCALLED_ALLOWED = {
+    # the echelon route: the benchmark's spans wrap row_echelon_basis and
+    # lattice_member by name, and the tests cross-check the closed form with it
+    "row_echelon_basis", "reduce_against", "lattice_member",
+    # CharVector's algebra
+    "CharVector.scale", "CharVector.coefficient",
+}
+
+
+def uncalled_defs(trees: list, exported: set) -> list[str]:
+    """Qualified names (Class.method) of the defs that no Name or Attribute
+    outside their own body refers to, less dunders and exported names."""
+    defs = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((f"{owner}.{child.name}" if owner else child.name, child))
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    refs = {}
+    for tree in trees:
+        visit(tree, None)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                refs.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(node)
+    uncalled = []
+    for qualname, fn in defs:
+        if (fn.name.startswith("__") and fn.name.endswith("__")) or qualname in exported:
+            continue
+        inside = set(map(id, ast.walk(fn)))
+        if all(id(node) in inside for node in refs.get(fn.name, ())):
+            uncalled.append(qualname)
+    return uncalled
+
+
+def test_every_function_in_src_has_a_caller_or_is_public():
+    import spinblocks
+
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    assert set(uncalled_defs(trees, set(spinblocks.__all__))) - UNCALLED_ALLOWED == set()
+
+
+def test_caller_checker_catches_an_unreferenced_def():
+    import spinblocks
+
+    source = (
+        "def used(): return 1\n"
+        "def recursive(n): return recursive(n - 1) if n else used()\n"
+        "def exported(): pass\n"
+        "class C:\n"
+        "    def __len__(self): return 0\n"
+        "    def method(self): return self.method\n"
+        "    def called(self): return 2\n"
+        "x = C().called()\n"
+    )
+    assert uncalled_defs([ast.parse(source)], {"exported"}) == ["recursive", "C.method"]
+    planted = MODULES[0].read_text() + "\n\ndef planted_helper():\n    return 0\n"
+    trees = [ast.parse(planted)] + [ast.parse(path.read_text()) for path in MODULES[1:]]
+    assert "planted_helper" in uncalled_defs(trees, set(spinblocks.__all__))

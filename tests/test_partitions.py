@@ -9,13 +9,12 @@ from spinblocks.partitions import (
     as_strict,
     box_moves,
     enumerate_partitions,
-    epsilon,
     epsilon_exponent,
     is_odd_partition,
     path_count,
-    shifted_diagram,
+    skew_boxes,
 )
-from spinblocks.sqrt2 import SQRT2
+from spinblocks.sqrt2 import SQRT2, Sqrt2Scalar
 
 
 def test_validators():
@@ -60,7 +59,7 @@ def test_box_moves_examples():
 
 
 def test_shifted_diagram():
-    assert shifted_diagram((3, 1)) == {(1, 1), (1, 2), (1, 3), (2, 2)}
+    assert skew_boxes((3, 1), ()) == ((1, 1), (1, 2), (1, 3), (2, 2))
 
 
 def test_path_count_examples():
@@ -105,6 +104,10 @@ def test_removal_recursion(kind):
         for lam in enumerate_partitions(n, kind):
             total = sum(path_count(mu, kind) for mu in box_moves(lam, kind, "remove"))
             assert total == path_count(lam, kind)
+
+
+def epsilon(*partitions):
+    return Sqrt2Scalar.sqrt2_power(epsilon_exponent(partitions))
 
 
 def test_epsilon_values():

@@ -23,14 +23,8 @@ def test_sqrt2_powers():
     assert Sqrt2Scalar.sqrt2_power(1) == SQRT2
     assert Sqrt2Scalar.sqrt2_power(2) == 2
     assert Sqrt2Scalar.sqrt2_power(5) == Sqrt2Scalar(0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
         Sqrt2Scalar.sqrt2_power(-1)
-
-
-@given(scalars)
-def test_conjugate_norm(x):
-    assert x * x.conjugate() == Sqrt2Scalar(x.norm(), 0)
-    assert x.norm() == x.a**2 - 2 * x.b**2
 
 
 @given(scalars, scalars)
@@ -71,7 +65,6 @@ def test_arithmetic_results_equal_checked_construction(x, y, k, e):
         (-x, -x.a, -x.b),
         (x * y, x.a * y.a + 2 * x.b * y.b, x.a * y.b + x.b * y.a),
         (x * k, x.a * k, x.b * k),
-        (x.conjugate(), x.a, -x.b),
         (Sqrt2Scalar.of(k), k, 0),
         (Sqrt2Scalar.sqrt2_power(e), 2 ** (e // 2) * (1 - e % 2), 2 ** (e // 2) * (e % 2)),
     ]

@@ -19,13 +19,6 @@ def test_build_examples():
     assert a1.path == ("0", "1")
 
 
-def test_edge_characters():
-    b2 = build("B", 2)
-    assert b2.edge_characters(("1+", "0")) == ("1+", "0")
-    a2 = build("A", 2)
-    assert a2.edge_characters(("0", "1")) == ("0+", "0-", "1")
-
-
 def test_walk_examples():
     w = walk(build("B", 2))
     assert w.nodes == ("2+", "1+", "0", "1-", "2-", "1-", "0", "1+")
@@ -55,7 +48,7 @@ def test_heller_examples():
     assert heller(b2, "2+", 3) == [("1-",)]
     assert heller(b2, "2+", 6) == [("0",)]
     a2 = build("A", 2)
-    assert heller(a2, ("2",), 2) == [("0+", "0-")]
+    assert heller(a2, "2", 2) == [("0+", "0-")]
 
 
 def test_heller_periodicity():
@@ -99,7 +92,7 @@ def test_heller_case_table_b(ell):
 @pytest.mark.parametrize("ell", range(1, 6))
 def test_heller_case_table_a(ell):
     tree = build("A", ell)
-    start = (str(ell),)
+    start = str(ell)
     for n in range(2 * ell):
         got = heller(tree, start, n)
         if n <= ell - 1:
@@ -111,7 +104,7 @@ def test_heller_case_table_a(ell):
         assert got == expected, (ell, n)
     for i in range(1, ell):
         assert heller(tree, str(i), ell) == [(str(ell - i),)] if ell - i else [("0+", "0-")]
-    assert heller(tree, ("0+", "0-"), ell) == [(str(ell),)]
+    assert heller(tree, "0", ell) == [(str(ell),)]
 
 
 def test_weight_one_map_example():

@@ -5,7 +5,6 @@ import pytest
 
 from spinblocks import (
     STRICT,
-    Abacus,
     CharSpace,
     DomainError,
     block_enum,
@@ -36,7 +35,6 @@ ENTRY_POINTS = {
     "block_enum": lambda lam: block_enum(lam, 5, 1),
     "is_bar_core": lambda lam: is_bar_core(lam, 5),
     "k_product": lambda lam: k_product(lam, 5),
-    "Abacus.from_partition": lambda lam: Abacus.from_partition(lam, 5),
     "is_rouquier": lambda lam: is_rouquier(lam, 5, 1),
     "path_count": lambda lam: path_count(lam, STRICT),
     "f_coeff": lambda lam: f_coeff(lam, (), ()),
@@ -57,7 +55,6 @@ def test_entry_points_reject_non_strict_partitions(name, bad):
 # runner_label, as_composition and runner_tuples are left out: the library
 # calls them only with a p its entry points have checked.
 PRIME_ENTRY_POINTS = {
-    "Abacus.from_partition": lambda p: Abacus.from_partition((2, 1), p),
     "core_weight": lambda p: core_weight((2, 1), p),
     "is_bar_core": lambda p: is_bar_core((2, 1), p),
     "neighbors": lambda p: neighbors((2, 1), p, 0, "add"),

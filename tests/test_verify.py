@@ -20,7 +20,7 @@ from spinblocks.verify import (
     phi,
     run_check,
 )
-from test_chars import unrefine
+from test_chars import eps_tuple, unrefine
 
 
 def refined_unit(space, label, sign):
@@ -97,7 +97,7 @@ def old_generators(space):
         mus = block_enum(space.rho, space.p, space.d - 1)
         edges = [((mu, j), (mu, j + 1)) for mu in mus for j in range(L)]
     mk = lambda m: CharVector.make(space, m, REFINED)
-    odd = lambda label: epsilon_exponent(space.eps_tuple(label)) == 1
+    odd = lambda label: epsilon_exponent(eps_tuple(space, label)) == 1
     out = []
     for low, high in edges:
         low_odd, high_odd = odd(low), odd(high)
@@ -154,7 +154,7 @@ def test_phi_kills_lattice(p, d):
     for parity in ("even", "odd"):
         rho = generate(p, d, parity, 1)[0]
         report = run_check("phi-kernel", rho=rho, p=p, d=d)
-        assert report.passed, report.describe()
+        assert report.passed, report.to_json()
 
 
 def test_htoj_worked_example():
@@ -706,24 +706,6 @@ def test_htog_adjoint_catches_a_one_sided_difference(monkeypatch, edit, j, lam, 
     assert report.witness == [
         {"mu": (2, 1), "j": j, "lam": lam, "lhs": {"a": lhs, "b": 0}, "rhs": {"a": rhs, "b": 0}}
     ]
-
-
-def test_strict_mode_raises_check_failure():
-    from spinblocks.exceptions import CheckFailure
-
-    report = run_check("dim-sqd", n=5)
-    assert report.passed
-    # a deliberately broken instance: lie about n via a fabricated report
-    import spinblocks.verify as V
-
-    broken = V.CheckReport("dim-sqd", {"n": 1}, False, 2, 1, {"expected": 1})
-    V.CHECKS["__broken__"] = lambda: broken
-    try:
-        with pytest.raises(CheckFailure) as err:
-            run_check("__broken__", strict=True)
-        assert err.value.report is broken
-    finally:
-        del V.CHECKS["__broken__"]
 
 
 def test_unknown_check_name():
