@@ -239,7 +239,7 @@ def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: 
             for lam in _neighbors(part, p, i, "add"):
                 e_lam = epsilon_exponent((lam,))
                 coeff = Sqrt2Scalar.sqrt2_power(e_mu_j + (e_part + e_lam) % 2 + e_j - e_lam)
-                out[lam] = out[lam] + coeff if lam in out else coeff
+                out[lam] = coeff  # runners move distinct beads: no lam twice
         return _integral_vector(CharSpace.block(rho, p, d), out)
     # each runner's removals once; a removal on runner i lands on runners 0..ell-i
     for i in range(L + 1):
@@ -249,7 +249,7 @@ def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: 
             for jj in range(L - i + 1):
                 e_jj = runner_parity(jj)
                 coeff = Sqrt2Scalar.sqrt2_power(e_num + e_jj - (e_mu + e_jj) % 2)
-                out[mu, jj] = out[mu, jj] + coeff if (mu, jj) in out else coeff
+                out[mu, jj] = coeff  # likewise no (mu, jj) twice
     return _integral_vector(CharSpace.h_space(rho, p, d), out)
 
 

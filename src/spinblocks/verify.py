@@ -413,7 +413,7 @@ def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
         for mu in _neighbors(lam, p, j, "remove"):
             e_mu = epsilon_exponent((mu,))
             coeff = Sqrt2Scalar.sqrt2_power((e_mu + e_lam) % 2 + (e_lam + e_j) % 2 - e_mu - e_j)
-            out[mu, j] = out.get((mu, j), Sqrt2Scalar(0, 0)) + coeff
+            out[mu, j] = coeff  # no (mu, j) twice: each removal moves its own bead
     rhs = CharVector.make(space, out)
     return lhs, rhs
 

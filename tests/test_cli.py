@@ -20,6 +20,7 @@ from spinblocks.abacus import (
 )
 from spinblocks.chars import L_MAX_LABELS
 from spinblocks.cli import main
+from spinblocks.exceptions import DomainError
 from spinblocks.partitions import (
     ENUMERATE_MAX_N, ORDINARY, PATH_COUNT_MEMO, STRICT, enumerate_partitions, epsilon_exponent,
     path_count,
@@ -442,6 +443,21 @@ def test_a_library_fault_inside_a_check_exits_3(capsys, monkeypatch):
     assert err == "internal error: sqrt(2)**-2 is not in Z[sqrt(2)]\n"
 
 
+def test_a_domain_error_inside_verify_all_exits_3(capsys, monkeypatch):
+    """Past its --p and --dmax checks, every label `verify all` asks about is
+    the library's own, so a DomainError planted in _quotient is a library
+    fault: exit 3, not the bad-input 2."""
+    from spinblocks import verify
+
+    def planted(lam, p):
+        raise DomainError("quotient not defined here")
+
+    monkeypatch.setattr(abacus, "_quotient", planted)
+    monkeypatch.setattr(verify, "_quotient", planted)
+    code, out, err = run_cli(capsys, "verify", "all", "--p", "3", "--dmax", "4")
+    assert (code, out, err) == (3, "", "internal error: quotient not defined here\n")
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "1")
     _, second, _ = run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "1")
@@ -768,6 +784,13 @@ SESSION = [
     ["nmv", "--p", "5", "--rho", "2,1", "--d", "1", "--space", "H"],
     ["enumerate", "--n", "5"],
     ["core", "--p", "5", "--partition", "7,4,2,1"],
+    # subcommands that share parent parsers, a missing --lambda among them
+    ["quotient", "--p", "5", "--lambda", "5,2,1"],
+    ["strip", "--p", "5", "--mu", "2,1"],
+    ["strip", "--p", "5", "--lambda", "5,2,1", "--mu", "2,1"],
+    ["neighbors", "--p", "5", "--lambda", "2,1", "--j", "0", "--dir", "add"],
+    ["tree", "walk", "--kind", "A", "--ell", "2"],
+    ["tree", "heller", "--kind", "B", "--ell", "2", "--start", "0", "--n", "2"],
 ]
 
 
@@ -795,7 +818,7 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
         out = capsys.readouterr()
         session.append((code, out.out, out.err))
     assert session == fresh
-    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 0]
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0]
 
 
 def test_branch_induce_without_mu_is_a_usage_error(capsys):
@@ -1122,3 +1145,82 @@ def test_exit_code_contract(argv, cache, over_budget):
     assert code == 2 or not over_budget, (argv, code)
     if code == 2:
         assert after == before
+
+
+# sha256 of argparse's bytes on every parser path at 80 columns: each path's
+# `--help` (stdout, exit 0) and its usage error with no flags (stderr, exit 2),
+# plus a bad choice, a bad type and a bad tree kind.  Python 3.11's layout.
+PARSER_GOLDEN = {
+    "": "08fbee7116dd95b8020f9c6ae3e1559aac9a5447d340821f67d2090e8a44fd62",
+    "--help": "e93cd099ea9f4223be1de501ffe37f02e581769545233cf86305e9d0b8ceef41",
+    "block": "8940cbc0100d632e5f3ca73ae519c03c21daf11fe55e77b9f367d726df9350dd",
+    "block --help": "0a7068b10643eb6fd850eb011ee6cb4dd9c28ad220e50df471939d368f3a0b86",
+    "branch": "f8b34348a00048533ab994a10d5e8673e335e67f63d0e4d631a1058421727027",
+    "branch --help": "b866894e494bb9b71df14d54a5a6b7d6257d75238ab9a931fbdb2c5decc8f827",
+    "core": "79b729596b0aeb979f0486406d64455123154dbadf726fb5893ae88690bb492c",
+    "core --help": "996f4518ef3b7fce3fe043345ad09e87ffe65f3da4fad15226c64b418b184f48",
+    "core --p x": "8a82fd912c068db0bf6cdad62369c6275e395dbfc48969478f3ab00e689f9531",
+    "enumerate": "a869766237c3f6b80fc9270bdda80dc64577faffe46e04662cd47d04b6fa9ad6",
+    "enumerate --help": "9ead28c72456cdf2b2550747a1e2075098d4592feed1dce444fe1d677f568b94",
+    "fcoeff": "eefb47aa1bd651d6eaa9020a1aeadc877ac6cacf2b4b8835786604105cacd481",
+    "fcoeff --help": "3adefb44c5fe7892ffe64112b1d490d61996610ccef05705bfd67fd384edad82",
+    "hyp": "a90773d76de5d6d9e4978a7357a60263c4a5e3af2ed19f1b2e85e86fbc32b938",
+    "hyp --help": "08395575f307902dc2eaefc6a239dfde66d4ffd6e793930d78b8734dfa984d7d",
+    "induce": "438ca8cb2ae476cbce5be9c26c9c80ac8675f0e520bec0494f5f102dbf680f94",
+    "induce --help": "5becd3bbbcba7c744190b8b31631ba9557a60ad0a92eee6c1f57252111c900d8",
+    "maction": "3d5902ac9557d4d22937de75bceed95c939cede22a83a2c92488ecb18040ed36",
+    "maction --help": "76926814614a27d7715216776c1422dfec9da87f3a7b7b2ab45928e94ff1cccb",
+    "neighbors": "2b9aef729b94c8f3b116e0a73d82cbf25425fe3aa6331e1efd9f6521d20f5b9f",
+    "neighbors --dir up": "845985f1c3295edfad00ff6554ee692040f8515218a5fdd05c4c1198b9c873b7",
+    "neighbors --help": "c805e9a1d46a8fc61b3a14e3145a46492c8f9017d8d08a8ce3c42d1503ba4f32",
+    "nmv": "146e7beb7349160db9584ca1ae39576609f9b38d40bc49908d81f84f4003e530",
+    "nmv --help": "3ad7b74d753e70d85d17bd9869f9d61d621d9598809f4b4df928e7706964f64a",
+    "orbit": "ca840b5319d6bf89d08a561fb0e7d511cb42b07f2f98ca20d7febf4e16b252f5",
+    "orbit --help": "5205351802496601cfb0d86d3060afaf230455ee0b2b4a3a190ef32174da132d",
+    "phi": "dbd43f14ade5aaed94b6b0958c8940f333339ba718a0b4baf9118d9a7cee31f0",
+    "phi --help": "33961f7cc2678c197f11e26f772d0064f35e27fb2facbdef380081a93b6da6f5",
+    "quotient": "4c0e5c025b8dcee3a8be1bf2e2dc8bb0662e9ebe6ff5f2b4883633b730bc6198",
+    "quotient --help": "88d84410daa57ddd0a497f2b95f7df79fa2755fc8daed6fdc0b346ab0845833a",
+    "rouquier": "6f92d977a144c778d8842fcb4e477e4d1cead3e5741ffd31f3f9c8d968fe0935",
+    "rouquier --help": "669a885058025e0736322fa8dd878f7d5d771c5e39d30c34328d79a331f3ac4e",
+    "rouquier check": "8f55280088bdd541d54a647fd76460afd25f28ed0725927c00b687a70a60ed3f",
+    "rouquier check --help": "12da8b388317f4d390fdc92a0b3a86df185195c24a944e8bd413c6e81a4a0aec",
+    "rouquier gen": "4cd54848ff24dd99ec2f133fbdfc3ec99ccebb5badddedd319b54aa3ca5b02f3",
+    "rouquier gen --help": "c7a4f9955657213684c27da6fc5ca94aff7be31875320df8dd310dff8fc58323",
+    "strip": "44e0819736fde0fd4f5515ff422c5fcea0f3cb67f262e42e1e59d8a3a2893cc8",
+    "strip --help": "69f2737ded5c8e6ed8c188616135907d6074333ccd5d3a39b522ba7fbf701876",
+    "tree": "de7cbda67fc1de2c2258afa194fafaccd38d4ff536b462f1575a696c0c3f9cd9",
+    "tree --help": "0eb00e07915b32e68df4513b6c30d9b12337479c1b9d7967c187cef392402cef",
+    "tree build": "fe35b027a86d475d21d192762d8adcafbf67dedaca32d62064600c5e288ade93",
+    "tree build --help": "078f393bdf684a7bce0c0e4f8d635c8e3c6d063e9d2702213423b0648c1ef956",
+    "tree build --kind C": "1c7b1c6c879f521bd87804516ffe0cff4e5f3a2751d6b8f3f19d8f46988a1596",
+    "tree heller": "bc85275afc97ceb826a3804b9127bf18abe27f3cd7ae31ccb270abe34525ca73",
+    "tree heller --help": "c25ac6bdfeb4116098305d2b1c9c31033f4fcb82e0315cb46803a9b9e48c6bd8",
+    "tree walk": "b1220175959469108aa2317ceb5d2d1e5bb5ea9589966358583a3478d9c79289",
+    "tree walk --help": "aa1dc68e1662ed4cfd58b937cf3f1d1eb095a208414ccb4886a46b7c216cfdf0",
+    "tree weight1": "ecd41c0d50dc0ad0ba0b8aa60185f1a7e0d80d619af3acd79ea57c0fed0eeaf3",
+    "tree weight1 --help": "393a85cf7bcdd03d1649761213a5933d6015aff7911319e9a17bfaa065574fde",
+    "verify": "41a39818ec08a6995a4edd482ab4aff4359329ac80a8eb9acab32c796d3c997c",
+    "verify --help": "a025e8ecb4bbfd62ce33d11c925938766884c4deb9dd3816f32474bd3581ab24",
+}
+BAD_VALUES = ["core --p x", "neighbors --dir up", "tree build --kind C"]
+
+
+def test_parser_golden_covers_every_parser_path():
+    paths = {" ".join(command[:k]) for command in COMMANDS for k in range(len(command) + 1)}
+    assert len(paths) == 24
+    expected = {f"{path} --help".lstrip() for path in paths} | paths | set(BAD_VALUES)
+    assert set(PARSER_GOLDEN) == expected
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout varies by Python")
+@pytest.mark.parametrize("argv", sorted(PARSER_GOLDEN))
+def test_parser_help_and_usage_errors_are_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out = capsys.readouterr()
+    asks_help = argv.endswith("--help")
+    assert exc.value.code == (0 if asks_help else 2)
+    assert (out.err if asks_help else out.out) == ""
+    assert hashlib.sha256((out.out + out.err).encode()).hexdigest() == PARSER_GOLDEN[argv]

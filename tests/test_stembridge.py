@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinblocks.stembridge as stembridge
-from spinblocks.abacus import block_enum, core_weight, ell, runner_label
+from spinblocks.abacus import _neighbors, block_enum, core_weight, ell, runner_label
 from spinblocks.chars import CharSpace, CharVector
 from spinblocks.exceptions import DomainError, ShapeError
 from spinblocks.partitions import (
@@ -405,6 +405,22 @@ def test_rock_branch_restrict_example():
         (mu, 1): Sqrt2Scalar(2, 0),
         (mu, 2): Sqrt2Scalar(2, 0),
     }
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_one_bar_moves_of_a_block_label_never_meet(p):
+    """_rock_branch and htoj_sides store each one-bar coefficient without
+    summing: over runners 0..ell, the moves of a block label in one direction
+    have no repeats and no two runners share a result, since moves on
+    different runner pairs move different beads.  (m_action keeps its sum:
+    there two source labels do reach one target.)"""
+    for parity in ("even", "odd"):
+        for d in range(1, 4):
+            rho = generate(p, d, parity, 1)[0]
+            for lam in (lam for w in range(d + 1) for lam in block_enum(rho, p, w)):
+                for direction in ("add", "remove"):
+                    moves = [mu for j in range(ell(p) + 1) for mu in _neighbors(lam, p, j, direction)]
+                    assert len(set(moves)) == len(moves), (lam, p, direction)
 
 
 def test_rock_branch_outside_block():
