@@ -109,33 +109,26 @@ def box_moves(lam: Partition, kind: str, direction: str) -> list[Partition]:
 
 
 def _box_moves(lam: Partition, strict: bool, direction: str) -> list[Partition]:
+    """The moves read off adjacent parts, descending.  Row i may grow when it
+    is the first row or the row above exceeds it by at least 1 + strict, and
+    a new row (1,) opens unless a strict lam ends in 1.  Row i may shrink
+    when it is the last row or exceeds the row below by at least 1 + strict;
+    a part 1 is dropped.  Changing a lower row gives a smaller partition when
+    adding and a larger one when removing."""
+    gap = 1 + strict
     out = []
     if direction == "add":
-        for i in range(len(lam) + 1):
-            if i == len(lam):
-                new = lam + (1,)
-            else:
-                new = lam[:i] + (lam[i] + 1,) + lam[i + 1 :]
-            if _valid_parts(new, strict):
-                out.append(new)
+        for i, part in enumerate(lam):
+            if i == 0 or lam[i - 1] - part >= gap:
+                out.append(lam[:i] + (part + 1,) + lam[i + 1 :])
+        if not (strict and lam and lam[-1] == 1):
+            out.append(lam + (1,))
     else:
-        for i in range(len(lam)):
-            if lam[i] == 1:
-                new = lam[:i] + lam[i + 1 :]
-            else:
-                new = lam[:i] + (lam[i] - 1,) + lam[i + 1 :]
-            if _valid_parts(new, strict):
-                out.append(new)
-    # adding/removing at distinct rows gives distinct results; sort for
-    # determinism
-    return sorted(set(out), reverse=True)
-
-
-def _valid_parts(t: Partition, strict: bool) -> bool:
-    for i in range(len(t) - 1):
-        if t[i] < t[i + 1] or (strict and t[i] == t[i + 1]):
-            return False
-    return all(x > 0 for x in t)
+        for i in range(len(lam) - 1, -1, -1):
+            if i == len(lam) - 1 or lam[i] - lam[i + 1] >= gap:
+                shrunk = (lam[i] - 1,) if lam[i] > 1 else ()
+                out.append(lam[:i] + shrunk + lam[i + 1 :])
+    return out
 
 
 # Shared memo table; the CLI can preload it from an on-disk cache.

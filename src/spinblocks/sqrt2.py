@@ -6,25 +6,31 @@ integers.  There is no division, and nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class Sqrt2Scalar:
-    a: int = 0
-    b: int = 0
+    """a + b*sqrt(2), immutable.  Every instance, each ring result included,
+    is built by __init__, which checks that both components are ints."""
 
-    def __post_init__(self):
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int = 0, b: int = 0):
+        if not isinstance(a, int) or not isinstance(b, int):
             raise TypeError("components of a + b*sqrt(2) must be integers")
+        _set_a(self, a)
+        _set_b(self, b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Sqrt2Scalar, (self.a, self.b)
 
     @classmethod
     def of(cls, x: "Sqrt2Scalar | int") -> "Sqrt2Scalar":
-        if isinstance(x, Sqrt2Scalar):
-            return x
-        if isinstance(x, int):
-            return _unchecked(x, 0)
-        return cls(x, 0)  # raises TypeError
+        return x if isinstance(x, Sqrt2Scalar) else cls(x)
 
     @classmethod
     def sqrt2_power(cls, e: int) -> "Sqrt2Scalar":
@@ -33,12 +39,12 @@ class Sqrt2Scalar:
         if e < 0:
             raise AssertionError(f"sqrt(2)**{e} is not in Z[sqrt(2)]")
         if e % 2 == 0:
-            return _unchecked(1 << (e // 2), 0)
-        return _unchecked(0, 1 << (e // 2))
+            return Sqrt2Scalar(1 << (e // 2), 0)
+        return Sqrt2Scalar(0, 1 << (e // 2))
 
     def __add__(self, other):
         other = Sqrt2Scalar.of(other)
-        return _unchecked(self.a + other.a, self.b + other.b)
+        return Sqrt2Scalar(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
@@ -49,11 +55,11 @@ class Sqrt2Scalar:
         return (-self) + other
 
     def __neg__(self):
-        return _unchecked(-self.a, -self.b)
+        return Sqrt2Scalar(-self.a, -self.b)
 
     def __mul__(self, other):
         other = Sqrt2Scalar.of(other)
-        return _unchecked(
+        return Sqrt2Scalar(
             self.a * other.a + 2 * self.b * other.b,
             self.a * other.b + self.b * other.a,
         )
@@ -62,7 +68,7 @@ class Sqrt2Scalar:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = _unchecked(other, 0)
+            return self.b == 0 and self.a == other
         if not isinstance(other, Sqrt2Scalar):
             return NotImplemented
         return self.a == other.a and self.b == other.b
@@ -87,14 +93,8 @@ class Sqrt2Scalar:
         return f"{self.a}{self.b:+}√2"
 
 
-def _unchecked(a: int, b: int) -> Sqrt2Scalar:
-    """a + b*sqrt(2) from components already known to be ints, as the
-    results of integer arithmetic are; skips the constructor's type check."""
-    x = object.__new__(Sqrt2Scalar)
-    state = x.__dict__
-    state["a"], state["b"] = a, b
-    return x
-
+# the slot descriptors' setters, which __init__ calls past __setattr__
+_set_a, _set_b = Sqrt2Scalar.a.__set__, Sqrt2Scalar.b.__set__
 
 ONE = Sqrt2Scalar(1, 0)
 SQRT2 = Sqrt2Scalar(0, 1)

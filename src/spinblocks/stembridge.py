@@ -75,9 +75,8 @@ def _count_lattice_fillings(lam: Partition, mu: Partition, content: Partition) -
     it, an unmarked k when k+1 ties with k.  The last copy of a value placed
     is its leftmost letter, so it must be unmarked.
     """
+    # n == |content|: f_coeff checks it, and _induce's candidates and supports have size |mu| + |nu|
     n = sum(lam) - sum(mu)
-    if n != sum(content):
-        return 0
     h = len(content)
     up, right = _fill_steps(lam, mu, n)
     keys = [0] * n + [0, 2 * h]  # missing neighbours read as keys 0 and 2h

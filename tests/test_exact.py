@@ -1,8 +1,9 @@
 """The library stays integer-exact and dependency-free: no float literal, no
 true division, no float() call, and no import from outside the standard
 library and the package, in any module under src/spinblocks.  Its memos are
-a fixed, named set of module-level functools caches and *MEMO dicts, and
-every function in it has a caller in it or is public API."""
+a fixed, named set of module-level functools caches and *MEMO dicts,
+every function in it has a caller in it or is public API, and no instance
+is built past its class's __init__."""
 
 import ast
 import sys
@@ -54,6 +55,47 @@ def test_module_is_exact(path):
 def test_checker_catches_each_kind():
     source = "import numpy\nfrom scipy import linalg\nx = 1.5\ny = 3 / 2\nz = float(1)\nw = 1\nw /= 2\n"
     assert len(inexact_nodes(ast.parse(source))) == 6
+
+
+# A value built past its class's __init__ skips the checks there, such as
+# Sqrt2Scalar's integer check.  No module reads a __dict__, so any reference
+# counts: a write through an alias (state = x.__dict__; state["a"] = a) looks
+# like a read.
+def construction_back_doors(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append(f"{where}: instance __dict__")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+        ):
+            found.append(f"{where}: object.__new__ call")
+    return found
+
+
+def test_every_instance_is_built_by_its_init():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name} {where}" for where in construction_back_doors(tree))
+    assert found == []
+
+
+def test_back_door_checker_catches_each_kind():
+    source = (
+        "x = object.__new__(C)\n"
+        "state = x.__dict__\n"
+        "state['a'], state['b'] = 1, 2\n"
+        "x.__dict__['a'] = 1\n"
+        "y = C.__new__(C)\n"
+        "z = C(1, 2)\n"
+    )
+    assert len(construction_back_doors(ast.parse(source))) == 3
 
 
 def test_no_declared_dependencies():
@@ -225,13 +267,15 @@ UNCALLED_ALLOWED = {
     # lattice_member by name, and the tests cross-check the closed form with it
     "row_echelon_basis", "reduce_against", "lattice_member",
     # CharVector's algebra
-    "CharVector.scale", "CharVector.coefficient",
+    "CharVector.scale", "CharVector.coefficient", "CharVector.support",
 }
 
 
 def uncalled_defs(trees: list, exported: set) -> list[str]:
-    """Qualified names (Class.method) of the defs that no Name or Attribute
-    outside their own body refers to, less dunders and exported names."""
+    """Qualified names (Class.method) of the defs that nothing outside their
+    own body refers to, less dunders and exported names.  A function is
+    referred to by a Name or an Attribute, a method only by an Attribute: a
+    bare name, such as a local variable, never reaches a method."""
     defs = []
 
     def visit(node, owner):
@@ -244,18 +288,21 @@ def uncalled_defs(trees: list, exported: set) -> list[str]:
             else:
                 visit(child, owner)
 
-    refs = {}
+    names, attrs = {}, {}
     for tree in trees:
         visit(tree, None)
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                refs.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(node)
+            if isinstance(node, ast.Name):
+                names.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                attrs.setdefault(node.attr, []).append(node)
     uncalled = []
     for qualname, fn in defs:
         if (fn.name.startswith("__") and fn.name.endswith("__")) or qualname in exported:
             continue
+        refs = attrs.get(fn.name, []) + ([] if "." in qualname else names.get(fn.name, []))
         inside = set(map(id, ast.walk(fn)))
-        if all(id(node) in inside for node in refs.get(fn.name, ())):
+        if all(id(node) in inside for node in refs):
             uncalled.append(qualname)
     return uncalled
 
@@ -278,9 +325,12 @@ def test_caller_checker_catches_an_unreferenced_def():
         "    def __len__(self): return 0\n"
         "    def method(self): return self.method\n"
         "    def called(self): return 2\n"
+        "    def shadowed(self): return 3\n"
         "x = C().called()\n"
+        "def caller(): shadowed = [used()]; return shadowed\n"
+        "caller()\n"
     )
-    assert uncalled_defs([ast.parse(source)], {"exported"}) == ["recursive", "C.method"]
+    assert uncalled_defs([ast.parse(source)], {"exported"}) == ["recursive", "C.method", "C.shadowed"]
     planted = MODULES[0].read_text() + "\n\ndef planted_helper():\n    return 0\n"
     trees = [ast.parse(planted)] + [ast.parse(path.read_text()) for path in MODULES[1:]]
     assert "planted_helper" in uncalled_defs(trees, set(spinblocks.__all__))

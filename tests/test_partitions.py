@@ -58,6 +58,48 @@ def test_box_moves_examples():
     assert set(box_moves((2, 2), ORDINARY, "remove")) == {(2, 1)}
 
 
+def box_moves_by_filter(lam, strict, direction):
+    """Every one-box candidate kept when its parts are still valid: the
+    oracle for the rule box_moves reads off adjacent parts."""
+    out = []
+    if direction == "add":
+        for i in range(len(lam) + 1):
+            if i == len(lam):
+                new = lam + (1,)
+            else:
+                new = lam[:i] + (lam[i] + 1,) + lam[i + 1 :]
+            if valid_parts(new, strict):
+                out.append(new)
+    else:
+        for i in range(len(lam)):
+            if lam[i] == 1:
+                new = lam[:i] + lam[i + 1 :]
+            else:
+                new = lam[:i] + (lam[i] - 1,) + lam[i + 1 :]
+            if valid_parts(new, strict):
+                out.append(new)
+    return sorted(set(out), reverse=True)
+
+
+def valid_parts(t, strict):
+    for i in range(len(t) - 1):
+        if t[i] < t[i + 1] or (strict and t[i] == t[i + 1]):
+            return False
+    return all(x > 0 for x in t)
+
+
+def test_box_moves_match_the_filtered_candidates():
+    cases = 0
+    for kind in (ORDINARY, STRICT):
+        for n in range(16):
+            for lam in enumerate_partitions(n, kind):
+                for direction in ("add", "remove"):
+                    want = box_moves_by_filter(lam, kind == STRICT, direction)
+                    assert box_moves(lam, kind, direction) == want, (lam, kind, direction)
+                    cases += 1
+    assert cases == 1642
+
+
 def test_shifted_diagram():
     assert skew_boxes((3, 1), ()) == ((1, 1), (1, 2), (1, 3), (2, 2))
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,8 +57,8 @@ def test_non_integer_components_are_rejected(build):
 
 @given(scalars, scalars, ints, st.integers(min_value=0, max_value=64))
 def test_arithmetic_results_equal_checked_construction(x, y, k, e):
-    """Results of the ring operations skip the constructor's type check;
-    each must be the same value the checked constructor builds."""
+    """Each ring operation, of and sqrt2_power builds the same value as
+    the checked constructor given the expected components."""
     cases = [
         (x + y, x.a + y.a, x.b + y.b),
         (x + k, x.a + k, x.b),
@@ -70,6 +73,22 @@ def test_arithmetic_results_equal_checked_construction(x, y, k, e):
     ]
     for got, a, b in cases:
         want = Sqrt2Scalar(a, b)
-        assert vars(got) == vars(want) and type(got) is Sqrt2Scalar
+        assert (got.a, got.b) == (want.a, want.b) and type(got) is Sqrt2Scalar
         assert type(got.a) is int and type(got.b) is int
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_components_can_be_neither_assigned_nor_deleted(name):
+    x = Sqrt2Scalar(1, 2)
+    with pytest.raises(AttributeError):
+        setattr(x, name, 5)
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    assert (x.a, x.b) == (1, 2)
+
+
+def test_copies_and_pickles_rebuild_an_equal_value():
+    x = Sqrt2Scalar(3, -2)
+    for got in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(got) is Sqrt2Scalar and (got.a, got.b) == (3, -2)

@@ -423,6 +423,22 @@ def test_one_bar_moves_of_a_block_label_never_meet(p):
                     assert len(set(moves)) == len(moves), (lam, p, direction)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stembridge_cross_supports_have_the_induced_size(p):
+    """_count_lattice_fillings trusts |lam| - |mu| = |content|.  The
+    supports stembridge-cross hands _induce are block labels containing mu,
+    and each has size |mu| + p, the size of mu with any runner label."""
+    for parity in ("even", "odd"):
+        for d in range(1, 4):
+            rho = generate(p, d, parity, 1)[0]
+            block = block_enum(rho, p, d)
+            for mu in block_enum(rho, p, d - 1):
+                support = [lam for lam in block if contains(lam, mu)]
+                for j in range(ell(p) + 1):
+                    size = sum(mu) + sum(runner_label(p, j))
+                    assert all(sum(lam) == size for lam in support), (rho, mu, j)
+
+
 def test_rock_branch_outside_block():
     with pytest.raises(DomainError):
         rock_branch((), 5, 0, "induce")  # empty core is not Rouquier
