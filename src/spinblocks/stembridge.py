@@ -19,8 +19,9 @@ from .partitions import Partition, as_strict, contains, epsilon_exponent
 from .rouquier import _is_rouquier
 from .sqrt2 import Sqrt2Scalar
 
-# The fill recurses once per box of lam/mu, which has |nu| boxes; a nu of
-# this many boxes or more is rejected before the fill starts.
+# The fill recurses once per box of lam/mu, which has |nu| boxes (induce's
+# full expansion fills at most that many); a nu of this many boxes or more
+# is rejected before the fill starts.
 FILL_MAX_BOXES = 950
 
 
@@ -75,7 +76,8 @@ def _count_lattice_fillings(lam: Partition, mu: Partition, content: Partition) -
     it, an unmarked k when k+1 ties with k.  The last copy of a value placed
     is its leftmost letter, so it must be unmarked.
     """
-    # n == |content|: f_coeff checks it, and _induce's candidates and supports have size |mu| + |nu|
+    # n == |content|: f_coeff checks it, and _induce's candidates and supports
+    # have size |mu| + |nu|, whichever of mu and nu it passes as the inner shape
     n = sum(lam) - sum(mu)
     h = len(content)
     up, right = _fill_steps(lam, mu, n)
@@ -170,11 +172,17 @@ def induce(mu: Partition, nu: Partition) -> CharVector:
 def _induce(mu: Partition, nu: Partition, support) -> CharVector:
     """induce without its checks.  The formula is diagonal in lambda, so a
     support (labels of size |mu| + |nu| containing mu) gives the projection
-    onto those labels without touching the rest of the expansion."""
+    onto those labels without touching the rest of the expansion.
+
+    The full expansion fills the smaller of lam/mu (|nu| boxes) and lam/nu
+    (|mu| boxes): f^lam_(mu,nu) = f^lam_(nu,mu), every candidate contains
+    both, and the exponent is symmetric in mu and nu.  A support fills
+    lam/mu as given, since its labels need not contain nu."""
     e_pair = epsilon_exponent((mu, nu))
+    inner, content = (nu, mu) if support is None and sum(mu) < sum(nu) else (mu, nu)
     out = {}
     for lam in _grown_partitions(mu, nu) if support is None else support:
-        f = _count_lattice_fillings(lam, mu, nu)
+        f = _count_lattice_fillings(lam, inner, content)
         if f == 0:
             continue
         exponent = (

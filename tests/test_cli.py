@@ -109,6 +109,13 @@ def test_strip_fcoeff_induce(capsys):
     assert len(report["outputs"]["vector"]) == 3
 
 
+def test_induce_outputs_do_not_depend_on_the_order(capsys):
+    small_first = run_json(capsys, "induce", "--mu", "5,3", "--nu", "9,6,4,2")
+    large_first = run_json(capsys, "induce", "--mu", "9,6,4,2", "--nu", "5,3")
+    assert small_first["inputs"] != large_first["inputs"]
+    assert small_first["outputs"] == large_first["outputs"]
+
+
 def test_maction_orbit_hyp_nmv_phi(capsys):
     report = run_json(capsys, "maction", "--p", "5", "--rho", "2,1", "--mu", "2,1", "--j", "0")
     assert {r["label"]: r["a"] for r in report["outputs"]["vector"]} == {

@@ -14,6 +14,7 @@ from spinblocks.partitions import (
     _box_moves,
     contains,
     enumerate_partitions,
+    epsilon_exponent,
     skew_boxes,
 )
 from spinblocks.rouquier import generate, rho_extension
@@ -384,6 +385,64 @@ def test_induce_examples():
     v = induce((2, 1), (3, 2))
     assert v.coefficient((5, 2, 1)) == 1
     assert all(len(set(lam)) == len(lam) for lam in v.support())
+
+
+def test_induce_matches_f_coeff_in_both_orders():
+    """The full induce may fill lam/nu instead of lam/mu; it must equal the
+    expansion built from the public f_coeff on lam/mu, and commute."""
+    pairs = 0
+    for n in range(13):
+        for m in range(n + 1):
+            for mu in enumerate_partitions(m, STRICT):
+                for nu in enumerate_partitions(n - m, STRICT):
+                    expected = {}
+                    for lam in _grown_partitions(mu, nu):
+                        f = f_coeff(lam, mu, nu)
+                        if f:
+                            exponent = (
+                                len(mu) + len(nu) - len(lam)
+                                + epsilon_exponent((mu, nu)) - epsilon_exponent((lam,))
+                            )
+                            expected[lam] = Sqrt2Scalar.sqrt2_power(exponent) * f
+                    assert induce(mu, nu).as_dict() == expected, (mu, nu)
+                    assert induce(mu, nu) == induce(nu, mu), (mu, nu)
+                    pairs += 1
+    assert pairs == 598
+
+
+def spy_on_fill(monkeypatch):
+    """Record each (lam, inner, content) the fill is called with."""
+    calls = []
+    count = stembridge._count_lattice_fillings
+
+    def spy(lam, inner, content):
+        calls.append((lam, inner, content))
+        return count(lam, inner, content)
+
+    monkeypatch.setattr(stembridge, "_count_lattice_fillings", spy)
+    return calls
+
+
+def test_full_induce_fills_the_smaller_skew_shape(monkeypatch):
+    calls = spy_on_fill(monkeypatch)
+    induce((1,), (9, 3))
+    assert calls
+    assert all(sum(lam) - sum(inner) == 1 for lam, inner, _ in calls)
+
+
+def test_support_induce_keeps_mu_inside(monkeypatch):
+    """A support need not contain nu: at p = 7 the odd core (3, 2, 1) is
+    smaller than the runner label (4, 3), and its block label (10, 2, 1)
+    does not contain it, so the support route must fill lam/mu."""
+    mu = generate(7, 1, "odd", 1)[0]
+    assert mu == (3, 2, 1)
+    support = [lam for lam in block_enum(mu, 7, 1) if contains(lam, mu)]
+    assert (10, 2, 1) in support and not contains((10, 2, 1), runner_label(7, 3))
+    calls = spy_on_fill(monkeypatch)
+    for j in range(ell(7) + 1):
+        _induce(mu, runner_label(7, j), support)
+    assert len(calls) == len(support) * (ell(7) + 1)
+    assert all(inner == mu for _, inner, _ in calls)
 
 
 def test_rock_branch_induce_examples():
