@@ -229,42 +229,42 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def run_command(args) -> tuple[dict, int]:
-    """Returns (outputs or verdict payload, exit code)."""
+def run_command(args) -> dict:
+    """The command's outputs, or the verdict payload of `verify`."""
     cmd = args.command
     if cmd == "enumerate":
         parts = enumerate_partitions(args.n, args.kind)
-        return {"partitions": [list(x) for x in parts], "count": len(parts)}, 0
+        return {"partitions": [list(x) for x in parts], "count": len(parts)}
     if cmd == "core":
         core, wt = core_weight(parse_partition(args.partition), args.p)
-        return {"core": list(core), "weight": wt}, 0
+        return {"core": list(core), "weight": wt}
     if cmd == "quotient":
         q = quotient(parse_partition(args.lam), args.p)
-        return {"q0": list(q.q0), "components": [list(c) for c in q.qs]}, 0
+        return {"q0": q.q0, "components": q.qs}
     if cmd == "neighbors":
         out = neighbors(parse_partition(args.lam), args.p, args.j, args.dir)
-        return {"partitions": [list(x) for x in out]}, 0
+        return {"partitions": [list(x) for x in out]}
     if cmd == "block":
         dcomp = parse_comp(args.dcomp) if args.dcomp else None
         out = block_enum(parse_partition(args.rho), args.p, args.d, dcomp)
-        return {"partitions": [list(x) for x in out], "count": len(out)}, 0
+        return {"partitions": [list(x) for x in out], "count": len(out)}
     if cmd == "rouquier":
         if args.action == "check":
             ok = is_rouquier(parse_partition(args.rho), args.p, args.d)
-            return {"rouquier": ok}, 0
+            return {"rouquier": ok}
         cores = generate(args.p, args.d, args.parity, args.count)
-        return {"cores": [list(x) for x in cores]}, 0
+        return {"cores": [list(x) for x in cores]}
     if cmd == "strip":
         cert = strip_classify(parse_partition(args.lam), parse_partition(args.mu), args.p)
-        return {"runner": cert.runner, "boxes": [list(b) for b in cert.boxes]}, 0
+        return {"runner": cert.runner, "boxes": [list(b) for b in cert.boxes]}
     if cmd == "fcoeff":
         value = f_coeff(
             parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
         )
-        return {"f": value}, 0
+        return {"f": value}
     if cmd == "induce":
         v = induce(parse_partition(args.mu), parse_partition(args.nu))
-        return {"vector": vector_payload(v)}, 0
+        return {"vector": vector_payload(v)}
     if cmd == "branch":
         if args.dir == "induce":
             if args.mu is None and args.rho is None:
@@ -277,7 +277,7 @@ def run_command(args) -> tuple[dict, int]:
             if args.lam is None:
                 raise DomainError("branch --dir restrict needs --lambda")
             v = rock_branch(parse_partition(args.lam), args.p, direction="restrict")
-        return {"vector": vector_payload(v)}, 0
+        return {"vector": vector_payload(v)}
     if cmd == "maction":
         rho = parse_partition(args.rho)
         if args.mu is not None:
@@ -289,18 +289,18 @@ def run_command(args) -> tuple[dict, int]:
             space = CharSpace.l_space(rho, args.p, 1)
             label = space.validate_label((args.j,))
         v = CharVector.unit(space, label)
-        return {"vector": vector_payload(m_action(v))}, 0
+        return {"vector": vector_payload(m_action(v))}
     if cmd == "orbit":
         v, certificate = orbit_sum(parse_partition(args.rho), args.p, parse_comp(args.dcomp))
-        return {"vector": vector_payload(v), "certificate": certificate}, 0
+        return {"vector": vector_payload(v), "certificate": certificate}
     if cmd == "hyp":
         v = hyp_coeffs(parse_partition(args.rho), args.p, parse_comp(args.dcomp))
-        return {"vector": vector_payload(v)}, 0
+        return {"vector": vector_payload(v)}
     if cmd == "nmv":
         rho = parse_partition(args.rho)
         space = (CharSpace.l_space if args.space == "L" else CharSpace.h_space)(rho, args.p, args.d)
         lattice = nmv_basis(space)
-        return {"generators": [vector_payload(g) for g in lattice.generators]}, 0
+        return {"generators": [vector_payload(g) for g in lattice.generators]}
     if cmd == "phi":
         rho = parse_partition(args.rho)
         t = parse_comp(args.runner_tuple)
@@ -311,14 +311,14 @@ def run_command(args) -> tuple[dict, int]:
             raise DomainError(f"{t} labels an even character; drop --sign")
         unit = CharVector.make(space, {(t, sign): 1}, "refined") if sign else CharVector.unit(space, t)
         value = phi(unit)
-        return {"value": {"a": value.a, "b": value.b}}, 0
+        return {"value": {"a": value.a, "b": value.b}}
     if cmd == "tree":
         if args.action == "build":
             t = trees.build(args.kind, args.ell)
-            return {"path": list(t.path), "exceptional": [n for n in t.path if t.multiplicity(n) > 1]}, 0
+            return {"path": list(t.path), "exceptional": [n for n in t.path if t.multiplicity(n) > 1]}
         if args.action == "walk":
             w = trees.walk(trees.build(args.kind, args.ell))
-            return {"nodes": list(w.nodes), "characters": [list(c) for c in w.characters()]}, 0
+            return {"nodes": list(w.nodes), "characters": [list(c) for c in w.characters()]}
         if args.action == "heller":
             t = trees.build(args.kind, args.ell)
             if args.start in t.path:
@@ -328,13 +328,13 @@ def run_command(args) -> tuple[dict, int]:
             else:
                 raise DomainError(f"{args.start!r} is neither a node nor a walk index")
             out = trees.heller(t, start, args.n)
-            return {"constituents": [list(c) for c in out]}, 0
+            return {"constituents": [list(c) for c in out]}
         wt = trees.weight_one_map(parse_partition(args.rho), args.p)
         nodes = {
             node: [",".join(map(str, lam)) + SIGN_SUFFIX[s] for lam, s in chars]
             for node, chars in wt.node_chars
         }
-        return {"kind": wt.tree.kind, "nodes": nodes}, 0
+        return {"kind": wt.tree.kind, "nodes": nodes}
     if cmd == "verify":
         return run_verify(args)
     raise DomainError(f"unhandled command {cmd}")
@@ -358,7 +358,7 @@ VERIFY_NEEDS = {
 FLAG_PARSERS = {"lam": parse_partition, "rho": parse_partition, "dcomp": parse_comp}
 
 
-def run_verify(args) -> tuple[dict, int]:
+def run_verify(args) -> dict:
     if args.name not in VERIFY_NEEDS:
         raise DomainError(f"unknown check {args.name!r}; have {sorted(CHECKS)} or 'all'")
     params = {}
@@ -372,12 +372,10 @@ def run_verify(args) -> tuple[dict, int]:
         return verify_all(params["p"], args.dmax, oracle=args.oracle)
     if args.name == "htoj":
         params["oracle"] = args.oracle
-    report = run_check(args.name, **params)
-    payload = report.to_json()
-    return payload, 0 if report.passed else 1
+    return run_check(args.name, **params).to_json()
 
 
-def verify_all(p: int, dmax: int, oracle: bool = False) -> tuple[dict, int]:
+def verify_all(p: int, dmax: int, oracle: bool = False) -> dict:
     """Aggregate suite over the first generated core of each parity.  Its
     phi-kernel rows build the L space of every weight up to dmax, so the
     L-space label budget is checked for dmax before any check runs.  The
@@ -415,12 +413,11 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> tuple[dict, int]:
                 _rock_branch.cache_clear()  # no later weight shares a branching
     except ValueError as exc:  # every label past the budget check is the library's own
         raise RuntimeError(exc) from exc
-    payload = {
+    return {
         "verdicts": verdicts,
         "failures": failures,
         "summary": {"total": len(verdicts), "failed": len(failures)},
     }
-    return payload, 1 if failures else 0
 
 
 PARSER = build_parser()  # built once; parse_args keeps no state between calls
@@ -436,7 +433,7 @@ def main(argv=None) -> int:
     }
     try:
         loaded = load_cache(args.cache) if args.cache else None
-        outputs, code = run_command(args)
+        outputs = run_command(args)
         if args.cache:
             save_cache(args.cache, loaded)
     except (ValueError, OSError) as exc:  # DomainError, ShapeError, SpaceMismatch among them
@@ -453,7 +450,7 @@ def main(argv=None) -> int:
     if args.timing:
         report["timing"] = {"seconds": round(time.monotonic() - started, 6)}
     emit(report, args.format)
-    return code
+    return 1 if "fail" in report.get("verdicts", {}).values() else 0
 
 
 if __name__ == "__main__":

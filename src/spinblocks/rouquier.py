@@ -23,6 +23,15 @@ def is_rouquier(rho: Partition, p: int, d: int) -> bool:
     return _is_rouquier(rho, p, d)
 
 
+def rouquier_core(rho, p: int, d: int) -> Partition:
+    """rho as a canonical tuple, checked to be a d-Rouquier core: the one
+    statement of the hypothesis every block identity rests on."""
+    rho = as_strict(rho)
+    if not is_rouquier(rho, p, d):
+        raise DomainError(f"{rho} is not a {d}-Rouquier core for p={p}")
+    return rho
+
+
 def _is_rouquier(rho: Partition, p: int, d: int) -> bool:
     """is_rouquier without its checks: rho a canonical bar-core, d >= 1.  The
     scan stops at the first empty runner, so it costs O(h(rho)) at any p."""
@@ -126,9 +135,7 @@ def strip_classify(lam: Partition, mu: Partition, p: int) -> StripCertificate:
 def rho_extension(rho: Partition, p: int, j: int) -> Partition:
     """The weight-one partition obtained by one slide down on runner j of a
     1-Rouquier core (insert a bead at position p when j = 0)."""
-    rho = as_strict(rho)
-    if not is_rouquier(rho, p, 1):
-        raise DomainError(f"{rho} is not a 1-Rouquier core for p={p}")
+    rho = rouquier_core(rho, p, 1)
     moves = neighbors(rho, p, j, "add")
     if len(moves) != 1:
         raise AssertionError(f"{rho} has {len(moves)} runner-{j} extensions, not one")

@@ -95,6 +95,3 @@ class Sqrt2Scalar:
 
 # the slot descriptors' setters, which __init__ calls past __setattr__
 _set_a, _set_b = Sqrt2Scalar.a.__set__, Sqrt2Scalar.b.__set__
-
-ONE = Sqrt2Scalar(1, 0)
-SQRT2 = Sqrt2Scalar(0, 1)

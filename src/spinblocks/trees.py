@@ -20,8 +20,8 @@ from functools import cached_property
 
 from .abacus import ell
 from .exceptions import DomainError
-from .partitions import Partition, as_strict, is_odd_partition
-from .rouquier import is_rouquier, rho_extension
+from .partitions import Partition, is_odd_partition
+from .rouquier import rho_extension, rouquier_core
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,7 @@ class WeightOneTree:
 
 
 def weight_one_map(rho: Partition, p: int) -> WeightOneTree:
-    rho = as_strict(rho)
-    if not is_rouquier(rho, p, 1):
-        raise DomainError(f"{rho} is not a 1-Rouquier core for p={p}")
+    rho = rouquier_core(rho, p, 1)
     L = ell(p)
     ext = {j: rho_extension(rho, p, j) for j in range(L + 1)}
     assignment = {}

@@ -7,7 +7,7 @@ both sides in machine-readable form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from math import factorial, prod
 
@@ -28,7 +28,7 @@ from .partitions import (
     epsilon_exponent,
     path_count,
 )
-from .rouquier import is_rouquier
+from .rouquier import rouquier_core
 from .sqrt2 import Sqrt2Scalar
 from .stembridge import _block_context, _induce, _rock_branch
 
@@ -242,7 +242,7 @@ def hyp_coeffs(rho: Partition, p: int, dcomp) -> CharVector:
     checked to be a positive integer."""
     dcomp = tuple(int(x) for x in dcomp)
     d = sum(dcomp)
-    rho = _rouquier_core(rho, p, d)
+    rho = rouquier_core(rho, p, d)
     space = CharSpace.block(rho, p, d)
     e_runners = sum(runner_parity(j) * x for j, x in enumerate(dcomp))
     e_tuple = (epsilon_exponent((rho,)) + e_runners) % 2
@@ -265,12 +265,18 @@ def hyp_coeffs(rho: Partition, p: int, dcomp) -> CharVector:
 
 @dataclass
 class CheckReport:
+    """One check's outcome: a report passes exactly when it has no witness."""
+
     name: str
     params: dict
-    passed: bool
+    _: KW_ONLY
     lhs: object = None
     rhs: object = None
     witness: object = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_json(self) -> dict:
         return {
@@ -295,14 +301,6 @@ def _jsonable(x):
     return x
 
 
-def _rouquier_core(rho, p: int, d: int) -> Partition:
-    """rho as a canonical tuple, checked to be a d-Rouquier core."""
-    rho = as_strict(rho)
-    if not is_rouquier(rho, p, d):
-        raise DomainError(f"{rho} is not a {d}-Rouquier core for p={p}")
-    return rho
-
-
 # `verify dim-sqd --n 30` takes about 1.2 s; each step up in n costs about 1.3 times more
 DIM_SQD_MAX_N = 30
 
@@ -316,11 +314,10 @@ def check_dim_sqd(n: int) -> CheckReport:
         for lam in enumerate_partitions(n, STRICT)
     )
     rhs = factorial(n)
-    passed = lhs_ord == rhs == lhs_strict
+    lhs = {"ordinary": lhs_ord, "strict": lhs_strict}
     return CheckReport(
-        "dim-sqd", {"n": n}, passed,
-        {"ordinary": lhs_ord, "strict": lhs_strict}, rhs,
-        None if passed else {"ordinary": lhs_ord, "strict": lhs_strict, "expected": rhs},
+        "dim-sqd", {"n": n}, lhs=lhs, rhs=rhs,
+        witness=None if lhs_ord == rhs == lhs_strict else {**lhs, "expected": rhs},
     )
 
 
@@ -333,10 +330,9 @@ def check_dim_reduced(rho, p: int, dcomp) -> CheckReport:
         q0 = _q0(lam, p)
         total += 2 ** (sum(q0) - len(q0)) * _k_product(lam, p) ** 2
     rhs = prod(map(factorial, dcomp))
-    passed = total == rhs
     return CheckReport(
-        "dim-reduced", {"rho": rho, "p": p, "dcomp": dcomp}, passed, total, rhs,
-        None if passed else {"lhs": total, "rhs": rhs},
+        "dim-reduced", {"rho": rho, "p": p, "dcomp": dcomp}, lhs=total, rhs=rhs,
+        witness=None if total == rhs else {"lhs": total, "rhs": rhs},
     )
 
 
@@ -358,12 +354,11 @@ def check_block_count(rho, p: int, d: int) -> CheckReport:
             failures.append({"dcomp": dcomp, "count": len(part), "expected": expected})
     if sorted(union) != sorted(whole) or len(union) != len(set(union)):
         failures.append({"union": len(union), "block": len(whole)})
-    passed = not failures
     return CheckReport(
-        "block-count", {"rho": rho, "p": p, "d": d}, passed,
-        {str(k): v[0] for k, v in census.items()},
-        {str(k): v[1] for k, v in census.items()},
-        failures or None,
+        "block-count", {"rho": rho, "p": p, "d": d},
+        lhs={str(k): v[0] for k, v in census.items()},
+        rhs={str(k): v[1] for k, v in census.items()},
+        witness=failures or None,
     )
 
 
@@ -371,7 +366,7 @@ def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
     """eps_lam^2 * induce coefficient == eps_(mu,j)^2 * restrict coefficient
     for every branch pair in the block.  Both sides are compared on the
     union of their supports; a pair missing on one side counts as zero."""
-    rho = _rouquier_core(rho, p, d)
+    rho = rouquier_core(rho, p, d)
     restricted = {}
     for lam in block_enum(rho, p, d):
         branch = _rock_branch(lam, p, None, "restrict", rho, d)
@@ -393,10 +388,7 @@ def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
             failures.append(
                 {"mu": mu, "j": j, "lam": lam, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
             )
-    return CheckReport(
-        "htog-adjoint", {"rho": rho, "p": p, "d": d}, not failures,
-        None, None, failures or None,
-    )
+    return CheckReport("htog-adjoint", {"rho": rho, "p": p, "d": d}, witness=failures or None)
 
 
 def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
@@ -424,18 +416,11 @@ def check_htoj(lam, p: int, lattice: NmvLattice | None = None, oracle: bool = Fa
     diff = lhs - rhs
     if lattice is None:
         lattice = nmv_basis(lhs.space)
-    ok = lattice.member(diff)
-    if oracle:
-        oracle_ok = lattice.member_oracle(diff)
-        if oracle_ok != ok:
-            return CheckReport(
-                "htoj", {"lam": lam, "p": p}, False, lhs, rhs,
-                {"disagreement": {"member": ok, "oracle": oracle_ok}},
-            )
-    return CheckReport(
-        "htoj", {"lam": lam, "p": p}, ok, lhs, rhs,
-        None if ok else {"difference": _jsonable(diff)},
-    )
+    member = lattice.member(diff)
+    witness = None if member else {"difference": _jsonable(diff)}
+    if oracle and (by_oracle := lattice.member_oracle(diff)) != member:
+        witness = {"disagreement": {"member": member, "oracle": by_oracle}}
+    return CheckReport("htoj", {"lam": lam, "p": p}, lhs=lhs, rhs=rhs, witness=witness)
 
 
 def restrict_recursion_sides(lam, p: int) -> dict:
@@ -470,7 +455,7 @@ def restrict_recursion_sides(lam, p: int) -> dict:
 
 
 def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
-    rho = _rouquier_core(rho, p, d)
+    rho = rouquier_core(rho, p, d)
     failures = []
     for lam in block_enum(rho, p, d):
         for k, (lhs, rhs) in restrict_recursion_sides(lam, p).items():
@@ -479,18 +464,14 @@ def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
                     {"lam": lam, "runner": k, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
                 )
     return CheckReport(
-        "restrict-recursion", {"rho": rho, "p": p, "d": d}, not failures,
-        None, None, failures or None,
+        "restrict-recursion", {"rho": rho, "p": p, "d": d}, witness=failures or None
     )
 
 
 def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
     """Every closed-form coefficient c_lam is a positive integer, and over each
     dcomp sum eps_lam^2 c_lam^2 = eps_(rho,dcomp)^2 prod_i d_i!, as in dim-reduced."""
-    rho = as_strict(rho)
-    _check_prime(p)
-    if d < 1:
-        raise ValueError("d must be positive")
+    rho = rouquier_core(rho, p, d)
     L = ell(p)
     e_rho = epsilon_exponent((rho,))
     failures = []
@@ -509,8 +490,7 @@ def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
         if squares != expected:
             failures.append({"dcomp": dcomp, "squares": squares, "expected": expected})
     return CheckReport(
-        "hyp-nonneg", {"rho": rho, "p": p, "d": d}, not failures,
-        totals, None, failures or None,
+        "hyp-nonneg", {"rho": rho, "p": p, "d": d}, lhs=totals, witness=failures or None
     )
 
 
@@ -549,14 +529,14 @@ def check_core_order(p: int) -> CheckReport:
         "core-order",
         {"p": p, "max_n": CORE_ORDER_MAX_N, "samples": CORE_ORDER_SAMPLES,
          "orders": CORE_ORDER_ORDERS},
-        not failures, None, None, failures or None,
+        witness=failures or None,
     )
 
 
 def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     """Tableau-enumerated induction projected to the block equals the
     abacus closed form, coefficient for coefficient."""
-    rho = _rouquier_core(rho, p, d)
+    rho = rouquier_core(rho, p, d)
     L = ell(p)
     block = block_enum(rho, p, d)
     failures = []
@@ -576,8 +556,7 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
                     }
                 )
     return CheckReport(
-        "stembridge-cross", {"rho": rho, "p": p, "d": d}, not failures,
-        None, None, failures or None,
+        "stembridge-cross", {"rho": rho, "p": p, "d": d}, witness=failures or None
     )
 
 
@@ -608,8 +587,7 @@ def check_tree_suite(p: int) -> CheckReport:
             if edges != gens:
                 failures.append({"rho": rho, "edges": sorted(map(str, edges))})
     return CheckReport(
-        "tree-suite", {"p": p, "count": TREE_SUITE_COUNT}, not failures, None, None,
-        failures or None,
+        "tree-suite", {"p": p, "count": TREE_SUITE_COUNT}, witness=failures or None
     )
 
 
@@ -625,8 +603,8 @@ def check_phi_kernel(rho, p: int, d: int) -> CheckReport:
         if value != 0:
             failures.append({"generator": lattice.generators[k].rows(), "phi": _jsonable(value)})
     return CheckReport(
-        "phi-kernel", {"rho": space.rho, "p": p, "d": d}, not failures,
-        len(lattice.edge_rows), 0, failures or None,
+        "phi-kernel", {"rho": space.rho, "p": p, "d": d},
+        lhs=len(lattice.edge_rows), rhs=0, witness=failures or None,
     )
 
 

@@ -13,7 +13,9 @@ from spinblocks.chars import (
 from spinblocks.exceptions import SpaceMismatch
 from spinblocks.partitions import epsilon_exponent
 from spinblocks.rouquier import generate
-from spinblocks.sqrt2 import SQRT2, Sqrt2Scalar
+from spinblocks.sqrt2 import Sqrt2Scalar
+
+SQRT2 = Sqrt2Scalar(0, 1)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -223,8 +224,8 @@ def test_verify_all_branches_once_per_label_per_weight(monkeypatch):
 
     monkeypatch.setattr(cli, "_rock_branch", Spy())
     p, L = 5, 2
-    payload, code = cli.verify_all(p, 3)
-    assert (code, payload["summary"]["failed"]) == (0, 0)
+    payload = cli.verify_all(p, 3)
+    assert payload["summary"]["failed"] == 0
     expected = []
     for parity in ("even", "odd"):
         for d in range(1, 4):
@@ -291,6 +292,17 @@ def test_prime_budget_keeps_the_largest_prime_below_it(capsys):
         code, out, err = run_cli(capsys, "core", "--p", str(p), "--partition", "2,1")
         assert (code, out) == (2, "")
         assert err == f"error: p must be an odd prime below {P_MAX}: {p}\n"
+
+
+@pytest.mark.parametrize("fmt, digest", [("json", "06f20b734a7f37a0"), ("csv", "89cd9b338c56131a")])
+def test_quotient_at_the_largest_prime_keeps_its_bytes(capsys, fmt, digest):
+    """`quotient` at the largest prime below P_MAX prints its ell empty
+    components in both formats with the bytes they always had."""
+    code, out, err = run_cli(
+        capsys, "--format", fmt, "quotient", "--p", "9999991", "--lambda", "2,1"
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize(
@@ -872,12 +884,21 @@ def test_an_l_space_weight_below_one_is_a_usage_error(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
-@pytest.mark.parametrize("check", ["htog-adjoint", "stembridge-cross"])
+# (2, 1) is a 1-Rouquier core for p = 5 but not a 2-Rouquier one, and () is
+# not even a 1-Rouquier core: (argv, the core and weight the error names)
+NOT_ROUQUIER = {
+    **{check: (["verify", check, "--p", "5", "--rho", "2,1", "--d", "2"], "(2, 1)", 2)
+       for check in ("htog-adjoint", "stembridge-cross", "hyp-nonneg")},
+    "tree-weight1": (["tree", "weight1", "--p", "5", "--rho", "-"], "()", 1),
+}
+
+
+@pytest.mark.parametrize("check", list(NOT_ROUQUIER))
 def test_a_core_that_is_not_d_rouquier_is_a_usage_error(capsys, check):
-    # (2, 1) is a 1-Rouquier core for p = 5 but not a 2-Rouquier one
-    code, out, err = run_cli(capsys, "verify", check, "--p", "5", "--rho", "2,1", "--d", "2")
+    argv, core, d = NOT_ROUQUIER[check]
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: (2, 1) is not a 2-Rouquier core for p=5\n"
+    assert err == f"error: {core} is not a {d}-Rouquier core for p=5\n"
 
 
 # Each verify target with all the flags it needs, in the order they are asked for.
@@ -1128,9 +1149,10 @@ CACHES = st.one_of(
 @example(argv=[], cache=None, over_budget=["verify", "all", "--p=5", "--dmax=8"])
 def test_exit_code_contract(argv, cache, over_budget):
     """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
-    a traceback, and an exit-2 run leaves the cache file as it was.  A
-    quarter of the draws replace argv by one over a size budget, which must
-    exit 2."""
+    a traceback, and an exit-2 run leaves the cache file as it was.  Exit 0
+    or 1 prints one report, and it is 1 exactly when a verdict it prints is
+    "fail".  A quarter of the draws replace argv by one over a size budget,
+    which must exit 2."""
     argv = over_budget or argv
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "kcache.tsv"
@@ -1152,6 +1174,14 @@ def test_exit_code_contract(argv, cache, over_budget):
     assert code == 2 or not over_budget, (argv, code)
     if code == 2:
         assert after == before
+    elif "--format=csv" in argv:
+        rows = list(csv.reader(io.StringIO(out.getvalue())))
+        verdicts = [verdict for _, verdict in rows[1:]] if rows[0] == ["check", "verdict"] else []
+        assert code == ("fail" in verdicts), (argv, code)
+    else:
+        assert out.getvalue().count("\n") == 1, argv
+        report = json.loads(out.getvalue())
+        assert code == ("fail" in report.get("verdicts", {}).values()), (argv, code)
 
 
 # sha256 of argparse's bytes on every parser path at 80 columns: each path's

@@ -334,3 +334,49 @@ def test_caller_checker_catches_an_unreferenced_def():
     planted = MODULES[0].read_text() + "\n\ndef planted_helper():\n    return 0\n"
     trees = [ast.parse(planted)] + [ast.parse(path.read_text()) for path in MODULES[1:]]
     assert "planted_helper" in uncalled_defs(trees, set(spinblocks.__all__))
+
+
+# Every name a module of src/spinblocks binds at module level is read somewhere
+# in src, or exported; a constant only the tests read lives with the tests.
+UNREAD_ALLOWED = {"__version__", "__all__"}
+
+
+def unread_module_names(trees: list, exported: set) -> list[str]:
+    """The module-level names that no Name load and no Attribute in the trees
+    reads, less exported names; a later assignment is not a read."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        name for tree in trees for name in module_level_names(tree)
+        if name not in read and name not in exported
+    ]
+
+
+def test_every_module_level_name_in_src_is_read_or_public():
+    import spinblocks
+
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    assert set(unread_module_names(trees, set(spinblocks.__all__))) == UNREAD_ALLOWED
+
+
+def test_unread_name_checker_catches_an_unread_constant():
+    import spinblocks
+
+    source = (
+        "READ = 1\n"
+        "BY_ATTRIBUTE: int = 2\n"
+        "EXPORTED = 3\n"
+        "first, (second, UNREAD) = READ, (4, 5)\n"
+        "STORED = 6\n"
+        "STORED += 7\n"
+        "def f(module): return second + first + module.BY_ATTRIBUTE\n"
+    )
+    assert unread_module_names([ast.parse(source)], {"EXPORTED"}) == ["UNREAD", "STORED", "STORED"]
+    planted = MODULES[0].read_text() + "\n\nPLANTED_CONSTANT = 0\n"
+    trees = [ast.parse(planted)] + [ast.parse(path.read_text()) for path in MODULES[1:]]
+    assert "PLANTED_CONSTANT" in unread_module_names(trees, set(spinblocks.__all__))

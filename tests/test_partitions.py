@@ -14,7 +14,9 @@ from spinblocks.partitions import (
     path_count,
     skew_boxes,
 )
-from spinblocks.sqrt2 import SQRT2, Sqrt2Scalar
+from spinblocks.sqrt2 import Sqrt2Scalar
+
+SQRT2 = Sqrt2Scalar(0, 1)
 
 
 def test_validators():

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinblocks.chars import CharSpace, CharVector
-from spinblocks.sqrt2 import ONE, SQRT2, Sqrt2Scalar
+from spinblocks.sqrt2 import Sqrt2Scalar
+
+ONE = Sqrt2Scalar(1, 0)
+SQRT2 = Sqrt2Scalar(0, 1)
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 scalars = st.builds(Sqrt2Scalar, ints, ints)
