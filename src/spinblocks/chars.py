@@ -118,15 +118,6 @@ class CharSpace:
             return [(mu, j) for mu in mus for j in range(ell(self.p) + 1)]
         raise SpaceMismatch(f"a {self.kind} space does not list its labels")
 
-    def refined_labels(self) -> list:
-        out = []
-        for label in self.labels():
-            if self.is_odd(label):
-                out.extend([(label, 1), (label, -1)])
-            else:
-                out.append((label, 0))
-        return out
-
     def format_label(self, label) -> str:
         if self.kind in ("block", "full"):
             return ",".join(map(str, label)) if label else "-"

@@ -46,19 +46,38 @@ def compositions(total: int, slots: int) -> list[tuple]:
 # non-maximal-support lattice
 
 
-@dataclass
 class NmvLattice:
     """Integer lattice spanned by the non-maximal-support generators of an
     L or H space, in the sign-refined basis: the direct sum of one lattice
     per component, the labels (mu, 0..ell) of one mu in an H space and the
     whole L space.  Each generator is an edge row of refined labels with
-    coefficient 1, its CharVector built on first use.  `member` reads the
-    labels, never the rows; the oracle solves over the generator columns
-    of each touched component, a + b*sqrt(2) being the pair (a, b).
+    coefficient 1: the rows are listed on first read unless given, and each
+    row's CharVector is built on first use.  `member` reads the labels,
+    never the rows; the oracle solves over the generator columns of each
+    touched component, a + b*sqrt(2) being the pair (a, b).
     """
 
-    space: CharSpace
-    edge_rows: list
+    def __init__(self, space: CharSpace, edge_rows: list | None = None):
+        self.space = space
+        if edge_rows is not None:
+            self.edge_rows = edge_rows  # shadows the cached property below
+
+    @cached_property
+    def edge_rows(self) -> list:
+        """The rows `nmv_basis` describes, in edge order."""
+        space, L = self.space, ell(self.space.p)
+        if space.kind == "L":
+            edges = [
+                (others[:k] + (jk,) + others[k:], others[:k] + (jk + 1,) + others[k:])
+                for k in range(space.d)
+                for others in runner_tuples(space.p, space.d - 1)
+                for jk in range(L)
+            ]
+        else:
+            mus = block_enum(space.rho, space.p, space.d - 1)
+            edges = [((mu, j), (mu, j + 1)) for mu in mus for j in range(L)]
+        odd = {label: space.is_odd(label) for label in space.labels()}
+        return [row for a, b in edges for row in _pair_generators(a, b, odd[a], odd[b])]
 
     @cached_property
     def generators(self) -> list[CharVector]:
@@ -68,9 +87,9 @@ class NmvLattice:
     @cached_property
     def split(self) -> tuple[dict, list]:
         """(refined label -> (component, position), sizes), read off the
-        labels in refined_labels() order."""
+        refined labels of `weights`, in label order with + before -."""
         comps = {}
-        for refined in self.space.refined_labels():
+        for refined in self.weights[REFINED]:
             at = comps.setdefault(refined[0][0] if self.space.kind == "H" else None, {})
             at[refined] = len(at)
         index = {l: (c, i) for c, at in enumerate(comps.values()) for l, i in at.items()}
@@ -94,15 +113,23 @@ class NmvLattice:
     def weights(self) -> dict:
         """{basis: {label: ((key, x), ...)}} for `member`: each label's weight
         toward its component's sum, keyed by the base (rho in L, mu in H),
-        and an odd all-zero runner label's sign toward its halves check."""
+        and an odd all-zero runner label's sign toward its halves check;
+        one pass per base, whose epsilon exponent gives each label's parity."""
         space, tables = self.space, {REFINED: {}, SUPER: {}}
-        for label, sign in space.refined_labels():
-            base, t = (label[0], label[1:]) if space.kind == "H" else (space.rho, label)
-            terms = ((base, _label_weight(epsilon_exponent((base,)), t)),)
-            if sign and not any(t):
-                terms += (((base, "halves"), sign),)
-            tables[REFINED][label, sign] = terms
-            tables[SUPER][label] = tables[SUPER].get(label, ()) + terms
+        if space.kind == "H":
+            slots = [(j,) for j in range(ell(space.p) + 1)]
+            bases = [(mu, slots) for mu in block_enum(space.rho, space.p, space.d - 1)]
+        else:
+            bases = [(space.rho, runner_tuples(space.p, space.d))]
+        for base, tuples in bases:
+            e_base = epsilon_exponent((base,))
+            for t in tuples:
+                label = (base, *t) if space.kind == "H" else t
+                weight = (base, _label_weight(e_base, t))
+                for sign in (1, -1) if (e_base + sum(map(runner_parity, t))) % 2 else (0,):
+                    terms = (weight, ((base, "halves"), sign)) if sign and not any(t) else (weight,)
+                    tables[REFINED][label, sign] = terms
+                    tables[SUPER][label] = tables[SUPER].get(label, ()) + terms
         return tables
 
     def parts(self, v: CharVector) -> dict:
@@ -178,25 +205,12 @@ def nmv_basis(space: CharSpace) -> NmvLattice:
     runner value j_k below ell, the characters at j_k and j_k + 1 add up to
     a projective character, with signs matched along associate pairs.  For
     an H space the same happens in the single runner slot over every mu.
-    The edge (t, t + e_k) fixes k, so no generator comes up twice.
+    The edge (t, t + e_k) fixes k, so no generator comes up twice.  The
+    rows are listed on first read of `edge_rows`; `member` never reads them.
     """
-    L = ell(space.p)
-    if space.kind == "L":
-        edges = [
-            (others[:k] + (jk,) + others[k:], others[:k] + (jk + 1,) + others[k:])
-            for k in range(space.d)
-            for others in runner_tuples(space.p, space.d - 1)
-            for jk in range(L)
-        ]
-    elif space.kind == "H":
-        mus = block_enum(space.rho, space.p, space.d - 1)
-        edges = [((mu, j), (mu, j + 1)) for mu in mus for j in range(L)]
-    else:
+    if space.kind not in ("L", "H"):
         raise SpaceMismatch("non-maximal-support lattices live on L or H spaces")
-    odd = {label: space.is_odd(label) for label in space.labels()}
-    return NmvLattice(space, [
-        row for a, b in edges for row in _pair_generators(a, b, odd[a], odd[b])
-    ])
+    return NmvLattice(space)
 
 
 def phi(v: CharVector) -> Sqrt2Scalar:

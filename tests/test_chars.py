@@ -108,6 +108,19 @@ def test_vector_space_mismatch(h_space):
         CharVector.unit(h_space, ((2, 1), 0)) + CharVector.unit(other, (0,))
 
 
+def refined_labels(space) -> list:
+    """The sign-refined labels of an L or H space in label order, an odd
+    label's + half before its - half.  `NmvLattice.weights` lists the same
+    keys in one pass per base; only the tests list them label by label."""
+    out = []
+    for label in space.labels():
+        if space.is_odd(label):
+            out.extend([(label, 1), (label, -1)])
+        else:
+            out.append((label, 0))
+    return out
+
+
 def unrefine(v):
     """Sign-refined basis -> supercharacter basis; the two halves of every
     associate pair must carry equal coefficients.  The inverse of `refine`,

@@ -261,6 +261,43 @@ def test_verify_htoj_stdout_is_unchanged(capsys, flags):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == VERIFY_HTOJ_GOLDEN[flags]
 
 
+# `nmv` over generate(p, d, parity, 1)[0] of both parities, p in {5, 7}, d <= 3,
+# digests taken before the edge rows were listed on first read
+NMV_GOLDEN = {
+    "--p 5 --rho 12,7,2,1 --d 1 --space H": "002920ba9c650ba1",
+    "--p 5 --rho 12,7,2,1 --d 1 --space L": "c3939d0b53406148",
+    "--p 5 --rho 2,1 --d 1 --space H": "6892e6f2d075f590",
+    "--p 5 --rho 2,1 --d 1 --space L": "bb47da88e9f44aa6",
+    "--p 5 --rho 22,17,12,7,6,2,1 --d 2 --space H": "1445397b7fb0ef6f",
+    "--p 5 --rho 22,17,12,7,6,2,1 --d 2 --space L": "2fbc6b28a4bb0e20",
+    "--p 5 --rho 12,7,6,2,1 --d 2 --space H": "8f2cbed121a64528",
+    "--p 5 --rho 12,7,6,2,1 --d 2 --space L": "622ced4f76fdda4c",
+    "--p 5 --rho 22,17,12,11,7,6,2,1 --d 3 --space H": "f3af91907609393b",
+    "--p 5 --rho 22,17,12,11,7,6,2,1 --d 3 --space L": "7081758e7737b1d3",
+    "--p 5 --rho 32,27,22,17,12,11,7,6,2,1 --d 3 --space H": "fdb5f3da00163ecc",
+    "--p 5 --rho 32,27,22,17,12,11,7,6,2,1 --d 3 --space L": "27d9b4ffb429c1b1",
+    "--p 7 --rho 10,3,2,1 --d 1 --space H": "6a15d4511e04b512",
+    "--p 7 --rho 10,3,2,1 --d 1 --space L": "9e92739e53637da2",
+    "--p 7 --rho 3,2,1 --d 1 --space H": "683d83775f215129",
+    "--p 7 --rho 3,2,1 --d 1 --space L": "3c98b95b2f7cff7a",
+    "--p 7 --rho 38,31,24,17,16,10,9,8,3,2,1 --d 2 --space H": "9d48f7ef27571e86",
+    "--p 7 --rho 38,31,24,17,16,10,9,8,3,2,1 --d 2 --space L": "7fd9b35dea674eb5",
+    "--p 7 --rho 24,17,16,10,9,8,3,2,1 --d 2 --space H": "71a31965a65ba8c1",
+    "--p 7 --rho 24,17,16,10,9,8,3,2,1 --d 2 --space L": "1bbf0857111b19a4",
+    "--p 7 --rho 52,45,38,31,30,24,23,17,16,15,10,9,8,3,2,1 --d 3 --space H": "96a9ea7e8cbebfa2",
+    "--p 7 --rho 52,45,38,31,30,24,23,17,16,15,10,9,8,3,2,1 --d 3 --space L": "1f899ee167be6832",
+    "--p 7 --rho 45,38,31,30,24,23,17,16,15,10,9,8,3,2,1 --d 3 --space H": "0e0fac9c4ddbe621",
+    "--p 7 --rho 45,38,31,30,24,23,17,16,15,10,9,8,3,2,1 --d 3 --space L": "aa3e29f8af9923bd",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(NMV_GOLDEN))
+def test_nmv_stdout_is_unchanged(capsys, flags):
+    code, out, err = run_cli(capsys, "nmv", *flags.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == NMV_GOLDEN[flags]
+
+
 def test_csv_verdict_table(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "csv", "verify", "dim-sqd", "--n", "4"

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,9 @@ from spinblocks.partitions import epsilon_exponent
 from spinblocks.rouquier import generate
 from spinblocks.sqrt2 import Sqrt2Scalar
 from spinblocks.verify import (
+    TREE_SUITE_COUNT,
     NmvLattice,
+    _label_weight,
     check_htoj,
     htoj_sides,
     hyp_coeffs,
@@ -20,7 +23,7 @@ from spinblocks.verify import (
     phi,
     run_check,
 )
-from test_chars import eps_tuple, unrefine
+from test_chars import eps_tuple, refined_labels, unrefine
 
 
 def refined_unit(space, label, sign):
@@ -197,7 +200,7 @@ def dense_route(lattice):
     """Third membership route, for tests only: flatten over every refined
     label of the space and reduce against one echelon basis of all the
     generators, with no split into components."""
-    labels = lattice.space.refined_labels()
+    labels = refined_labels(lattice.space)
 
     def flatten(v):
         coeffs = v.refine().as_dict()
@@ -235,7 +238,7 @@ def test_membership_routes_agree(p, d):
                 for lam in block_enum(rho, p, d):
                     lhs, rhs = htoj_sides(lam, p)
                     assert routes(lhs - rhs) == (True, True, True), lam
-            labels = lattice.space.refined_labels()
+            labels = refined_labels(lattice.space)
             for _ in range(4):
                 combo = CharVector.make(lattice.space, {}, "refined")
                 for g in rng.sample(lattice.generators, min(6, len(lattice.generators))):
@@ -326,7 +329,7 @@ def test_tree_functionals_agree_with_the_echelon_routes_and_the_oracle(data):
     kind = data.draw(st.sampled_from(["member", "unit", "root", "halves"]))
     expected = kind == "member"
     if kind == "unit":
-        labels = space.refined_labels() if basis == REFINED else space.labels()
+        labels = refined_labels(space) if basis == REFINED else space.labels()
         a, b = data.draw(NONZERO)
         label = data.draw(st.sampled_from(labels))
         v = v + CharVector.make(space, {label: Sqrt2Scalar(a, b)}, basis)
@@ -343,6 +346,101 @@ def test_tree_functionals_agree_with_the_echelon_routes_and_the_oracle(data):
     assert (lattice.member(v), echelon(v), dense(v), lattice.member_oracle(v)) == (expected,) * 4
 
 
+def old_weights(space):
+    """`NmvLattice.weights` as it was built before its one pass per base:
+    label by label in refined order, each label's parity and its base's
+    epsilon exponent derived afresh.  An oracle for the keys of the table,
+    their order and the order of each label's terms."""
+    tables = {REFINED: {}, SUPER: {}}
+    for label, sign in refined_labels(space):
+        base, t = (label[0], label[1:]) if space.kind == "H" else (space.rho, label)
+        terms = ((base, _label_weight(epsilon_exponent((base,)), t)),)
+        if sign and not any(t):
+            terms += (((base, "halves"), sign),)
+        tables[REFINED][label, sign] = terms
+        tables[SUPER][label] = tables[SUPER].get(label, ()) + terms
+    return tables
+
+
+@pytest.mark.parametrize("kind,p,d,parity", LATTICE_GRID)
+def test_weights_table_matches_the_per_label_oracle(kind, p, d, parity):
+    space = (CharSpace.l_space if kind == "L" else CharSpace.h_space)(
+        generate(p, d, parity, 1)[0], p, d
+    )
+    lattice, expected = nmv_basis(space), old_weights(space)
+    for basis in (REFINED, SUPER):
+        assert list(lattice.weights[basis].items()) == list(expected[basis].items())
+    assert "edge_rows" not in vars(lattice)  # the table reads no row
+
+
+def _spy_edge_rows(monkeypatch) -> list:
+    """Record the space of each lattice that lists its edge rows."""
+    import spinblocks.verify as V
+
+    real, built = V.NmvLattice.edge_rows.func, []
+
+    def edge_rows(self):
+        built.append(self.space)
+        return real(self)
+
+    spy = cached_property(edge_rows)
+    spy.__set_name__(V.NmvLattice, "edge_rows")
+    monkeypatch.setattr(V.NmvLattice, "edge_rows", spy)
+    return built
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_htoj_lists_edge_rows_only_for_the_oracle(monkeypatch, capsys, oracle):
+    """`member` reads no row, so a single htoj lists none; the oracle lists
+    its lattice's rows once, however many differences it solves."""
+    from spinblocks import cli
+
+    built = _spy_edge_rows(monkeypatch)
+    rho, p, d = generate(7, 3, "odd", 1)[0], 7, 3
+    block, space = block_enum(rho, p, d), CharSpace.h_space(rho, p, d)
+    assert check_htoj(block[0], p, oracle=oracle).passed
+    assert built == [space] * oracle
+    built.clear()
+    argv = ["verify", "htoj", "--p", str(p), "--lambda", ",".join(map(str, block[-1]))]
+    assert cli.main(argv + ["--oracle"] * oracle) == 0
+    capsys.readouterr()
+    assert built == [space] * oracle
+    built.clear()
+    lattice = nmv_basis(space)
+    assert all(check_htoj(lam, p, lattice=lattice, oracle=oracle).passed for lam in block)
+    assert built == [space] * oracle
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_verify_all_lists_edge_rows_for_phi_kernel_tree_suite_and_the_oracle(
+    monkeypatch, capsys, oracle
+):
+    """Without --oracle `verify all` lists only the L-space rows that
+    phi-kernel and tree-suite evaluate; with it, also each H lattice's, once."""
+    from spinblocks import cli
+
+    built = _spy_edge_rows(monkeypatch)
+    p, dmax = 5, 3
+    assert cli.main(["verify", "all", "--p", str(p), "--dmax", str(dmax)] + ["--oracle"] * oracle) == 0
+    capsys.readouterr()
+    expected = [
+        CharSpace.l_space(rho, p, 1)
+        for parity in ("even", "odd")
+        for rho in generate(p, 1, parity, TREE_SUITE_COUNT)
+    ]
+    for parity in ("even", "odd"):
+        for d in range(1, dmax + 1):
+            rho = generate(p, d, parity, 1)[0]
+            expected += [CharSpace.l_space(rho, p, d)] + [CharSpace.h_space(rho, p, d)] * oracle
+    assert built == expected
+
+
+@pytest.mark.parametrize("space", [CharSpace.block((2, 1), 5, 1), CharSpace.full(3)])
+def test_nmv_basis_refuses_a_block_or_full_space_when_called(space):
+    with pytest.raises(SpaceMismatch, match="live on L or H spaces"):
+        nmv_basis(space)
+
+
 @pytest.mark.parametrize("p,d", SMALL_GRID)
 def test_h_components_are_single_mu(p, d):
     """The generators touch every refined label and none joins two mu, so
@@ -355,7 +453,7 @@ def test_h_components_are_single_mu(p, d):
             support = g.refine().support()
             assert len({mu for (mu, _j), _sign in support}) == 1, g
             touched.update(support)
-        assert sorted(map(repr, touched)) == sorted(map(repr, lattice.space.refined_labels()))
+        assert sorted(map(repr, touched)) == sorted(map(repr, refined_labels(lattice.space)))
         sizes = lattice.split[1]
         assert len(sizes) == len(block_enum(rho, p, d - 1))
         assert all(size <= 2 * (ell(p) + 1) for size in sizes)
