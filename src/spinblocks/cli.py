@@ -24,16 +24,7 @@ from .exceptions import DomainError
 from .partitions import PATH_COUNT_MEMO, STRICT, _hook_formula, enumerate_partitions, validate
 from .rouquier import generate, is_rouquier, strip_classify
 from .stembridge import _rock_branch, f_coeff, induce, rock_branch
-from .verify import (
-    CHECKS,
-    _jsonable,
-    check_htoj,
-    compositions,
-    hyp_coeffs,
-    nmv_basis,
-    phi,
-    run_check,
-)
+from .verify import _jsonable, check_htoj, compositions, hyp_coeffs, nmv_basis, phi, run_check
 
 CACHE_HEADER = "spinblocks-kcache 1"
 # path_count recurses through two frames per box, so under Python's default
@@ -148,8 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--timing", action="store_true", help="include elapsed time")
     sub = top.add_subparsers(dest="command", required=True)
 
-    # one parent parser per required flag that several subcommands share
-    p, rho, lam, mu, nu, d, dcomp, tree = (argparse.ArgumentParser(add_help=False) for _ in range(8))
+    # one parent parser per required flag that several subcommands share, and
+    # the two optional flags every `verify` target takes
+    p, rho, lam, mu, nu, d, dcomp, n, tree, checks = (
+        argparse.ArgumentParser(add_help=False) for _ in range(10)
+    )
     p.add_argument("--p", type=int, required=True)
     rho.add_argument("--rho", required=True)
     lam.add_argument("--lambda", dest="lam", required=True)
@@ -157,12 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
     nu.add_argument("--nu", required=True)
     d.add_argument("--d", type=int, required=True)
     dcomp.add_argument("--dcomp", required=True)
+    n.add_argument("--n", type=int, required=True)
     tree.add_argument("--kind", choices=("A", "B"), required=True)
     tree.add_argument("--ell", type=int, required=True)
+    checks.add_argument("--dmax", type=int, default=2)
+    checks.add_argument("--oracle", action="store_true", help="cross-check lattice membership")
 
     add = sub.add_parser
-    sp = add("enumerate")
-    sp.add_argument("--n", type=int, required=True)
+    sp = add("enumerate", parents=[n])
     sp.add_argument("--kind", choices=("ordinary", "strict"), required=True)
 
     sp = add("core", parents=[p])
@@ -208,16 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tuple", dest="runner_tuple", required=True)
     sp.add_argument("--sign", choices=("+", "-", "0"), default="0")
 
-    sp = add("verify")
-    sp.add_argument("name", help="check name or 'all'")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--rho")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--dcomp")
-    sp.add_argument("--lambda", dest="lam")
-    sp.add_argument("--dmax", type=int, default=2)
-    sp.add_argument("--oracle", action="store_true", help="cross-check lattice membership")
+    vsub = add("verify").add_subparsers(dest="name", required=True)
+    targets = {
+        "all": [p], "dim-sqd": [n], "dim-reduced": [p, rho, dcomp], "block-count": [p, rho, d],
+        "htog-adjoint": [p, rho, d], "htoj": [p, lam], "restrict-recursion": [p, rho, d],
+        "hyp-nonneg": [p, rho, d], "phi-kernel": [p, rho, d], "core-order": [p],
+        "stembridge-cross": [p, rho, d], "tree-suite": [p],
+    }
+    for name, parents in targets.items():
+        vsub.add_parser(name, parents=[*parents, checks])
 
     tsub = add("tree").add_subparsers(dest="action", required=True)
     tsub.add_parser("build", parents=[tree])
@@ -340,36 +335,19 @@ def run_command(args) -> dict:
     raise DomainError(f"unhandled command {cmd}")
 
 
-# The flags each `verify` target needs, asked for in this order; each names
-# its keyword argument of the check.
-VERIFY_NEEDS = {
-    "all": ("p",),
-    "dim-sqd": ("n",),
-    "htoj": ("p", "lam"),
-    "core-order": ("p",),
-    "tree-suite": ("p",),
-    "dim-reduced": ("p", "rho", "dcomp"),
-    **dict.fromkeys(
-        ("block-count", "htog-adjoint", "restrict-recursion", "hyp-nonneg", "phi-kernel",
-         "stembridge-cross"),
-        ("p", "rho", "d"),
-    ),
-}
-FLAG_PARSERS = {"lam": parse_partition, "rho": parse_partition, "dcomp": parse_comp}
+TOP_FLAGS = ("command", "format", "cache", "timing")  # what no report lists among its inputs
 
 
 def run_verify(args) -> dict:
-    if args.name not in VERIFY_NEEDS:
-        raise DomainError(f"unknown check {args.name!r}; have {sorted(CHECKS)} or 'all'")
-    params = {}
-    for key in VERIFY_NEEDS[args.name]:
-        value = getattr(args, key)
-        if value is None:
-            target = "verify all" if args.name == "all" else args.name
-            raise DomainError(f"{target} needs --{'lambda' if key == 'lam' else key}")
-        params[key] = FLAG_PARSERS[key](value) if key in FLAG_PARSERS else value
+    """`verify all`, or the named check on the flags its target reads: the
+    parser gave each target exactly its own, each named as the check's
+    keyword argument."""
     if args.name == "all":
-        return verify_all(params["p"], args.dmax, oracle=args.oracle)
+        return verify_all(args.p, args.dmax, oracle=args.oracle)
+    params = {k: v for k, v in vars(args).items() if k not in (*TOP_FLAGS, "name", "dmax", "oracle")}
+    for key, parse in (("rho", parse_partition), ("lam", parse_partition), ("dcomp", parse_comp)):
+        if key in params:
+            params[key] = parse(params[key])
     if args.name == "htoj":
         params["oracle"] = args.oracle
     return run_check(args.name, **params).to_json()
@@ -381,6 +359,8 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> dict:
     L-space label budget is checked for dmax before any check runs.  The
     branching memo is emptied after each weight, so it holds at most one
     weight's branchings."""
+    if dmax < 0:
+        raise DomainError(f"dmax must be at least 0: {dmax}")
     _check_l_labels(p, dmax)
     verdicts = {}
     failures = []
@@ -426,11 +406,7 @@ PARSER = build_parser()  # built once; parse_args keeps no state between calls
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     started = time.monotonic()
-    inputs = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "format", "cache", "timing") and v is not None
-    }
+    inputs = {k: v for k, v in vars(args).items() if k not in TOP_FLAGS and v is not None}
     try:
         loaded = load_cache(args.cache) if args.cache else None
         outputs = run_command(args)

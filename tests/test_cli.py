@@ -1,8 +1,10 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,7 +29,7 @@ from spinblocks.partitions import (
     path_count,
 )
 from spinblocks.rouquier import GEN_MAX_BEADS, GEN_MAX_COUNT
-from spinblocks.stembridge import FILL_MAX_BOXES, _count_lattice_fillings
+from spinblocks.stembridge import FILL_MAX_BOXES, INDUCE_MAX_CANDIDATES, _count_lattice_fillings
 from spinblocks.trees import ELL_MAX
 from spinblocks.verify import CHECKS, DIM_SQD_MAX_N
 
@@ -938,7 +940,7 @@ def test_a_core_that_is_not_d_rouquier_is_a_usage_error(capsys, check):
     assert err == f"error: {core} is not a {d}-Rouquier core for p=5\n"
 
 
-# Each verify target with all the flags it needs, in the order they are asked for.
+# Each verify target with all the flags it needs, in the order its usage lists them.
 VERIFY_FLAGS = [
     ("all", ["--p", "5"]),
     ("dim-sqd", ["--n", "3"]),
@@ -955,8 +957,23 @@ VERIFY_FLAGS = [
 ]
 
 
+def subcommands(parser) -> dict:
+    """The subparsers of `parser` by name, in the order they were added."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_verify_flag_table_covers_every_check():
-    assert {name for name, _ in VERIFY_FLAGS} == set(CHECKS) | {"all"}
+    targets = set(subcommands(subcommands(cli.PARSER)["verify"]))
+    assert targets == {name for name, _ in VERIFY_FLAGS} == set(CHECKS) | {"all"}
+
+
+def usage_error(capsys, *argv) -> str:
+    """stderr of an argv that argparse refuses, with exit 2 and no stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    return out.err
 
 
 @pytest.mark.parametrize(
@@ -964,17 +981,75 @@ def test_verify_flag_table_covers_every_check():
     [(name, flags[:k], flags[k]) for name, flags in VERIFY_FLAGS for k in range(0, len(flags), 2)],
 )
 def test_verify_names_the_first_missing_flag(capsys, name, given, missing):
-    """With the first flags given and the rest left out, the error names the
-    first one left out: every message, in the order the flags are asked for."""
-    target = "verify all" if name == "all" else name
-    code, out, err = run_cli(capsys, "verify", name, *given)
-    assert (code, out, err) == (2, "", f"error: {target} needs {missing}\n")
+    """With the first flags given and the rest left out, the usage error of
+    the target names exactly the flags left out, the first one first, in the
+    order of its usage."""
+    left_out = dict(VERIFY_FLAGS)[name][len(given)::2]
+    assert left_out[0] == missing
+    err = usage_error(capsys, "verify", name, *given)
+    assert err.startswith(f"usage: spinblocks verify {name} [-h] ")
+    assert err.endswith(
+        f"spinblocks verify {name}: error: the following arguments are required: "
+        f"{', '.join(left_out)}\n"
+    )
 
 
 def test_verify_unknown_check(capsys):
-    code, out, err = run_cli(capsys, "verify", "no-such-check", "--p", "5")
-    assert code == 2 and out == ""
-    assert err.startswith("error: unknown check 'no-such-check'")
+    err = usage_error(capsys, "verify", "no-such-check", "--p", "5")
+    assert "error: argument name: invalid choice: 'no-such-check' (choose from 'all', " in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "htoj", "--p", "5", "--lambda", "6,2", "--rho", "2,1"],
+         "spinblocks: error: unrecognized arguments: --rho 2,1"),
+        (["verify", "dim-sqd", "--n", "3", "--p", "5"],
+         "spinblocks: error: unrecognized arguments: --p 5"),
+        (["verify", "--p", "5", "htoj", "--lambda", "6,2"],
+         "spinblocks verify: error: argument name: invalid choice: '5' (choose from 'all', "),
+    ],
+)
+def test_verify_refuses_a_flag_its_target_does_not_read(capsys, argv, message):
+    """A flag the target does not read, or a flag before the target, is a
+    usage error rather than an input the report lists and the check ignores."""
+    assert message in usage_error(capsys, *argv)
+
+
+def test_verify_all_refuses_a_negative_dmax(capsys):
+    assert run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "-3") == (
+        2, "", "error: dmax must be at least 0: -3\n"
+    )
+    report = run_json(capsys, "verify", "all", "--p", "5", "--dmax", "0")
+    assert report["outputs"]["summary"] == {"total": 11, "failed": 0}
+
+
+@pytest.mark.parametrize("argv", [["--mu", "100", "--nu", "100"], ["--mu", "40,30,20,10", "--nu", "40,30,20,10"]])
+def test_induce_over_the_candidate_budget_exits_2(capsys, argv):
+    assert run_cli(capsys, "induce", *argv) == (
+        2, "", f"error: induce fills at most {INDUCE_MAX_CANDIDATES} candidate shapes\n"
+    )
+
+
+def readme_names(label: str) -> list:
+    """The backquoted names of the README sentence that starts with label."""
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    return re.findall(r"`([^`]+)`", text.split(label, 1)[1].split(". ", 1)[0])
+
+
+def test_readme_names_every_subcommand_and_check():
+    """README's `Subcommands:` sentence lists the parser's subcommands in
+    order, with their nested ones, and its named checks are verify.CHECKS."""
+    expected = []
+    for name, parser in subcommands(cli.PARSER).items():
+        if name == "verify":
+            expected.append("verify all|<check>")
+        elif any(isinstance(a, argparse._SubParsersAction) for a in parser._actions):
+            expected.append(f"{name} {'|'.join(subcommands(parser))}")
+        else:
+            expected.append(name)
+    assert readme_names("Subcommands:") == expected
+    assert readme_names("Named checks for `verify`:") == list(CHECKS)
 
 
 # Flag values for the exit-code fuzz: p <= 7, d and dmax <= 2, n <= 8, at
@@ -1005,6 +1080,7 @@ COMP = joined(
     st.lists(st.integers(-1, 2), min_size=1, max_size=4).filter(lambda xs: sum(map(abs, xs)) <= 2)
 )
 MALFORMED = st.sampled_from(["", "x", "1.5", "-", "1,,2", ","])
+VERIFY_VALUES = {"--n": N, "--p": P, "--rho": PART, "--d": D, "--dcomp": COMP, "--lambda": PART}
 TREE = {"--kind": st.sampled_from(["A", "B"]), "--ell": st.sampled_from(["1", "2", "3", "0", "-1"])}
 
 
@@ -1039,11 +1115,13 @@ COMMANDS = {
         "--tuple": joined(st.lists(st.integers(-1, 3), min_size=1, max_size=2)),
         "--sign": maybe(st.sampled_from(["+", "-", "0"])),
     },
-    ("verify",): {
-        "": st.sampled_from(sorted(CHECKS) + ["all", "no-such-check"]),
-        "--n": maybe(N), "--p": maybe(P), "--rho": maybe(PART), "--d": maybe(D),
-        "--dcomp": maybe(COMP), "--lambda": maybe(PART), "--dmax": maybe(D),
-        "--oracle": maybe(st.just(True)),
+    # each verify target with its own flags, then the two every target takes
+    **{
+        ("verify", name): {
+            **{flag: VERIFY_VALUES[flag] for flag in flags[::2]},
+            "--dmax": maybe(D), "--oracle": maybe(st.just(True)),
+        }
+        for name, flags in VERIFY_FLAGS
     },
     ("tree", "build"): TREE,
     ("tree", "walk"): TREE,
@@ -1060,7 +1138,7 @@ def command_argv(command, values) -> list:
         if value is True:
             argv.append(flag)
         elif value is not None:
-            argv.append(f"{flag}={value}" if flag else value)
+            argv.append(f"{flag}={value}")
     return argv
 
 
@@ -1082,9 +1160,8 @@ OVER_BUDGET_NU = st.tuples(
 ).map(lambda t: ",".join(map(str, (t[0], *sorted(t[1], reverse=True)))))
 
 
-# every command that reads --p, with the checks of `verify` that need it
+# every command that reads --p, the verify targets among them
 P_COMMANDS = sorted(command for command, flags in COMMANDS.items() if "--p" in flags)
-P_CHECKS = sorted(set(CHECKS) - {"dim-sqd"}) + ["all"]
 
 
 def past(budget):
@@ -1099,7 +1176,7 @@ OVER_BUDGET_PARTITION = st.one_of(
 
 # commands with a size flag past its budget: (command, other flags, flag, its values)
 SIZE_BUDGETS = [
-    (("verify",), {"": st.just("dim-sqd")}, "--n", past(DIM_SQD_MAX_N)),
+    (("verify", "dim-sqd"), {}, "--n", past(DIM_SQD_MAX_N)),
     (("block",), COMMANDS[("block",)], "--d", past(D_MAX)),
     # a block past the label budget: weight 17 to D_MAX at p = 5, or a p whose
     # ell + 1 labels of weight one are already over it
@@ -1118,8 +1195,12 @@ SIZE_BUDGETS = [
       for kind, budget in ENUMERATE_MAX_N.items()],
     # an L space of weight past L_MAX_D is over the label budget at every p
     (("nmv",), {**COMMANDS[("nmv",)], "--space": st.just("L")}, "--d", past(L_MAX_D)),
-    (("verify",), {"": st.just("phi-kernel"), "--p": P, "--rho": PART}, "--d", past(L_MAX_D)),
-    (("verify",), {"": st.just("all"), "--p": P}, "--dmax", past(L_MAX_D)),
+    (("verify", "phi-kernel"), {"--p": P, "--rho": PART}, "--d", past(L_MAX_D)),
+    (("verify", "all"), {"--p": P}, "--dmax", past(L_MAX_D)),
+    # an induce past the candidate budget: mu and nu of one part each, at least
+    # 100 boxes, list a candidate for each strict partition of up to 100 boxes
+    (("induce",), {"--mu": st.integers(100, FILL_MAX_BOXES - 1).map(str)}, "--nu",
+     st.integers(100, FILL_MAX_BOXES - 1).map(str)),
     (("phi",), COMMANDS[("phi",)], "--tuple",
      joined(st.lists(st.integers(0, 3), min_size=L_MAX_D + 1, max_size=40))),
 ]
@@ -1139,8 +1220,6 @@ def over_budget_argvs(draw):
         command = draw(st.sampled_from(P_COMMANDS))
         values = {flag: draw(strategy) for flag, strategy in COMMANDS[command].items()}
         values["--p"] = str(draw(st.integers(P_MAX, 10**30)))
-        if command == ("verify",):
-            values[""] = draw(st.sampled_from(P_CHECKS))
         return command_argv(command, values)
     nu = draw(OVER_BUDGET_NU)
     if draw(st.booleans()):
@@ -1184,6 +1263,11 @@ CACHES = st.one_of(
 @example(argv=[], cache=None, over_budget=["enumerate", f"--n={10**30}", "--kind=strict"])
 @example(argv=[], cache=None, over_budget=["enumerate", "--n=200", "--kind=ordinary"])
 @example(argv=[], cache=None, over_budget=["verify", "all", "--p=5", "--dmax=8"])
+@example(argv=[], cache=None, over_budget=["induce", "--mu=100", "--nu=100"])
+@example(argv=[], cache=None, over_budget=["induce", "--mu=40,30,20,10", "--nu=40,30,20,10"])
+@example(argv=["verify", "no-such-check", "--p=5"], cache=None, over_budget=None)
+@example(argv=["verify", "htoj", "--p=5", "--lambda=6,2", "--rho=2,1"], cache=None, over_budget=None)
+@example(argv=["verify", "all", "--p=5", "--dmax=-3"], cache=None, over_budget=None)
 def test_exit_code_contract(argv, cache, over_budget):
     """Exit 0, 1 or 2 on any argv and cache bytes: 1 only from verify, never
     a traceback, and an exit-2 run leaves the cache file as it was.  Exit 0
@@ -1223,7 +1307,7 @@ def test_exit_code_contract(argv, cache, over_budget):
 
 # sha256 of argparse's bytes on every parser path at 80 columns: each path's
 # `--help` (stdout, exit 0) and its usage error with no flags (stderr, exit 2),
-# plus a bad choice, a bad type and a bad tree kind.  Python 3.11's layout.
+# plus a bad choice, a bad type, a bad tree kind and an unknown verify target.  Python 3.11's layout.
 PARSER_GOLDEN = {
     "": "08fbee7116dd95b8020f9c6ae3e1559aac9a5447d340821f67d2090e8a44fd62",
     "--help": "e93cd099ea9f4223be1de501ffe37f02e581769545233cf86305e9d0b8ceef41",
@@ -1274,15 +1358,40 @@ PARSER_GOLDEN = {
     "tree walk --help": "aa1dc68e1662ed4cfd58b937cf3f1d1eb095a208414ccb4886a46b7c216cfdf0",
     "tree weight1": "ecd41c0d50dc0ad0ba0b8aa60185f1a7e0d80d619af3acd79ea57c0fed0eeaf3",
     "tree weight1 --help": "393a85cf7bcdd03d1649761213a5933d6015aff7911319e9a17bfaa065574fde",
-    "verify": "41a39818ec08a6995a4edd482ab4aff4359329ac80a8eb9acab32c796d3c997c",
-    "verify --help": "a025e8ecb4bbfd62ce33d11c925938766884c4deb9dd3816f32474bd3581ab24",
+    "verify": "d28d6286c1bd0b1e7eb346c6d30d10dec644a70422cf49b702f66ebfbebf2bca",
+    "verify --help": "d694aa1fe654a8f1e1fe344b4c37ac60bd071c9bacb769074e66ddfbe737e3cb",
+    "verify all": "fcab81fcecbb593a8cee48c0890c7fd2d33b40601b4ac7eecc371b53d6bc1c19",
+    "verify all --help": "5be895c7408dadb2d71824db645e757347e11a4bd4da265404a0443a7c101f6c",
+    "verify block-count": "f4e9fc70aaa07e4a15c5da548c917aabd1a0cf9d308813daf349d2e06d4bab6d",
+    "verify block-count --help": "2d244c83459f302c95dcb403c6891c9333411777cfa3634e0b739758757b6901",
+    "verify core-order": "f4f990c7fb9c56bd768f778db45f0fbf2fa8607a96507b12890e4e2713b0f206",
+    "verify core-order --help": "6f8963d1f1abe54602cbbcc7dce15c28375d7d2c4ab4e4cbab2f1e9465ec112c",
+    "verify dim-reduced": "314324a808cc769c3a66b917c8c669138b5f17e622585efd7102c7e18cac3d88",
+    "verify dim-reduced --help": "a150596f2bfb267f9e67566f5f8154ca3046a27aa41216396b38833d50e53188",
+    "verify dim-sqd": "9fce5af7863153d46d23c944af1bc0af47a4877e9cf35e5ed0a6920dadfb9179",
+    "verify dim-sqd --help": "3725a129377ff8ddf1b0753c3287f2d56085043b0be6cef5dab00db752437d19",
+    "verify htog-adjoint": "578c4110934f7ab932f35e6266cececc8843cb684061aeccf372878b93d3e4e7",
+    "verify htog-adjoint --help": "bee5be73185eaedc7a801336fa31a09a42c17f56f2b93f12b26af111043c6987",
+    "verify htoj": "fe49e500308488ea41a72dbc0e8179c062ea57a3c5d3b7a93a116dbb1a6ffec2",
+    "verify htoj --help": "40e73f30f7ffb5622a9ce7603f4070ae070f361ff01ff91a4138c01e0358ac1d",
+    "verify hyp-nonneg": "1f86cf04067974b6c7cbcd805d24f4eec0ff9df2bbd7e804d134bed68c9dfac4",
+    "verify hyp-nonneg --help": "1a8cfc8069729c576b3a5680f664bfd8b393b1dad91a928bdbfa207db4ad30cd",
+    "verify no-such-check": "45ae9ae633590865e92f3defb4d3d15807fb60357de43da7e7b98719e630294b",
+    "verify phi-kernel": "f3d78d37a62624d4ccaca313d9850c01c8304d005b1f8ec2d051cf04aba625e9",
+    "verify phi-kernel --help": "e37e2a48303d45db623a8e853fbd99636e657fee72c06ba9d366692deb71537f",
+    "verify restrict-recursion": "079b1dfba8b3d637170b5304595e1f3a502aa6eca5427e018a56e11140e72d44",
+    "verify restrict-recursion --help": "c19d3b35a866ca6cf866917dc02deac03e481511dde2e00fdc8f0435d074e2ec",
+    "verify stembridge-cross": "0c3f1b013d06f0a655ef7756c623a60bfb8a7cc45dc06ace28a37734e461e800",
+    "verify stembridge-cross --help": "46038ef64e715515236009777606b77aa7d93db963d0007add1e2d94248c6d48",
+    "verify tree-suite": "8f3b67952791ed53d99c56fa93066016a549d95b549674c77929c3ce56a730a5",
+    "verify tree-suite --help": "26345c412665f589ca222160c4b114fb993451f7d1f58c1b57e21b5dc1c242dc",
 }
-BAD_VALUES = ["core --p x", "neighbors --dir up", "tree build --kind C"]
+BAD_VALUES = ["core --p x", "neighbors --dir up", "tree build --kind C", "verify no-such-check"]
 
 
 def test_parser_golden_covers_every_parser_path():
     paths = {" ".join(command[:k]) for command in COMMANDS for k in range(len(command) + 1)}
-    assert len(paths) == 24
+    assert len(paths) == 36
     expected = {f"{path} --help".lstrip() for path in paths} | paths | set(BAD_VALUES)
     assert set(PARSER_GOLDEN) == expected
 

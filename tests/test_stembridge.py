@@ -318,6 +318,28 @@ def test_grown_partitions_are_the_grown_shapes_containing_nu():
     assert cases == 475
 
 
+def test_induce_candidate_budget_keeps_the_largest_asked_induction():
+    """`induce --mu 40 --nu 30,20,10`, about 4 s, lists its candidates inside
+    the budget, in either order."""
+    assert len(_grown_partitions((40,), (30, 20, 10))) == 47938 <= stembridge.INDUCE_MAX_CANDIDATES
+    assert len(_grown_partitions((30, 20, 10), (40,))) == 47938
+
+
+def test_induce_stops_one_candidate_past_the_budget_before_any_fill(monkeypatch):
+    mu, nu = (3, 1), (4, 2)
+    listed = _grown_partitions(mu, nu)
+    monkeypatch.setattr(stembridge, "INDUCE_MAX_CANDIDATES", len(listed))
+    assert _grown_partitions(mu, nu) == listed
+    monkeypatch.setattr(stembridge, "INDUCE_MAX_CANDIDATES", len(listed) - 1)
+
+    def never(*args):
+        raise AssertionError("filled a candidate")
+
+    monkeypatch.setattr(stembridge, "_count_lattice_fillings", never)
+    with pytest.raises(DomainError, match=f"at most {len(listed) - 1} candidate shapes"):
+        induce(mu, nu)
+
+
 def test_f_coeff_vanishes_unless_lam_contains_nu():
     """The premise of dropping candidates that do not contain nu:
     f^lam_(mu,nu) = f^lam_(nu,mu) = 0 when nu does not fit inside lam."""
