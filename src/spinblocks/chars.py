@@ -23,7 +23,7 @@ from .abacus import (
 )
 from .exceptions import DomainError, SpaceMismatch
 from .partitions import Partition, as_strict, epsilon_exponent
-from .sqrt2 import Sqrt2Scalar
+from .sqrt2 import Sqrt2Scalar, times_sqrt2_power
 
 # An L space of weight d has (ell + 1)^d labels, counted before any is listed;
 # `nmv --p 7 --rho 3,2,1 --d 6 --space L` lists 4^6 of them in about 1 s
@@ -154,6 +154,11 @@ class CharVector:
         return cls(space, tuple(sorted(items, key=lambda kv: repr(kv[0]))), basis)
 
     @classmethod
+    def from_pairs(cls, space, pairs: dict, basis=SUPER) -> "CharVector":
+        """make on {label: (a, b)}, each coefficient a + b*sqrt(2) an integer pair."""
+        return cls.make(space, {label: Sqrt2Scalar(a, b) for label, (a, b) in pairs.items()}, basis)
+
+    @classmethod
     def unit(cls, space, label, basis=SUPER) -> "CharVector":
         return cls.make(space, {label: 1}, basis)
 
@@ -241,18 +246,28 @@ def m_action(v: CharVector) -> CharVector:
         raise SpaceMismatch("the M action lives on H spaces (or weight-one L spaces)")
     if v.basis != SUPER:
         raise SpaceMismatch("the M action is defined on the supercharacter basis")
-    L = ell(space.p)
-    out = {}
-    for label, c in v.coeffs:
+    pairs = _m_action_pairs(space, ((label, (c.a, c.b)) for label, c in v.coeffs))
+    return CharVector.from_pairs(space, pairs)
+
+
+def _m_action_pairs(space: CharSpace, items) -> dict:
+    """m_action on coefficients (label, (a, b)), each a + b*sqrt(2) an integer
+    pair, as {target: (a, b)} with zero sums kept; each base (mu in H, rho in
+    L) has its parity read once."""
+    L, e_bases, out = ell(space.p), {}, {}
+    for label, (a, b) in items:
         *mu, i = label  # (mu, i) in an H space, (i,) in an L space
-        e_mu_i, e_i = space.eps_exponent(label), runner_parity(i)
-        e_mu = e_mu_i - e_i  # mod 2, the parity of mu (H) or of rho (L)
+        base = mu[0] if mu else space.rho
+        if (e_mu := e_bases.get(base)) is None:
+            e_mu = e_bases[base] = epsilon_exponent((base,))
+        e_i = runner_parity(i)
+        e_top = (e_mu + e_i) % 2 + e_i
         for j in range(L - i + 1):
-            target = (*mu, j)
             e_j = runner_parity(j)
-            term = c * Sqrt2Scalar.sqrt2_power(e_mu_i + e_i + e_j - (e_mu + e_j) % 2)
-            out[target] = out[target] + term if target in out else term
-    return CharVector.make(space, out, SUPER)
+            x, y = times_sqrt2_power(a, b, e_top + e_j - (e_mu + e_j) % 2)
+            x0, y0 = out.get((*mu, j), (0, 0))
+            out[(*mu, j)] = x0 + x, y0 + y
+    return out
 
 
 def multinomial(d: int, dcomp) -> int:

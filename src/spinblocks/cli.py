@@ -132,12 +132,23 @@ def emit(report: dict, fmt: str):
     sys.stdout.write(buf.getvalue())
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Refuses what it leaves unread under its own usage line, not the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="spinblocks", description=__doc__)
     top.add_argument("--format", choices=("json", "csv"), default="json")
     top.add_argument("--cache", help="path of the on-disk tableau-count cache")
     top.add_argument("--timing", action="store_true", help="include elapsed time")
-    sub = top.add_subparsers(dest="command", required=True)
+    # nested subparsers take the class of their parent parser
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     # one parent parser per required flag that several subcommands share, and
     # the two optional flags every `verify` target takes

@@ -34,13 +34,8 @@ class Sqrt2Scalar:
 
     @classmethod
     def sqrt2_power(cls, e: int) -> "Sqrt2Scalar":
-        """sqrt(2)**e for e >= 0.  Every caller passes an exponent the library
-        computed, so a negative one (not in the ring) is an internal fault."""
-        if e < 0:
-            raise AssertionError(f"sqrt(2)**{e} is not in Z[sqrt(2)]")
-        if e % 2 == 0:
-            return Sqrt2Scalar(1 << (e // 2), 0)
-        return Sqrt2Scalar(0, 1 << (e // 2))
+        """sqrt(2)**e for e >= 0, as times_sqrt2_power states it."""
+        return Sqrt2Scalar(*times_sqrt2_power(1, 0, e))
 
     def __add__(self, other):
         other = Sqrt2Scalar.of(other)
@@ -91,6 +86,16 @@ class Sqrt2Scalar:
         if self.a == 0:
             return f"{self.b}√2"
         return f"{self.a}{self.b:+}√2"
+
+
+def times_sqrt2_power(a: int, b: int, e: int) -> tuple[int, int]:
+    """(a + b*sqrt(2)) * sqrt(2)**e for e >= 0, a pair swapped to (2b, a) if e
+    is odd and shifted by e // 2.  Every caller passes an exponent the library
+    computed, so a negative one (not in the ring) is an internal fault."""
+    if e < 0:
+        raise AssertionError(f"sqrt(2)**{e} is not in Z[sqrt(2)]")
+    k = e >> 1
+    return (b << k + 1, a << k) if e & 1 else (a << k, b << k)
 
 
 # the slot descriptors' setters, which __init__ calls past __setattr__

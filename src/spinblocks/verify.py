@@ -15,21 +15,21 @@ from .abacus import (
     _check_prime, _k_product, _neighbors, _q0, _quotient, block_enum, ell, runner_label,
     runner_parity,
 )
-from .chars import REFINED, SUPER, CharSpace, CharVector, m_action, runner_tuples
+from .chars import REFINED, SUPER, CharSpace, CharVector, _m_action_pairs, runner_tuples
 from .exceptions import DomainError, SpaceMismatch
 from .hnf import integral_solution_exists
 from .partitions import (
     ORDINARY,
     STRICT,
     Partition,
+    _path_count,
     as_strict,
     contains,
     enumerate_partitions,
     epsilon_exponent,
-    path_count,
 )
 from .rouquier import rouquier_core
-from .sqrt2 import Sqrt2Scalar
+from .sqrt2 import Sqrt2Scalar, times_sqrt2_power
 from .stembridge import _block_context, _induce, _rock_branch
 
 
@@ -168,16 +168,21 @@ class NmvLattice:
         with t_d = 0, the weight-(d - 1) lattice with the same weights and
         parities (runner 0 has exponent 0), so induct down to d = 1.
         """
-        if v.space != self.space:
-            raise SpaceMismatch(f"{v.space} vs {self.space}")
-        weights, sums, irrational = self.weights[v.basis], {}, False
-        for label, c in v.coeffs:
+        return self._member_pairs(v.space, {l: (c.a, c.b) for l, c in v.coeffs}, v.basis)
+
+    def _member_pairs(self, space: CharSpace, pairs: dict, basis: str = SUPER) -> bool:
+        """member on {label: (a, b)} over space, each coefficient
+        a + b*sqrt(2) an integer pair; a zero pair adds nothing."""
+        if space != self.space:
+            raise SpaceMismatch(f"{space} vs {self.space}")
+        weights, sums, irrational = self.weights[basis], {}, False
+        for label, (a, b) in pairs.items():
             if label not in weights:
-                outside = sorted(repr(l) for l, _ in v.coeffs if l not in weights)
+                outside = sorted(repr(l) for l in pairs if l not in weights)
                 raise ValueError(f"labels outside the space: {outside}")
-            irrational = irrational or c.b != 0
+            irrational = irrational or b != 0
             for key, x in weights[label]:
-                sums[key] = sums.get(key, 0) + x * c.a
+                sums[key] = sums.get(key, 0) + x * a
         return not irrational and not any(sums.values())
 
     def member_oracle(self, v: CharVector) -> bool:
@@ -322,9 +327,9 @@ DIM_SQD_MAX_N = 30
 def check_dim_sqd(n: int) -> CheckReport:
     if n > DIM_SQD_MAX_N:
         raise DomainError(f"n must be at most {DIM_SQD_MAX_N}: {n}")
-    lhs_ord = sum(path_count(lam, ORDINARY) ** 2 for lam in enumerate_partitions(n, ORDINARY))
+    lhs_ord = sum(_path_count(lam, ORDINARY) ** 2 for lam in enumerate_partitions(n, ORDINARY))
     lhs_strict = sum(
-        2 ** (n - len(lam)) * path_count(lam, STRICT) ** 2
+        2 ** (n - len(lam)) * _path_count(lam, STRICT) ** 2
         for lam in enumerate_partitions(n, STRICT)
     )
     rhs = factorial(n)
@@ -407,30 +412,37 @@ def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
 
 def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
     """Both sides of the one-bar restriction congruence: the M action applied
-    to the full restriction, and the single-runner closed form."""
+    to the full restriction, and the single-runner closed form, which lists
+    the removals itself: a restriction that drops some fails htoj."""
     lam = as_strict(lam)
     restricted = _rock_branch(lam, p, None, "restrict", *_block_context(lam, p, 0))
-    lhs = m_action(restricted)
     space = restricted.space
+    lhs = _m_action_pairs(space, ((label, (c.a, c.b)) for label, c in restricted.coeffs))
     e_lam = epsilon_exponent((lam,))
-    out = {}
+    rhs = {}
     for j in range(ell(p) + 1):
         e_j = runner_parity(j)
         for mu in _neighbors(lam, p, j, "remove"):
             e_mu = epsilon_exponent((mu,))
-            coeff = Sqrt2Scalar.sqrt2_power((e_mu + e_lam) % 2 + (e_lam + e_j) % 2 - e_mu - e_j)
-            out[mu, j] = coeff  # no (mu, j) twice: each removal moves its own bead
-    rhs = CharVector.make(space, out)
-    return lhs, rhs
+            coeff = times_sqrt2_power(1, 0, (e_mu + e_lam) % 2 + (e_lam + e_j) % 2 - e_mu - e_j)
+            rhs[mu, j] = coeff  # no (mu, j) twice: each removal moves its own bead
+    return CharVector.from_pairs(space, lhs), CharVector.from_pairs(space, rhs)
 
 
 def check_htoj(lam, p: int, lattice: NmvLattice | None = None, oracle: bool = False) -> CheckReport:
+    """The difference of htoj_sides is taken and tested as integer pairs; it
+    becomes a vector only for a failure's witness or the oracle."""
     lam = as_strict(lam)
     lhs, rhs = htoj_sides(lam, p)
-    diff = lhs - rhs
+    diff = {label: (c.a, c.b) for label, c in lhs.coeffs}
+    for label, c in rhs.coeffs:
+        a, b = diff.get(label, (0, 0))
+        diff[label] = a - c.a, b - c.b
     if lattice is None:
         lattice = nmv_basis(lhs.space)
-    member = lattice.member(diff)
+    member = lattice._member_pairs(lhs.space, diff)
+    if not member or oracle:
+        diff = CharVector.from_pairs(lhs.space, diff)
     witness = None if member else {"difference": _jsonable(diff)}
     if oracle and (by_oracle := lattice.member_oracle(diff)) != member:
         witness = {"disagreement": {"member": member, "oracle": by_oracle}}
@@ -523,8 +535,9 @@ def check_core_order(p: int) -> CheckReport:
     orders, for each sampled strict partition."""
     import random
 
-    from .abacus import core_weight
+    from .abacus import _core_weight
 
+    _check_prime(p)
     rng = random.Random(CORE_ORDER_SEED)
     pool = [
         lam
@@ -533,9 +546,9 @@ def check_core_order(p: int) -> CheckReport:
     ]
     failures = []
     for lam in rng.sample(pool, min(CORE_ORDER_SAMPLES, len(pool))):
-        expected = core_weight(lam, p)
+        expected = _core_weight(lam, p)
         for _ in range(CORE_ORDER_ORDERS):
-            got = core_weight(lam, p, rng=rng)
+            got = _core_weight(lam, p, rng)
             if got != expected:
                 failures.append({"lam": lam, "expected": expected, "got": got})
                 break

@@ -1,12 +1,14 @@
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinblocks.abacus import ell, runner_label, runner_parity
 from spinblocks.chars import (
     SUPER,
     CharSpace,
     CharVector,
+    _m_action_pairs,
     m_action,
     orbit_sum,
 )
@@ -206,6 +208,83 @@ def test_m_action_integral_and_self_adjoint(space):
         lhs = Sqrt2Scalar.sqrt2_power(2 * space.eps_exponent(dst)) * c
         rhs = Sqrt2Scalar.sqrt2_power(2 * space.eps_exponent(src)) * back
         assert lhs == rhs
+
+
+def m_action_by_terms(v):
+    """The M action term by term in Z[sqrt(2)], each label's exponent read off
+    the space: the slow route that `m_action`'s integer pairs must match."""
+    space, out = v.space, {}
+    for label, c in v.coeffs:
+        *mu, i = label
+        e_mu_i, e_i = space.eps_exponent(label), runner_parity(i)
+        e_mu = e_mu_i - e_i  # mod 2, the parity of mu (H) or of rho (L)
+        for j in range(ell(space.p) - i + 1):
+            e_j = runner_parity(j)
+            term = c * Sqrt2Scalar.sqrt2_power(e_mu_i + e_i + e_j - (e_mu + e_j) % 2)
+            out[(*mu, j)] = out.get((*mu, j), 0) + term
+    return CharVector.make(space, out, SUPER)
+
+
+M_SPACES = {}  # (kind, p, d, parity) -> space
+
+
+def m_space(kind, p, d, parity):
+    if (kind, p, d, parity) not in M_SPACES:
+        rho = generate(p, d, parity, 1)[0]
+        make = CharSpace.h_space if kind == "H" else CharSpace.l_space
+        M_SPACES[kind, p, d, parity] = make(rho, p, d)
+    return M_SPACES[kind, p, d, parity]
+
+
+M_GRID = [
+    (kind, p, d, parity)
+    for p in (3, 5, 7, 11)
+    for kind, d in [("L", 1)] + [("H", d) for d in range(1, 3 if p == 11 else 4)]
+    for parity in ("even", "odd")
+]
+
+
+@pytest.mark.parametrize("kind,p,d,parity", M_GRID)
+def test_m_action_pairs_match_the_terms_on_every_label(kind, p, d, parity):
+    """On 1 + sqrt(2) times each label, odd and even, of H spaces and
+    weight-one L spaces of both parities."""
+    space = m_space(kind, p, d, parity)
+    labels = space.labels()
+    assert {space.is_odd(label) for label in labels} == {False, True}
+    for label in labels:
+        v = CharVector.make(space, {label: Sqrt2Scalar(1, 1)})
+        assert m_action(v) == m_action_by_terms(v), label
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_m_action_pairs_match_the_terms(data):
+    """m_action, a wrapper over the pair core, equals the term-by-term route
+    on vectors with sqrt(2) parts, and the core keeps a zero sum as (0, 0)."""
+    space = m_space(*data.draw(st.sampled_from(M_GRID)))
+    coeff = st.builds(Sqrt2Scalar, st.integers(-9, 9), st.integers(-9, 9))
+    v = CharVector.make(space, data.draw(st.dictionaries(st.sampled_from(space.labels()), coeff)))
+    expected = m_action_by_terms(v)
+    assert m_action(v) == expected
+    pairs = _m_action_pairs(space, ((label, (c.a, c.b)) for label, c in v.coeffs))
+    assert {l: ab for l, ab in pairs.items() if ab != (0, 0)} == {
+        l: (c.a, c.b) for l, c in expected.coeffs
+    }
+
+
+def test_a_negative_sqrt2_exponent_in_the_m_action_is_an_internal_error(monkeypatch, capsys):
+    """The pair core raises AssertionError, as sqrt2_power does, so `maction`
+    and `verify htoj` exit 3 with no report."""
+    from spinblocks import chars, cli
+
+    monkeypatch.setattr(chars, "runner_parity", lambda j: -j)
+    with pytest.raises(AssertionError, match=r"sqrt\(2\)\*\*-"):
+        m_action(CharVector.unit(CharSpace.l_space((), 5, 1), (1,)))
+    for argv in (["maction", "--p", "5", "--rho", "2,1", "--j", "1"],
+                 ["verify", "htoj", "--p", "7", "--lambda", "9,3,1"]):
+        assert cli.main(argv) == 3, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("internal error: sqrt(2)**-"), argv
 
 
 def test_orbit_sum_examples():

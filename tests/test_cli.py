@@ -1003,9 +1003,9 @@ def test_verify_unknown_check(capsys):
     "argv, message",
     [
         (["verify", "htoj", "--p", "5", "--lambda", "6,2", "--rho", "2,1"],
-         "spinblocks: error: unrecognized arguments: --rho 2,1"),
+         "spinblocks verify htoj: error: unrecognized arguments: --rho 2,1"),
         (["verify", "dim-sqd", "--n", "3", "--p", "5"],
-         "spinblocks: error: unrecognized arguments: --p 5"),
+         "spinblocks verify dim-sqd: error: unrecognized arguments: --p 5"),
         (["verify", "--p", "5", "htoj", "--lambda", "6,2"],
          "spinblocks verify: error: argument name: invalid choice: '5' (choose from 'all', "),
     ],
@@ -1014,6 +1014,25 @@ def test_verify_refuses_a_flag_its_target_does_not_read(capsys, argv, message):
     """A flag the target does not read, or a flag before the target, is a
     usage error rather than an input the report lists and the check ignores."""
     assert message in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["core", "--p", "5", "--partition", "2,1", "--rho", "1"],
+         "usage: spinblocks core [-h] --p P --partition PARTITION\n"),
+        (["rouquier", "check", "--p", "5", "--rho", "2,1", "--d", "1", "--j", "1"],
+         "usage: spinblocks rouquier check [-h] --p P --rho RHO --d D\n"),
+        (["tree", "walk", "--kind", "A", "--ell", "2", "--n", "1"],
+         "usage: spinblocks tree walk [-h] --kind {A,B} --ell ELL\n"),
+    ],
+)
+def test_a_flag_a_subcommand_does_not_read_gets_its_own_usage_line(capsys, argv, usage):
+    """Each subcommand, nested ones included, refuses an argument it leaves
+    unread under its own usage line, not the top level's."""
+    prog = usage.split(" [-h]")[0].removeprefix("usage: ")
+    error = f"{prog}: error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    assert usage_error(capsys, *argv) == usage + error
 
 
 def test_verify_all_refuses_a_negative_dmax(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinblocks.chars import CharSpace, CharVector
-from spinblocks.sqrt2 import Sqrt2Scalar
+from spinblocks.sqrt2 import Sqrt2Scalar, times_sqrt2_power
 
 ONE = Sqrt2Scalar(1, 0)
 SQRT2 = Sqrt2Scalar(0, 1)
@@ -31,6 +31,24 @@ def test_sqrt2_powers():
     assert Sqrt2Scalar.sqrt2_power(5) == Sqrt2Scalar(0, 4)
     with pytest.raises(AssertionError):
         Sqrt2Scalar.sqrt2_power(-1)
+
+
+@given(scalars, st.integers(min_value=0, max_value=64))
+def test_times_sqrt2_power_is_the_product(x, e):
+    """The pair route (a swap when e is odd, then a shift) equals the ring
+    product with sqrt(2)**e written out by hand, negative parts included."""
+    power = Sqrt2Scalar(2 ** (e // 2) * (1 - e % 2), 2 ** (e // 2) * (e % 2))
+    product = x * power
+    assert times_sqrt2_power(x.a, x.b, e) == (product.a, product.b)
+
+
+@pytest.mark.parametrize("e", [-1, -2, -7])
+def test_a_negative_sqrt2_exponent_is_an_internal_fault(e):
+    message = rf"^sqrt\(2\)\*\*{e} is not in Z\[sqrt\(2\)\]$"
+    with pytest.raises(AssertionError, match=message):
+        times_sqrt2_power(3, -1, e)
+    with pytest.raises(AssertionError, match=message):
+        Sqrt2Scalar.sqrt2_power(e)
 
 
 @given(scalars, scalars)

@@ -346,6 +346,36 @@ def test_tree_functionals_agree_with_the_echelon_routes_and_the_oracle(data):
     assert (lattice.member(v), echelon(v), dense(v), lattice.member_oracle(v)) == (expected,) * 4
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pair_membership_agrees_with_the_oracle(data):
+    """The pair core that `member` and `htoj` read gives the oracle's verdict
+    on {label: (a, b)}: members in either basis, plus a unit carrying
+    a + b*sqrt(2) or plus sqrt(2) times a member, with zero pairs mixed in
+    as htoj's differences carry them."""
+    lattice = lattice_of(*data.draw(st.sampled_from(LATTICE_GRID)))[0]
+    space, gens = lattice.space, lattice.generators
+    basis = data.draw(st.sampled_from([REFINED, SUPER]))
+    labels = refined_labels(space) if basis == REFINED else space.labels()
+    pick = st.tuples(st.integers(0, len(gens) - 1), st.integers(-3, 3))
+    v = CharVector.make(space, {}, REFINED)
+    for k, c in data.draw(st.lists(pick, max_size=6)):
+        v = v + gens[k].scale(c)
+    kind = data.draw(st.sampled_from(["member", "unit", "root"]))
+    if kind == "root":
+        v = v + data.draw(st.sampled_from(gens)).scale(Sqrt2Scalar(0, 1))
+    if basis == SUPER:
+        v = unrefine(v + swap_signs(v))
+    if kind == "unit":
+        a, b = data.draw(NONZERO)
+        v = v + CharVector.make(space, {data.draw(st.sampled_from(labels)): Sqrt2Scalar(a, b)}, basis)
+    pairs = dict.fromkeys(data.draw(st.lists(st.sampled_from(labels), max_size=4)), (0, 0))
+    pairs.update((label, (c.a, c.b)) for label, c in v.coeffs)
+    verdict = lattice._member_pairs(space, pairs, basis)
+    assert verdict == lattice.member_oracle(v) == lattice.member(v)
+    assert verdict == (kind == "member")
+
+
 def old_weights(space):
     """`NmvLattice.weights` as it was built before its one pass per base:
     label by label in refined order, each label's parity and its base's
@@ -621,6 +651,80 @@ def test_an_unreduced_tuple_exponent_fails_hyp_nonneg(monkeypatch, capsys):
     witnesses = [w for f in report["outputs"]["failures"] for w in f["witness"]]
     assert witnesses
     assert all(w["squares"] in (4 * w["expected"], 16 * w["expected"]) for w in witnesses)
+
+
+def test_an_identity_m_action_fails_htoj_at_p_7_but_not_at_p_5(monkeypatch, capsys):
+    """README's claim, planted in the pair core htoj reads: with the M action
+    the identity, `verify all` fails htoj alone at p = 7 and passes at p = 5,
+    where m_action(v) - v lies in the H lattice for each restricted v."""
+    import spinblocks.verify as V
+    from spinblocks import cli
+
+    monkeypatch.setattr(V, "_m_action_pairs", lambda space, items: dict(items))
+    assert cli.main(["verify", "all", "--p", "7", "--dmax", "3"]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert {key.split()[0] for key, verdict in verdicts.items() if verdict == "fail"} == {"htoj"}
+    assert cli.main(["verify", "all", "--p", "5", "--dmax", "4"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("k", range(ell(7) + 1))
+def test_htoj_alone_catches_a_restriction_that_drops_a_runner(monkeypatch, k):
+    """htoj's closed form lists each runner's removals itself, not off the
+    restriction.  With _rock_branch's restriction dropping runner k's
+    removals, check_htoj alone fails exactly the labels with a removal there."""
+    import spinblocks.verify as V
+    from spinblocks.abacus import _neighbors
+
+    real, p = V._rock_branch, 7
+
+    def dropped(part, p, j, direction, rho, d):
+        v = real(part, p, j, direction, rho, d)
+        gone = set(_neighbors(part, p, k, "remove"))
+        return CharVector(v.space, tuple((l, c) for l, c in v.coeffs if l[0] not in gone))
+
+    monkeypatch.setattr(V, "_rock_branch", dropped)
+    for d in (1, 2, 3):
+        for parity in ("even", "odd"):
+            block = block_enum(generate(p, d, parity, 1)[0], p, d)
+            failed = [lam for lam in block if not check_htoj(lam, p).passed]
+            assert failed == [lam for lam in block if _neighbors(lam, p, k, "remove")]
+            assert failed, (d, parity)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_htoj_difference_of_pairs_is_the_vector_difference(monkeypatch, oracle):
+    """With the closed form planted one sqrt(2) too high, every label fails
+    htoj, and the witness is lhs - rhs of the report's own vectors, sqrt(2)
+    parts included: the difference taken as pairs loses no component."""
+    import spinblocks.verify as V
+    from spinblocks.sqrt2 import times_sqrt2_power
+
+    monkeypatch.setattr(V, "times_sqrt2_power", lambda a, b, e: times_sqrt2_power(a, b, e + 1))
+    p, d = 5, 2
+    for lam in block_enum(generate(p, d, "odd", 1)[0], p, d):
+        report = check_htoj(lam, p, oracle=oracle)
+        diff = report.lhs - report.rhs
+        assert any(c.b for _, c in diff.coeffs)
+        assert report.witness == {"difference": diff.rows()}, lam
+
+
+def test_core_order_and_dim_sqd_validate_their_input_once(monkeypatch, capsys):
+    """core-order checks p once and walks the unchecked core; dim-sqd counts
+    the partitions it enumerated with the unchecked path count.  With the
+    validating core_weight and path_count planted to fail, both still pass,
+    and a p that is not prime still exits 2."""
+    from spinblocks import abacus, cli, partitions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validated again")
+
+    monkeypatch.setattr(abacus, "core_weight", refuse)
+    monkeypatch.setattr(partitions, "path_count", refuse)
+    assert run_check("core-order", p=7).passed
+    assert run_check("dim-sqd", n=12).passed
+    assert cli.main(["verify", "core-order", "--p", "4"]) == 2
+    assert capsys.readouterr().err == "error: p must be an odd prime below 10000000: 4\n"
 
 
 def test_check_htoj_reports():
