@@ -33,6 +33,7 @@ from .verify import (
     CheckReport,
     NmvLattice,
     check_htoj,
+    htoj_sides,
     hyp_coeffs,
     nmv_basis,
     phi,
@@ -70,6 +71,7 @@ __all__ = [
     "f_coeff",
     "generate",
     "heller",
+    "htoj_sides",
     "hyp_coeffs",
     "induce",
     "is_bar_core",

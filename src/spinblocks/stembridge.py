@@ -17,7 +17,7 @@ from .chars import CharSpace, CharVector
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, as_strict, contains, epsilon_exponent
 from .rouquier import _is_rouquier
-from .sqrt2 import Sqrt2Scalar
+from .sqrt2 import Sqrt2Scalar, times_sqrt2_power
 
 # The fill recurses once per box of lam/mu, which has |nu| boxes (induce's
 # full expansion fills at most that many); a nu of this many boxes or more
@@ -177,7 +177,13 @@ def induce(mu: Partition, nu: Partition) -> CharVector:
 
 
 def _induce(mu: Partition, nu: Partition, support) -> CharVector:
-    """induce without its checks.  The formula is diagonal in lambda, so a
+    """induce without its checks, over _induce_pairs."""
+    return CharVector.from_pairs(CharSpace.full(sum(mu) + sum(nu)), _induce_pairs(mu, nu, support))
+
+
+def _induce_pairs(mu: Partition, nu: Partition, support) -> dict:
+    """_induce as {lam: (a, b)}, each coefficient a + b*sqrt(2) an integer
+    pair, and no f = 0 label.  The formula is diagonal in lambda, so a
     support (labels of size |mu| + |nu| containing mu) gives the projection
     onto those labels without touching the rest of the expansion.
 
@@ -195,11 +201,10 @@ def _induce(mu: Partition, nu: Partition, support) -> CharVector:
         exponent = (
             len(mu) + len(nu) - len(lam) + e_pair - epsilon_exponent((lam,))
         )
-        coeff = Sqrt2Scalar.sqrt2_power(exponent) * f
-        if coeff.a < 0:
-            raise AssertionError(f"negative coefficient {coeff} at {lam}")
-        out[lam] = coeff
-    return CharVector.make(CharSpace.full(sum(mu) + sum(nu)), out)
+        a, b = out[lam] = times_sqrt2_power(f, 0, exponent)
+        if a < 0:
+            raise AssertionError(f"negative coefficient {Sqrt2Scalar(a, b)} at {lam}")
+    return out
 
 
 def _block_context(part: Partition, p: int, weight_shift: int):
@@ -234,42 +239,46 @@ def rock_branch(part: Partition, p: int, j: int | None = None, direction: str = 
         rho, d = _block_context(part, p, 0)
     else:
         raise ValueError(f"direction must be induce or restrict: {direction!r}")
-    return _rock_branch(part, p, j, direction, rho, d)
+    space = CharSpace("block" if direction == "induce" else "H", p, rho, d)  # rho is canonical
+    return CharVector.make(space, dict(_rock_branch(part, p, j, direction, rho, d)))
 
 
 @lru_cache(maxsize=None)
-def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: int) -> CharVector:
-    """rock_branch without its checks: part is canonical, of weight d-1 to
-    induce or d to restrict over the d-Rouquier core rho, and j in 0..ell.
-    Memoized (pass every argument positionally): `verify all` asks for each
-    branching twice, and clears the memo after each weight."""
+def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: int) -> tuple:
+    """rock_branch without its checks, as its items ((label, coefficient), ...)
+    in the order the moves are listed; each coefficient is a power of 2, an
+    int.  part is canonical, of weight d-1 to induce or d to restrict over
+    the d-Rouquier core rho, and j in 0..ell.  Memoized (pass every argument
+    positionally): `verify all` asks for each branching twice, and clears
+    the memo after each weight."""
     L = ell(p)
     e_part = epsilon_exponent((part,))
-    out = {}
+    exponents = []
     if direction == "induce":
         e_j = runner_parity(j)
         e_mu_j = (e_part + e_j) % 2
         for i in range(L - j + 1):
-            for lam in _neighbors(part, p, i, "add"):
+            for lam in _neighbors(part, p, i, "add"):  # runners move distinct beads: no lam twice
                 e_lam = epsilon_exponent((lam,))
-                coeff = Sqrt2Scalar.sqrt2_power(e_mu_j + (e_part + e_lam) % 2 + e_j - e_lam)
-                out[lam] = coeff  # runners move distinct beads: no lam twice
-        return _integral_vector(CharSpace.block(rho, p, d), out)
+                exponents.append((lam, e_mu_j + (e_part + e_lam) % 2 + e_j - e_lam))
+        return _integral_items(exponents)
     # each runner's removals once; a removal on runner i lands on runners 0..ell-i
     for i in range(L + 1):
         for mu in _neighbors(part, p, i, "remove"):
             e_mu = epsilon_exponent((mu,))
             e_num = e_part + (e_mu + e_part) % 2  # eps_lam eps_(mu,lam)
-            for jj in range(L - i + 1):
+            for jj in range(L - i + 1):  # likewise no (mu, jj) twice
                 e_jj = runner_parity(jj)
-                coeff = Sqrt2Scalar.sqrt2_power(e_num + e_jj - (e_mu + e_jj) % 2)
-                out[mu, jj] = coeff  # likewise no (mu, jj) twice
-    return _integral_vector(CharSpace.h_space(rho, p, d), out)
+                exponents.append(((mu, jj), e_num + e_jj - (e_mu + e_jj) % 2))
+    return _integral_items(exponents)
 
 
-def _integral_vector(space, mapping) -> CharVector:
-    """Branching coefficients must simplify to plain nonnegative integers."""
-    for label, c in mapping.items():
-        if not c.is_nonneg_integer():
-            raise AssertionError(f"non-integral branching coefficient {c} at {label}")
-    return CharVector.make(space, mapping)
+def _integral_items(exponents: list) -> tuple:
+    """The items (label, sqrt(2)**e) of (label, e) pairs: branching
+    coefficients must simplify to plain nonnegative integers.  A negative e
+    raises in times_sqrt2_power, before any odd one is looked at."""
+    items = [(label, times_sqrt2_power(1, 0, e)) for label, e in exponents]
+    for label, c in items:
+        if c[1]:
+            raise AssertionError(f"non-integral branching coefficient {Sqrt2Scalar(*c)} at {label}")
+    return tuple((label, a) for label, (a, _) in items)

@@ -30,7 +30,7 @@ from .partitions import (
 )
 from .rouquier import rouquier_core
 from .sqrt2 import Sqrt2Scalar, times_sqrt2_power
-from .stembridge import _block_context, _induce, _rock_branch
+from .stembridge import _block_context, _induce_pairs, _rock_branch
 
 
 def compositions(total: int, slots: int) -> list[tuple]:
@@ -383,30 +383,30 @@ def check_block_count(rho, p: int, d: int) -> CheckReport:
 
 def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
     """eps_lam^2 * induce coefficient == eps_(mu,j)^2 * restrict coefficient
-    for every branch pair in the block.  Both sides are compared on the
-    union of their supports; a pair missing on one side counts as zero."""
+    for every branch pair in the block, as ints.  Only when the two sides
+    differ are they compared on the union of their supports, where a pair
+    missing on one side counts as zero."""
     rho = rouquier_core(rho, p, d)
-    restricted = {}
-    for lam in block_enum(rho, p, d):
-        branch = _rock_branch(lam, p, None, "restrict", rho, d)
-        for (mu, j), b in branch.coeffs:
-            restricted[mu, j, lam] = b * 2 ** branch.space.eps_exponent((mu, j))
-    induced = {}
-    for mu in block_enum(rho, p, d - 1):
-        for j in range(ell(p) + 1):
-            for lam, a in _rock_branch(mu, p, j, "induce", rho, d).coeffs:
-                induced[mu, j, lam] = a * 2 ** epsilon_exponent((lam,))
-    zero = Sqrt2Scalar(0, 0)
+    restricted = {
+        (mu, j, lam): b << (epsilon_exponent((mu,)) + runner_parity(j)) % 2
+        for lam in block_enum(rho, p, d)
+        for (mu, j), b in _rock_branch(lam, p, None, "restrict", rho, d)
+    }
+    induced = {
+        (mu, j, lam): a << epsilon_exponent((lam,))
+        for mu in block_enum(rho, p, d - 1) for j in range(ell(p) + 1)
+        for lam, a in _rock_branch(mu, p, j, "induce", rho, d)
+    }
     failures = []
-    # mu and lam descending as in block_enum, j ascending
-    for key in sorted(induced.keys() | restricted.keys(), key=lambda k: (k[0], -k[1], k[2]),
-                      reverse=True):
-        lhs, rhs = induced.get(key, zero), restricted.get(key, zero)
-        if lhs != rhs:
-            mu, j, lam = key
-            failures.append(
-                {"mu": mu, "j": j, "lam": lam, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
-            )
+    if induced != restricted:
+        # mu and lam descending as in block_enum, j ascending
+        for key in sorted(induced.keys() | restricted.keys(), key=lambda k: (k[0], -k[1], k[2]),
+                          reverse=True):
+            lhs, rhs = induced.get(key, 0), restricted.get(key, 0)
+            if lhs != rhs:
+                mu, j, lam = key
+                failures.append({"mu": mu, "j": j, "lam": lam,
+                                 "lhs": {"a": lhs, "b": 0}, "rhs": {"a": rhs, "b": 0}})
     return CheckReport("htog-adjoint", {"rho": rho, "p": p, "d": d}, witness=failures or None)
 
 
@@ -414,10 +414,16 @@ def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
     """Both sides of the one-bar restriction congruence: the M action applied
     to the full restriction, and the single-runner closed form, which lists
     the removals itself: a restriction that drops some fails htoj."""
-    lam = as_strict(lam)
-    restricted = _rock_branch(lam, p, None, "restrict", *_block_context(lam, p, 0))
-    space = restricted.space
-    lhs = _m_action_pairs(space, ((label, (c.a, c.b)) for label, c in restricted.coeffs))
+    return _htoj_sides(as_strict(lam), p)
+
+
+def _htoj_sides(lam: Partition, p: int) -> tuple[CharVector, CharVector]:
+    """htoj_sides on a canonical lam; its H space is built straight from the
+    canonical core, with no second as_strict."""
+    rho, d = _block_context(lam, p, 0)
+    space = CharSpace("H", p, rho, d)
+    restricted = _rock_branch(lam, p, None, "restrict", rho, d)
+    lhs = _m_action_pairs(space, ((label, (c, 0)) for label, c in restricted))
     e_lam = epsilon_exponent((lam,))
     rhs = {}
     for j in range(ell(p) + 1):
@@ -433,7 +439,7 @@ def check_htoj(lam, p: int, lattice: NmvLattice | None = None, oracle: bool = Fa
     """The difference of htoj_sides is taken and tested as integer pairs; it
     becomes a vector only for a failure's witness or the oracle."""
     lam = as_strict(lam)
-    lhs, rhs = htoj_sides(lam, p)
+    lhs, rhs = _htoj_sides(lam, p)
     diff = {label: (c.a, c.b) for label, c in lhs.coeffs}
     for label, c in rhs.coeffs:
         a, b = diff.get(label, (0, 0))
@@ -570,16 +576,17 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     for mu in block_enum(rho, p, d - 1):
         support = [lam for lam in block if contains(lam, mu)]  # the same for every runner
         for j in range(L + 1):
-            # both coefficient tuples are zero-free and sorted by repr(label)
-            tableau_route = _induce(mu, runner_label(p, j), support)
+            tableau_route = _induce_pairs(mu, runner_label(p, j), support)
             abacus_route = _rock_branch(mu, p, j, "induce", rho, d)
-            if tableau_route.coeffs != abacus_route.coeffs:
+            # both routes are zero-free; a pair matches an int c only as (c, 0)
+            if tableau_route != {lam: (c, 0) for lam, c in abacus_route}:
+                space = CharSpace.block(rho, p, d)
                 failures.append(
                     {
                         "mu": mu,
                         "j": j,
-                        "tableaux": _jsonable(tableau_route),
-                        "abacus": _jsonable(abacus_route),
+                        "tableaux": _jsonable(CharVector.from_pairs(space, tableau_route)),
+                        "abacus": _jsonable(CharVector.make(space, dict(abacus_route))),
                     }
                 )
     return CheckReport(

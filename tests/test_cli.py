@@ -501,6 +501,29 @@ def test_a_library_fault_inside_a_check_exits_3(capsys, monkeypatch):
     assert err == "internal error: sqrt(2)**-2 is not in Z[sqrt(2)]\n"
 
 
+def test_an_odd_branching_exponent_exits_3(capsys, monkeypatch):
+    """With every exponent of the int branching core one too high, its
+    integrality assertion fires: `verify all` and a single `branch` both
+    exit 3 with the scalar route's message, and print nothing."""
+    from spinblocks import sqrt2, stembridge
+
+    real = sqrt2.times_sqrt2_power
+    monkeypatch.setattr(stembridge, "times_sqrt2_power", lambda a, b, e: real(a, b, e + 1))
+    stembridge._rock_branch.cache_clear()
+    try:
+        runs = [
+            run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "2"),
+            run_cli(capsys, "branch", "--p", "5", "--lambda", "5,2,1", "--dir", "restrict"),
+        ]
+    finally:
+        stembridge._rock_branch.cache_clear()
+    for code, out, err in runs:
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: non-integral branching coefficient ")
+    message = "internal error: non-integral branching coefficient 1√2 at ((2, 1), 0)\n"
+    assert runs[1][2] == message
+
+
 def test_a_domain_error_inside_verify_all_exits_3(capsys, monkeypatch):
     """Past its --p and --dmax checks, every label `verify all` asks about is
     the library's own, so a DomainError planted in _quotient is a library

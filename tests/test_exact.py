@@ -107,10 +107,11 @@ def test_no_declared_dependencies():
 # module-level dicts whose names end in MEMO, and the README names these six;
 # a cache anywhere else would run warm.  `stembridge._rock_branch` is memoized
 # because `verify all` asks for each branching twice (htog-adjoint and htoj
-# restrict, htog-adjoint and stembridge-cross induce); every check still
-# compares the branching against its own second route (restriction against
-# induction, tableaux, the M action), so sharing it makes no route less
-# independent, and `verify all` empties it after each weight.
+# restrict, htog-adjoint and stembridge-cross induce); each entry is a tuple
+# of (label, int) items, immutable like the vector it replaced.  Every check
+# still compares the branching against its own second route (restriction
+# against induction, tableaux, the M action), so sharing it makes no route
+# less independent, and `verify all` empties it after each weight.
 MEMOS = ["_block", "_block_by_sizes", "_k_product", "_rock_branch"]
 DICT_MEMOS = ["CACHE_FILE_MEMO", "PATH_COUNT_MEMO"]
 CACHE_NAMES = {"lru_cache", "cache"}

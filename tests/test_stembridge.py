@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinblocks.stembridge as stembridge
-from spinblocks.abacus import _neighbors, block_enum, core_weight, ell, runner_label
+from spinblocks.abacus import _neighbors, block_enum, core_weight, ell, runner_label, runner_parity
 from spinblocks.chars import CharSpace, CharVector
 from spinblocks.exceptions import DomainError, ShapeError
 from spinblocks.partitions import (
@@ -24,6 +24,7 @@ from spinblocks.stembridge import (
     _fill_steps,
     _grown_partitions,
     _induce,
+    _induce_pairs,
     _rock_branch,
     f_coeff,
     induce,
@@ -574,23 +575,147 @@ def test_hook_strip_law(p):
 def test_cores_match_the_validating_entry_points(p):
     """The checks call _rock_branch and _count_lattice_fillings with the
     block they hold; on every label of every block with d <= 3 they give what
-    rock_branch and f_coeff give after their own checks, in both directions."""
+    rock_branch and f_coeff give after their own checks, in both directions
+    (_rock_branch's int items against rock_branch's vector)."""
     for d in (1, 2, 3):
         for parity in ("even", "odd"):
             rho = generate(p, d, parity, 1)[0]
             block = block_enum(rho, p, d)
             for lam in block:
-                assert _rock_branch(lam, p, None, "restrict", rho, d) == rock_branch(
+                assert dict(_rock_branch(lam, p, None, "restrict", rho, d)) == rock_branch(
                     lam, p, direction="restrict"
-                ), (lam, p)
+                ).as_dict(), (lam, p)
             for mu in block_enum(rho, p, d - 1):
                 for j in range(ell(p) + 1):
-                    assert _rock_branch(mu, p, j, "induce", rho, d) == rock_branch(
+                    assert dict(_rock_branch(mu, p, j, "induce", rho, d)) == rock_branch(
                         mu, p, j, "induce"
-                    ), (mu, p, j)
+                    ).as_dict(), (mu, p, j)
                     nu = runner_label(p, j)
                     for lam in block:
                         if contains(lam, mu):
                             assert _count_lattice_fillings(lam, mu, nu) == f_coeff(
                                 lam, mu, nu
                             ), (lam, mu, nu)
+
+
+def rock_branch_by_scalars(part, p, j, direction, rho, d) -> CharVector:
+    """The one-bar branching by Z[sqrt(2)] arithmetic, as the library once
+    computed it: each coefficient a Sqrt2Scalar power of sqrt(2), checked to
+    be a nonnegative integer, in a CharVector.  A test oracle for the int
+    items of _rock_branch."""
+    L, e_part, out = ell(p), epsilon_exponent((part,)), {}
+    if direction == "induce":
+        e_j = runner_parity(j)
+        for i in range(L - j + 1):
+            for lam in _neighbors(part, p, i, "add"):
+                e_lam = epsilon_exponent((lam,))
+                e = (e_part + e_j) % 2 + (e_part + e_lam) % 2 + e_j - e_lam
+                out[lam] = Sqrt2Scalar.sqrt2_power(e)
+        space = CharSpace.block(rho, p, d)
+    else:
+        for i in range(L + 1):
+            for mu in _neighbors(part, p, i, "remove"):
+                e_mu = epsilon_exponent((mu,))
+                for jj in range(L - i + 1):
+                    e_jj = runner_parity(jj)
+                    e = e_part + (e_mu + e_part) % 2 + e_jj - (e_mu + e_jj) % 2
+                    out[mu, jj] = Sqrt2Scalar.sqrt2_power(e)
+        space = CharSpace.h_space(rho, p, d)
+    for label, c in out.items():
+        if not c.is_nonneg_integer():
+            raise AssertionError(f"non-integral branching coefficient {c} at {label}")
+    return CharVector.make(space, out)
+
+
+def branch_calls(p, d, parity):
+    """The argument tuples of every branching in the block of weight d over
+    the first generated core of the parity: each label restricted, and each
+    label of weight d - 1 induced on each runner."""
+    rho = generate(p, d, parity, 1)[0]
+    calls = [(lam, p, None, "restrict", rho, d) for lam in block_enum(rho, p, d)]
+    for mu in block_enum(rho, p, d - 1):
+        calls.extend((mu, p, j, "induce", rho, d) for j in range(ell(p) + 1))
+    return calls
+
+
+@pytest.mark.parametrize("p, dmax", [(3, 3), (5, 3), (7, 3), (11, 2)])
+def test_int_branching_core_matches_the_scalar_route(p, dmax):
+    """_rock_branch's items are plain ints, one per label, equal to the
+    Z[sqrt(2)] route coefficient for coefficient, on every label of every
+    block up to dmax, both parities, both directions and every runner."""
+    for d in range(1, dmax + 1):
+        for parity in ("even", "odd"):
+            for args in branch_calls(p, d, parity):
+                items = _rock_branch(*args)
+                assert all(type(c) is int for _, c in items), args
+                assert len(dict(items)) == len(items), args
+                assert dict(items) == rock_branch_by_scalars(*args).as_dict(), args
+
+
+def test_an_odd_branching_exponent_keeps_the_scalar_route_message(monkeypatch):
+    """With every branching exponent one too high the int core raises the
+    AssertionError the scalar route raises, word for word, at the same
+    label: the first move listed."""
+    import spinblocks.sqrt2 as sqrt2
+
+    real = sqrt2.times_sqrt2_power
+    args = ((5, 2, 1), 5, None, "restrict", (2, 1), 1)
+    _rock_branch.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(stembridge, "times_sqrt2_power", lambda a, b, e: real(a, b, e + 1))
+            with pytest.raises(AssertionError) as by_ints:
+                _rock_branch(*args)
+    finally:
+        _rock_branch.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(sqrt2, "times_sqrt2_power", lambda a, b, e: real(a, b, e + 1))
+        with pytest.raises(AssertionError) as by_scalars:
+            rock_branch_by_scalars(*args)
+    assert str(by_ints.value) == str(by_scalars.value)
+    assert str(by_ints.value) == "non-integral branching coefficient 1√2 at ((2, 1), 0)"
+
+
+def induce_by_scalars(mu, nu, lams) -> dict:
+    """The induction coefficients on lams by Z[sqrt(2)] arithmetic, filling
+    lam/mu, as integer pairs with the zeros left out.  A test oracle for
+    _induce_pairs."""
+    out = {}
+    for lam in lams:
+        f = _count_lattice_fillings(lam, mu, nu)
+        if f:
+            e = len(mu) + len(nu) - len(lam) + epsilon_exponent((mu, nu)) - epsilon_exponent((lam,))
+            c = Sqrt2Scalar.sqrt2_power(e) * f
+            out[lam] = (c.a, c.b)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_induce_pairs_match_induce_on_the_cross_supports(p):
+    """stembridge-cross reads _induce_pairs; on its supports the pairs are
+    _induce's coefficients and the scalar route's, label for label."""
+    for parity in ("even", "odd"):
+        for d in (1, 2, 3):
+            rho = generate(p, d, parity, 1)[0]
+            block = block_enum(rho, p, d)
+            for mu in block_enum(rho, p, d - 1):
+                support = [lam for lam in block if contains(lam, mu)]
+                for j in range(ell(p) + 1):
+                    nu = runner_label(p, j)
+                    pairs = _induce_pairs(mu, nu, support)
+                    assert pairs == {l: (c.a, c.b) for l, c in _induce(mu, nu, support).coeffs}
+                    assert pairs == induce_by_scalars(mu, nu, support), (mu, j)
+
+
+def test_induce_pairs_match_induce_on_full_inductions():
+    """Every full induction with |mu| + |nu| <= 12, whichever shape it fills."""
+    pairs = 0
+    for n in range(13):
+        for m in range(n + 1):
+            for mu in enumerate_partitions(m, STRICT):
+                for nu in enumerate_partitions(n - m, STRICT):
+                    got = _induce_pairs(mu, nu, None)
+                    assert got == {l: (c.a, c.b) for l, c in _induce(mu, nu, None).coeffs}
+                    assert got == induce_by_scalars(mu, nu, _grown_partitions(mu, nu)), (mu, nu)
+                    pairs += 1
+    assert pairs == 598

@@ -679,9 +679,8 @@ def test_htoj_alone_catches_a_restriction_that_drops_a_runner(monkeypatch, k):
     real, p = V._rock_branch, 7
 
     def dropped(part, p, j, direction, rho, d):
-        v = real(part, p, j, direction, rho, d)
         gone = set(_neighbors(part, p, k, "remove"))
-        return CharVector(v.space, tuple((l, c) for l, c in v.coeffs if l[0] not in gone))
+        return tuple((l, c) for l, c in real(part, p, j, direction, rho, d) if l[0] not in gone)
 
     monkeypatch.setattr(V, "_rock_branch", dropped)
     for d in (1, 2, 3):
@@ -690,6 +689,49 @@ def test_htoj_alone_catches_a_restriction_that_drops_a_runner(monkeypatch, k):
             failed = [lam for lam in block if not check_htoj(lam, p).passed]
             assert failed == [lam for lam in block if _neighbors(lam, p, k, "remove")]
             assert failed, (d, parity)
+
+
+def test_a_tableau_exponent_one_too_high_fails_stembridge_cross(monkeypatch, capsys):
+    """With the tableau route's exponent one too high (eps_(mu,nu) read one
+    higher), each of its coefficients becomes a pure sqrt(2) multiple, so the
+    pair-vs-int comparison fails every (mu, j) of stembridge-cross, and only
+    that check, and its witness carries the b parts."""
+    from spinblocks import cli, stembridge
+
+    real = stembridge.epsilon_exponent
+    monkeypatch.setattr(
+        stembridge, "epsilon_exponent", lambda parts: real(parts) + (len(parts) == 2)
+    )
+    assert cli.main(["verify", "all", "--p", "5", "--dmax", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = {key.split()[0] for key, verdict in report["verdicts"].items() if verdict == "fail"}
+    assert failed == {"stembridge-cross"}
+    witnesses = [w for f in report["outputs"]["failures"] for w in f["witness"]]
+    assert len(witnesses) == sum(
+        len(block_enum(generate(5, d, parity, 1)[0], 5, d - 1)) * (ell(5) + 1)
+        for parity in ("even", "odd") for d in (1, 2)
+    )
+    for w in witnesses:
+        assert [(r["a"], r["b"] > 0) for r in w["tableaux"]] == [(0, True)] * len(w["abacus"])
+
+
+def test_stembridge_cross_reads_the_sqrt2_part_of_the_tableau_route(monkeypatch):
+    """A sqrt(2) part planted on top of the right integer part of each
+    tableau coefficient fails stembridge-cross: a tableau pair matches an
+    abacus int c only as (c, 0)."""
+    import spinblocks.verify as V
+
+    real = V._induce_pairs
+
+    def with_sqrt2(mu, nu, support):
+        return {lam: (a, b + 1) for lam, (a, b) in real(mu, nu, support).items()}
+
+    assert run_check("stembridge-cross", rho=(2, 1), p=5, d=1).passed
+    monkeypatch.setattr(V, "_induce_pairs", with_sqrt2)
+    report = run_check("stembridge-cross", rho=(2, 1), p=5, d=1)
+    assert [(w["mu"], w["j"]) for w in report.witness] == [((2, 1), j) for j in range(ell(5) + 1)]
+    for w in report.witness:
+        assert [(r["a"], r["b"]) for r in w["tableaux"]] == [(r["a"], 1) for r in w["abacus"]]
 
 
 @pytest.mark.parametrize("oracle", [False, True])
@@ -859,17 +901,17 @@ def test_named_checks_pass():
 
 
 def _patched_branch(monkeypatch, edit):
-    """Route verify's branching core through `edit(args, coefficient dict)`;
-    the checks call the core, not the validating rock_branch."""
+    """Route verify's branching core through `edit(args, {label: int})`; the
+    checks call the core, which hands out int items, not the validating
+    rock_branch."""
     import spinblocks.verify as V
 
     real = V._rock_branch
 
     def branch(part, p, j, direction, rho, d):
-        v = real(part, p, j, direction, rho, d)
-        coeffs = v.as_dict()
+        coeffs = dict(real(part, p, j, direction, rho, d))
         edit((part, p, j, direction), coeffs)
-        return CharVector.make(v.space, coeffs)
+        return tuple(coeffs.items())
 
     monkeypatch.setattr(V, "_rock_branch", branch)
 
@@ -877,7 +919,7 @@ def _patched_branch(monkeypatch, edit):
 def _add_restrict_term(args, coeffs):
     # restriction of (7,1) claims ((2,1), 2); that induction has no (7,1) term
     if args == ((7, 1), 5, None, "restrict"):
-        coeffs[((2, 1), 2)] = Sqrt2Scalar(1, 0)
+        coeffs[((2, 1), 2)] = 1
 
 
 def _drop_induce_term(args, coeffs):
@@ -889,7 +931,7 @@ def _drop_induce_term(args, coeffs):
 def _add_induce_term(args, coeffs):
     # the induction of ((2,1), 2) claims (7,1); restriction of (7,1) lacks it
     if args == ((2, 1), 5, 2, "induce"):
-        coeffs[(7, 1)] = Sqrt2Scalar(1, 0)
+        coeffs[(7, 1)] = 1
 
 
 @pytest.mark.parametrize(
