@@ -37,6 +37,7 @@ from .verify import (
     hyp_coeffs,
     nmv_basis,
     phi,
+    restrict_recursion_sides,
     run_check,
 )
 
@@ -85,6 +86,7 @@ __all__ = [
     "path_count",
     "phi",
     "quotient",
+    "restrict_recursion_sides",
     "rho_extension",
     "rock_branch",
     "run_check",

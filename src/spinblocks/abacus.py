@@ -41,9 +41,6 @@ class BarQuotient:
     q0: Partition
     qs: tuple  # tuple of (ell) ordinary partitions, components 1..ell
 
-    def component(self, i: int) -> Partition:
-        return self.q0 if i == 0 else self.qs[i - 1]
-
     def sizes(self) -> tuple:
         return (sum(self.q0),) + tuple(sum(q) for q in self.qs)
 

@@ -181,7 +181,7 @@ def _induce(mu: Partition, nu: Partition, support) -> CharVector:
     return CharVector.from_pairs(CharSpace.full(sum(mu) + sum(nu)), _induce_pairs(mu, nu, support))
 
 
-def _induce_pairs(mu: Partition, nu: Partition, support) -> dict:
+def _induce_pairs(mu: Partition, nu: Partition, support, fill=None) -> dict:
     """_induce as {lam: (a, b)}, each coefficient a + b*sqrt(2) an integer
     pair, and no f = 0 label.  The formula is diagonal in lambda, so a
     support (labels of size |mu| + |nu| containing mu) gives the projection
@@ -190,12 +190,15 @@ def _induce_pairs(mu: Partition, nu: Partition, support) -> dict:
     The full expansion fills the smaller of lam/mu (|nu| boxes) and lam/nu
     (|mu| boxes): f^lam_(mu,nu) = f^lam_(nu,mu), every candidate contains
     both, and the exponent is symmetric in mu and nu.  A support fills
-    lam/mu as given, since its labels need not contain nu."""
+    lam/mu as given, since its labels need not contain nu, by
+    fill(lam, mu, nu) if given (stembridge-cross's table), else by
+    _count_lattice_fillings."""
     e_pair = epsilon_exponent((mu, nu))
     inner, content = (nu, mu) if support is None and sum(mu) < sum(nu) else (mu, nu)
+    fill = fill or _count_lattice_fillings
     out = {}
     for lam in _grown_partitions(mu, nu) if support is None else support:
-        f = _count_lattice_fillings(lam, inner, content)
+        f = fill(lam, inner, content)
         if f == 0:
             continue
         exponent = (

@@ -11,9 +11,10 @@ from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from math import factorial, prod
 
+from . import stembridge
 from .abacus import (
-    _check_prime, _k_product, _neighbors, _q0, _quotient, block_enum, ell, runner_label,
-    runner_parity,
+    _block_by_sizes, _check_prime, _k_product, _neighbors, _q0, _quotient, block_enum, ell,
+    runner_label, runner_parity,
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, _m_action_pairs, runner_tuples
 from .exceptions import DomainError, SpaceMismatch
@@ -464,14 +465,17 @@ def restrict_recursion_sides(lam, p: int) -> dict:
     """
     lam = as_strict(lam)
     _check_prime(p)
-    L = ell(p)
-    q = _quotient(lam, p)
+    return _restrict_recursion_sides(lam, p, _quotient(lam, p).sizes())
+
+
+def _restrict_recursion_sides(lam: Partition, p: int, sizes: tuple) -> dict:
+    """restrict_recursion_sides on canonical lam, its quotient sizes given."""
     e_lam = epsilon_exponent((lam,))
-    q0 = q.q0
+    q0 = _q0(lam, p)
     rhs = Sqrt2Scalar.sqrt2_power(e_lam + sum(q0) - len(q0)) * _k_product(lam, p)
     sides = {}
-    for k in range(L + 1):
-        if sum(q.component(k)) == 0:
+    for k, size in enumerate(sizes):
+        if size == 0:
             continue
         total = Sqrt2Scalar(0, 0)
         e_k = runner_parity(k)
@@ -488,9 +492,11 @@ def restrict_recursion_sides(lam, p: int) -> dict:
 
 def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
     rho = rouquier_core(rho, p, d)
+    # the split block-count memoizes: no second quotient of each lam
+    sizes = {lam: s for s, part in _block_by_sizes(rho, p, d).items() for lam in part}
     failures = []
     for lam in block_enum(rho, p, d):
-        for k, (lhs, rhs) in restrict_recursion_sides(lam, p).items():
+        for k, (lhs, rhs) in _restrict_recursion_sides(lam, p, sizes[lam]).items():
             if lhs != rhs:
                 failures.append(
                     {"lam": lam, "runner": k, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
@@ -568,15 +574,29 @@ def check_core_order(p: int) -> CheckReport:
 
 def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     """Tableau-enumerated induction projected to the block equals the
-    abacus closed form, coefficient for coefficient."""
+    abacus closed form, coefficient for coefficient.
+
+    Over a d-Rouquier core the runners stay apart, so each lam/mu is one of
+    ell + 1 rim shapes, one per runner.  The fills are tabled per call by the
+    layout _fill_steps gives lam/mu (its box count included) and the
+    content, all that the fill reads: each layout is filled once per runner."""
     rho = rouquier_core(rho, p, d)
     L = ell(p)
     block = block_enum(rho, p, d)
-    failures = []
+    layouts, fills, failures = {}, {}, []
+
+    def fill(lam, mu, content):
+        key = layouts[lam, mu], content
+        if key not in fills:
+            fills[key] = stembridge._count_lattice_fillings(lam, mu, content)
+        return fills[key]
+
     for mu in block_enum(rho, p, d - 1):
         support = [lam for lam in block if contains(lam, mu)]  # the same for every runner
+        for lam in support:  # one weight apart: lam/mu has p boxes
+            layouts[lam, mu] = tuple(map(tuple, stembridge._fill_steps(lam, mu, p)))
         for j in range(L + 1):
-            tableau_route = _induce_pairs(mu, runner_label(p, j), support)
+            tableau_route = _induce_pairs(mu, runner_label(p, j), support, fill)
             abacus_route = _rock_branch(mu, p, j, "induce", rho, d)
             # both routes are zero-free; a pair matches an int c only as (c, 0)
             if tableau_route != {lam: (c, 0) for lam, c in abacus_route}:

@@ -280,9 +280,9 @@ def test_quotient_move_compatibility():
                     for i in range(3):
                         if i == j:
                             kind = STRICT if i == 0 else ORDINARY
-                            assert ql.component(i) in box_moves(qm.component(i), kind, "add")
+                            assert (ql.q0, *ql.qs)[i] in box_moves((qm.q0, *qm.qs)[i], kind, "add")
                         else:
-                            assert ql.component(i) == qm.component(i)
+                            assert (ql.q0, *ql.qs)[i] == (qm.q0, *qm.qs)[i]
 
 
 def test_one_bar_parity_law():

@@ -527,12 +527,15 @@ def test_an_odd_branching_exponent_exits_3(capsys, monkeypatch):
 def test_a_domain_error_inside_verify_all_exits_3(capsys, monkeypatch):
     """Past its --p and --dmax checks, every label `verify all` asks about is
     the library's own, so a DomainError planted in _quotient is a library
-    fault: exit 3, not the bad-input 2."""
+    fault: exit 3, not the bad-input 2.  `verify all` reaches _quotient
+    through the memos that split the block and take K, so they start cold."""
     from spinblocks import verify
 
     def planted(lam, p):
         raise DomainError("quotient not defined here")
 
+    abacus._block_by_sizes.cache_clear()
+    abacus._k_product.cache_clear()
     monkeypatch.setattr(abacus, "_quotient", planted)
     monkeypatch.setattr(verify, "_quotient", planted)
     code, out, err = run_cli(capsys, "verify", "all", "--p", "3", "--dmax", "4")

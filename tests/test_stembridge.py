@@ -598,6 +598,58 @@ def test_cores_match_the_validating_entry_points(p):
                             ), (lam, mu, nu)
 
 
+CROSS_GRID = [(3, 3), (5, 3), (7, 3), (11, 2)]
+
+
+def cross_calls(p, dmax):
+    """(rho, d) of every stembridge-cross call up to dmax, both parities."""
+    return [
+        (generate(p, d, parity, 1)[0], d) for parity in ("even", "odd") for d in range(1, dmax + 1)
+    ]
+
+
+@pytest.mark.parametrize("p, dmax", CROSS_GRID)
+def test_stembridge_cross_compares_the_untabled_induction(monkeypatch, p, dmax):
+    """For every (mu, j), in block_enum order and runner ascending, the
+    tableau pairs stembridge-cross compares are those _induce_pairs gives on
+    the support with no fill table."""
+    import spinblocks.verify as V
+
+    seen = []
+
+    def spy(mu, nu, support, fill):
+        pairs = _induce_pairs(mu, nu, support, fill)
+        seen.append((mu, nu, list(support), pairs))
+        return pairs
+
+    monkeypatch.setattr(V, "_induce_pairs", spy)
+    for rho, d in cross_calls(p, dmax):
+        seen.clear()
+        assert check_stembridge_cross(rho, p, d).passed
+        block = block_enum(rho, p, d)
+        expected = [
+            (mu, runner_label(p, j), [lam for lam in block if contains(lam, mu)])
+            for mu in block_enum(rho, p, d - 1) for j in range(ell(p) + 1)
+        ]
+        assert [call[:3] for call in seen] == expected, (rho, d)
+        for mu, nu, support, pairs in seen:
+            assert pairs == _induce_pairs(mu, nu, support), (mu, nu)
+
+
+@pytest.mark.parametrize("p, dmax", CROSS_GRID)
+def test_stembridge_cross_fills_each_layout_once_per_runner(monkeypatch, p, dmax):
+    """Inside a RoCK block lam/mu takes ell + 1 layouts, one per runner, so a
+    stembridge-cross call fills (ell + 1) layouts x (ell + 1) runner labels,
+    each (layout, content) once: a drift back to one fill per pair shows."""
+    calls = spy_on_fill(monkeypatch)
+    for rho, d in cross_calls(p, dmax):
+        calls.clear()
+        assert check_stembridge_cross(rho, p, d).passed
+        keys = {(tuple(map(tuple, _fill_steps(lam, mu, p))), nu) for lam, mu, nu in calls}
+        assert len(keys) == len(calls) == (ell(p) + 1) ** 2, (rho, d)
+        assert {nu for _, nu in keys} == {runner_label(p, j) for j in range(ell(p) + 1)}
+
+
 def rock_branch_by_scalars(part, p, j, direction, rho, d) -> CharVector:
     """The one-bar branching by Z[sqrt(2)] arithmetic, as the library once
     computed it: each coefficient a Sqrt2Scalar power of sqrt(2), checked to

@@ -723,8 +723,8 @@ def test_stembridge_cross_reads_the_sqrt2_part_of_the_tableau_route(monkeypatch)
 
     real = V._induce_pairs
 
-    def with_sqrt2(mu, nu, support):
-        return {lam: (a, b + 1) for lam, (a, b) in real(mu, nu, support).items()}
+    def with_sqrt2(mu, nu, support, fill):
+        return {lam: (a, b + 1) for lam, (a, b) in real(mu, nu, support, fill).items()}
 
     assert run_check("stembridge-cross", rho=(2, 1), p=5, d=1).passed
     monkeypatch.setattr(V, "_induce_pairs", with_sqrt2)
@@ -732,6 +732,38 @@ def test_stembridge_cross_reads_the_sqrt2_part_of_the_tableau_route(monkeypatch)
     assert [(w["mu"], w["j"]) for w in report.witness] == [((2, 1), j) for j in range(ell(5) + 1)]
     for w in report.witness:
         assert [(r["a"], r["b"]) for r in w["tableaux"]] == [(r["a"], 1) for r in w["abacus"]]
+
+
+def test_a_layout_slip_on_long_labels_fails_stembridge_cross(monkeypatch, capsys):
+    """stembridge-cross tables its fills by the layout _fill_steps gives each
+    pair.  With _fill_steps dropping the first upper neighbour only when lam
+    has more than 11 parts, the one such pair of `verify all --p 5 --dmax 3`
+    (weight 3 over the odd core, lam of 12 parts) is filled with its own
+    slipped layout and fails, though a pair of 11 parts with the same shape
+    comes first: a table keyed on the shape alone would pass it."""
+    from spinblocks import cli, stembridge
+
+    real = stembridge._fill_steps
+
+    def slipped(lam, mu, n):
+        up, right = real(lam, mu, n)
+        if len(lam) > 11:
+            s = next(s for s, u in enumerate(up) if u < n)
+            up[s] = n
+        return up, right
+
+    monkeypatch.setattr(stembridge, "_fill_steps", slipped)
+    assert cli.main(["verify", "all", "--p", "5", "--dmax", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = {key for key, verdict in report["verdicts"].items() if verdict == "fail"}
+    rho = generate(5, 3, "odd", 1)[0]
+    assert failed == {"stembridge-cross " + json.dumps({"d": 3, "p": 5, "rho": list(rho)})}
+    [failure] = report["outputs"]["failures"]
+    assert [(len(w["mu"]), w["j"]) for w in failure["witness"]] == [(11, 0), (11, 1)]
+    for w in failure["witness"]:
+        abacus = {row["label"]: row["a"] for row in w["abacus"]}
+        wrong = [row["label"] for row in w["tableaux"] if abacus.get(row["label"]) != row["a"]]
+        assert [label.count(",") + 1 for label in wrong] == [12]
 
 
 @pytest.mark.parametrize("oracle", [False, True])
