@@ -195,6 +195,31 @@ def _neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition
     return sorted(out, reverse=True)
 
 
+@lru_cache(maxsize=None)
+def _moves(lam: Partition, p: int, direction: str) -> tuple:
+    """_neighbors on every runner pair at once, runner j's moves at index j,
+    from one scan of the beads and one loop over the pairs: O(h(lam) + ell).
+    Memoized; `verify all` empties it after each weight, and the block BFS
+    reads `_moves.__wrapped__`."""
+    parts = set(lam)
+    out = [[] for _ in range(ell(p) + 1)]
+    step = -p if direction == "remove" else p
+    for i, b in enumerate(lam):
+        r = b % p
+        if b + step not in parts:
+            if b + step > 0:
+                out[min(r, p - r)].append(_insert(lam[:i] + lam[i + 1 :], b + step))
+            elif b == p:
+                out[0].append(lam[:i] + lam[i + 1 :])
+        if step < 0 and 2 * b < p and p - b in parts:
+            out[b].append(tuple(c for c in lam if c != b and c != p - b))
+    if step > 0:  # pair insertions; on runner 0 the bead p alone, as 0 is never a bead
+        for j in range(ell(p) + 1):
+            if j not in parts and p - j not in parts:
+                out[j].append(_insert(_insert(lam, p - j), j) if j else _insert(lam, p))
+    return tuple(tuple(sorted(m, reverse=True)) for m in out)
+
+
 def quotient(lam: Partition, p: int) -> BarQuotient:
     """Bar-quotient of lam, on the domain where runner displacements are
     forced: every runner above ell must be empty on the abacus of lam.
@@ -206,7 +231,7 @@ def quotient(lam: Partition, p: int) -> BarQuotient:
     lam = as_strict(lam)
     _check_prime(p)
     _check_size(lam)
-    return _quotient(lam, p)
+    return _quotient.__wrapped__(lam, p)  # a lone query: keep its ell components out of the memo
 
 
 def _q0(lam: Partition, p: int) -> Partition:
@@ -214,6 +239,7 @@ def _q0(lam: Partition, p: int) -> Partition:
     return tuple(b // p for b in lam if b % p == 0)
 
 
+@lru_cache(maxsize=None)
 def _quotient(lam: Partition, p: int) -> BarQuotient:
     L = ell(p)
     runners = {}  # occupied runner -> its bead offsets, descending (lam is)
@@ -292,11 +318,12 @@ def _block(rho: Partition, p: int, d: int) -> tuple:
     if labels > BLOCK_MAX_LABELS:
         raise DomainError(f"a block has at most {BLOCK_MAX_LABELS} labels: {labels}")
     frontier = {rho}
+    moves = _moves.__wrapped__  # each label is visited once: no memo to fill
     for _ in range(d):
         nxt = set()
         for lam in frontier:
-            for j in range(ell(p) + 1):
-                nxt.update(_neighbors(lam, p, j, "add"))
+            for adds in moves(lam, p, "add"):
+                nxt.update(adds)
         frontier = nxt
     return tuple(sorted(frontier, reverse=True))
 

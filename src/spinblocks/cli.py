@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import trees
-from .abacus import block_enum, core_weight, ell, neighbors, quotient
+from .abacus import _moves, block_enum, core_weight, ell, neighbors, quotient
 from .chars import SIGN_SUFFIX, CharSpace, CharVector, _check_l_labels, m_action, orbit_sum
 from .exceptions import DomainError
 from .partitions import PATH_COUNT_MEMO, STRICT, _hook_formula, enumerate_partitions, validate
@@ -368,8 +368,8 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> dict:
     """Aggregate suite over the first generated core of each parity.  Its
     phi-kernel rows build the L space of every weight up to dmax, so the
     L-space label budget is checked for dmax before any check runs.  The
-    branching memo is emptied after each weight, so it holds at most one
-    weight's branchings."""
+    branching and move memos are emptied after each weight, so they hold
+    at most one weight's entries."""
     if dmax < 0:
         raise DomainError(f"dmax must be at least 0: {dmax}")
     _check_l_labels(p, dmax)
@@ -402,6 +402,7 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> dict:
                 for lam in block_enum(rho, p, d):
                     record(check_htoj(lam, p, lattice=lattice, oracle=oracle))
                 _rock_branch.cache_clear()  # no later weight shares a branching
+                _moves.cache_clear()  # nor a move: each weight has its own core
     except ValueError as exc:  # every label past the budget check is the library's own
         raise RuntimeError(exc) from exc
     return {

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abacus import (
-    _check_prime, _core_weight, _neighbors, _runner_counts, ell, is_bar_core, neighbors,
+    _check_prime, _core_weight, _runner_counts, ell, is_bar_core, neighbors,
 )
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, as_strict, skew_boxes
@@ -117,10 +117,11 @@ def strip_classify(lam: Partition, mu: Partition, p: int) -> StripCertificate:
     lam, mu = as_strict(lam), as_strict(mu)
     _check_prime(p)
     L = ell(p)
-    runners = [i for i in range(L + 1) if lam in _neighbors(mu, p, i, "add")]
-    if len(runners) != 1:
+    # the largest new bead lies on the move's runner pair: one O(h) lookup at any p
+    top = max(set(lam) - set(mu), default=0) % p
+    i = min(top, p - top)
+    if lam not in neighbors(mu, p, i, "add"):
         raise ShapeError(f"{lam} is not a one-bar extension of {mu}")
-    i = runners[0]
     boxes = skew_boxes(lam, mu)
     r0, c0 = boxes[0]
     expected = [(r0, c0 + t) for t in range(L + i + 1)]

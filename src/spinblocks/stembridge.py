@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 
-from .abacus import _check_prime, _neighbors, core_weight, ell, runner_parity
+from .abacus import _check_prime, _moves, core_weight, ell, runner_parity
 from .chars import CharSpace, CharVector
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, as_strict, contains, epsilon_exponent
@@ -260,14 +260,15 @@ def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: 
     if direction == "induce":
         e_j = runner_parity(j)
         e_mu_j = (e_part + e_j) % 2
+        adds = _moves(part, p, "add")
         for i in range(L - j + 1):
-            for lam in _neighbors(part, p, i, "add"):  # runners move distinct beads: no lam twice
+            for lam in adds[i]:  # runners move distinct beads: no lam twice
                 e_lam = epsilon_exponent((lam,))
                 exponents.append((lam, e_mu_j + (e_part + e_lam) % 2 + e_j - e_lam))
         return _integral_items(exponents)
     # each runner's removals once; a removal on runner i lands on runners 0..ell-i
-    for i in range(L + 1):
-        for mu in _neighbors(part, p, i, "remove"):
+    for i, removals in enumerate(_moves(part, p, "remove")):
+        for mu in removals:
             e_mu = epsilon_exponent((mu,))
             e_num = e_part + (e_mu + e_part) % 2  # eps_lam eps_(mu,lam)
             for jj in range(L - i + 1):  # likewise no (mu, jj) twice

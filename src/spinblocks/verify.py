@@ -13,7 +13,7 @@ from math import factorial, prod
 
 from . import stembridge
 from .abacus import (
-    _block_by_sizes, _check_prime, _k_product, _neighbors, _q0, _quotient, block_enum, ell,
+    _block_by_sizes, _check_prime, _k_product, _moves, _q0, _quotient, block_enum, ell,
     runner_label, runner_parity,
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, _m_action_pairs, runner_tuples
@@ -261,13 +261,19 @@ def hyp_coeffs(rho: Partition, p: int, dcomp) -> CharVector:
       eps_(rho,dcomp) / eps_lambda * 2^((|lam0| - h(lam0))/2) * K(lambda),
     checked to be a positive integer."""
     dcomp = tuple(int(x) for x in dcomp)
+    rho = rouquier_core(rho, p, sum(dcomp))
+    block_enum(rho, p, sum(dcomp), dcomp)  # the block's own checks of d and dcomp
+    return _hyp_coeffs(rho, p, dcomp)
+
+
+def _hyp_coeffs(rho: Partition, p: int, dcomp: tuple) -> CharVector:
+    """hyp_coeffs on a canonical sum(dcomp)-Rouquier rho and ell + 1 int dcomp."""
     d = sum(dcomp)
-    rho = rouquier_core(rho, p, d)
-    space = CharSpace.block(rho, p, d)
+    space = CharSpace("block", p, rho, d)
     e_runners = sum(runner_parity(j) * x for j, x in enumerate(dcomp))
     e_tuple = (epsilon_exponent((rho,)) + e_runners) % 2
     out = {}
-    for lam in block_enum(rho, p, d, dcomp):
+    for lam in _block_by_sizes(rho, p, d).get(dcomp, ()):
         q0 = _q0(lam, p)
         e = e_tuple - epsilon_exponent((lam,)) + sum(q0) - len(q0)
         if e < 0:
@@ -363,8 +369,9 @@ def check_block_count(rho, p: int, d: int) -> CheckReport:
     union = []
     failures = []
     census = {}
+    split = _block_by_sizes(rho, p, d)
     for dcomp in compositions(d, L + 1):
-        part = block_enum(rho, p, d, dcomp)
+        part = split.get(dcomp, ())
         union.extend(part)
         expected = len(enumerate_partitions(dcomp[0], STRICT))
         for x in dcomp[1:]:
@@ -427,9 +434,9 @@ def _htoj_sides(lam: Partition, p: int) -> tuple[CharVector, CharVector]:
     lhs = _m_action_pairs(space, ((label, (c, 0)) for label, c in restricted))
     e_lam = epsilon_exponent((lam,))
     rhs = {}
-    for j in range(ell(p) + 1):
+    for j, removals in enumerate(_moves(lam, p, "remove")):
         e_j = runner_parity(j)
-        for mu in _neighbors(lam, p, j, "remove"):
+        for mu in removals:
             e_mu = epsilon_exponent((mu,))
             coeff = times_sqrt2_power(1, 0, (e_mu + e_lam) % 2 + (e_lam + e_j) % 2 - e_mu - e_j)
             rhs[mu, j] = coeff  # no (mu, j) twice: each removal moves its own bead
@@ -465,21 +472,22 @@ def restrict_recursion_sides(lam, p: int) -> dict:
     """
     lam = as_strict(lam)
     _check_prime(p)
-    return _restrict_recursion_sides(lam, p, _quotient(lam, p).sizes())
+    return _restrict_recursion_sides(lam, p)
 
 
-def _restrict_recursion_sides(lam: Partition, p: int, sizes: tuple) -> dict:
-    """restrict_recursion_sides on canonical lam, its quotient sizes given."""
+def _restrict_recursion_sides(lam: Partition, p: int) -> dict:
+    """restrict_recursion_sides on canonical lam."""
     e_lam = epsilon_exponent((lam,))
     q0 = _q0(lam, p)
     rhs = Sqrt2Scalar.sqrt2_power(e_lam + sum(q0) - len(q0)) * _k_product(lam, p)
     sides = {}
-    for k, size in enumerate(sizes):
+    removals = _moves(lam, p, "remove")
+    for k, size in enumerate(_quotient(lam, p).sizes()):
         if size == 0:
             continue
         total = Sqrt2Scalar(0, 0)
         e_k = runner_parity(k)
-        for mu in _neighbors(lam, p, k, "remove"):
+        for mu in removals[k]:
             mu_q0, e_mu = _q0(mu, p), epsilon_exponent((mu,))
             e = (
                 (e_mu + e_lam) % 2 + (e_lam + e_k) % 2 + (e_mu + e_k) % 2 - e_mu - e_k
@@ -492,11 +500,9 @@ def _restrict_recursion_sides(lam: Partition, p: int, sizes: tuple) -> dict:
 
 def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
     rho = rouquier_core(rho, p, d)
-    # the split block-count memoizes: no second quotient of each lam
-    sizes = {lam: s for s, part in _block_by_sizes(rho, p, d).items() for lam in part}
     failures = []
     for lam in block_enum(rho, p, d):
-        for k, (lhs, rhs) in _restrict_recursion_sides(lam, p, sizes[lam]).items():
+        for k, (lhs, rhs) in _restrict_recursion_sides(lam, p).items():
             if lhs != rhs:
                 failures.append(
                     {"lam": lam, "runner": k, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
@@ -510,13 +516,14 @@ def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
     """Every closed-form coefficient c_lam is a positive integer, and over each
     dcomp sum eps_lam^2 c_lam^2 = eps_(rho,dcomp)^2 prod_i d_i!, as in dim-reduced."""
     rho = rouquier_core(rho, p, d)
+    block_enum(rho, p, d)  # the block's own check of d, once for every dcomp
     L = ell(p)
     e_rho = epsilon_exponent((rho,))
     failures = []
     totals = {}
     for dcomp in compositions(d, L + 1):
         try:
-            vec = hyp_coeffs(rho, p, dcomp)
+            vec = _hyp_coeffs(rho, p, dcomp)
         except AssertionError as exc:
             failures.append({"dcomp": dcomp, "error": str(exc)})
             continue

@@ -238,6 +238,58 @@ def test_verify_all_branches_once_per_label_per_weight(monkeypatch):
     assert _rock_branch.cache_info().currsize == 0
 
 
+def test_verify_all_scans_each_label_once_per_weight(monkeypatch):
+    """Each weight of `verify all --p 5 --dmax 3` lists the one-bar moves of
+    each of its labels once: the removals of every weight-d label (both
+    restrictions, htoj's closed form, restrict-recursion) and the additions
+    of every weight-(d-1) label (every induction), so _moves misses exactly
+    |block(d)| + |block(d-1)| times, and its memo is empty after each weight.
+    Each removal list is read three times (htog-adjoint's restriction,
+    htoj's closed form, restrict-recursion; htoj's restriction is the memoized
+    branching), each addition list once per runner.  No library code reaches
+    _neighbors but the public neighbors, which tree-suite's weight-one
+    extensions call."""
+    from spinblocks.rouquier import generate
+    from spinblocks.stembridge import _rock_branch
+
+    _rock_branch.cache_clear()
+    abacus._moves.cache_clear()
+    seen, callers = [], []
+
+    class Spy:
+        def cache_clear(self):
+            seen.append(abacus._moves.cache_info())
+            abacus._moves.cache_clear()
+
+    real = abacus._neighbors
+
+    def spy(*args):
+        caller = sys._getframe(1).f_code
+        callers.append((Path(caller.co_filename).parent.name, caller.co_name))
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("spinblocks"):
+            if getattr(module, "_neighbors", None) is real:
+                monkeypatch.setattr(module, "_neighbors", spy)
+    monkeypatch.setattr(cli, "_moves", Spy())
+    p, L = 5, 2
+    try:
+        payload = cli.verify_all(p, 3)
+    finally:
+        _rock_branch.cache_clear()
+    assert payload["summary"]["failed"] == 0
+    expected = []
+    for parity in ("even", "odd"):
+        for d in range(1, 4):
+            rho = generate(p, d, parity, 1)[0]
+            above, below = len(block_enum(rho, p, d)), len(block_enum(rho, p, d - 1))
+            expected.append((above + below, 2 * above + L * below))
+    assert [(info.misses, info.hits) for info in seen] == expected
+    assert abacus._moves.cache_info().currsize == 0
+    assert callers and set(callers) == {("spinblocks", "neighbors")}
+
+
 # stdout sha256 prefixes of single `verify htoj` queries, whose reports print
 # both sides' rows: three lambda per p, of weights 1 to 3 and both core parities
 VERIFY_HTOJ_GOLDEN = {
@@ -379,7 +431,9 @@ def test_block_label_budget_exits_2_before_listing(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a block was listed")
 
+    never.__wrapped__ = never  # the BFS reads _moves unmemoized
     monkeypatch.setattr(abacus, "_neighbors", never)
+    monkeypatch.setattr(abacus, "_moves", never)
     for argv, labels in ((["--p", "5", "--d", "17"], 42543), (["--p", "60013", "--d", "1"], 30007),
                          (["--p", "9999991", "--d", "1"], 4999996)):
         code, out, err = run_cli(capsys, "block", "--rho", "-", *argv)

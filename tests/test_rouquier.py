@@ -64,6 +64,32 @@ def test_strip_classify_rejects_non_strips():
         strip_classify((4, 3, 1), (2, 1), 5)  # same size, not one bar
 
 
+def test_strip_classify_looks_on_the_one_runner_of_the_largest_new_bead(monkeypatch):
+    """A move on runner pair i adds the bead i or p - i (a pair: both), so
+    strip_classify asks the single-runner neighbors once: it names runner j
+    for every addition _moves lists at index j in generated blocks, and it
+    refuses a non-extension at the largest p after one O(h) lookup."""
+    from spinblocks import abacus, rouquier
+
+    for p in (3, 5, 7):
+        for parity in ("even", "odd"):
+            for d in (1, 2, 3):
+                rho = generate(p, d, parity, 1)[0]
+                for mu in block_enum(rho, p, d - 1):
+                    for j, adds in enumerate(abacus._moves(mu, p, "add")):
+                        for lam in adds:
+                            assert strip_classify(lam, mu, p).runner == j
+    abacus._moves.cache_clear()
+    calls = []
+    real = rouquier.neighbors
+    monkeypatch.setattr(rouquier, "neighbors", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(ShapeError):
+        strip_classify((4, 3, 1), (2, 1), 9999991)
+    with pytest.raises(ShapeError):
+        strip_classify((2, 1), (2, 1), 5)
+    assert calls == [((2, 1), 9999991, 4, "add"), ((2, 1), 5, 0, "add")]
+
+
 def test_strip_shape_across_generated_blocks():
     """Every one-bar pair in a generated Rouquier block classifies, with
     strip arm ell+i+1 and leg ell-i+1."""

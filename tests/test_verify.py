@@ -627,7 +627,7 @@ def test_runner_one_planted_even_fails_five_checks(monkeypatch, capsys):
 
 
 def test_an_unreduced_tuple_exponent_fails_hyp_nonneg(monkeypatch, capsys):
-    """hyp_coeffs with eps_(rho,dcomp)'s exponent left unreduced mod 2 scales
+    """_hyp_coeffs with eps_(rho,dcomp)'s exponent left unreduced mod 2 scales
     every coefficient of a dcomp by 2^(odd // 2), odd the number of odd
     partitions in the tuple; they stay positive integers, and only the
     square-sum identity of hyp-nonneg sees it, where d - dcomp_0 >= 2."""
@@ -636,14 +636,14 @@ def test_an_unreduced_tuple_exponent_fails_hyp_nonneg(monkeypatch, capsys):
     from spinblocks.abacus import runner_label
     from spinblocks.partitions import is_odd_partition
 
-    real = V.hyp_coeffs
+    real = V._hyp_coeffs
 
     def unreduced(rho, p, dcomp):
         runners = tuple(runner_label(p, j) for j, x in enumerate(dcomp) for _ in range(x))
         odd = sum(map(is_odd_partition, (tuple(rho),) + runners))
         return real(rho, p, dcomp).scale(2 ** (odd // 2))
 
-    monkeypatch.setattr(V, "hyp_coeffs", unreduced)
+    monkeypatch.setattr(V, "_hyp_coeffs", unreduced)
     code = cli.main(["verify", "all", "--p", "5", "--dmax", "4"])
     report = json.loads(capsys.readouterr().out)
     failed = {key.split()[0] for key, verdict in report["verdicts"].items() if verdict == "fail"}
@@ -689,6 +689,42 @@ def test_htoj_alone_catches_a_restriction_that_drops_a_runner(monkeypatch, k):
             failed = [lam for lam in block if not check_htoj(lam, p).passed]
             assert failed == [lam for lam in block if _neighbors(lam, p, k, "remove")]
             assert failed, (d, parity)
+
+
+@pytest.mark.parametrize("direction, caught", [
+    ("remove", {"htog-adjoint", "restrict-recursion"}),
+    ("add", {"htog-adjoint", "stembridge-cross"}),
+])
+@pytest.mark.parametrize("k", range(ell(7) + 1))
+def test_a_move_table_that_drops_a_runner_fails_two_checks(monkeypatch, capsys, direction, caught, k):
+    """With the memoized _moves dropping runner k's moves in one direction
+    (the block BFS keeps the full table), `verify all --p 7 --dmax 3` fails
+    exactly two checks: dropped removals unbalance htog-adjoint's
+    restriction against its induction and leave restrict-recursion's runner-k
+    sum short; dropped additions unbalance htog-adjoint the other way and
+    leave stembridge-cross's induction short of the tableaux.  htoj sees
+    neither: its restriction and its closed form read the same removal
+    table, and it reads no additions.  That was so when both read
+    _neighbors too."""
+    import spinblocks.verify as V
+    from spinblocks import abacus, cli, stembridge
+
+    real = abacus._moves
+
+    def dropped(lam, p, way):
+        table = real(lam, p, way)
+        return table[:k] + ((),) + table[k + 1 :] if way == direction else table
+
+    for module in (stembridge, V):
+        monkeypatch.setattr(module, "_moves", dropped)
+    stembridge._rock_branch.cache_clear()
+    try:
+        code = cli.main(["verify", "all", "--p", "7", "--dmax", "3"])
+    finally:
+        stembridge._rock_branch.cache_clear()
+    report = json.loads(capsys.readouterr().out)
+    failed = {key.split()[0] for key, verdict in report["verdicts"].items() if verdict == "fail"}
+    assert (code, failed) == (1, caught)
 
 
 def test_a_tableau_exponent_one_too_high_fails_stembridge_cross(monkeypatch, capsys):
@@ -908,6 +944,19 @@ def test_hyp_coeffs_square_sum_ties_to_factorials():
 def test_hyp_coeffs_domain_error():
     with pytest.raises(DomainError):
         hyp_coeffs((2, 1), 5, (0, 2, 0))  # (2,1) is not 2-Rouquier
+
+
+def test_hyp_checks_refuse_a_weight_past_the_block_budget_before_listing():
+    """hyp_coeffs and hyp-nonneg keep block_enum's weight check: past D_MAX
+    both refuse with its message, before the label budget is looked at."""
+    from spinblocks.abacus import D_MAX
+
+    rho = tuple(range(3 * D_MAX + 1, 0, -3))  # runner 1 of p = 3 holds D_MAX + 1 beads
+    message = f"weight must be at most {D_MAX}: {D_MAX + 1}"
+    with pytest.raises(DomainError, match=message):
+        hyp_coeffs(rho, 3, (D_MAX + 1, 0))
+    with pytest.raises(DomainError, match=message):
+        run_check("hyp-nonneg", rho=rho, p=3, d=D_MAX + 1)
 
 
 def test_hyp_refined_symmetric_under_involution():
