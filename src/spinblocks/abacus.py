@@ -195,12 +195,9 @@ def _neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition
     return sorted(out, reverse=True)
 
 
-@lru_cache(maxsize=None)
 def _moves(lam: Partition, p: int, direction: str) -> tuple:
     """_neighbors on every runner pair at once, runner j's moves at index j,
-    from one scan of the beads and one loop over the pairs: O(h(lam) + ell).
-    Memoized; `verify all` empties it after each weight, and the block BFS
-    reads `_moves.__wrapped__`."""
+    from one scan of the beads and one loop over the pairs: O(h(lam) + ell)."""
     parts = set(lam)
     out = [[] for _ in range(ell(p) + 1)]
     step = -p if direction == "remove" else p
@@ -231,15 +228,9 @@ def quotient(lam: Partition, p: int) -> BarQuotient:
     lam = as_strict(lam)
     _check_prime(p)
     _check_size(lam)
-    return _quotient.__wrapped__(lam, p)  # a lone query: keep its ell components out of the memo
+    return _quotient(lam, p)
 
 
-def _q0(lam: Partition, p: int) -> Partition:
-    """The strict runner-0 component of the bar-quotient of canonical lam."""
-    return tuple(b // p for b in lam if b % p == 0)
-
-
-@lru_cache(maxsize=None)
 def _quotient(lam: Partition, p: int) -> BarQuotient:
     L = ell(p)
     runners = {}  # occupied runner -> its bead offsets, descending (lam is)
@@ -253,7 +244,7 @@ def _quotient(lam: Partition, p: int) -> BarQuotient:
         if i:
             m = len(offsets)
             qs[i - 1] = tuple(x for x in (c - m + 1 + k for k, c in enumerate(offsets)) if x > 0)
-    q = BarQuotient(_q0(lam, p), tuple(qs))
+    q = BarQuotient(tuple(runners.get(0, ())), tuple(qs))
     core, wt = _core_weight(lam, p)
     # the components of empty runners are empty: O(h(lam)) at any p
     if sum(q.q0) + sum(sum(qs[i - 1]) for i in runners if i) != wt:
@@ -318,11 +309,10 @@ def _block(rho: Partition, p: int, d: int) -> tuple:
     if labels > BLOCK_MAX_LABELS:
         raise DomainError(f"a block has at most {BLOCK_MAX_LABELS} labels: {labels}")
     frontier = {rho}
-    moves = _moves.__wrapped__  # each label is visited once: no memo to fill
     for _ in range(d):
         nxt = set()
         for lam in frontier:
-            for adds in moves(lam, p, "add"):
+            for adds in _moves(lam, p, "add"):
                 nxt.update(adds)
         frontier = nxt
     return tuple(sorted(frontier, reverse=True))
@@ -337,9 +327,7 @@ def _block_by_sizes(rho: Partition, p: int, d: int) -> dict:
     return {sizes: tuple(labels) for sizes, labels in parts.items()}
 
 
-@lru_cache(maxsize=None)
-def _k_product(lam: Partition, p: int) -> int:
-    q = _quotient(lam, p)
+def _k_product(q: BarQuotient) -> int:
     value = path_count(q.q0, STRICT)
     for comp in q.qs:
         value *= path_count(comp, ORDINARY)
@@ -350,4 +338,4 @@ def k_product(lam: Partition, p: int) -> int:
     """Product of tableau-path counts over the quotient components."""
     lam = as_strict(lam)
     _check_prime(p)
-    return _k_product(lam, p)
+    return _k_product(_quotient(lam, p))

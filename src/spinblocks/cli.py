@@ -18,13 +18,13 @@ import sys
 import time
 
 from . import trees
-from .abacus import _moves, block_enum, core_weight, ell, neighbors, quotient
+from .abacus import block_enum, core_weight, ell, neighbors, quotient
 from .chars import SIGN_SUFFIX, CharSpace, CharVector, _check_l_labels, m_action, orbit_sum
 from .exceptions import DomainError
 from .partitions import PATH_COUNT_MEMO, STRICT, _hook_formula, enumerate_partitions, validate
 from .rouquier import generate, is_rouquier, strip_classify
-from .stembridge import _rock_branch, f_coeff, induce, rock_branch
-from .verify import _jsonable, check_htoj, compositions, hyp_coeffs, nmv_basis, phi, run_check
+from .stembridge import f_coeff, induce, rock_branch
+from .verify import Weight, _jsonable, check_htoj, compositions, hyp_coeffs, nmv_basis, phi, run_check
 
 CACHE_HEADER = "spinblocks-kcache 1"
 # path_count recurses through two frames per box, so under Python's default
@@ -368,8 +368,7 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> dict:
     """Aggregate suite over the first generated core of each parity.  Its
     phi-kernel rows build the L space of every weight up to dmax, so the
     L-space label budget is checked for dmax before any check runs.  The
-    branching and move memos are emptied after each weight, so they hold
-    at most one weight's entries."""
+    checks of one weight share its `Weight`, released when they are done."""
     if dmax < 0:
         raise DomainError(f"dmax must be at least 0: {dmax}")
     _check_l_labels(p, dmax)
@@ -390,19 +389,14 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> dict:
         for parity in ("even", "odd"):
             for d in range(1, dmax + 1):
                 rho = generate(p, d, parity, 1)[0]
-                record(run_check("block-count", rho=rho, p=p, d=d))
-                record(run_check("htog-adjoint", rho=rho, p=p, d=d))
-                record(run_check("restrict-recursion", rho=rho, p=p, d=d))
-                record(run_check("hyp-nonneg", rho=rho, p=p, d=d))
-                record(run_check("phi-kernel", rho=rho, p=p, d=d))
-                record(run_check("stembridge-cross", rho=rho, p=p, d=d))
-                for dcomp in compositions(d, ell(p) + 1):
-                    record(run_check("dim-reduced", rho=rho, p=p, dcomp=dcomp))
-                lattice = nmv_basis(CharSpace.h_space(rho, p, d))
-                for lam in block_enum(rho, p, d):
-                    record(check_htoj(lam, p, lattice=lattice, oracle=oracle))
-                _rock_branch.cache_clear()  # no later weight shares a branching
-                _moves.cache_clear()  # nor a move: each weight has its own core
+                with Weight(rho, p, d):
+                    for name in ("block-count", "htog-adjoint", "restrict-recursion",
+                                 "hyp-nonneg", "phi-kernel", "stembridge-cross"):
+                        record(run_check(name, rho=rho, p=p, d=d))
+                    for dcomp in compositions(d, ell(p) + 1):
+                        record(run_check("dim-reduced", rho=rho, p=p, dcomp=dcomp))
+                    for lam in block_enum(rho, p, d):
+                        record(check_htoj(lam, p, oracle=oracle))
     except ValueError as exc:  # every label past the budget check is the library's own
         raise RuntimeError(exc) from exc
     return {

@@ -9,7 +9,6 @@ leftmost occurrence of every letter value is unmarked.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import zip_longest
 
 from .abacus import _check_prime, _moves, core_weight, ell, runner_parity
@@ -243,31 +242,29 @@ def rock_branch(part: Partition, p: int, j: int | None = None, direction: str = 
     else:
         raise ValueError(f"direction must be induce or restrict: {direction!r}")
     space = CharSpace("block" if direction == "induce" else "H", p, rho, d)  # rho is canonical
-    return CharVector.make(space, dict(_rock_branch(part, p, j, direction, rho, d)))
+    moves = _moves(part, p, "add" if direction == "induce" else "remove")
+    return CharVector.make(space, dict(_rock_branch(part, p, j, direction, moves)))
 
 
-@lru_cache(maxsize=None)
-def _rock_branch(part: Partition, p: int, j, direction: str, rho: Partition, d: int) -> tuple:
+def _rock_branch(part: Partition, p: int, j, direction: str, moves: tuple) -> tuple:
     """rock_branch without its checks, as its items ((label, coefficient), ...)
     in the order the moves are listed; each coefficient is a power of 2, an
-    int.  part is canonical, of weight d-1 to induce or d to restrict over
-    the d-Rouquier core rho, and j in 0..ell.  Memoized (pass every argument
-    positionally): `verify all` asks for each branching twice, and clears
-    the memo after each weight."""
+    int.  part is canonical, of weight d-1 to induce or d to restrict over a
+    d-Rouquier core, j in 0..ell, and moves is part's _moves table: its
+    additions to induce, its removals to restrict."""
     L = ell(p)
     e_part = epsilon_exponent((part,))
     exponents = []
     if direction == "induce":
         e_j = runner_parity(j)
         e_mu_j = (e_part + e_j) % 2
-        adds = _moves(part, p, "add")
         for i in range(L - j + 1):
-            for lam in adds[i]:  # runners move distinct beads: no lam twice
+            for lam in moves[i]:  # runners move distinct beads: no lam twice
                 e_lam = epsilon_exponent((lam,))
                 exponents.append((lam, e_mu_j + (e_part + e_lam) % 2 + e_j - e_lam))
         return _integral_items(exponents)
     # each runner's removals once; a removal on runner i lands on runners 0..ell-i
-    for i, removals in enumerate(_moves(part, p, "remove")):
+    for i, removals in enumerate(moves):
         for mu in removals:
             e_mu = epsilon_exponent((mu,))
             e_num = e_part + (e_mu + e_part) % 2  # eps_lam eps_(mu,lam)

@@ -13,7 +13,7 @@ from math import factorial, prod
 
 from . import stembridge
 from .abacus import (
-    _block_by_sizes, _check_prime, _k_product, _moves, _q0, _quotient, block_enum, ell,
+    _block_by_sizes, _check_prime, _core_weight, _k_product, _moves, _quotient, block_enum, ell,
     runner_label, runner_parity,
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, _m_action_pairs, runner_tuples
@@ -272,13 +272,13 @@ def _hyp_coeffs(rho: Partition, p: int, dcomp: tuple) -> CharVector:
     space = CharSpace("block", p, rho, d)
     e_runners = sum(runner_parity(j) * x for j, x in enumerate(dcomp))
     e_tuple = (epsilon_exponent((rho,)) + e_runners) % 2
-    out = {}
+    out, w = {}, _weight(rho, p, d)
     for lam in _block_by_sizes(rho, p, d).get(dcomp, ()):
-        q0 = _q0(lam, p)
+        q0 = w.quotient(lam).q0
         e = e_tuple - epsilon_exponent((lam,)) + sum(q0) - len(q0)
         if e < 0:
             raise AssertionError(f"coefficient sqrt(2)**{e} * K at {lam} leaves Z[sqrt(2)]")
-        coeff = Sqrt2Scalar.sqrt2_power(e) * _k_product(lam, p)
+        coeff = Sqrt2Scalar.sqrt2_power(e) * w.k_product(lam)
         if not coeff.is_nonneg_integer() or coeff.a <= 0:
             raise AssertionError(f"coefficient {coeff} at {lam} is not a positive integer")
         out[lam] = coeff
@@ -287,6 +287,57 @@ def _hyp_coeffs(rho: Partition, p: int, dcomp: tuple) -> CharVector:
 
 # ---------------------------------------------------------------------------
 # named checks
+
+
+class Weight:
+    """One RoCK weight: the labels of weight d over the d-Rouquier core rho
+    and of weight d - 1 under it, with their one-bar moves, quotients, K
+    products and branchings, and the H lattice, each computed on first use.
+    The checks inside `with Weight(rho, p, d):` share it through `_weight`."""
+
+    def __init__(self, rho: Partition, p: int, d: int):
+        self.rho, self.p, self.d = rho, p, d
+        self._move_lists, self._quotients, self._k_products, self._branchings = {}, {}, {}, {}
+
+    def __enter__(self):
+        _OPEN[self.rho, self.p, self.d] = self
+        return self
+
+    def __exit__(self, *exc):
+        _OPEN.pop((self.rho, self.p, self.d), None)
+
+    def moves(self, lam: Partition, direction: str) -> tuple:
+        if (lam, direction) not in self._move_lists:
+            self._move_lists[lam, direction] = _moves(lam, self.p, direction)
+        return self._move_lists[lam, direction]
+
+    def quotient(self, lam: Partition):
+        if lam not in self._quotients:
+            self._quotients[lam] = _quotient(lam, self.p)
+        return self._quotients[lam]
+
+    def k_product(self, lam: Partition) -> int:
+        if lam not in self._k_products:
+            self._k_products[lam] = _k_product(self.quotient(lam))
+        return self._k_products[lam]
+
+    def branch(self, part: Partition, j, direction: str) -> tuple:
+        if (part, j, direction) not in self._branchings:
+            moves = self.moves(part, "add" if direction == "induce" else "remove")
+            self._branchings[part, j, direction] = _rock_branch(part, self.p, j, direction, moves)
+        return self._branchings[part, j, direction]
+
+    @cached_property
+    def lattice(self) -> NmvLattice:
+        return nmv_basis(CharSpace("H", self.p, self.rho, self.d))
+
+
+_OPEN: dict = {}  # the weights inside a `with` block, by (rho, p, d)
+
+
+def _weight(rho: Partition, p: int, d: int) -> Weight:
+    """The open Weight of (rho, p, d), else a new one for the caller alone."""
+    return _OPEN.get((rho, p, d)) or Weight(rho, p, d)
 
 
 @dataclass
@@ -351,10 +402,10 @@ def check_dim_reduced(rho, p: int, dcomp) -> CheckReport:
     rho = as_strict(rho)
     dcomp = tuple(int(x) for x in dcomp)
     d = sum(dcomp)
-    total = 0
+    total, w = 0, _weight(rho, p, d)
     for lam in block_enum(rho, p, d, dcomp):
-        q0 = _q0(lam, p)
-        total += 2 ** (sum(q0) - len(q0)) * _k_product(lam, p) ** 2
+        q0 = w.quotient(lam).q0
+        total += 2 ** (sum(q0) - len(q0)) * w.k_product(lam) ** 2
     rhs = prod(map(factorial, dcomp))
     return CheckReport(
         "dim-reduced", {"rho": rho, "p": p, "dcomp": dcomp}, lhs=total, rhs=rhs,
@@ -395,15 +446,16 @@ def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
     differ are they compared on the union of their supports, where a pair
     missing on one side counts as zero."""
     rho = rouquier_core(rho, p, d)
+    w = _weight(rho, p, d)
     restricted = {
         (mu, j, lam): b << (epsilon_exponent((mu,)) + runner_parity(j)) % 2
         for lam in block_enum(rho, p, d)
-        for (mu, j), b in _rock_branch(lam, p, None, "restrict", rho, d)
+        for (mu, j), b in w.branch(lam, None, "restrict")
     }
     induced = {
         (mu, j, lam): a << epsilon_exponent((lam,))
         for mu in block_enum(rho, p, d - 1) for j in range(ell(p) + 1)
-        for lam, a in _rock_branch(mu, p, j, "induce", rho, d)
+        for lam, a in w.branch(mu, j, "induce")
     }
     failures = []
     if induced != restricted:
@@ -429,12 +481,12 @@ def _htoj_sides(lam: Partition, p: int) -> tuple[CharVector, CharVector]:
     """htoj_sides on a canonical lam; its H space is built straight from the
     canonical core, with no second as_strict."""
     rho, d = _block_context(lam, p, 0)
-    space = CharSpace("H", p, rho, d)
-    restricted = _rock_branch(lam, p, None, "restrict", rho, d)
+    space, w = CharSpace("H", p, rho, d), _weight(rho, p, d)
+    restricted = w.branch(lam, None, "restrict")
     lhs = _m_action_pairs(space, ((label, (c, 0)) for label, c in restricted))
     e_lam = epsilon_exponent((lam,))
     rhs = {}
-    for j, removals in enumerate(_moves(lam, p, "remove")):
+    for j, removals in enumerate(w.moves(lam, "remove")):
         e_j = runner_parity(j)
         for mu in removals:
             e_mu = epsilon_exponent((mu,))
@@ -443,17 +495,16 @@ def _htoj_sides(lam: Partition, p: int) -> tuple[CharVector, CharVector]:
     return CharVector.from_pairs(space, lhs), CharVector.from_pairs(space, rhs)
 
 
-def check_htoj(lam, p: int, lattice: NmvLattice | None = None, oracle: bool = False) -> CheckReport:
-    """The difference of htoj_sides is taken and tested as integer pairs; it
-    becomes a vector only for a failure's witness or the oracle."""
+def check_htoj(lam, p: int, oracle: bool = False) -> CheckReport:
+    """The difference of htoj_sides, tested as integer pairs in the H lattice
+    of lam's weight, becomes a vector only for a failure's witness or the oracle."""
     lam = as_strict(lam)
     lhs, rhs = _htoj_sides(lam, p)
     diff = {label: (c.a, c.b) for label, c in lhs.coeffs}
     for label, c in rhs.coeffs:
         a, b = diff.get(label, (0, 0))
         diff[label] = a - c.a, b - c.b
-    if lattice is None:
-        lattice = nmv_basis(lhs.space)
+    lattice = _weight(lhs.space.rho, p, lhs.space.d).lattice
     member = lattice._member_pairs(lhs.space, diff)
     if not member or oracle:
         diff = CharVector.from_pairs(lhs.space, diff)
@@ -472,37 +523,37 @@ def restrict_recursion_sides(lam, p: int) -> dict:
     """
     lam = as_strict(lam)
     _check_prime(p)
-    return _restrict_recursion_sides(lam, p)
+    core, wt = _core_weight(lam, p)
+    return _restrict_recursion_sides(lam, _weight(core, p, wt))
 
 
-def _restrict_recursion_sides(lam: Partition, p: int) -> dict:
-    """restrict_recursion_sides on canonical lam."""
-    e_lam = epsilon_exponent((lam,))
-    q0 = _q0(lam, p)
-    rhs = Sqrt2Scalar.sqrt2_power(e_lam + sum(q0) - len(q0)) * _k_product(lam, p)
+def _restrict_recursion_sides(lam: Partition, w: Weight) -> dict:
+    """restrict_recursion_sides on canonical lam of w's weight."""
+    p, e_lam, q = w.p, epsilon_exponent((lam,)), w.quotient(lam)
+    rhs = Sqrt2Scalar.sqrt2_power(e_lam + sum(q.q0) - len(q.q0)) * w.k_product(lam)
     sides = {}
-    removals = _moves(lam, p, "remove")
-    for k, size in enumerate(_quotient(lam, p).sizes()):
+    removals = w.moves(lam, "remove")
+    for k, size in enumerate(q.sizes()):
         if size == 0:
             continue
         total = Sqrt2Scalar(0, 0)
         e_k = runner_parity(k)
         for mu in removals[k]:
-            mu_q0, e_mu = _q0(mu, p), epsilon_exponent((mu,))
+            mu_q0, e_mu = w.quotient(mu).q0, epsilon_exponent((mu,))
             e = (
                 (e_mu + e_lam) % 2 + (e_lam + e_k) % 2 + (e_mu + e_k) % 2 - e_mu - e_k
                 + sum(mu_q0) - len(mu_q0)
             )
-            total = total + Sqrt2Scalar.sqrt2_power(e) * _k_product(mu, p)
+            total = total + Sqrt2Scalar.sqrt2_power(e) * w.k_product(mu)
         sides[k] = (total, rhs)
     return sides
 
 
 def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
     rho = rouquier_core(rho, p, d)
-    failures = []
+    failures, w = [], _weight(rho, p, d)
     for lam in block_enum(rho, p, d):
-        for k, (lhs, rhs) in _restrict_recursion_sides(lam, p).items():
+        for k, (lhs, rhs) in _restrict_recursion_sides(lam, w).items():
             if lhs != rhs:
                 failures.append(
                     {"lam": lam, "runner": k, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
@@ -589,7 +640,7 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     content, all that the fill reads: each layout is filled once per runner."""
     rho = rouquier_core(rho, p, d)
     L = ell(p)
-    block = block_enum(rho, p, d)
+    block, w = block_enum(rho, p, d), _weight(rho, p, d)
     layouts, fills, failures = {}, {}, []
 
     def fill(lam, mu, content):
@@ -604,7 +655,7 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
             layouts[lam, mu] = tuple(map(tuple, stembridge._fill_steps(lam, mu, p)))
         for j in range(L + 1):
             tableau_route = _induce_pairs(mu, runner_label(p, j), support, fill)
-            abacus_route = _rock_branch(mu, p, j, "induce", rho, d)
+            abacus_route = w.branch(mu, j, "induce")
             # both routes are zero-free; a pair matches an int c only as (c, 0)
             if tableau_route != {lam: (c, 0) for lam, c in abacus_route}:
                 space = CharSpace.block(rho, p, d)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -143,32 +144,35 @@ def test_closed_forms_match_the_bead_set_oracles(p):
     walk and the frozenset moves on every strict partition of at most 20,
     on every runner pair and in both directions; so does the all-runner
     table _moves at each index, in the same descending order."""
-    try:
-        for lam in all_strict(20):
-            assert core_weight(lam, p) == core_by_walk(lam, p), lam
-            for direction in ("add", "remove"):
-                table = abacus._moves(lam, p, direction)
-                assert len(table) == (p - 1) // 2 + 1
-                for j, moves in enumerate(table):
-                    expected = neighbors_by_bead_sets(lam, p, j, direction)
-                    assert neighbors(lam, p, j, direction) == expected, (lam, j, direction)
-                    assert list(moves) == expected, (lam, j, direction)
-    finally:
-        abacus._moves.cache_clear()
+    for lam in all_strict(20):
+        assert core_weight(lam, p) == core_by_walk(lam, p), lam
+        for direction in ("add", "remove"):
+            table = abacus._moves(lam, p, direction)
+            assert len(table) == (p - 1) // 2 + 1
+            for j, moves in enumerate(table):
+                expected = neighbors_by_bead_sets(lam, p, j, direction)
+                assert neighbors(lam, p, j, direction) == expected, (lam, j, direction)
+                assert list(moves) == expected, (lam, j, direction)
 
 
 def test_block_enum_fills_no_move_memo():
-    """The block BFS visits each label once, so it reads _moves unmemoized;
-    the public quotient answers one query, so it fills no quotient memo
-    with the ell components a large p gives."""
+    """The block BFS fills no memo but the block's own, and the lone quotient
+    and k_product queries keep nothing: their quotients at p = 1000003, of
+    ell components each, leave traced memory within 1 MB of its start."""
     from spinblocks.rouquier import generate
 
-    rho = generate(7, 3, "even", 3)[2]
     abacus._block.cache_clear()
-    before = abacus._moves.cache_info().currsize, abacus._quotient.cache_info().currsize
-    assert len(block_enum(rho, 7, 3)) == abacus._block_size(7, 3)
-    assert len(quotient((2, 1), 100003).qs) == 50001
-    assert (abacus._moves.cache_info().currsize, abacus._quotient.cache_info().currsize) == before
+    assert len(block_enum(generate(7, 3, "even", 3)[2], 7, 3)) == abacus._block_size(7, 3)
+    assert abacus._block.cache_info().currsize == 1
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert len(quotient((2, 1), 1000003).qs) == 500001
+        assert [k_product(lam, 1000003) for lam in ((2, 1), (3, 1), (4, 1))] == [1, 1, 1]
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
 
 
 def test_core_order_fails_on_a_closed_form_without_pair_removal(monkeypatch, capsys):

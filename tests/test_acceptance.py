@@ -23,6 +23,7 @@ from spinblocks.sqrt2 import Sqrt2Scalar
 from spinblocks.stembridge import _induce, f_coeff, rock_branch
 from spinblocks.trees import build, heller, walk, weight_one_map
 from spinblocks.verify import (
+    Weight,
     check_htoj,
     compositions,
     hyp_coeffs,
@@ -174,10 +175,10 @@ def test_criterion_5_lattice_suite():
         for parity in ("even", "odd"):
             for d in (1, 2):
                 rho = generate(5, d, parity, 1)[0]
-                lattice = nmv_basis(CharSpace.h_space(rho, 5, d))
-                for lam in block_enum(rho, 5, d):
-                    report = check_htoj(lam, 5, lattice=lattice, oracle=True)
-                    assert report.passed, report.to_json()
+                with Weight(rho, 5, d):
+                    for lam in block_enum(rho, 5, d):
+                        report = check_htoj(lam, 5, oracle=True)
+                        assert report.passed, report.to_json()
 
 
 def test_criterion_6_rock_closed_form():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spinblocks import abacus, cli
+from spinblocks import abacus, cli, stembridge, verify
 from spinblocks.abacus import (
     BLOCK_MAX_LABELS, D_MAX, P_MAX, SIZE_MAX, _block_size, block_enum, runner_label,
 )
@@ -208,86 +208,75 @@ def test_verify_all_stdout_is_unchanged(capsys, flags):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == VERIFY_ALL_GOLDEN[flags]
 
 
+def calls_per_weight(monkeypatch, *targets) -> tuple[list, list]:
+    """Spy on each (owner, name) of targets, a library function under every
+    name a spinblocks module holds it by or a Weight method.  Returns every
+    (name, caller) call, and the calls of each Weight block as it exits."""
+    calls, seen, marks = [], [], []
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("spinblocks") and m]
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def spy(*args, name=name, real=real):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args)
+
+        for holder in {owner, *modules}:
+            if vars(holder).get(name) is real:
+                monkeypatch.setattr(holder, name, spy)
+    enter, leave = verify.Weight.__enter__, verify.Weight.__exit__
+    monkeypatch.setattr(verify.Weight, "__enter__", lambda w: marks.append(len(calls)) or enter(w))
+    monkeypatch.setattr(
+        verify.Weight, "__exit__", lambda w, *exc: seen.append(calls[marks.pop():]) or leave(w, *exc)
+    )
+    return calls, seen
+
+
+def block_sizes(p, dmax) -> list:
+    """(|block(d)|, |block(d - 1)|) per weight of `verify all --p p --dmax dmax`."""
+    from spinblocks.rouquier import generate
+
+    weights = [(generate(p, d, e, 1)[0], d) for e in ("even", "odd") for d in range(1, dmax + 1)]
+    return [(len(block_enum(rho, p, d)), len(block_enum(rho, p, d - 1))) for rho, d in weights]
+
+
 def test_verify_all_branches_once_per_label_per_weight(monkeypatch):
     """Each weight of `verify all --p 5 --dmax 3` computes each of its
-    distinct branchings once (every restriction of a weight-d label and every
-    induction of a weight-(d-1) label on each runner) and asks for each a
-    second time (htoj or stembridge-cross), and the memo is empty after."""
-    from spinblocks.rouquier import generate
-    from spinblocks.stembridge import _rock_branch
-
-    _rock_branch.cache_clear()
-    seen = []
-
-    class Spy:
-        def cache_clear(self):
-            seen.append(_rock_branch.cache_info())
-            _rock_branch.cache_clear()
-
-    monkeypatch.setattr(cli, "_rock_branch", Spy())
-    p, L = 5, 2
-    payload = cli.verify_all(p, 3)
-    assert payload["summary"]["failed"] == 0
-    expected = []
-    for parity in ("even", "odd"):
-        for d in range(1, 4):
-            rho = generate(p, d, parity, 1)[0]
-            distinct = len(block_enum(rho, p, d)) + (L + 1) * len(block_enum(rho, p, d - 1))
-            expected.append((distinct, distinct))
-    assert [(info.misses, info.hits) for info in seen] == expected
-    assert _rock_branch.cache_info().currsize == 0
+    distinct branchings once: every restriction of a weight-d label and every
+    induction of a weight-(d-1) label on each runner, though htoj asks for
+    each restriction a second time and stembridge-cross each induction."""
+    _, seen = calls_per_weight(monkeypatch, (stembridge, "_rock_branch"))
+    assert cli.verify_all(5, 3)["summary"]["failed"] == 0
+    assert [len(calls) for calls in seen] == [a + 3 * b for a, b in block_sizes(5, 3)]  # 3 runners
 
 
 def test_verify_all_scans_each_label_once_per_weight(monkeypatch):
     """Each weight of `verify all --p 5 --dmax 3` lists the one-bar moves of
-    each of its labels once: the removals of every weight-d label (both
-    restrictions, htoj's closed form, restrict-recursion) and the additions
-    of every weight-(d-1) label (every induction), so _moves misses exactly
-    |block(d)| + |block(d-1)| times, and its memo is empty after each weight.
-    Each removal list is read three times (htog-adjoint's restriction,
-    htoj's closed form, restrict-recursion; htoj's restriction is the memoized
-    branching), each addition list once per runner.  No library code reaches
-    _neighbors but the public neighbors, which tree-suite's weight-one
-    extensions call."""
-    from spinblocks.rouquier import generate
-    from spinblocks.stembridge import _rock_branch
-
-    _rock_branch.cache_clear()
-    abacus._moves.cache_clear()
-    seen, callers = [], []
-
-    class Spy:
-        def cache_clear(self):
-            seen.append(abacus._moves.cache_info())
-            abacus._moves.cache_clear()
-
-    real = abacus._neighbors
-
-    def spy(*args):
-        caller = sys._getframe(1).f_code
-        callers.append((Path(caller.co_filename).parent.name, caller.co_name))
-        return real(*args)
-
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("spinblocks"):
-            if getattr(module, "_neighbors", None) is real:
-                monkeypatch.setattr(module, "_neighbors", spy)
-    monkeypatch.setattr(cli, "_moves", Spy())
-    p, L = 5, 2
-    try:
-        payload = cli.verify_all(p, 3)
-    finally:
-        _rock_branch.cache_clear()
-    assert payload["summary"]["failed"] == 0
-    expected = []
-    for parity in ("even", "odd"):
-        for d in range(1, 4):
-            rho = generate(p, d, parity, 1)[0]
-            above, below = len(block_enum(rho, p, d)), len(block_enum(rho, p, d - 1))
-            expected.append((above + below, 2 * above + L * below))
-    assert [(info.misses, info.hits) for info in seen] == expected
-    assert abacus._moves.cache_info().currsize == 0
-    assert callers and set(callers) == {("spinblocks", "neighbors")}
+    each of its labels once outside the block BFS: the removals of every
+    weight-d label (both restrictions, htoj's closed form,
+    restrict-recursion) and the additions of every weight-(d-1) label (every
+    induction), so _moves runs |block(d)| + |block(d-1)| times there.  Each
+    removal list is read three times (htog-adjoint's restriction, htoj's
+    closed form, restrict-recursion; htoj's restriction is the shared
+    branching), each addition list once per runner.  From cold block memos
+    _quotient runs 2|block(d)| + |block(d-1)| times: once per weight-d label
+    for the block split and once for its K, once per weight-(d-1) label for
+    its K.  No library code reaches _neighbors but the public neighbors,
+    which tree-suite's weight-one extensions call."""
+    abacus._block.cache_clear()
+    abacus._block_by_sizes.cache_clear()
+    calls, seen = calls_per_weight(
+        monkeypatch, (abacus, "_moves"), (abacus, "_quotient"), (verify.Weight, "moves"),
+        (abacus, "_neighbors"),
+    )
+    assert cli.verify_all(5, 3)["summary"]["failed"] == 0
+    got = []
+    for block in seen:
+        scans = [caller for name, caller in block if name == "_moves"]
+        reads, quotients = ([n for n, _ in block].count(name) for name in ("moves", "_quotient"))
+        got.append((len(scans) - scans.count("_block"), reads, quotients))
+    assert got == [(a + b, 3 * a + 3 * b, 2 * a + b) for a, b in block_sizes(5, 3)]  # 3 runners
+    assert {caller for name, caller in calls if name == "_neighbors"} == {"neighbors"}
 
 
 # stdout sha256 prefixes of single `verify htoj` queries, whose reports print
@@ -431,7 +420,6 @@ def test_block_label_budget_exits_2_before_listing(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a block was listed")
 
-    never.__wrapped__ = never  # the BFS reads _moves unmemoized
     monkeypatch.setattr(abacus, "_neighbors", never)
     monkeypatch.setattr(abacus, "_moves", never)
     for argv, labels in ((["--p", "5", "--d", "17"], 42543), (["--p", "60013", "--d", "1"], 30007),
@@ -541,17 +529,13 @@ def test_a_library_fault_inside_a_check_exits_3(capsys, monkeypatch):
     """With runner 0 planted odd in abacus.runner_parity, `verify all` computes
     a negative sqrt(2) exponent.  No input can ask for one, so the run exits
     3, the internal-error code, not 2, the bad-input one."""
-    from spinblocks import chars, stembridge, verify
+    from spinblocks import chars
 
     real = abacus.runner_parity
     for module in (abacus, chars, stembridge, verify):
         monkeypatch.setattr(module, "runner_parity", lambda j: 1 if j == 0 else real(j))
-    stembridge._rock_branch.cache_clear()
-    try:
-        code, out, err = run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "3")
-    finally:
-        stembridge._rock_branch.cache_clear()
-    assert (code, out) == (3, "")
+    code, out, err = run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "3")
+    assert (code, out, verify._OPEN) == (3, "", {})
     assert err == "internal error: sqrt(2)**-2 is not in Z[sqrt(2)]\n"
 
 
@@ -563,14 +547,10 @@ def test_an_odd_branching_exponent_exits_3(capsys, monkeypatch):
 
     real = sqrt2.times_sqrt2_power
     monkeypatch.setattr(stembridge, "times_sqrt2_power", lambda a, b, e: real(a, b, e + 1))
-    stembridge._rock_branch.cache_clear()
-    try:
-        runs = [
-            run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "2"),
-            run_cli(capsys, "branch", "--p", "5", "--lambda", "5,2,1", "--dir", "restrict"),
-        ]
-    finally:
-        stembridge._rock_branch.cache_clear()
+    runs = [
+        run_cli(capsys, "verify", "all", "--p", "5", "--dmax", "2"),
+        run_cli(capsys, "branch", "--p", "5", "--lambda", "5,2,1", "--dir", "restrict"),
+    ]
     for code, out, err in runs:
         assert (code, out) == (3, "")
         assert err.startswith("internal error: non-integral branching coefficient ")
@@ -581,19 +561,18 @@ def test_an_odd_branching_exponent_exits_3(capsys, monkeypatch):
 def test_a_domain_error_inside_verify_all_exits_3(capsys, monkeypatch):
     """Past its --p and --dmax checks, every label `verify all` asks about is
     the library's own, so a DomainError planted in _quotient is a library
-    fault: exit 3, not the bad-input 2.  `verify all` reaches _quotient
-    through the memos that split the block and take K, so they start cold."""
-    from spinblocks import verify
-
+    fault: exit 3, not the bad-input 2, and the open Weight is released.
+    `verify all` reaches _quotient through the block split, whose memo
+    starts cold, and through each weight's K products."""
     def planted(lam, p):
         raise DomainError("quotient not defined here")
 
     abacus._block_by_sizes.cache_clear()
-    abacus._k_product.cache_clear()
     monkeypatch.setattr(abacus, "_quotient", planted)
     monkeypatch.setattr(verify, "_quotient", planted)
     code, out, err = run_cli(capsys, "verify", "all", "--p", "3", "--dmax", "4")
     assert (code, out, err) == (3, "", "internal error: quotient not defined here\n")
+    assert verify._OPEN == {}
 
 
 def test_deterministic_output(capsys):
@@ -1372,7 +1351,7 @@ def test_exit_code_contract(argv, cache, over_budget):
     a traceback, and an exit-2 run leaves the cache file as it was.  Exit 0
     or 1 prints one report, and it is 1 exactly when a verdict it prints is
     "fail".  A quarter of the draws replace argv by one over a size budget,
-    which must exit 2."""
+    which must exit 2.  No run leaves a Weight open."""
     argv = over_budget or argv
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "kcache.tsv"
@@ -1388,6 +1367,7 @@ def test_exit_code_contract(argv, cache, over_budget):
             except SystemExit as exc:
                 code = exc.code
         after = path.read_bytes() if path.exists() else None
+    assert verify._OPEN == {}, argv
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert code != 1 or "verify" in argv, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -104,23 +104,11 @@ def test_no_declared_dependencies():
 
 
 # The benchmark's reset between passes empties only module-level caches and
-# module-level dicts whose names end in MEMO, and the README names these eight;
-# a cache anywhere else would run warm.  `stembridge._rock_branch` is memoized
-# because `verify all` asks for each branching twice (htog-adjoint and htoj
-# restrict, htog-adjoint and stembridge-cross induce); each entry is a tuple
-# of (label, int) items, immutable like the vector it replaced.  Every check
-# still compares the branching against its own second route (restriction
-# against induction, tableaux, the M action), so sharing it makes no route
-# less independent, and `verify all` empties it after each weight.
-# `abacus._moves` (a label's one-bar moves on every runner, a tuple of
-# tuples) and `abacus._quotient` (a frozen BarQuotient) are shared the same
-# way: the moves are held against the single-runner `_neighbors` and the
-# bead-set oracle in tests, and each check that reads them compares against a
-# route that does not list moves (induction against restriction, tableaux,
-# the tableau-count recursion), while the quotient is checked against the
-# weight on every miss.  `verify all` empties `_moves` after each weight too;
-# the block BFS reads `_moves.__wrapped__` and fills neither memo.
-MEMOS = ["_block", "_block_by_sizes", "_k_product", "_moves", "_quotient", "_rock_branch"]
+# module-level dicts whose names end in MEMO, and the README names these four;
+# a cache anywhere else would run warm.  What one weight of `verify all`
+# shares (moves, quotients, K products, branchings) lives in a
+# `verify.Weight` that is dropped when the weight is done.
+MEMOS = ["_block", "_block_by_sizes"]
 DICT_MEMOS = ["CACHE_FILE_MEMO", "PATH_COUNT_MEMO"]
 CACHE_NAMES = {"lru_cache", "cache"}
 

@@ -79,7 +79,6 @@ def test_strip_classify_looks_on_the_one_runner_of_the_largest_new_bead(monkeypa
                     for j, adds in enumerate(abacus._moves(mu, p, "add")):
                         for lam in adds:
                             assert strip_classify(lam, mu, p).runner == j
-    abacus._moves.cache_clear()
     calls = []
     real = rouquier.neighbors
     monkeypatch.setattr(rouquier, "neighbors", lambda *args: calls.append(args) or real(*args))

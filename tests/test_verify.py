@@ -5,7 +5,7 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinblocks.abacus import block_enum, ell
+from spinblocks.abacus import block_enum, core_weight, ell
 from spinblocks.chars import REFINED, SUPER, CharSpace, CharVector, runner_tuples
 from spinblocks.exceptions import DomainError, SpaceMismatch
 from spinblocks.hnf import lattice_member, row_echelon_basis
@@ -15,6 +15,7 @@ from spinblocks.sqrt2 import Sqrt2Scalar
 from spinblocks.verify import (
     TREE_SUITE_COUNT,
     NmvLattice,
+    Weight,
     _label_weight,
     check_htoj,
     htoj_sides,
@@ -422,7 +423,8 @@ def _spy_edge_rows(monkeypatch) -> list:
 @pytest.mark.parametrize("oracle", [False, True])
 def test_htoj_lists_edge_rows_only_for_the_oracle(monkeypatch, capsys, oracle):
     """`member` reads no row, so a single htoj lists none; the oracle lists
-    its lattice's rows once, however many differences it solves."""
+    its lattice's rows once, however many differences of one open weight it
+    solves."""
     from spinblocks import cli
 
     built = _spy_edge_rows(monkeypatch)
@@ -436,8 +438,8 @@ def test_htoj_lists_edge_rows_only_for_the_oracle(monkeypatch, capsys, oracle):
     capsys.readouterr()
     assert built == [space] * oracle
     built.clear()
-    lattice = nmv_basis(space)
-    assert all(check_htoj(lam, p, lattice=lattice, oracle=oracle).passed for lam in block)
+    with Weight(rho, p, d):
+        assert all(check_htoj(lam, p, oracle=oracle).passed for lam in block)
     assert built == [space] * oracle
 
 
@@ -614,11 +616,7 @@ def test_runner_one_planted_even_fails_five_checks(monkeypatch, capsys):
     real = abacus.runner_parity
     for module in (abacus, chars, stembridge, V):
         monkeypatch.setattr(module, "runner_parity", lambda j: 0 if j == 1 else real(j))
-    stembridge._rock_branch.cache_clear()
-    try:
-        code = cli.main(["verify", "all", "--p", "5", "--dmax", "3"])
-    finally:
-        stembridge._rock_branch.cache_clear()
+    code = cli.main(["verify", "all", "--p", "5", "--dmax", "3"])
     report = json.loads(capsys.readouterr().out)
     failed = {key.split()[0] for key, verdict in report["verdicts"].items() if verdict == "fail"}
     assert (code, failed) == (
@@ -678,9 +676,9 @@ def test_htoj_alone_catches_a_restriction_that_drops_a_runner(monkeypatch, k):
 
     real, p = V._rock_branch, 7
 
-    def dropped(part, p, j, direction, rho, d):
+    def dropped(part, p, j, direction, moves):
         gone = set(_neighbors(part, p, k, "remove"))
-        return tuple((l, c) for l, c in real(part, p, j, direction, rho, d) if l[0] not in gone)
+        return tuple((l, c) for l, c in real(part, p, j, direction, moves) if l[0] not in gone)
 
     monkeypatch.setattr(V, "_rock_branch", dropped)
     for d in (1, 2, 3):
@@ -691,23 +689,10 @@ def test_htoj_alone_catches_a_restriction_that_drops_a_runner(monkeypatch, k):
             assert failed, (d, parity)
 
 
-@pytest.mark.parametrize("direction, caught", [
-    ("remove", {"htog-adjoint", "restrict-recursion"}),
-    ("add", {"htog-adjoint", "stembridge-cross"}),
-])
-@pytest.mark.parametrize("k", range(ell(7) + 1))
-def test_a_move_table_that_drops_a_runner_fails_two_checks(monkeypatch, capsys, direction, caught, k):
-    """With the memoized _moves dropping runner k's moves in one direction
-    (the block BFS keeps the full table), `verify all --p 7 --dmax 3` fails
-    exactly two checks: dropped removals unbalance htog-adjoint's
-    restriction against its induction and leave restrict-recursion's runner-k
-    sum short; dropped additions unbalance htog-adjoint the other way and
-    leave stembridge-cross's induction short of the tableaux.  htoj sees
-    neither: its restriction and its closed form read the same removal
-    table, and it reads no additions.  That was so when both read
-    _neighbors too."""
+def _drop_moves(monkeypatch, k, direction):
+    """Plant a _moves without runner k's moves in one direction; the block BFS keeps them."""
     import spinblocks.verify as V
-    from spinblocks import abacus, cli, stembridge
+    from spinblocks import abacus, stembridge
 
     real = abacus._moves
 
@@ -717,11 +702,27 @@ def test_a_move_table_that_drops_a_runner_fails_two_checks(monkeypatch, capsys, 
 
     for module in (stembridge, V):
         monkeypatch.setattr(module, "_moves", dropped)
-    stembridge._rock_branch.cache_clear()
-    try:
-        code = cli.main(["verify", "all", "--p", "7", "--dmax", "3"])
-    finally:
-        stembridge._rock_branch.cache_clear()
+
+
+@pytest.mark.parametrize("direction, caught", [
+    ("remove", {"htog-adjoint", "restrict-recursion"}),
+    ("add", {"htog-adjoint", "stembridge-cross"}),
+])
+@pytest.mark.parametrize("k", range(ell(7) + 1))
+def test_a_move_table_that_drops_a_runner_fails_two_checks(monkeypatch, capsys, direction, caught, k):
+    """With the checks' _moves dropping runner k's moves in one direction
+    (the block BFS keeps the full table), `verify all --p 7 --dmax 3` fails
+    exactly two checks: dropped removals unbalance htog-adjoint's
+    restriction against its induction and leave restrict-recursion's runner-k
+    sum short; dropped additions unbalance htog-adjoint the other way and
+    leave stembridge-cross's induction short of the tableaux.  htoj sees
+    neither: its restriction and its closed form read the same removal
+    table, and it reads no additions.  That was so when both read
+    _neighbors too."""
+    from spinblocks import cli
+
+    _drop_moves(monkeypatch, k, direction)
+    code = cli.main(["verify", "all", "--p", "7", "--dmax", "3"])
     report = json.loads(capsys.readouterr().out)
     failed = {key.split()[0] for key, verdict in report["verdicts"].items() if verdict == "fail"}
     assert (code, failed) == (1, caught)
@@ -848,26 +849,19 @@ def test_check_htoj_reports():
 RHO_5_2 = (22, 17, 12, 7, 6, 2, 1)  # generate(5, 2, "even", 1)[0]
 
 
-def space_repr(rho, d, kind="H"):
-    return f"CharSpace(kind='{kind}', p=5, rho={rho}, d={d}, n=0)"
-
-
 @pytest.mark.parametrize(
     "lam, p, space, error, message, argv",
     [
-        # lam from another block of a d-Rouquier core: its own space is not the lattice's
-        ((27, 17, 12, 7, 6, 2, 1), 5, ("H", RHO_5_2, 2), SpaceMismatch,
-         f"{space_repr(RHO_5_2, 1)} vs {space_repr(RHO_5_2, 2)}", None),
-        ((22, 7, 6, 2, 1), 5, ("H", RHO_5_2, 2), SpaceMismatch,
-         f"{space_repr((12, 7, 6, 2, 1), 2)} vs {space_repr(RHO_5_2, 2)}", None),
-        # lam of the lattice's block, read at another p or against an L lattice
+        # lam from another block of a d-Rouquier core: its own weight answers
+        ((27, 17, 12, 7, 6, 2, 1), 5, ("H", RHO_5_2, 2), None, None, None),
+        ((22, 7, 6, 2, 1), 5, ("H", RHO_5_2, 2), None, None, None),
+        # lam of the open weight, read at another p, or at its own: then the open weight answers
         ((32, 17, 12, 7, 6, 2, 1), 7, ("H", RHO_5_2, 2), DomainError,
          "(32, 17, 12, 7, 6, 2, 1) does not sit under a 11-Rouquier core for p=7",
          ["--p", "7", "--lambda", "32,17,12,7,6,2,1"]),
         ((32, 17, 12, 7, 6, 2, 1), 0, ("H", RHO_5_2, 2), DomainError,
          "p must be an odd prime below 10000000: 0", ["--p", "0", "--lambda", "32,17,12,7,6,2,1"]),
-        ((32, 17, 12, 7, 6, 2, 1), 5, ("L", RHO_5_2, 2), SpaceMismatch,
-         f"{space_repr(RHO_5_2, 2)} vs {space_repr(RHO_5_2, 2, 'L')}", None),
+        ((32, 17, 12, 7, 6, 2, 1), 5, ("H", RHO_5_2, 2), None, None, None),
         # the Rouquier core itself, of weight 0
         (RHO_5_2, 5, ("H", RHO_5_2, 2), DomainError,
          f"{RHO_5_2} does not sit under a 0-Rouquier core for p=5",
@@ -876,21 +870,26 @@ def space_repr(rho, d, kind="H"):
         ((10**12,), 5, ("H", RHO_5_2, 2), DomainError,
          "partition size must be at most 100000: 1000000000000",
          ["--p", "5", "--lambda", "1000000000000"]),
-        # a lattice over a core that is not 2-Rouquier, and lam of its block
+        # a weight over a core that is not 2-Rouquier, and lam of its block
         ((12, 1), 5, ("H", (2, 1), 2), DomainError,
          "(12, 1) does not sit under a 2-Rouquier core for p=5", ["--p", "5", "--lambda", "12,1"]),
     ],
 )
 def test_check_htoj_with_a_lattice_keeps_its_misuse_errors(capsys, lam, p, space, error, message, argv):
-    """Given a lattice, check_htoj still derives (rho, d) from lam, so each
-    misuse raises exactly this error, and `verify htoj` exits 2 with the
-    same message where the command can reach the case."""
+    """Inside the Weight of the H space `space`, check_htoj still derives
+    (rho, d) from lam: it reads that weight's lattice only for a lam of it,
+    each misuse raises exactly this error, and `verify htoj` exits 2 with
+    the same message where the command can reach the case."""
     from spinblocks import cli
 
-    kind, rho, d = space
-    lattice = nmv_basis(CharSpace.h_space(rho, 5, d) if kind == "H" else CharSpace.l_space(rho, 5, d))
-    with pytest.raises(error) as info:
-        check_htoj(lam, p, lattice=lattice)
+    _, rho, d = space
+    with Weight(rho, 5, d) as weight:
+        if error is None:
+            assert check_htoj(lam, p).passed
+            assert ("lattice" in vars(weight)) == (core_weight(lam, p) == (rho, d))
+            return
+        with pytest.raises(error) as info:
+            check_htoj(lam, p)
     assert str(info.value) == message
     if argv is not None:
         assert cli.main(["verify", "htoj", *argv]) == 2
@@ -989,8 +988,8 @@ def _patched_branch(monkeypatch, edit):
 
     real = V._rock_branch
 
-    def branch(part, p, j, direction, rho, d):
-        coeffs = dict(real(part, p, j, direction, rho, d))
+    def branch(part, p, j, direction, moves):
+        coeffs = dict(real(part, p, j, direction, moves))
         edit((part, p, j, direction), coeffs)
         return tuple(coeffs.items())
 
@@ -1031,6 +1030,22 @@ def test_htog_adjoint_catches_a_one_sided_difference(monkeypatch, edit, j, lam, 
     assert report.witness == [
         {"mu": (2, 1), "j": j, "lam": lam, "lhs": {"a": lhs, "b": 0}, "rhs": {"a": rhs, "b": 0}}
     ]
+
+
+@pytest.mark.parametrize("name", ["htog-adjoint", "hyp-nonneg"])
+def test_a_clean_run_cannot_hide_a_later_plant(monkeypatch, name):
+    """A lone check keeps nothing: after a clean run, with no cache emptied,
+    a _moves without runner 1's additions fails htog-adjoint, and a K
+    path_count one too high fails hyp-nonneg."""
+    from spinblocks import abacus
+
+    rho, real = generate(7, 2, "even", 1)[0], abacus.path_count
+    assert run_check(name, rho=rho, p=7, d=2).passed
+    if name == "htog-adjoint":
+        _drop_moves(monkeypatch, 1, "add")
+    else:
+        monkeypatch.setattr(abacus, "path_count", lambda lam, kind: real(lam, kind) + 1)
+    assert not run_check(name, rho=rho, p=7, d=2).passed
 
 
 def test_unknown_check_name():
