@@ -21,7 +21,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 from operator import index, neg
 
 from .exceptions import DomainError
@@ -29,8 +29,8 @@ from .partitions import (
     STRICT,
     ORDINARY,
     Partition,
+    _path_count,
     as_strict,
-    path_count,
 )
 
 
@@ -158,11 +158,15 @@ def neighbors(lam: Partition, p: int, j: int, direction: str) -> list[Partition]
     """
     lam = as_strict(lam)
     _check_prime(p)
-    if not 0 <= j <= ell(p):
-        raise DomainError(f"runner index must lie in 0..{ell(p)}: {j}")
+    _check_runner(j, p)
     if direction not in ("add", "remove"):
         raise ValueError(f"direction must be add or remove: {direction!r}")
     return _neighbors(lam, p, j, direction)
+
+
+def _check_runner(j: int, p: int):
+    if not 0 <= j <= ell(p):
+        raise DomainError(f"runner index must lie in 0..{ell(p)}: {j}")
 
 
 def _insert(parts: tuple, v: int) -> tuple:
@@ -262,7 +266,11 @@ def block_enum(
     Memoized per (rho, p, d); each call returns a new list.  A block of more
     than BLOCK_MAX_LABELS labels is refused before any is listed.
     """
-    rho = as_strict(rho)
+    return list(_block_labels(as_strict(rho), p, d, dcomp))
+
+
+def _block_labels(rho: Partition, p: int, d: int, dcomp: tuple | None = None) -> tuple:
+    """block_enum's checks and labels for a canonical rho, as the memo's tuple."""
     _check_prime(p)
     if d > D_MAX:
         raise DomainError(f"weight must be at most {D_MAX}: {d}")
@@ -271,11 +279,11 @@ def block_enum(
     if d < 0:
         raise ValueError("weight must be nonnegative")
     if dcomp is None:
-        return list(_block(rho, p, index(d)))
+        return _block(rho, p, index(d))
     dcomp = as_composition(dcomp, p)
     if sum(dcomp) != d:
         raise ValueError(f"composition {dcomp} does not sum to {d}")
-    return list(_block_by_sizes(rho, p, index(d)).get(dcomp, ()))
+    return _block_by_sizes(rho, p, index(d)).get(dcomp, ())
 
 
 def _block_size(p: int, d: int) -> int:
@@ -328,10 +336,7 @@ def _block_by_sizes(rho: Partition, p: int, d: int) -> dict:
 
 
 def _k_product(q: BarQuotient) -> int:
-    value = path_count(q.q0, STRICT)
-    for comp in q.qs:
-        value *= path_count(comp, ORDINARY)
-    return value
+    return _path_count(q.q0, STRICT) * prod(_path_count(comp, ORDINARY) for comp in q.qs)
 
 
 def k_product(lam: Partition, p: int) -> int:

@@ -18,13 +18,13 @@ import sys
 import time
 
 from . import trees
-from .abacus import block_enum, core_weight, ell, neighbors, quotient
+from .abacus import _block_labels, block_enum, core_weight, ell, neighbors, quotient
 from .chars import SIGN_SUFFIX, CharSpace, CharVector, _check_l_labels, m_action, orbit_sum
 from .exceptions import DomainError
 from .partitions import PATH_COUNT_MEMO, STRICT, _hook_formula, enumerate_partitions, validate
 from .rouquier import generate, is_rouquier, strip_classify
 from .stembridge import f_coeff, induce, rock_branch
-from .verify import Weight, _jsonable, check_htoj, compositions, hyp_coeffs, nmv_basis, phi, run_check
+from .verify import Weight, check_htoj, compositions, hyp_coeffs, nmv_basis, phi, run_check
 
 CACHE_HEADER = "spinblocks-kcache 1"
 # path_count recurses through two frames per box, so under Python's default
@@ -376,7 +376,7 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> dict:
     failures = []
 
     def record(report):
-        key = report.name + " " + json.dumps(_jsonable(report.params), sort_keys=True)
+        key = report.name + " " + json.dumps(report.params, sort_keys=True)
         verdicts[key] = "pass" if report.passed else "fail"
         if not report.passed:
             failures.append(report.to_json())
@@ -395,7 +395,7 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> dict:
                         record(run_check(name, rho=rho, p=p, d=d))
                     for dcomp in compositions(d, ell(p) + 1):
                         record(run_check("dim-reduced", rho=rho, p=p, dcomp=dcomp))
-                    for lam in block_enum(rho, p, d):
+                    for lam in _block_labels(rho, p, d):
                         record(check_htoj(lam, p, oracle=oracle))
     except ValueError as exc:  # every label past the budget check is the library's own
         raise RuntimeError(exc) from exc
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
-    report = {"command": args.command, "inputs": _jsonable(inputs), "outputs": outputs}
+    report = {"command": args.command, "inputs": inputs, "outputs": outputs}
     if "verdicts" in outputs:
         report["verdicts"] = outputs["verdicts"]
     elif args.command == "verify":

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abacus import (
-    _check_prime, _core_weight, _runner_counts, ell, is_bar_core, neighbors,
+    _check_prime, _check_runner, _check_size, _core_weight, _neighbors, _runner_counts, ell,
 )
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, as_strict, skew_boxes
@@ -15,21 +15,38 @@ def is_rouquier(rho: Partition, p: int, d: int) -> bool:
     """Whether the bar-core rho satisfies the d-Rouquier runner conditions:
     runner 1 carries at least d beads and each next runner up to ell at
     least d-1 more than the previous."""
-    rho = as_strict(rho)
+    return _is_rouquier(_bar_core(as_strict(rho), p, d), p, d)
+
+
+def _bar_core(rho: Partition, p: int, d: int) -> Partition:
+    """is_rouquier's checks of a canonical rho: d >= 1, p prime, rho a bar-core."""
     if d < 1:
         raise ValueError("d must be positive")
-    if not is_bar_core(rho, p):
+    _check_prime(p)
+    if _core_weight(rho, p)[1]:
         raise DomainError(f"{rho} is not a bar-core for p={p}")
-    return _is_rouquier(rho, p, d)
+    return rho
 
 
 def rouquier_core(rho, p: int, d: int) -> Partition:
-    """rho as a canonical tuple, checked to be a d-Rouquier core: the one
-    statement of the hypothesis every block identity rests on."""
-    rho = as_strict(rho)
-    if not is_rouquier(rho, p, d):
+    """rho as a canonical tuple, checked to be a d-Rouquier core: the hypothesis
+    every block identity rests on, for a core as _rock_weight checks it for a label."""
+    rho = _bar_core(as_strict(rho), p, d)
+    if not _is_rouquier(rho, p, d):
         raise DomainError(f"{rho} is not a {d}-Rouquier core for p={p}")
     return rho
+
+
+def _rock_weight(lam: Partition, p: int, shift: int = 0) -> tuple[Partition, int]:
+    """The core rho of a canonical lam and d, its weight + shift (1 to induce), checked
+    d-Rouquier: the one gate by which a label finds its RoCK block."""
+    _check_prime(p)
+    _check_size(lam)
+    rho, wt = _core_weight(lam, p)
+    d = wt + shift
+    if d < 1 or not _is_rouquier(rho, p, d):
+        raise DomainError(f"{lam} does not sit under a {d}-Rouquier core for p={p}")
+    return rho, d
 
 
 def _is_rouquier(rho: Partition, p: int, d: int) -> bool:
@@ -120,7 +137,7 @@ def strip_classify(lam: Partition, mu: Partition, p: int) -> StripCertificate:
     # the largest new bead lies on the move's runner pair: one O(h) lookup at any p
     top = max(set(lam) - set(mu), default=0) % p
     i = min(top, p - top)
-    if lam not in neighbors(mu, p, i, "add"):
+    if lam not in _neighbors(mu, p, i, "add"):
         raise ShapeError(f"{lam} is not a one-bar extension of {mu}")
     boxes = skew_boxes(lam, mu)
     r0, c0 = boxes[0]
@@ -137,7 +154,13 @@ def rho_extension(rho: Partition, p: int, j: int) -> Partition:
     """The weight-one partition obtained by one slide down on runner j of a
     1-Rouquier core (insert a bead at position p when j = 0)."""
     rho = rouquier_core(rho, p, 1)
-    moves = neighbors(rho, p, j, "add")
+    _check_runner(j, p)
+    return _rho_extension(rho, p, j)
+
+
+def _rho_extension(rho: Partition, p: int, j: int) -> Partition:
+    """rho_extension on a canonical 1-Rouquier rho and j in 0..ell."""
+    moves = _neighbors(rho, p, j, "add")
     if len(moves) != 1:
         raise AssertionError(f"{rho} has {len(moves)} runner-{j} extensions, not one")
     return moves[0]

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .abacus import _check_prime, _moves, core_weight, ell, runner_parity
+from .abacus import _check_prime, _moves, ell, runner_parity
 from .chars import CharSpace, CharVector
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, as_strict, contains, epsilon_exponent
-from .rouquier import _is_rouquier
+from .rouquier import _rock_weight
 from .sqrt2 import Sqrt2Scalar, times_sqrt2_power
 
 # The fill recurses once per box of lam/mu, which has |nu| boxes (induce's
@@ -209,17 +209,6 @@ def _induce_pairs(mu: Partition, nu: Partition, support, fill=None) -> dict:
     return out
 
 
-def _block_context(part: Partition, p: int, weight_shift: int):
-    """Core, weight-after-shift and Rouquier check for branching inputs."""
-    core, wt = core_weight(part, p)
-    d = wt + weight_shift
-    if d < 1 or not _is_rouquier(core, p, d):
-        raise DomainError(
-            f"{part} does not sit under a {d}-Rouquier core for p={p}"
-        )
-    return core, d
-
-
 def rock_branch(part: Partition, p: int, j: int | None = None, direction: str = "induce") -> CharVector:
     """One-bar branching inside a RoCK block, in closed abacus form.
 
@@ -233,16 +222,14 @@ def rock_branch(part: Partition, p: int, j: int | None = None, direction: str = 
     """
     part = as_strict(part)
     _check_prime(p)
-    if direction == "induce":
-        if j is None or not 0 <= j <= ell(p):
-            raise DomainError(f"runner index must lie in 0..{ell(p)}: {j}")
-        rho, d = _block_context(part, p, 1)
-    elif direction == "restrict":
-        rho, d = _block_context(part, p, 0)
-    else:
+    if direction not in ("induce", "restrict"):
         raise ValueError(f"direction must be induce or restrict: {direction!r}")
-    space = CharSpace("block" if direction == "induce" else "H", p, rho, d)  # rho is canonical
-    moves = _moves(part, p, "add" if direction == "induce" else "remove")
+    induce = direction == "induce"
+    if induce and (j is None or not 0 <= j <= ell(p)):
+        raise DomainError(f"runner index must lie in 0..{ell(p)}: {j}")
+    rho, d = _rock_weight(part, p, int(induce))
+    space = CharSpace("block" if induce else "H", p, rho, d)  # rho is canonical
+    moves = _moves(part, p, "add" if induce else "remove")
     return CharVector.make(space, dict(_rock_branch(part, p, j, direction, moves)))
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 from .abacus import ell
 from .exceptions import DomainError
 from .partitions import Partition, is_odd_partition
-from .rouquier import rho_extension, rouquier_core
+from .rouquier import _rho_extension, rouquier_core
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class WeightOneTree:
 def weight_one_map(rho: Partition, p: int) -> WeightOneTree:
     rho = rouquier_core(rho, p, 1)
     L = ell(p)
-    ext = {j: rho_extension(rho, p, j) for j in range(L + 1)}
+    ext = {j: _rho_extension(rho, p, j) for j in range(L + 1)}
     assignment = {}
     if is_odd_partition(rho):
         tree = build("A", L)

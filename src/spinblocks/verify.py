@@ -7,13 +7,14 @@ both sides in machine-readable form.
 
 from __future__ import annotations
 
+import random
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from math import factorial, prod
 
-from . import stembridge
+from . import stembridge, trees
 from .abacus import (
-    _block_by_sizes, _check_prime, _core_weight, _k_product, _moves, _quotient, block_enum, ell,
+    _block_by_sizes, _block_labels, _check_prime, _k_product, _moves, _quotient, ell,
     runner_label, runner_parity,
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, _m_action_pairs, runner_tuples
@@ -29,9 +30,9 @@ from .partitions import (
     enumerate_partitions,
     epsilon_exponent,
 )
-from .rouquier import rouquier_core
+from .rouquier import _rock_weight, generate, rho_extension, rouquier_core
 from .sqrt2 import Sqrt2Scalar, times_sqrt2_power
-from .stembridge import _block_context, _induce_pairs, _rock_branch
+from .stembridge import _induce_pairs, _rock_branch
 
 
 def compositions(total: int, slots: int) -> list[tuple]:
@@ -75,7 +76,7 @@ class NmvLattice:
                 for jk in range(L)
             ]
         else:
-            mus = block_enum(space.rho, space.p, space.d - 1)
+            mus = _block_labels(space.rho, space.p, space.d - 1)
             edges = [((mu, j), (mu, j + 1)) for mu in mus for j in range(L)]
         odd = {label: space.is_odd(label) for label in space.labels()}
         return [row for a, b in edges for row in _pair_generators(a, b, odd[a], odd[b])]
@@ -119,7 +120,7 @@ class NmvLattice:
         space, tables = self.space, {REFINED: {}, SUPER: {}}
         if space.kind == "H":
             slots = [(j,) for j in range(ell(space.p) + 1)]
-            bases = [(mu, slots) for mu in block_enum(space.rho, space.p, space.d - 1)]
+            bases = [(mu, slots) for mu in _block_labels(space.rho, space.p, space.d - 1)]
         else:
             bases = [(space.rho, runner_tuples(space.p, space.d))]
         for base, tuples in bases:
@@ -262,7 +263,7 @@ def hyp_coeffs(rho: Partition, p: int, dcomp) -> CharVector:
     checked to be a positive integer."""
     dcomp = tuple(int(x) for x in dcomp)
     rho = rouquier_core(rho, p, sum(dcomp))
-    block_enum(rho, p, sum(dcomp), dcomp)  # the block's own checks of d and dcomp
+    _block_labels(rho, p, sum(dcomp), dcomp)  # the block's own checks of d and dcomp
     return _hyp_coeffs(rho, p, dcomp)
 
 
@@ -403,7 +404,7 @@ def check_dim_reduced(rho, p: int, dcomp) -> CheckReport:
     dcomp = tuple(int(x) for x in dcomp)
     d = sum(dcomp)
     total, w = 0, _weight(rho, p, d)
-    for lam in block_enum(rho, p, d, dcomp):
+    for lam in _block_labels(rho, p, d, dcomp):
         q0 = w.quotient(lam).q0
         total += 2 ** (sum(q0) - len(q0)) * w.k_product(lam) ** 2
     rhs = prod(map(factorial, dcomp))
@@ -415,13 +416,9 @@ def check_dim_reduced(rho, p: int, dcomp) -> CheckReport:
 
 def check_block_count(rho, p: int, d: int) -> CheckReport:
     rho = as_strict(rho)
-    L = ell(p)
-    whole = block_enum(rho, p, d)
-    union = []
-    failures = []
-    census = {}
-    split = _block_by_sizes(rho, p, d)
-    for dcomp in compositions(d, L + 1):
+    whole, split = _block_labels(rho, p, d), _block_by_sizes(rho, p, d)  # checked, then split
+    union, failures, census = [], [], {}
+    for dcomp in compositions(d, ell(p) + 1):
         part = split.get(dcomp, ())
         union.extend(part)
         expected = len(enumerate_partitions(dcomp[0], STRICT))
@@ -449,12 +446,12 @@ def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
     w = _weight(rho, p, d)
     restricted = {
         (mu, j, lam): b << (epsilon_exponent((mu,)) + runner_parity(j)) % 2
-        for lam in block_enum(rho, p, d)
+        for lam in _block_labels(rho, p, d)
         for (mu, j), b in w.branch(lam, None, "restrict")
     }
     induced = {
         (mu, j, lam): a << epsilon_exponent((lam,))
-        for mu in block_enum(rho, p, d - 1) for j in range(ell(p) + 1)
+        for mu in _block_labels(rho, p, d - 1) for j in range(ell(p) + 1)
         for lam, a in w.branch(mu, j, "induce")
     }
     failures = []
@@ -478,9 +475,8 @@ def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
 
 
 def _htoj_sides(lam: Partition, p: int) -> tuple[CharVector, CharVector]:
-    """htoj_sides on a canonical lam; its H space is built straight from the
-    canonical core, with no second as_strict."""
-    rho, d = _block_context(lam, p, 0)
+    """htoj_sides on a canonical lam."""
+    rho, d = _rock_weight(lam, p)
     space, w = CharSpace("H", p, rho, d), _weight(rho, p, d)
     restricted = w.branch(lam, None, "restrict")
     lhs = _m_action_pairs(space, ((label, (c, 0)) for label, c in restricted))
@@ -520,11 +516,11 @@ def restrict_recursion_sides(lam, p: int) -> dict:
     For every runner k with a nonempty quotient component the weighted sum
     over removals on runner k of  2^((|mu0|-h(mu0))/2) K(mu)  must collapse
     by the tableau-count recursion to  eps_lam 2^((|lam0|-h(lam0))/2) K(lam).
+    As for htoj, lam of weight d must sit under a d-Rouquier core.
     """
     lam = as_strict(lam)
-    _check_prime(p)
-    core, wt = _core_weight(lam, p)
-    return _restrict_recursion_sides(lam, _weight(core, p, wt))
+    rho, d = _rock_weight(lam, p)
+    return _restrict_recursion_sides(lam, _weight(rho, p, d))
 
 
 def _restrict_recursion_sides(lam: Partition, w: Weight) -> dict:
@@ -552,7 +548,7 @@ def _restrict_recursion_sides(lam: Partition, w: Weight) -> dict:
 def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
     rho = rouquier_core(rho, p, d)
     failures, w = [], _weight(rho, p, d)
-    for lam in block_enum(rho, p, d):
+    for lam in _block_labels(rho, p, d):
         for k, (lhs, rhs) in _restrict_recursion_sides(lam, w).items():
             if lhs != rhs:
                 failures.append(
@@ -567,12 +563,10 @@ def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
     """Every closed-form coefficient c_lam is a positive integer, and over each
     dcomp sum eps_lam^2 c_lam^2 = eps_(rho,dcomp)^2 prod_i d_i!, as in dim-reduced."""
     rho = rouquier_core(rho, p, d)
-    block_enum(rho, p, d)  # the block's own check of d, once for every dcomp
-    L = ell(p)
+    _block_labels(rho, p, d)  # the block's own check of d, once for every dcomp
     e_rho = epsilon_exponent((rho,))
-    failures = []
-    totals = {}
-    for dcomp in compositions(d, L + 1):
+    failures, totals = [], {}
+    for dcomp in compositions(d, ell(p) + 1):
         try:
             vec = _hyp_coeffs(rho, p, dcomp)
         except AssertionError as exc:
@@ -603,17 +597,11 @@ def check_core_order(p: int) -> CheckReport:
     """The closed-form bar-core and weight, read off the runner counts, equal
     the fixed point of bar removals in each of CORE_ORDER_ORDERS random
     orders, for each sampled strict partition."""
-    import random
-
-    from .abacus import _core_weight
+    from .abacus import _core_weight  # read at call time, so a planted core is reached
 
     _check_prime(p)
     rng = random.Random(CORE_ORDER_SEED)
-    pool = [
-        lam
-        for n in range(1, CORE_ORDER_MAX_N + 1)
-        for lam in enumerate_partitions(n, STRICT)
-    ]
+    pool = [lam for n in range(1, CORE_ORDER_MAX_N + 1) for lam in enumerate_partitions(n, STRICT)]
     failures = []
     for lam in rng.sample(pool, min(CORE_ORDER_SAMPLES, len(pool))):
         expected = _core_weight(lam, p)
@@ -639,8 +627,7 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     layout _fill_steps gives lam/mu (its box count included) and the
     content, all that the fill reads: each layout is filled once per runner."""
     rho = rouquier_core(rho, p, d)
-    L = ell(p)
-    block, w = block_enum(rho, p, d), _weight(rho, p, d)
+    block, w = _block_labels(rho, p, d), _weight(rho, p, d)
     layouts, fills, failures = {}, {}, []
 
     def fill(lam, mu, content):
@@ -649,11 +636,11 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
             fills[key] = stembridge._count_lattice_fillings(lam, mu, content)
         return fills[key]
 
-    for mu in block_enum(rho, p, d - 1):
+    for mu in _block_labels(rho, p, d - 1):
         support = [lam for lam in block if contains(lam, mu)]  # the same for every runner
         for lam in support:  # one weight apart: lam/mu has p boxes
             layouts[lam, mu] = tuple(map(tuple, stembridge._fill_steps(lam, mu, p)))
-        for j in range(L + 1):
+        for j in range(ell(p) + 1):
             tableau_route = _induce_pairs(mu, runner_label(p, j), support, fill)
             abacus_route = w.branch(mu, j, "induce")
             # both routes are zero-free; a pair matches an int c only as (c, 0)
@@ -675,9 +662,6 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
 def check_tree_suite(p: int) -> CheckReport:
     """Walk periodicity plus weight-one edge sums against the
     non-maximal-support generators, for generated cores of both parities."""
-    from . import trees
-    from .rouquier import generate, rho_extension
-
     _check_prime(p)
     L = ell(p)
     failures = []

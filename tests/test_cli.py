@@ -261,8 +261,8 @@ def test_verify_all_scans_each_label_once_per_weight(monkeypatch):
     branching), each addition list once per runner.  From cold block memos
     _quotient runs 2|block(d)| + |block(d-1)| times: once per weight-d label
     for the block split and once for its K, once per weight-(d-1) label for
-    its K.  No library code reaches _neighbors but the public neighbors,
-    which tree-suite's weight-one extensions call."""
+    its K.  No check reaches _neighbors but tree-suite, through the
+    weight-one extensions' unchecked core."""
     abacus._block.cache_clear()
     abacus._block_by_sizes.cache_clear()
     calls, seen = calls_per_weight(
@@ -276,7 +276,7 @@ def test_verify_all_scans_each_label_once_per_weight(monkeypatch):
         reads, quotients = ([n for n, _ in block].count(name) for name in ("moves", "_quotient"))
         got.append((len(scans) - scans.count("_block"), reads, quotients))
     assert got == [(a + b, 3 * a + 3 * b, 2 * a + b) for a, b in block_sizes(5, 3)]  # 3 runners
-    assert {caller for name, caller in calls if name == "_neighbors"} == {"neighbors"}
+    assert {caller for name, caller in calls if name == "_neighbors"} == {"_rho_extension"}
 
 
 # stdout sha256 prefixes of single `verify htoj` queries, whose reports print

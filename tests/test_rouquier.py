@@ -66,7 +66,7 @@ def test_strip_classify_rejects_non_strips():
 
 def test_strip_classify_looks_on_the_one_runner_of_the_largest_new_bead(monkeypatch):
     """A move on runner pair i adds the bead i or p - i (a pair: both), so
-    strip_classify asks the single-runner neighbors once: it names runner j
+    strip_classify asks the single-runner _neighbors once: it names runner j
     for every addition _moves lists at index j in generated blocks, and it
     refuses a non-extension at the largest p after one O(h) lookup."""
     from spinblocks import abacus, rouquier
@@ -80,8 +80,8 @@ def test_strip_classify_looks_on_the_one_runner_of_the_largest_new_bead(monkeypa
                         for lam in adds:
                             assert strip_classify(lam, mu, p).runner == j
     calls = []
-    real = rouquier.neighbors
-    monkeypatch.setattr(rouquier, "neighbors", lambda *args: calls.append(args) or real(*args))
+    real = rouquier._neighbors
+    monkeypatch.setattr(rouquier, "_neighbors", lambda *args: calls.append(args) or real(*args))
     with pytest.raises(ShapeError):
         strip_classify((4, 3, 1), (2, 1), 9999991)
     with pytest.raises(ShapeError):

@@ -8,6 +8,7 @@ from spinblocks import (
     CharSpace,
     DomainError,
     block_enum,
+    box_moves,
     core_weight,
     f_coeff,
     generate,
@@ -27,6 +28,7 @@ from spinblocks import (
 )
 from spinblocks import verify
 from spinblocks.cli import verify_all
+from spinblocks.rouquier import rouquier_core
 
 ENTRY_POINTS = {
     "core_weight": lambda lam: core_weight(lam, 5),
@@ -41,6 +43,26 @@ ENTRY_POINTS = {
     "induce": lambda lam: induce(lam, (1,)),
     "rock_branch": lambda lam: rock_branch(lam, 5, 0, "induce"),
     "CharSpace.block": lambda lam: CharSpace.block(lam, 5, 1),
+    "CharSpace.l_space": lambda lam: CharSpace.l_space(lam, 5, 1),
+    "CharSpace.h_space": lambda lam: CharSpace.h_space(lam, 5, 1),
+    "box_moves": lambda lam: box_moves(lam, STRICT, "add"),
+    "rouquier_core": lambda lam: rouquier_core(lam, 5, 1),
+    "rho_extension": lambda lam: rho_extension(lam, 5, 0),
+    "strip_classify lam": lambda lam: strip_classify(lam, (2, 1), 5),
+    "strip_classify mu": lambda lam: strip_classify((6, 2), lam, 5),
+    "weight_one_map": lambda lam: weight_one_map(lam, 5),
+    "orbit_sum": lambda lam: orbit_sum(lam, 5, (1, 0)),
+    "hyp_coeffs": lambda lam: hyp_coeffs(lam, 5, (1, 0)),
+    "htoj_sides": lambda lam: verify.htoj_sides(lam, 5),
+    "restrict_recursion_sides": lambda lam: verify.restrict_recursion_sides(lam, 5),
+    "check_htoj": lambda lam: verify.check_htoj(lam, 5),
+    "check_dim_reduced": lambda lam: verify.check_dim_reduced(lam, 5, (1, 0)),
+    "check_block_count": lambda lam: verify.check_block_count(lam, 5, 1),
+    "check_htog_adjoint": lambda lam: verify.check_htog_adjoint(lam, 5, 1),
+    "check_restrict_recursion": lambda lam: verify.check_restrict_recursion(lam, 5, 1),
+    "check_hyp_nonneg": lambda lam: verify.check_hyp_nonneg(lam, 5, 1),
+    "check_stembridge_cross": lambda lam: verify.check_stembridge_cross(lam, 5, 1),
+    "check_phi_kernel": lambda lam: verify.check_phi_kernel(lam, 5, 1),
 }
 
 
@@ -49,6 +71,58 @@ ENTRY_POINTS = {
 def test_entry_points_reject_non_strict_partitions(name, bad):
     with pytest.raises(ValueError, match="parts must be"):
         ENTRY_POINTS[name](bad)
+
+
+def test_entry_points_cover_every_check_taking_a_partition():
+    takes_p = {f"check_{name.replace('-', '_')}" for name in verify.CHECKS}
+    assert takes_p - {"check_dim_sqd", "check_core_order", "check_tree_suite"} <= set(ENTRY_POINTS)
+
+
+# Every entry that finds a label's RoCK block, (rho, d), through the one gate
+# rouquier._rock_weight
+LABEL_ENTRIES = {
+    "rock_branch induce": lambda lam, p: rock_branch(lam, p, 0, "induce"),
+    "rock_branch restrict": lambda lam, p: rock_branch(lam, p, direction="restrict"),
+    "htoj_sides": verify.htoj_sides,
+    "check_htoj": verify.check_htoj,
+    "restrict_recursion_sides": verify.restrict_recursion_sides,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_ENTRIES))
+def test_label_entries_refuse_a_label_off_a_rouquier_core(name):
+    """(7,) at p = 7 has weight 1 over the core (), which carries no bead on
+    runner 1, so it is not d-Rouquier for any d >= 1: restricting needs
+    d = 1, inducing d = 2."""
+    with pytest.raises(DomainError, match=r"^\(7,\) does not sit under a [12]-Rouquier core for p=7$"):
+        LABEL_ENTRIES[name]((7,), 7)
+
+
+@pytest.mark.parametrize("j", [3, -1])
+def test_rho_extension_refuses_a_runner_outside_0_to_ell(j):
+    """The runner index is checked before the extension core, so a runner
+    outside 0..ell is bad input (exit 2): unchecked, runner 3 at p = 5 reads
+    the pair {3, 2} and answers runner 2's (7, 1), and runner -1 inserts the
+    beads 6 and -1, and a move list of another length raises AssertionError
+    (exit 3)."""
+    with pytest.raises(DomainError, match=rf"^runner index must lie in 0\.\.2: {j}$"):
+        rho_extension((2, 1), 5, j)
+
+
+def test_verify_all_validates_each_partition_argument_once(monkeypatch):
+    """One cold `verify all --p 7 --dmax 4` validates at most 520 partitions.
+    Its verdict keys hold 472 partition arguments (286 htoj lam, 138
+    dim-reduced rho and 48 rho of the other six block checks), and tree-suite
+    makes 36 public calls on its six generated cores; the cores behind the
+    checks and the loop over the block validate nothing again."""
+    from spinblocks import abacus, partitions
+
+    calls, real = [], partitions.as_partition
+    monkeypatch.setattr(partitions, "as_partition", lambda parts: calls.append(parts) or real(parts))
+    abacus._block.cache_clear()
+    abacus._block_by_sizes.cache_clear()
+    assert verify_all(7, 4)["summary"] == {"total": 483, "failed": 0}
+    assert len(calls) <= 520
 
 
 # Every public function that takes p.  The arithmetic helpers ell,

@@ -1039,12 +1039,12 @@ def test_a_clean_run_cannot_hide_a_later_plant(monkeypatch, name):
     path_count one too high fails hyp-nonneg."""
     from spinblocks import abacus
 
-    rho, real = generate(7, 2, "even", 1)[0], abacus.path_count
+    rho, real = generate(7, 2, "even", 1)[0], abacus._path_count
     assert run_check(name, rho=rho, p=7, d=2).passed
     if name == "htog-adjoint":
         _drop_moves(monkeypatch, 1, "add")
     else:
-        monkeypatch.setattr(abacus, "path_count", lambda lam, kind: real(lam, kind) + 1)
+        monkeypatch.setattr(abacus, "_path_count", lambda lam, kind: real(lam, kind) + 1)
     assert not run_check(name, rho=rho, p=7, d=2).passed
 
 
