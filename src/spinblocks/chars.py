@@ -19,7 +19,7 @@ from math import factorial
 from operator import add, sub
 
 from .abacus import (
-    _check_prime, as_composition, block_enum, core_weight, ell, runner_parity,
+    _block_labels, _check_prime, _check_size, _core_weight, as_composition, ell, runner_parity,
 )
 from .exceptions import DomainError, SpaceMismatch
 from .partitions import Partition, as_strict, epsilon_exponent
@@ -31,8 +31,10 @@ L_MAX_LABELS = 4096
 
 
 def _check_l_labels(p: int, d: int):
-    """Raise DomainError when the L space of weight d at p is over L_MAX_LABELS,
-    without computing a power of an absurd d."""
+    """Raise ValueError for a weight d below 1, DomainError when the L space of
+    weight d at p is over L_MAX_LABELS (without computing an absurd power)."""
+    if d < 1:
+        raise ValueError("an L space needs weight at least 1")
     _check_prime(p)
     if d >= L_MAX_LABELS.bit_length() or (ell(p) + 1) ** d > L_MAX_LABELS:
         raise DomainError(f"an L space has at most {L_MAX_LABELS} labels: {ell(p) + 1}^{d}")
@@ -61,8 +63,6 @@ class CharSpace:
 
     @classmethod
     def l_space(cls, rho, p, d):
-        if d < 1:
-            raise ValueError("an L space needs weight at least 1")
         _check_l_labels(p, d)
         return cls("L", p, as_strict(rho), d)
 
@@ -94,27 +94,29 @@ class CharSpace:
         """An L or H label (as `maction` and `phi` take them), made canonical."""
         if self.kind not in ("L", "H"):
             raise SpaceMismatch(f"only L and H labels are validated, not {self.kind}")
-        L = ell(self.p)
         if self.kind == "L":
             t = tuple(int(j) for j in label)
-            if len(t) != self.d or any(not 0 <= j <= L for j in t):
+            if len(t) != self.d or any(not 0 <= j <= ell(self.p) for j in t):
                 raise ValueError(f"{t} is not a runner tuple of length {self.d}")
             return t
-        mu, j = label
-        mu = as_strict(mu)
-        core, wt = core_weight(mu, self.p)
-        if core != self.rho or wt != self.d - 1 or not 0 <= int(j) <= L:
+        return self._h_label(as_strict(label[0]), label[1])
+
+    def _h_label(self, mu: Partition, j):
+        """validate_label's checks of an H label (mu, j) with a canonical mu."""
+        _check_size(mu)
+        core, wt = _core_weight(mu, self.p)
+        if core != self.rho or wt != self.d - 1 or not 0 <= int(j) <= ell(self.p):
             raise ValueError(f"({mu}, {j}) is not a label of {self}")
         return (mu, int(j))
 
     def labels(self) -> list:
         """The basis labels in their canonical order, as a new list."""
         if self.kind == "block":
-            return block_enum(self.rho, self.p, self.d)
+            return list(_block_labels(self.rho, self.p, self.d))
         if self.kind == "L":
             return runner_tuples(self.p, self.d)
         if self.kind == "H":
-            mus = block_enum(self.rho, self.p, self.d - 1)
+            mus = _block_labels(self.rho, self.p, self.d - 1)
             return [(mu, j) for mu in mus for j in range(ell(self.p) + 1)]
         raise SpaceMismatch(f"a {self.kind} space does not list its labels")
 
@@ -288,7 +290,8 @@ def orbit_sum(rho: Partition, p: int, dcomp) -> tuple[CharVector, int]:
     _check_prime(p)
     dcomp = as_composition(dcomp, p)
     d = sum(dcomp)
-    space = CharSpace.l_space(rho, p, d)
+    _check_l_labels(p, d)
+    space = CharSpace("L", p, rho, d)
     base = tuple(j for j in range(len(dcomp)) for _ in range(dcomp[j]))
     # at most L_MAX_LABELS labels to filter, where base has up to d! orderings
     vec = CharVector.make(space, {t: 1 for t in space.labels() if tuple(sorted(t)) == base})

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import factorial, prod
 
 from . import stembridge, trees
@@ -229,14 +230,8 @@ def phi(v: CharVector) -> Sqrt2Scalar:
     """
     if v.space.kind != "L":
         raise SpaceMismatch("phi is a functional on L spaces")
-    refined = v.refine().coeffs
-    return _phi(refined, _phi_table(v.space, [label for (label, _sign), _ in refined]))
-
-
-def _phi_table(space: CharSpace, tuples) -> dict:
-    """phi on the basis characters of the given runner tuples."""
-    e_rho = epsilon_exponent((space.rho,))
-    return {t: _label_weight(e_rho, t) for t in tuples}
+    e_rho = epsilon_exponent((v.space.rho,))
+    return Sqrt2Scalar.of(sum(c * _label_weight(e_rho, t) for (t, _sign), c in v.refine().coeffs))
 
 
 def _label_weight(e_base: int, t: tuple) -> int:
@@ -244,12 +239,6 @@ def _label_weight(e_base: int, t: tuple) -> int:
     epsilon exponent e_base, a signed power of 2: with e the sum of the
     exponents, e % 2 is that of the whole tuple."""
     return (-1) ** sum(t) * 2 ** ((e_base + sum(map(runner_parity, t))) // 2)
-
-
-def _phi(coeffs, table: dict) -> Sqrt2Scalar:
-    """phi of refined L-space coefficients ((label, sign), c), read off a
-    table of their labels; c is a Sqrt2Scalar or an int."""
-    return Sqrt2Scalar.of(sum(c * table[label] for (label, _sign), c in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -689,19 +678,35 @@ def check_tree_suite(p: int) -> CheckReport:
 
 def check_phi_kernel(rho, p: int, d: int) -> CheckReport:
     """phi vanishes on every non-maximal-support generator of the L space
-    and on no unit label of it."""
+    and on no unit label of it.
+
+    `_label_weight` and `CharSpace.is_odd` read only the sum and the runner
+    parities of a tuple, so slot permutations keep phi and each edge's rows:
+    one unit per multiset of runner values is checked, and one edge
+    (others + (j,), others + (j + 1,)) per multiset `others` of d - 1 slots
+    and j < ell, standing in `lhs` for the d! / prod(m!) edges of its orbit,
+    m over the multiplicities in `others`.  On an edge a = t, b = t + e_k
+    with t_k = j, n the nonzero count of the other slots and w the label
+    weight, each row's phi is 0: if j > 0, a and b share a parity and
+    w(a) = -w(b); if j = 0 and e_rho + n = 2k, a is even, b odd and each
+    row is w(a) + w(b) = +-(2^k - 2^k); if e_rho + n = 2k + 1, a is odd,
+    b even and the row is 2w(a) + w(b) = +-(2^(k+1) - 2^(k+1)).
+    """
     space = CharSpace.l_space(rho, p, d)
-    lattice = nmv_basis(space)
-    table = _phi_table(space, space.labels())
-    failures = [{"unit": t, "phi": value} for t, value in table.items() if value == 0]
-    for k, row in enumerate(lattice.edge_rows):
-        value = _phi(((label, 1) for label in row), table)
-        if value != 0:
-            failures.append({"generator": lattice.generators[k].rows(), "phi": _jsonable(value)})
-    return CheckReport(
-        "phi-kernel", {"rho": space.rho, "p": p, "d": d},
-        lhs=len(lattice.edge_rows), rhs=0, witness=failures or None,
-    )
+    e_rho, runners = epsilon_exponent((space.rho,)), range(ell(p) + 1)
+    units = combinations_with_replacement(runners, d)
+    failures = [{"unit": t, "phi": w} for t in units if (w := _label_weight(e_rho, t)) == 0]
+    rows = 0
+    for others in combinations_with_replacement(runners, d - 1):
+        orbit = factorial(d) // prod(factorial(others.count(j)) for j in set(others))
+        for a, b in ((others + (j,), others + (j + 1,)) for j in runners[:-1]):
+            for row in _pair_generators(a, b, space.is_odd(a), space.is_odd(b)):
+                rows += orbit
+                if sum(_label_weight(e_rho, t) for t, _sign in row):
+                    vector = CharVector.make(space, dict.fromkeys(row, 1), REFINED)
+                    failures.append({"generator": vector.rows(), "phi": _jsonable(phi(vector))})
+    params = {"rho": space.rho, "p": p, "d": d}
+    return CheckReport("phi-kernel", params, lhs=rows, rhs=0, witness=failures or None)
 
 
 CHECKS = {

@@ -178,3 +178,29 @@ def test_prime_entry_points_cover_every_check_taking_p():
 def test_generate_rejects_a_nonpositive_weight(d):
     with pytest.raises(ValueError, match="d must be positive"):
         generate(5, d, "odd", 1)
+
+
+@pytest.mark.parametrize(
+    "route,expected",
+    [
+        (["maction", "--p", "5", "--rho", "2,1", "--mu", "2,1", "--j", "1"], 2),
+        (["orbit", "--p", "5", "--rho", "2,1", "--dcomp", "1,1,0"], 1),
+        (["nmv", "--p", "5", "--rho", "2,1", "--d", "2", "--space", "H"], 1),
+        (lambda: CharSpace.block((2, 1), 5, 2).labels(), 1),
+        (lambda: CharSpace.h_space((2, 1), 5, 2).labels(), 1),
+    ],
+)
+def test_a_route_validates_each_partition_argument_once(monkeypatch, capsys, route, expected):
+    """`maction --mu` checks mu once, where it took three; `orbit_sum` checks
+    rho once, not again in `CharSpace.l_space`; and `CharSpace.labels` lists a
+    block or H space's labels without validating its canonical rho again."""
+    from spinblocks import cli, partitions
+
+    calls, real = [], partitions.as_partition
+    monkeypatch.setattr(partitions, "as_partition", lambda parts: calls.append(parts) or real(parts))
+    if callable(route):
+        route()
+    else:
+        assert cli.main(route) == 0
+    capsys.readouterr()
+    assert len(calls) == expected

@@ -43,8 +43,7 @@ def test_phi_kernel_fails_on_the_zero_functional(monkeypatch):
     fail it, since phi is nonzero on every unit label of the L space."""
     import spinblocks.verify as V
 
-    real = V._phi_table
-    monkeypatch.setattr(V, "_phi_table", lambda space, tuples: dict.fromkeys(real(space, tuples), 0))
+    monkeypatch.setattr(V, "_label_weight", lambda e_base, t: 0)
     report = run_check("phi-kernel", rho=(2, 1), p=5, d=1)
     assert report.passed is False
     assert report.witness == [{"unit": (j,), "phi": 0} for j in range(3)]
@@ -131,26 +130,97 @@ def test_phi_kernel_reports_a_planted_row_as_its_vector(monkeypatch):
     the witness is the CharVector of that row, with phi of it."""
     import spinblocks.verify as V
 
-    real = V.nmv_basis
-    planted = {}
+    real, planted = V._pair_generators, {}
 
-    def basis(space):
-        lattice = real(space)
-        rows = list(lattice.edge_rows)
-        k = next(i for i, row in enumerate(rows) if len(row) == 3)
-        planted["row"] = rows[k] = rows[k][:2]
-        planted["space"] = space
-        return NmvLattice(space, rows)
+    def pair_generators(*edge):
+        rows = real(*edge)
+        k = next((i for i, row in enumerate(rows) if len(row) == 3), None)
+        if k is not None and not planted:
+            planted["row"] = rows[k] = rows[k][:2]
+        return rows
 
-    monkeypatch.setattr(V, "nmv_basis", basis)
+    monkeypatch.setattr(V, "_pair_generators", pair_generators)
     report = run_check("phi-kernel", rho=(2, 1), p=5, d=2)
-    vector = CharVector.make(planted["space"], dict.fromkeys(planted["row"], 1), "refined")
+    space = CharSpace.l_space((2, 1), 5, 2)
+    vector = CharVector.make(space, dict.fromkeys(planted["row"], 1), "refined")
     value = phi(vector)
     assert value != 0
     assert report.passed is False
     assert json.loads(json.dumps(report.to_json()))["witness"] == [
         {"generator": vector.rows(), "phi": {"a": value.a, "b": value.b}}
     ]
+
+
+def listed_phi_kernel(rho, p, d):
+    """phi-kernel as it listed every unit label and generator row of the L
+    space, reading `_label_weight` through the module: the orbit route's
+    oracle."""
+    import spinblocks.verify as V
+
+    space = CharSpace.l_space(rho, p, d)
+    lattice, e_rho = nmv_basis(space), epsilon_exponent((space.rho,))
+    table = {t: V._label_weight(e_rho, t) for t in space.labels()}
+    failures = [{"unit": t, "phi": value} for t, value in table.items() if value == 0]
+    for k, row in enumerate(lattice.edge_rows):
+        value = Sqrt2Scalar.of(sum(table[label] for label, _sign in row))
+        if value != 0:
+            failures.append({"generator": lattice.generators[k].rows(), "phi": V._jsonable(value)})
+    return V.CheckReport(
+        "phi-kernel", {"rho": space.rho, "p": p, "d": d},
+        lhs=len(lattice.edge_rows), rhs=0, witness=failures or None,
+    )
+
+
+# every (p, d) of p in {3, 5, 7, 11} whose L space is inside the label budget
+PHI_GRID = [(p, d) for p in (3, 5, 7, 11) for d in range(1, 13) if (ell(p) + 1) ** d <= 4096]
+
+
+@pytest.mark.parametrize("p,d", PHI_GRID)
+def test_phi_kernel_on_slot_orbits_matches_the_listing(p, d):
+    """Over a core of each parity the orbit report is the listing's, byte for
+    byte: the same verdict, no witness and the closed-form row count."""
+    for parity in ("even", "odd"):
+        rho = generate(p, d, parity, 1)[0]
+        report = run_check("phi-kernel", rho=rho, p=p, d=d)
+        assert report.passed and report.to_json() == listed_phi_kernel(rho, p, d).to_json()
+
+
+PLANTED_WEIGHTS = {
+    "zero": lambda real: lambda e, t: 0,
+    "runner 1 flipped": lambda real: lambda e, t: real(e, t) * (-1) ** t.count(1),
+    "exponent one up": lambda real: lambda e, t: real(e + 1, t) if any(t) else real(e, t),
+    "unsigned": lambda real: lambda e, t: abs(real(e, t)),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTED_WEIGHTS))
+@pytest.mark.parametrize("p,d", [(3, 4), (5, 2), (5, 3), (7, 2)])
+def test_a_planted_label_weight_fails_the_orbits_and_the_listing(monkeypatch, plant, p, d):
+    """Each slot-symmetric defect in `_label_weight` fails both routes, with
+    the same row count."""
+    import spinblocks.verify as V
+
+    monkeypatch.setattr(V, "_label_weight", PLANTED_WEIGHTS[plant](V._label_weight))
+    for parity in ("even", "odd"):
+        rho = generate(p, d, parity, 1)[0]
+        report, listed = run_check("phi-kernel", rho=rho, p=p, d=d), listed_phi_kernel(rho, p, d)
+        assert not report.passed and not listed.passed and report.lhs == listed.lhs
+
+
+@given(
+    p=st.sampled_from([3, 5, 7, 11]),
+    rho=st.sampled_from([(), (1,), (2, 1), (4, 1), (3, 2, 1)]),
+    data=st.data(),
+)
+def test_label_weight_and_parity_ignore_slot_order(p, rho, data):
+    """The orbit route of phi-kernel sees one ordering of each tuple, so
+    neither reading may depend on slot order."""
+    d = data.draw(st.integers(1, max(d for q, d in PHI_GRID if q == p)))
+    t = tuple(data.draw(st.lists(st.integers(0, ell(p)), min_size=d, max_size=d)))
+    shuffled = tuple(data.draw(st.permutations(t)))
+    space, e_rho = CharSpace.l_space(rho, p, d), epsilon_exponent((rho,))
+    assert _label_weight(e_rho, shuffled) == _label_weight(e_rho, t)
+    assert space.is_odd(shuffled) == space.is_odd(t)
 
 
 @pytest.mark.parametrize("p,d", [(5, 1), (5, 2), (3, 2), (7, 1)])
@@ -444,11 +514,10 @@ def test_htoj_lists_edge_rows_only_for_the_oracle(monkeypatch, capsys, oracle):
 
 
 @pytest.mark.parametrize("oracle", [False, True])
-def test_verify_all_lists_edge_rows_for_phi_kernel_tree_suite_and_the_oracle(
-    monkeypatch, capsys, oracle
-):
-    """Without --oracle `verify all` lists only the L-space rows that
-    phi-kernel and tree-suite evaluate; with it, also each H lattice's, once."""
+def test_verify_all_lists_edge_rows_only_for_tree_suite_and_the_oracle(monkeypatch, capsys, oracle):
+    """Without --oracle `verify all` lists only the rows of the weight-1 L
+    spaces that tree-suite compares; phi-kernel evaluates slot orbits and
+    lists none.  With --oracle, also each H lattice's rows, once."""
     from spinblocks import cli
 
     built = _spy_edge_rows(monkeypatch)
@@ -462,8 +531,7 @@ def test_verify_all_lists_edge_rows_for_phi_kernel_tree_suite_and_the_oracle(
     ]
     for parity in ("even", "odd"):
         for d in range(1, dmax + 1):
-            rho = generate(p, d, parity, 1)[0]
-            expected += [CharSpace.l_space(rho, p, d)] + [CharSpace.h_space(rho, p, d)] * oracle
+            expected += [CharSpace.h_space(generate(p, d, parity, 1)[0], p, d)] * oracle
     assert built == expected
 
 
