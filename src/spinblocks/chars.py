@@ -138,6 +138,10 @@ def runner_tuples(p: int, length: int) -> list:
     return tuples
 
 
+def _label_order(item) -> str:  # the sort key of a CharVector's coefficients and of every row
+    return repr(item[0])
+
+
 @dataclass(frozen=True)
 class CharVector:
     """Finite formal Z[sqrt(2)]-combination of (refined) basis labels."""
@@ -153,7 +157,7 @@ class CharVector:
             c = Sqrt2Scalar.of(c)
             if c:
                 items.append((label, c))
-        return cls(space, tuple(sorted(items, key=lambda kv: repr(kv[0]))), basis)
+        return cls(space, tuple(sorted(items, key=_label_order)), basis)
 
     @classmethod
     def from_pairs(cls, space, pairs: dict, basis=SUPER) -> "CharVector":
@@ -233,6 +237,18 @@ class CharVector:
         if not self.coeffs:
             return "0"
         return " + ".join(f"({c})*[{self.label_name(l)}]" for l, c in self.coeffs)
+
+
+@dataclass(frozen=True)
+class PairVector:
+    """A super-basis vector as {label: (a, b)}, each a + b*sqrt(2), printed as a CharVector."""
+
+    space: CharSpace
+    pairs: dict
+
+    def rows(self) -> list:
+        items = sorted(((l, ab) for l, ab in self.pairs.items() if any(ab)), key=_label_order)
+        return [{"label": self.space.format_label(l), "a": a, "b": b} for l, (a, b) in items]
 
 
 def m_action(v: CharVector) -> CharVector:

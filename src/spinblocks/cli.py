@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import trees
-from .abacus import _block_labels, _check_prime, block_enum, core_weight, ell, neighbors, quotient
+from .abacus import _block_labels, block_enum, core_weight, ell, neighbors, quotient
 from .chars import SIGN_SUFFIX, CharSpace, CharVector, _check_l_labels, m_action, orbit_sum
 from .exceptions import DomainError
 from .partitions import PATH_COUNT_MEMO, STRICT, _hook_formula, enumerate_partitions, validate
@@ -366,14 +366,12 @@ def run_verify(args) -> dict:
 
 def verify_all(p: int, dmax: int, oracle: bool = False) -> dict:
     """Aggregate suite over the first generated core of each parity.  Its
-    phi-kernel counts the L space of every weight up to dmax, so the L-space
-    label budget is checked for dmax before any check runs.  The checks of
+    tree-suite and phi-kernel count the L spaces of weights 1 to dmax, so that
+    budget is checked for max(dmax, 1) before any check runs.  The checks of
     one weight share its `Weight`, released when they are done."""
     if dmax < 0:
         raise DomainError(f"dmax must be at least 0: {dmax}")
-    _check_prime(p)
-    if dmax:
-        _check_l_labels(p, dmax)
+    _check_l_labels(p, max(dmax, 1))  # checks p first
     verdicts = {}
     failures = []
 

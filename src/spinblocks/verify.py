@@ -18,7 +18,7 @@ from .abacus import (
     _block_by_sizes, _block_labels, _check_prime, _k_product, _moves, _quotient, ell,
     runner_label, runner_parity,
 )
-from .chars import REFINED, SUPER, CharSpace, CharVector, _m_action_pairs, runner_tuples
+from .chars import REFINED, SUPER, CharSpace, CharVector, PairVector, _m_action_pairs, runner_tuples
 from .exceptions import DomainError, SpaceMismatch
 from .hnf import integral_solution_exists
 from .partitions import (
@@ -332,7 +332,8 @@ def _weight(rho: Partition, p: int, d: int) -> Weight:
 
 @dataclass
 class CheckReport:
-    """One check's outcome: a report passes exactly when it has no witness."""
+    """One check's outcome: a report passes exactly when it has no witness.  A
+    side may be held as data, a CharVector or PairVector, that only `to_json` renders."""
 
     name: str
     params: dict
@@ -359,7 +360,7 @@ class CheckReport:
 def _jsonable(x):
     if isinstance(x, Sqrt2Scalar):
         return {"a": x.a, "b": x.b}
-    if isinstance(x, CharVector):
+    if isinstance(x, (CharVector, PairVector)):
         return x.rows()
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
@@ -460,11 +461,11 @@ def htoj_sides(lam, p: int) -> tuple[CharVector, CharVector]:
     """Both sides of the one-bar restriction congruence: the M action applied
     to the full restriction, and the single-runner closed form, which lists
     the removals itself: a restriction that drops some fails htoj."""
-    return _htoj_sides(as_strict(lam), p)
+    return tuple(CharVector.from_pairs(s.space, s.pairs) for s in _htoj_sides(as_strict(lam), p))
 
 
-def _htoj_sides(lam: Partition, p: int) -> tuple[CharVector, CharVector]:
-    """htoj_sides on a canonical lam."""
+def _htoj_sides(lam: Partition, p: int) -> tuple[PairVector, PairVector]:
+    """htoj_sides on a canonical lam, as integer pairs."""
     rho, d = _rock_weight(lam, p)
     space, w = CharSpace("H", p, rho, d), _weight(rho, p, d)
     restricted = w.branch(lam, None, "restrict")
@@ -477,7 +478,7 @@ def _htoj_sides(lam: Partition, p: int) -> tuple[CharVector, CharVector]:
             e_mu = epsilon_exponent((mu,))
             coeff = times_sqrt2_power(1, 0, (e_mu + e_lam) % 2 + (e_lam + e_j) % 2 - e_mu - e_j)
             rhs[mu, j] = coeff  # no (mu, j) twice: each removal moves its own bead
-    return CharVector.from_pairs(space, lhs), CharVector.from_pairs(space, rhs)
+    return PairVector(space, lhs), PairVector(space, rhs)
 
 
 def check_htoj(lam, p: int, oracle: bool = False) -> CheckReport:
@@ -485,15 +486,15 @@ def check_htoj(lam, p: int, oracle: bool = False) -> CheckReport:
     of lam's weight, becomes a vector only for a failure's witness or the oracle."""
     lam = as_strict(lam)
     lhs, rhs = _htoj_sides(lam, p)
-    diff = {label: (c.a, c.b) for label, c in lhs.coeffs}
-    for label, c in rhs.coeffs:
+    space, diff = lhs.space, dict(lhs.pairs)
+    for label, (c, e) in rhs.pairs.items():
         a, b = diff.get(label, (0, 0))
-        diff[label] = a - c.a, b - c.b
-    lattice = _weight(lhs.space.rho, p, lhs.space.d).lattice
-    member = lattice._member_pairs(lhs.space, diff)
+        diff[label] = a - c, b - e
+    lattice = _weight(space.rho, p, space.d).lattice
+    member = lattice._member_pairs(space, diff)
     if not member or oracle:
-        diff = CharVector.from_pairs(lhs.space, diff)
-    witness = None if member else {"difference": _jsonable(diff)}
+        diff = CharVector.from_pairs(space, diff)
+    witness = None if member else {"difference": diff.rows()}
     if oracle and (by_oracle := lattice.member_oracle(diff)) != member:
         witness = {"disagreement": {"member": member, "oracle": by_oracle}}
     return CheckReport("htoj", {"lam": lam, "p": p}, lhs=lhs, rhs=rhs, witness=witness)
@@ -561,7 +562,7 @@ def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
         except AssertionError as exc:
             failures.append({"dcomp": dcomp, "error": str(exc)})
             continue
-        totals[str(dcomp)] = _jsonable(vec)
+        totals[str(dcomp)] = vec
         squares = sum(2 ** vec.space.eps_exponent(lam) * c.a * c.a for lam, c in vec.coeffs)
         # eps_(rho,dcomp) stated apart from hyp_coeffs, so that a slip there shows
         e_tuple = (e_rho + sum(runner_parity(j) * x for j, x in enumerate(dcomp))) % 2
@@ -635,14 +636,9 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
             # both routes are zero-free; a pair matches an int c only as (c, 0)
             if tableau_route != {lam: (c, 0) for lam, c in abacus_route}:
                 space = CharSpace.block(rho, p, d)
-                failures.append(
-                    {
-                        "mu": mu,
-                        "j": j,
-                        "tableaux": _jsonable(CharVector.from_pairs(space, tableau_route)),
-                        "abacus": _jsonable(CharVector.make(space, dict(abacus_route))),
-                    }
-                )
+                failures.append({"mu": mu, "j": j,
+                                 "tableaux": PairVector(space, tableau_route).rows(),
+                                 "abacus": CharVector.make(space, dict(abacus_route)).rows()})
     return CheckReport(
         "stembridge-cross", {"rho": rho, "p": p, "d": d}, witness=failures or None
     )

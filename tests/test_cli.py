@@ -1102,6 +1102,22 @@ def test_verify_all_refuses_a_negative_dmax(capsys):
     assert report["outputs"]["summary"] == {"total": 11, "failed": 0}
 
 
+@pytest.mark.parametrize("p, dmax", [(8209, 0), (8209, 1), (9999991, 0)])
+def test_verify_all_checks_tree_suites_l_space_before_any_check(monkeypatch, capsys, p, dmax):
+    """At dmax 0 the weight-1 L space of tree-suite is still built, so a p
+    past the L budget exits 2 with the budget message before any check
+    runs, as it does at dmax 1."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran before the L-space budget")
+
+    monkeypatch.setattr(cli, "run_check", refuse)
+    monkeypatch.setattr(cli, "check_htoj", refuse)
+    ell_plus_1 = (p - 1) // 2 + 1
+    assert run_cli(capsys, "verify", "all", "--p", str(p), "--dmax", str(dmax)) == (
+        2, "", f"error: an L space has at most {L_MAX_LABELS} labels: {ell_plus_1}^1\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [["--mu", "100", "--nu", "100"], ["--mu", "40,30,20,10", "--nu", "40,30,20,10"]])
 def test_induce_over_the_candidate_budget_exits_2(capsys, argv):
     assert run_cli(capsys, "induce", *argv) == (

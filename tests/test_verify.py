@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from functools import cached_property
@@ -6,18 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinblocks.abacus import block_enum, core_weight, ell
-from spinblocks.chars import REFINED, SUPER, CharSpace, CharVector, runner_tuples
+from spinblocks.chars import REFINED, SUPER, CharSpace, CharVector, PairVector, runner_tuples
 from spinblocks.exceptions import DomainError, SpaceMismatch
 from spinblocks.hnf import lattice_member, row_echelon_basis
 from spinblocks.partitions import epsilon_exponent
 from spinblocks.rouquier import generate
 from spinblocks.sqrt2 import Sqrt2Scalar
 from spinblocks.verify import (
+    CHECKS,
     TREE_SUITE_COUNT,
     NmvLattice,
     Weight,
     _label_weight,
     check_htoj,
+    compositions,
     htoj_sides,
     hyp_coeffs,
     nmv_basis,
@@ -871,11 +874,102 @@ def test_a_layout_slip_on_long_labels_fails_stembridge_cross(monkeypatch, capsys
         assert [label.count(",") + 1 for label in wrong] == [12]
 
 
+def eager_report(report):
+    """The report with each PairVector side built as the CharVector it stands for."""
+    def built(side):
+        return CharVector.from_pairs(side.space, side.pairs) if isinstance(side, PairVector) else side
+
+    return dataclasses.replace(report, lhs=built(report.lhs), rhs=built(report.rhs))
+
+
+def swept_reports(monkeypatch, p, dmax, oracle):
+    """Every report `verify all` makes at (p, dmax), in call order."""
+    from spinblocks import cli
+
+    reports = []
+
+    def kept(check):
+        def call(*args, **kwargs):
+            reports.append(report := check(*args, **kwargs))
+            return report
+
+        return call
+
+    monkeypatch.setattr(cli, "run_check", kept(cli.run_check))
+    monkeypatch.setattr(cli, "check_htoj", kept(cli.check_htoj))
+    cli.verify_all(p, dmax, oracle=oracle)
+    return reports
+
+
+def rendered(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_deferred_sides_render_as_the_eager_vectors(monkeypatch, p, oracle):
+    """Every report of `verify all --dmax 3` (weights 1 to 3, both parities)
+    prints the bytes of its eager render: each htoj side is held as pairs and
+    prints as `CharVector.from_pairs(space, pairs).rows()`, which is what
+    `htoj_sides` prints, and each hyp-nonneg total prints as `hyp_coeffs`."""
+    reports = swept_reports(monkeypatch, p, 3, oracle)
+    assert {report.name for report in reports} == set(CHECKS)
+    for report in reports:
+        assert rendered(report) == rendered(eager_report(report)), report.name
+        if report.name == "htoj":
+            assert isinstance(report.lhs, PairVector) and isinstance(report.rhs, PairVector)
+            sides = htoj_sides(report.params["lam"], p)
+            assert [report.to_json()[k] for k in ("lhs", "rhs")] == [v.rows() for v in sides]
+        elif report.name == "hyp-nonneg":
+            rho, d = report.params["rho"], report.params["d"]
+            assert report.to_json()["lhs"] == {
+                str(dcomp): hyp_coeffs(rho, p, dcomp).rows() for dcomp in compositions(d, ell(p) + 1)
+            }
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_a_failing_htoj_renders_as_the_eager_vectors(monkeypatch, oracle):
+    """With the closed form planted one sqrt(2) too high, every htoj of
+    `verify all --p 5 --dmax 2` fails, and each failing report, witness
+    included, prints the bytes of its eager render."""
+    import spinblocks.verify as V
+    from spinblocks.sqrt2 import times_sqrt2_power
+
+    monkeypatch.setattr(V, "times_sqrt2_power", lambda a, b, e: times_sqrt2_power(a, b, e + 1))
+    failed = [r for r in swept_reports(monkeypatch, 5, 2, oracle) if not r.passed]
+    assert failed and {r.name for r in failed} == {"htoj"}
+    for report in failed:
+        assert "difference" in report.witness
+        assert rendered(report) == rendered(eager_report(report))
+
+
+def test_a_passing_htoj_builds_no_char_vector(monkeypatch):
+    """check_htoj keeps its sides as integer pairs: a passing call without the
+    oracle, and its to_json, build no CharVector (each side was one); the
+    oracle still solves on the difference as a vector."""
+    p, d = 7, 2
+    labels = [lam for parity in ("even", "odd") for lam in block_enum(generate(p, d, parity, 1)[0], p, d)]
+    built, make = [], CharVector.make.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args[0])
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(CharVector, "make", classmethod(counted))
+    for lam in labels:
+        report = check_htoj(lam, p)
+        assert report.passed
+        report.to_json()
+    assert built == []
+    assert check_htoj(labels[0], p, oracle=True).passed and built
+
+
 @pytest.mark.parametrize("oracle", [False, True])
 def test_htoj_difference_of_pairs_is_the_vector_difference(monkeypatch, oracle):
     """With the closed form planted one sqrt(2) too high, every label fails
-    htoj, and the witness is lhs - rhs of the report's own vectors, sqrt(2)
-    parts included: the difference taken as pairs loses no component."""
+    htoj, and the witness is lhs - rhs of the vectors rebuilt from the
+    report's own pairs, sqrt(2) parts included: the difference taken as
+    pairs loses no component."""
     import spinblocks.verify as V
     from spinblocks.sqrt2 import times_sqrt2_power
 
@@ -883,7 +977,8 @@ def test_htoj_difference_of_pairs_is_the_vector_difference(monkeypatch, oracle):
     p, d = 5, 2
     for lam in block_enum(generate(p, d, "odd", 1)[0], p, d):
         report = check_htoj(lam, p, oracle=oracle)
-        diff = report.lhs - report.rhs
+        lhs, rhs = (CharVector.from_pairs(side.space, side.pairs) for side in (report.lhs, report.rhs))
+        diff = lhs - rhs
         assert any(c.b for _, c in diff.coeffs)
         assert report.witness == {"difference": diff.rows()}, lam
 
