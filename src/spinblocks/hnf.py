@@ -4,8 +4,9 @@ Echelon route: an integer row-echelon basis by Euclid steps within each
 column, and membership by exact reduction; the tests cross-check against
 it, and the benchmark's spans wrap it by name.  Oracle (`verify --oracle`;
 `verify`'s own membership test is a closed form): a column Hermite solve
-that folds the generator columns one coordinate at a time with unimodular
-Bezout steps and reduces the target by forward substitution.  The two
+whose fold of the generator columns (Bezout steps, one coordinate at a
+time) reads no target, so `verify` folds each lattice component once and
+reduces each target against the fold by forward substitution.  The two
 routes share no code; both are pure integer arithmetic.
 """
 
@@ -84,22 +85,15 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def integral_solution_exists(columns: list[list[int]], target) -> bool:
-    """Whether sum_i x_i * columns[i] = target has an integer solution.
-
-    Column Hermite solve: at each coordinate, unimodular Bezout column
-    operations fold every generator column that is nonzero there into one
-    pivot column.  The pivot's multiple in the target is forced, so the
-    target is reduced by it and the pivot is retired; the other columns
-    are zero at that coordinate from then on.
-    """
+def fold_columns(columns: list[list[int]]) -> dict[int, list[int]]:
+    """{coordinate: pivot column}: at each coordinate, unimodular Bezout
+    column operations fold every generator column nonzero there into one
+    pivot column, which is retired; the others are zero there from then on."""
     active = [list(map(int, c)) for c in columns if any(c)]
-    rest = list(map(int, target))
-    for r in range(len(rest)):
+    pivots = {}
+    for r in range(max(map(len, active), default=0)):
         live = [c for c in active if c[r]]
         if not live:
-            if rest[r]:
-                return False
             continue
         active = [c for c in active if not c[r]]
         pivot = live[0]
@@ -112,9 +106,29 @@ def integral_solution_exists(columns: list[list[int]], target) -> bool:
             )
             if any(col):
                 active.append(col)
+        pivots[r] = pivot
+    return pivots
+
+
+def fold_solves(pivots: dict[int, list[int]], target) -> bool:
+    """Whether target is an integer combination of the folded columns: at
+    each coordinate the pivot's multiple in the target is forced, so the
+    target is reduced by it; with no pivot there the target must be 0."""
+    rest = list(map(int, target))
+    for r in range(len(rest)):
+        pivot = pivots.get(r)
+        if pivot is None:
+            if rest[r]:
+                return False
+            continue
         q, m = divmod(rest[r], pivot[r])
         if m:
             return False
         if q:
             rest = [x - q * y for x, y in zip(rest, pivot)]
     return True
+
+
+def integral_solution_exists(columns: list[list[int]], target) -> bool:
+    """Whether sum_i x_i * columns[i] = target has an integer solution."""
+    return fold_solves(fold_columns(columns), target)

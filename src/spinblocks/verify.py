@@ -20,7 +20,7 @@ from .abacus import (
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, PairVector, _m_action_pairs, runner_tuples
 from .exceptions import DomainError, SpaceMismatch
-from .hnf import integral_solution_exists
+from .hnf import fold_columns, fold_solves
 from .partitions import (
     ORDINARY,
     STRICT,
@@ -57,11 +57,11 @@ class NmvLattice:
     coefficient 1: the rows are listed on first read unless given, and each
     row's CharVector is built on first use.  `member` reads the labels,
     never the rows; the oracle solves over the generator columns of each
-    touched component, a + b*sqrt(2) being the pair (a, b).
+    touched component, folded once, a + b*sqrt(2) being the pair (a, b).
     """
 
     def __init__(self, space: CharSpace, edge_rows: list | None = None):
-        self.space = space
+        self.space, self._folds = space, {}
         if edge_rows is not None:
             self.edge_rows = edge_rows  # shadows the cached property below
 
@@ -135,20 +135,28 @@ class NmvLattice:
                     tables[SUPER][label] = tables[SUPER].get(label, ()) + terms
         return tables
 
-    def parts(self, v: CharVector) -> dict:
-        """v as integer vectors of the components it touches."""
-        if v.space != self.space:
-            raise SpaceMismatch(f"{v.space} vs {self.space}")
+    def _parts(self, space: CharSpace, pairs: dict, basis: str = SUPER) -> dict:
+        """{label: (a, b)} as integer vectors of the components it touches,
+        a zero pair adding nothing.  A super label's refined positions are
+        read off `split`: (l, 0) if it is even, else (l, 1) and (l, -1)."""
+        if space != self.space:
+            raise SpaceMismatch(f"{space} vs {self.space}")
         index, sizes = self.split
-        refined = v.refine().coeffs
-        outside = sorted(repr(l) for l, _ in refined if l not in index)
+        parts, outside = {}, []
+        for label, (a, b) in pairs.items():
+            if not (a or b):
+                continue
+            if basis == REFINED:
+                refined = [label] if label in index else []
+            else:
+                refined = [r for r in ((label, 0), (label, 1), (label, -1)) if r in index]
+            if not refined:  # named as `refine` names them
+                outside.extend(repr(r) for r, _ in CharVector.unit(space, label, basis).refine().coeffs)
+            for comp, i in map(index.__getitem__, refined):
+                vec = parts.setdefault(comp, [0] * (2 * sizes[comp]))
+                vec[2 * i], vec[2 * i + 1] = a, b
         if outside:
-            raise ValueError(f"labels outside the space: {outside}")
-        parts = {}
-        for label, c in refined:
-            comp, i = index[label]
-            vec = parts.setdefault(comp, [0] * (2 * sizes[comp]))
-            vec[2 * i], vec[2 * i + 1] = c.a, c.b
+            raise ValueError(f"labels outside the space: {sorted(outside)}")
         return parts
 
     def member(self, v: CharVector) -> bool:
@@ -189,9 +197,15 @@ class NmvLattice:
         return not irrational and not any(sums.values())
 
     def member_oracle(self, v: CharVector) -> bool:
-        return all(
-            integral_solution_exists(self.rows[comp], vec) for comp, vec in self.parts(v).items()
-        )
+        return self._oracle_pairs(v.space, {l: (c.a, c.b) for l, c in v.coeffs}, v.basis)
+
+    def _oracle_pairs(self, space: CharSpace, pairs: dict, basis: str = SUPER) -> bool:
+        """member_oracle on {label: (a, b)}, each touched component's
+        generator columns folded once for every target."""
+        parts = self._parts(space, pairs, basis)
+        for comp in parts.keys() - self._folds.keys():
+            self._folds[comp] = fold_columns(self.rows[comp])
+        return all(fold_solves(self._folds[comp], vec) for comp, vec in parts.items())
 
 
 def _pair_generators(low_label, high_label, low_odd, high_odd):
@@ -483,7 +497,7 @@ def _htoj_sides(lam: Partition, p: int) -> tuple[PairVector, PairVector]:
 
 def check_htoj(lam, p: int, oracle: bool = False) -> CheckReport:
     """The difference of htoj_sides, tested as integer pairs in the H lattice
-    of lam's weight, becomes a vector only for a failure's witness or the oracle."""
+    of lam's weight, by `member` and by the oracle alike: no vector is built."""
     lam = as_strict(lam)
     lhs, rhs = _htoj_sides(lam, p)
     space, diff = lhs.space, dict(lhs.pairs)
@@ -492,10 +506,8 @@ def check_htoj(lam, p: int, oracle: bool = False) -> CheckReport:
         diff[label] = a - c, b - e
     lattice = _weight(space.rho, p, space.d).lattice
     member = lattice._member_pairs(space, diff)
-    if not member or oracle:
-        diff = CharVector.from_pairs(space, diff)
-    witness = None if member else {"difference": diff.rows()}
-    if oracle and (by_oracle := lattice.member_oracle(diff)) != member:
+    witness = None if member else {"difference": PairVector(space, diff).rows()}
+    if oracle and (by_oracle := lattice._oracle_pairs(space, diff)) != member:
         witness = {"disagreement": {"member": member, "oracle": by_oracle}}
     return CheckReport("htoj", {"lam": lam, "p": p}, lhs=lhs, rhs=rhs, witness=witness)
 

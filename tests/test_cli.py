@@ -198,6 +198,10 @@ VERIFY_ALL_GOLDEN = {
     "--p 7 --dmax 3 --oracle": "853e6fc697ba164b",
     "--p 7 --dmax 4": "2a0edfa756512fc8",
     "--p 7 --dmax 4 --oracle": "6c7eba2fa902e186",
+    # the oracle route at every other prime of the grid
+    "--p 3 --dmax 6 --oracle": "e5229a86fd341768",
+    "--p 5 --dmax 4 --oracle": "9686e249f530ee2a",
+    "--p 11 --dmax 3 --oracle": "873d56893857ed2f",
 }
 
 
@@ -277,6 +281,21 @@ def test_verify_all_scans_each_label_once_per_weight(monkeypatch):
         got.append((len(scans) - scans.count("_block"), reads, quotients))
     assert got == [(a + b, 3 * a + 3 * b, 2 * a + b) for a, b in block_sizes(5, 3)]  # 3 runners
     assert {caller for name, caller in calls if name == "_neighbors"} == {"_rho_extension"}
+
+
+def test_verify_all_oracle_folds_each_component_once_per_weight(monkeypatch):
+    """Each weight of `verify all --p 7 --dmax 3 --oracle` folds the generator
+    columns of each H-lattice component, one per weight-(d-1) label, once,
+    and solves every component an htoj difference touches by substitution
+    over that fold: 36 folds and 182 substitutions, where one full solve
+    per substitution made 182 folds."""
+    from spinblocks import hnf
+
+    calls, seen = calls_per_weight(monkeypatch, (hnf, "fold_columns"), (hnf, "fold_solves"))
+    assert cli.verify_all(7, 3, oracle=True)["summary"]["failed"] == 0
+    folds = [[name for name, _ in block].count("fold_columns") for block in seen]
+    assert folds == [b for _, b in block_sizes(7, 3)] and sum(folds) == 36
+    assert [name for name, _ in calls].count("fold_solves") == 182
 
 
 # stdout sha256 prefixes of single `verify htoj` queries, whose reports print

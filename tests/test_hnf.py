@@ -4,6 +4,8 @@ from math import lcm
 from hypothesis import given, settings, strategies as st
 
 from spinblocks.hnf import (
+    fold_columns,
+    fold_solves,
     integral_solution_exists,
     lattice_member,
     reduce_against,
@@ -126,3 +128,27 @@ def test_membership_against_oracle(gens, coeffs, noise, use_noise):
     assert gens == snapshot  # both routes copy the generators
     if not use_noise:
         assert member  # exact integer combinations always belong
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=1, max_value=5), data=st.data())
+def test_one_fold_answers_many_targets(n, data):
+    """One fold of the columns, all-zero columns among them, answers five or
+    more targets, members and perturbed members interleaved, as a fresh
+    column Hermite solve and the echelon reduction do, and no substitution
+    changes the fold."""
+    column = st.lists(small_int, min_size=n, max_size=n)
+    nonzero = data.draw(st.lists(column, max_size=4))
+    gens = data.draw(st.permutations(nonzero + [[0] * n] * data.draw(st.integers(1, 2))))
+    fold = fold_columns(gens)
+    snapshot = {r: list(pivot) for r, pivot in fold.items()}
+    basis = row_echelon_basis(gens)
+    for k in range(data.draw(st.integers(min_value=5, max_value=8))):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+        target = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n)]
+        if k % 2:
+            target = [a + b for a, b in zip(target, data.draw(column))]
+        verdict = fold_solves(fold, target)
+        assert verdict == integral_solution_exists(gens, target) == lattice_member(basis, target)
+        assert verdict or k % 2  # exact integer combinations always belong
+        assert fold == snapshot

@@ -334,7 +334,7 @@ def echelon_route(lattice):
     bases = {}
 
     def member(v):
-        parts = lattice.parts(v)
+        parts = lattice._parts(v.space, {l: (c.a, c.b) for l, c in v.coeffs}, v.basis)
         for comp in parts:
             if comp not in bases:
                 bases[comp] = row_echelon_basis(lattice.rows[comp])
@@ -944,9 +944,9 @@ def test_a_failing_htoj_renders_as_the_eager_vectors(monkeypatch, oracle):
 
 
 def test_a_passing_htoj_builds_no_char_vector(monkeypatch):
-    """check_htoj keeps its sides as integer pairs: a passing call without the
-    oracle, and its to_json, build no CharVector (each side was one); the
-    oracle still solves on the difference as a vector."""
+    """check_htoj keeps its sides as integer pairs: a passing call, and its
+    to_json, build no CharVector (each side was one), with or without the
+    oracle, which solves on the difference as integer pairs too."""
     p, d = 7, 2
     labels = [lam for parity in ("even", "odd") for lam in block_enum(generate(p, d, parity, 1)[0], p, d)]
     built, make = [], CharVector.make.__func__
@@ -961,7 +961,73 @@ def test_a_passing_htoj_builds_no_char_vector(monkeypatch):
         assert report.passed
         report.to_json()
     assert built == []
-    assert check_htoj(labels[0], p, oracle=True).passed and built
+    assert all(check_htoj(lam, p, oracle=True).passed for lam in labels)
+    assert built == []
+
+
+def pair_difference(report) -> dict:
+    """An htoj report's lhs - rhs as check_htoj forms it: {label: (a, b)},
+    zero pairs kept."""
+    diff = dict(report.lhs.pairs)
+    for label, (c, e) in report.rhs.pairs.items():
+        a, b = diff.get(label, (0, 0))
+        diff[label] = a - c, b - e
+    return diff
+
+
+STRAYS = [((200, 1), 0), ((200, 1), 1), ((201, 1), 0)]  # H labels of weight far above 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_the_pair_oracle_agrees_with_the_vector_oracle_and_member(monkeypatch, p):
+    """The oracle on integer pairs, which htoj calls, gives the verdict of
+    `member_oracle` on the vector, over a lattice folded apart, and of
+    `member` on: every htoj difference of `verify all --dmax 3` (both
+    parities), in either basis; each difference times 1 + sqrt(2), whose b
+    part a route that drops it would miss (no htoj difference has one);
+    unequal halves +1, -1 at an odd all-zero runner label, refined, whose
+    weighted sums vanish; and a zero pair on a label outside the space,
+    which adds nothing.  A nonzero pair outside raises `member_oracle`'s
+    message byte for byte, naming the refined labels outside."""
+    lattices, halves = {}, 0
+
+    def agree(space, pairs, basis=SUPER):
+        if space not in lattices:
+            lattices[space] = nmv_basis(space), nmv_basis(space)
+        by_pairs, by_vector = lattices[space]
+        v = CharVector.from_pairs(space, pairs, basis)
+        verdict = by_pairs._oracle_pairs(space, pairs, basis)
+        assert verdict == by_vector.member_oracle(v) == by_vector.member(v), (pairs, basis)
+        return verdict
+
+    def message(call, *args):
+        with pytest.raises(ValueError, match="labels outside the space") as raised:
+            call(*args)
+        return str(raised.value)
+
+    for report in (r for r in swept_reports(monkeypatch, p, 3, False) if r.name == "htoj"):
+        space, diff = report.lhs.space, pair_difference(report)
+        refined = {l: (c.a, c.b) for l, c in CharVector.from_pairs(space, diff).refine().coeffs}
+        assert agree(space, diff) and agree(space, refined, REFINED)
+        rooted = {l: (a, a + b) for l, (a, b) in diff.items()}
+        assert agree(space, rooted) == (not any(a for a, _ in diff.values()))
+        for stray in STRAYS:
+            assert agree(space, {**diff, stray: (0, 0)})
+        odd_zero = [l for l in space.labels() if l[1] == 0 and space.is_odd(l)]
+        for label in odd_zero:
+            assert not agree(space, {**refined, (label, 1): (1, 0), (label, -1): (-1, 0)}, REFINED)
+        halves += len(odd_zero)
+        by_pairs, by_vector = lattices[space]
+        bad = [(SUPER, {**diff, **dict.fromkeys(STRAYS, (1, 0))})]
+        if odd_zero:
+            bad.append((REFINED, {**refined, (odd_zero[0], 0): (2, 1), (STRAYS[0], 1): (0, 1)}))
+        for basis, pairs in bad:  # named as the refined vector names them
+            v = CharVector.from_pairs(space, pairs, basis)
+            named = sorted(repr(l) for l, _ in v.refine().coeffs if l not in by_vector.split[0])
+            assert message(by_pairs._oracle_pairs, space, pairs, basis) == message(
+                by_vector.member_oracle, v
+            ) == f"labels outside the space: {named}"
+    assert halves and {space.is_odd(stray) for stray in STRAYS} == {True, False}
 
 
 @pytest.mark.parametrize("oracle", [False, True])
