@@ -283,7 +283,7 @@ def _block_labels(rho: Partition, p: int, d: int, dcomp: tuple | None = None) ->
     dcomp = as_composition(dcomp, p)
     if sum(dcomp) != d:
         raise ValueError(f"composition {dcomp} does not sum to {d}")
-    return _block_by_sizes(rho, p, index(d)).get(dcomp, ())
+    return tuple(_block_by_sizes(rho, p, index(d)).get(dcomp, ()))
 
 
 def _block_size(p: int, d: int) -> int:
@@ -328,11 +328,13 @@ def _block(rho: Partition, p: int, d: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _block_by_sizes(rho: Partition, p: int, d: int) -> dict:
-    """The block split by quotient component sizes, each part descending."""
+    """The block split by quotient sizes, each part {lam: its quotient} in
+    descending lam: the one place a block label is quotiented."""
     parts = {}
     for lam in _block(rho, p, d):
-        parts.setdefault(_quotient(lam, p).sizes(), []).append(lam)
-    return {sizes: tuple(labels) for sizes, labels in parts.items()}
+        q = _quotient(lam, p)
+        parts.setdefault(q.sizes(), {})[lam] = q
+    return parts
 
 
 def _k_product(q: BarQuotient) -> int:

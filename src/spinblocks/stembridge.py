@@ -79,7 +79,7 @@ def _count_lattice_fillings(lam: Partition, mu: Partition, content: Partition) -
     it, an unmarked k when k+1 ties with k.  The last copy of a value placed
     is its leftmost letter, so it must be unmarked.
     """
-    # n == |content|: f_coeff checks it, and _induce's candidates and supports
+    # n == |content|: f_coeff checks it, and _induce_pairs' candidates and supports
     # have size |mu| + |nu|, whichever of mu and nu it passes as the inner shape
     n = sum(lam) - sum(mu)
     h = len(content)
@@ -172,12 +172,12 @@ def induce(mu: Partition, nu: Partition) -> CharVector:
     """
     mu, nu = as_strict(mu), as_strict(nu)
     _check_fill_budget(nu)
-    return _induce(mu, nu, None)
+    return _induce(mu, nu)
 
 
-def _induce(mu: Partition, nu: Partition, support) -> CharVector:
+def _induce(mu: Partition, nu: Partition) -> CharVector:
     """induce without its checks, over _induce_pairs."""
-    return CharVector.from_pairs(CharSpace.full(sum(mu) + sum(nu)), _induce_pairs(mu, nu, support))
+    return CharVector.from_pairs(CharSpace.full(sum(mu) + sum(nu)), _induce_pairs(mu, nu, None))
 
 
 def _induce_pairs(mu: Partition, nu: Partition, support, fill=None) -> dict:

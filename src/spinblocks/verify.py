@@ -15,7 +15,7 @@ from math import factorial, prod
 
 from . import stembridge, trees
 from .abacus import (
-    _block_by_sizes, _block_labels, _check_prime, _k_product, _moves, _quotient, ell,
+    BarQuotient, _block_by_sizes, _block_labels, _check_prime, _k_product, _moves, ell,
     runner_label, runner_parity,
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, PairVector, _m_action_pairs, runner_tuples
@@ -58,6 +58,8 @@ class NmvLattice:
     row's CharVector is built on first use.  `member` reads the labels,
     never the rows; the oracle solves over the generator columns of each
     touched component, folded once, a + b*sqrt(2) being the pair (a, b).
+    Both place labels by one rule, `_placed`: a zero pair adds nothing, and
+    a nonzero pair outside the space raises, its label named as given.
     """
 
     def __init__(self, space: CharSpace, edge_rows: list | None = None):
@@ -135,29 +137,21 @@ class NmvLattice:
                     tables[SUPER][label] = tables[SUPER].get(label, ()) + terms
         return tables
 
-    def _parts(self, space: CharSpace, pairs: dict, basis: str = SUPER) -> dict:
-        """{label: (a, b)} as integer vectors of the components it touches,
-        a zero pair adding nothing.  A super label's refined positions are
-        read off `split`: (l, 0) if it is even, else (l, 1) and (l, -1)."""
+    def _placed(self, space: CharSpace, pairs: dict, basis: str):
+        """(label, its `weights` terms, a, b) per nonzero pair, in one pass: the
+        stray-label rule of both routes.  A zero pair adds nothing, and nonzero
+        pairs outside the space raise one ValueError naming their labels as given."""
         if space != self.space:
             raise SpaceMismatch(f"{space} vs {self.space}")
-        index, sizes = self.split
-        parts, outside = {}, []
+        weights, outside = self.weights[basis], []
         for label, (a, b) in pairs.items():
-            if not (a or b):
-                continue
-            if basis == REFINED:
-                refined = [label] if label in index else []
-            else:
-                refined = [r for r in ((label, 0), (label, 1), (label, -1)) if r in index]
-            if not refined:  # named as `refine` names them
-                outside.extend(repr(r) for r, _ in CharVector.unit(space, label, basis).refine().coeffs)
-            for comp, i in map(index.__getitem__, refined):
-                vec = parts.setdefault(comp, [0] * (2 * sizes[comp]))
-                vec[2 * i], vec[2 * i + 1] = a, b
+            if a or b:
+                if (terms := weights.get(label)) is None:
+                    outside.append(repr(label))
+                else:
+                    yield label, terms, a, b
         if outside:
             raise ValueError(f"labels outside the space: {sorted(outside)}")
-        return parts
 
     def member(self, v: CharVector) -> bool:
         """v, in either basis, is a member exactly when (i) it has no
@@ -183,16 +177,11 @@ class NmvLattice:
 
     def _member_pairs(self, space: CharSpace, pairs: dict, basis: str = SUPER) -> bool:
         """member on {label: (a, b)} over space, each coefficient
-        a + b*sqrt(2) an integer pair; a zero pair adds nothing."""
-        if space != self.space:
-            raise SpaceMismatch(f"{space} vs {self.space}")
-        weights, sums, irrational = self.weights[basis], {}, False
-        for label, (a, b) in pairs.items():
-            if label not in weights:
-                outside = sorted(repr(l) for l in pairs if l not in weights)
-                raise ValueError(f"labels outside the space: {outside}")
+        a + b*sqrt(2) an integer pair, placed by `_placed`."""
+        sums, irrational = {}, False
+        for _, terms, a, b in self._placed(space, pairs, basis):
             irrational = irrational or b != 0
-            for key, x in weights[label]:
+            for key, x in terms:
                 sums[key] = sums.get(key, 0) + x * a
         return not irrational and not any(sums.values())
 
@@ -200,9 +189,16 @@ class NmvLattice:
         return self._oracle_pairs(v.space, {l: (c.a, c.b) for l, c in v.coeffs}, v.basis)
 
     def _oracle_pairs(self, space: CharSpace, pairs: dict, basis: str = SUPER) -> bool:
-        """member_oracle on {label: (a, b)}, each touched component's
-        generator columns folded once for every target."""
-        parts = self._parts(space, pairs, basis)
+        """member_oracle on {label: (a, b)}, placed by `_placed` at the refined
+        positions in `split`: (l, 0) for an even super label l, else (l, 1) and
+        (l, -1).  Each touched component's generator columns are folded once."""
+        index, sizes = self.split
+        parts = {}
+        for label, _, a, b in self._placed(space, pairs, basis):
+            refined = (label,) if basis == REFINED else ((label, 0), (label, 1), (label, -1))
+            for comp, i in (index[r] for r in refined if r in index):
+                vec = parts.setdefault(comp, [0] * (2 * sizes[comp]))
+                vec[2 * i], vec[2 * i + 1] = a, b
         for comp in parts.keys() - self._folds.keys():
             self._folds[comp] = fold_columns(self.rows[comp])
         return all(fold_solves(self._folds[comp], vec) for comp, vec in parts.items())
@@ -277,12 +273,11 @@ def _hyp_coeffs(rho: Partition, p: int, dcomp: tuple) -> CharVector:
     e_runners = sum(runner_parity(j) * x for j, x in enumerate(dcomp))
     e_tuple = (epsilon_exponent((rho,)) + e_runners) % 2
     out, w = {}, _weight(rho, p, d)
-    for lam in _block_by_sizes(rho, p, d).get(dcomp, ()):
-        q0 = w.quotient(lam).q0
-        e = e_tuple - epsilon_exponent((lam,)) + sum(q0) - len(q0)
+    for lam, q in _block_by_sizes(rho, p, d).get(dcomp, {}).items():
+        e = e_tuple - epsilon_exponent((lam,)) + sum(q.q0) - len(q.q0)
         if e < 0:
             raise AssertionError(f"coefficient sqrt(2)**{e} * K at {lam} leaves Z[sqrt(2)]")
-        coeff = Sqrt2Scalar.sqrt2_power(e) * w.k_product(lam)
+        coeff = Sqrt2Scalar.sqrt2_power(e) * w.k_product(lam, q)
         if not coeff.is_nonneg_integer() or coeff.a <= 0:
             raise AssertionError(f"coefficient {coeff} at {lam} is not a positive integer")
         out[lam] = coeff
@@ -295,13 +290,14 @@ def _hyp_coeffs(rho: Partition, p: int, dcomp: tuple) -> CharVector:
 
 class Weight:
     """One RoCK weight: the labels of weight d over the d-Rouquier core rho
-    and of weight d - 1 under it, with their one-bar moves, quotients, K
-    products and branchings, and the H lattice, each computed on first use.
-    The checks inside `with Weight(rho, p, d):` share it through `_weight`."""
+    and of weight d - 1 under it, with their one-bar moves, K products and
+    branchings, and the H lattice, each computed on first use; their quotients
+    are read off the block splits.  The checks inside `with Weight(rho, p, d):`
+    share it through `_weight`."""
 
     def __init__(self, rho: Partition, p: int, d: int):
         self.rho, self.p, self.d = rho, p, d
-        self._move_lists, self._quotients, self._k_products, self._branchings = {}, {}, {}, {}
+        self._move_lists, self._k_products, self._branchings = {}, {}, {}
 
     def __enter__(self):
         _OPEN[self.rho, self.p, self.d] = self
@@ -315,14 +311,9 @@ class Weight:
             self._move_lists[lam, direction] = _moves(lam, self.p, direction)
         return self._move_lists[lam, direction]
 
-    def quotient(self, lam: Partition):
-        if lam not in self._quotients:
-            self._quotients[lam] = _quotient(lam, self.p)
-        return self._quotients[lam]
-
-    def k_product(self, lam: Partition) -> int:
+    def k_product(self, lam: Partition, q: BarQuotient) -> int:
         if lam not in self._k_products:
-            self._k_products[lam] = _k_product(self.quotient(lam))
+            self._k_products[lam] = _k_product(q)
         return self._k_products[lam]
 
     def branch(self, part: Partition, j, direction: str) -> tuple:
@@ -407,10 +398,10 @@ def check_dim_reduced(rho, p: int, dcomp) -> CheckReport:
     rho = as_strict(rho)
     dcomp = tuple(int(x) for x in dcomp)
     d = sum(dcomp)
+    _block_labels(rho, p, d, dcomp)  # the block's own checks of d and dcomp
     total, w = 0, _weight(rho, p, d)
-    for lam in _block_labels(rho, p, d, dcomp):
-        q0 = w.quotient(lam).q0
-        total += 2 ** (sum(q0) - len(q0)) * w.k_product(lam) ** 2
+    for lam, q in _block_by_sizes(rho, p, d).get(dcomp, {}).items():
+        total += 2 ** (sum(q.q0) - len(q.q0)) * w.k_product(lam, q) ** 2
     rhs = prod(map(factorial, dcomp))
     return CheckReport(
         "dim-reduced", {"rho": rho, "p": p, "dcomp": dcomp}, lhs=total, rhs=rhs,
@@ -423,7 +414,7 @@ def check_block_count(rho, p: int, d: int) -> CheckReport:
     whole, split = _block_labels(rho, p, d), _block_by_sizes(rho, p, d)  # checked, then split
     union, failures, census = [], [], {}
     for dcomp in compositions(d, ell(p) + 1):
-        part = split.get(dcomp, ())
+        part = split.get(dcomp, {})
         union.extend(part)
         expected = len(enumerate_partitions(dcomp[0], STRICT))
         for x in dcomp[1:]:
@@ -522,40 +513,44 @@ def restrict_recursion_sides(lam, p: int) -> dict:
     """
     lam = as_strict(lam)
     rho, d = _rock_weight(lam, p)
-    return _restrict_recursion_sides(lam, _weight(rho, p, d))
+    q = next(part[lam] for part in _block_by_sizes(rho, p, d).values() if lam in part)
+    return _restrict_recursion_sides(lam, q, _weight(rho, p, d))
 
 
-def _restrict_recursion_sides(lam: Partition, w: Weight) -> dict:
-    """restrict_recursion_sides on canonical lam of w's weight."""
-    p, e_lam, q = w.p, epsilon_exponent((lam,)), w.quotient(lam)
-    rhs = Sqrt2Scalar.sqrt2_power(e_lam + sum(q.q0) - len(q.q0)) * w.k_product(lam)
-    sides = {}
+def _restrict_recursion_sides(lam: Partition, q: BarQuotient, w: Weight) -> dict:
+    """restrict_recursion_sides on canonical lam of w's weight and its quotient q.
+    A removal on runner k slides a bead up runner k (runners above ell are empty), one
+    box off q's component k, so mu's quotient is in the d - 1 split part of those sizes."""
+    p, e_lam, sizes = w.p, epsilon_exponent((lam,)), q.sizes()
+    rhs = Sqrt2Scalar.sqrt2_power(e_lam + sum(q.q0) - len(q.q0)) * w.k_product(lam, q)
+    sides, below = {}, _block_by_sizes(w.rho, p, w.d - 1)
     removals = w.moves(lam, "remove")
-    for k, size in enumerate(q.sizes()):
+    for k, size in enumerate(sizes):
         if size == 0:
             continue
-        total = Sqrt2Scalar(0, 0)
+        total, part = Sqrt2Scalar(0, 0), below[sizes[:k] + (size - 1,) + sizes[k + 1 :]]
         e_k = runner_parity(k)
         for mu in removals[k]:
-            mu_q0, e_mu = w.quotient(mu).q0, epsilon_exponent((mu,))
+            mu_q, e_mu = part[mu], epsilon_exponent((mu,))
             e = (
                 (e_mu + e_lam) % 2 + (e_lam + e_k) % 2 + (e_mu + e_k) % 2 - e_mu - e_k
-                + sum(mu_q0) - len(mu_q0)
+                + sum(mu_q.q0) - len(mu_q.q0)
             )
-            total = total + Sqrt2Scalar.sqrt2_power(e) * w.k_product(mu)
+            total = total + Sqrt2Scalar.sqrt2_power(e) * w.k_product(mu, mu_q)
         sides[k] = (total, rhs)
     return sides
 
 
 def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
     rho = rouquier_core(rho, p, d)
+    _block_labels(rho, p, d)  # the block's own check of d
     failures, w = [], _weight(rho, p, d)
-    for lam in _block_labels(rho, p, d):
-        for k, (lhs, rhs) in _restrict_recursion_sides(lam, w).items():
+    for lam, q in (item for part in _block_by_sizes(rho, p, d).values() for item in part.items()):
+        for k, (lhs, rhs) in _restrict_recursion_sides(lam, q, w).items():
             if lhs != rhs:
-                failures.append(
-                    {"lam": lam, "runner": k, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
-                )
+                failures.append({"lam": lam, "runner": k, "lhs": _jsonable(lhs),
+                                 "rhs": _jsonable(rhs)})
+    failures.sort(key=lambda f: (f["lam"], -f["runner"]), reverse=True)  # block order
     return CheckReport(
         "restrict-recursion", {"rho": rho, "p": p, "d": d}, witness=failures or None
     )

@@ -20,7 +20,7 @@ from spinblocks.partitions import (
 )
 from spinblocks.rouquier import generate, rho_extension
 from spinblocks.sqrt2 import Sqrt2Scalar
-from spinblocks.stembridge import _induce, f_coeff, rock_branch
+from spinblocks.stembridge import _induce_pairs, f_coeff, rock_branch
 from spinblocks.trees import build, heller, walk, weight_one_map
 from spinblocks.verify import (
     Weight,
@@ -105,9 +105,8 @@ def _tableau_route_on_block(mu, nu, rho, p, d):
     """Stembridge coefficients by tableau enumeration, projected to the
     block: the expansion is diagonal in lambda, so the projection is the
     coefficient list over the block labels."""
-    block = block_enum(rho, p, d)
-    v = _induce(mu, nu, [lam for lam in block if contains(lam, mu)])
-    return CharVector.make(CharSpace.block(rho, p, d), v.as_dict())
+    support = [lam for lam in block_enum(rho, p, d) if contains(lam, mu)]
+    return CharVector.from_pairs(CharSpace.block(rho, p, d), _induce_pairs(mu, nu, support))
 
 
 def test_criterion_3_stembridge_cross_oracle():

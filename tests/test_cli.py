@@ -263,9 +263,9 @@ def test_verify_all_scans_each_label_once_per_weight(monkeypatch):
     removal list is read three times (htog-adjoint's restriction, htoj's
     closed form, restrict-recursion; htoj's restriction is the shared
     branching), each addition list once per runner.  From cold block memos
-    _quotient runs 2|block(d)| + |block(d-1)| times: once per weight-d label
-    for the block split and once for its K, once per weight-(d-1) label for
-    its K.  No check reaches _neighbors but tree-suite, through the
+    _quotient runs |block(d)| + |block(d-1)| times: once per label, by the
+    block split of its weight, which the K products and restrict-recursion
+    read.  No check reaches _neighbors but tree-suite, through the
     weight-one extensions' unchecked core."""
     abacus._block.cache_clear()
     abacus._block_by_sizes.cache_clear()
@@ -279,7 +279,7 @@ def test_verify_all_scans_each_label_once_per_weight(monkeypatch):
         scans = [caller for name, caller in block if name == "_moves"]
         reads, quotients = ([n for n, _ in block].count(name) for name in ("moves", "_quotient"))
         got.append((len(scans) - scans.count("_block"), reads, quotients))
-    assert got == [(a + b, 3 * a + 3 * b, 2 * a + b) for a, b in block_sizes(5, 3)]  # 3 runners
+    assert got == [(a + b, 3 * a + 3 * b, a + b) for a, b in block_sizes(5, 3)]  # 3 runners
     assert {caller for name, caller in calls if name == "_neighbors"} == {"_rho_extension"}
 
 
@@ -587,14 +587,13 @@ def test_a_domain_error_inside_verify_all_exits_3(capsys, monkeypatch):
     """Past its --p and --dmax checks, every label `verify all` asks about is
     the library's own, so a DomainError planted in _quotient is a library
     fault: exit 3, not the bad-input 2, and the open Weight is released.
-    `verify all` reaches _quotient through the block split, whose memo
-    starts cold, and through each weight's K products."""
+    `verify all` reaches _quotient only through the block split, whose memo
+    starts cold."""
     def planted(lam, p):
         raise DomainError("quotient not defined here")
 
     abacus._block_by_sizes.cache_clear()
     monkeypatch.setattr(abacus, "_quotient", planted)
-    monkeypatch.setattr(verify, "_quotient", planted)
     code, out, err = run_cli(capsys, "verify", "all", "--p", "3", "--dmax", "4")
     assert (code, out, err) == (3, "", "internal error: quotient not defined here\n")
     assert verify._OPEN == {}

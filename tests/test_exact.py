@@ -106,8 +106,8 @@ def test_no_declared_dependencies():
 # The benchmark's reset between passes empties only module-level caches and
 # module-level dicts whose names end in MEMO, and the README names these four;
 # a cache anywhere else would run warm.  What one weight of `verify all`
-# shares (moves, quotients, K products, branchings) lives in a
-# `verify.Weight` that is dropped when the weight is done.
+# shares (moves, K products, branchings) lives in a `verify.Weight` that is
+# dropped when the weight is done; quotients live in the `_block_by_sizes` split.
 MEMOS = ["_block", "_block_by_sizes"]
 DICT_MEMOS = ["CACHE_FILE_MEMO", "PATH_COUNT_MEMO"]
 CACHE_NAMES = {"lru_cache", "cache"}

@@ -328,13 +328,18 @@ def test_membership_routes_agree(p, d):
 
 
 def echelon_route(lattice):
-    """The per-component echelon route, for tests only: reduce each touched
-    component against the echelon basis of its generator rows, built on
-    first use."""
+    """The per-component echelon route, for tests only: write the refined
+    vector into each touched component at its positions in `split`, and
+    reduce it against the echelon basis of the component's generator rows,
+    built on first use."""
     bases = {}
 
     def member(v):
-        parts = lattice._parts(v.space, {l: (c.a, c.b) for l, c in v.coeffs}, v.basis)
+        index, sizes = lattice.split
+        parts = {}
+        for label, c in v.refine().coeffs:
+            comp, i = index[label]
+            parts.setdefault(comp, [0] * (2 * sizes[comp]))[2 * i : 2 * i + 2] = c.a, c.b
         for comp in parts:
             if comp not in bases:
                 bases[comp] = row_echelon_basis(lattice.rows[comp])
@@ -982,13 +987,14 @@ STRAYS = [((200, 1), 0), ((200, 1), 1), ((201, 1), 0)]  # H labels of weight far
 def test_the_pair_oracle_agrees_with_the_vector_oracle_and_member(monkeypatch, p):
     """The oracle on integer pairs, which htoj calls, gives the verdict of
     `member_oracle` on the vector, over a lattice folded apart, and of
-    `member` on: every htoj difference of `verify all --dmax 3` (both
-    parities), in either basis; each difference times 1 + sqrt(2), whose b
-    part a route that drops it would miss (no htoj difference has one);
-    unequal halves +1, -1 at an odd all-zero runner label, refined, whose
-    weighted sums vanish; and a zero pair on a label outside the space,
-    which adds nothing.  A nonzero pair outside raises `member_oracle`'s
-    message byte for byte, naming the refined labels outside."""
+    `member` and `_member_pairs` on: every htoj difference of `verify all
+    --dmax 3` (both parities), in either basis; each difference times
+    1 + sqrt(2), whose b part a route that drops it would miss (no htoj
+    difference has one); unequal halves +1, -1 at an odd all-zero runner
+    label, refined, whose weighted sums vanish; and a zero pair on a label
+    outside the space, alone or beside a difference, which adds nothing.
+    A nonzero pair outside raises one message from all four entry points,
+    naming the labels outside as given."""
     lattices, halves = {}, 0
 
     def agree(space, pairs, basis=SUPER):
@@ -998,12 +1004,26 @@ def test_the_pair_oracle_agrees_with_the_vector_oracle_and_member(monkeypatch, p
         v = CharVector.from_pairs(space, pairs, basis)
         verdict = by_pairs._oracle_pairs(space, pairs, basis)
         assert verdict == by_vector.member_oracle(v) == by_vector.member(v), (pairs, basis)
+        assert by_vector._member_pairs(space, pairs, basis) == verdict, (pairs, basis)
         return verdict
 
-    def message(call, *args):
-        with pytest.raises(ValueError, match="labels outside the space") as raised:
-            call(*args)
-        return str(raised.value)
+    def message(space, pairs, basis=SUPER):
+        """The one message of the four entry points, checked against the
+        labels of nonzero pairs outside the space, named as given."""
+        by_pairs, by_vector = lattices[space]
+        v = CharVector.from_pairs(space, pairs, basis)
+        calls = [
+            (by_pairs._oracle_pairs, space, pairs, basis), (by_vector.member_oracle, v),
+            (by_pairs._member_pairs, space, pairs, basis), (by_vector.member, v),
+        ]
+        messages = set()
+        for call, *args in calls:
+            with pytest.raises(ValueError, match="labels outside the space") as raised:
+                call(*args)
+            messages.add(str(raised.value))
+        inside = set(space.labels() if basis == SUPER else refined_labels(space))
+        named = sorted(repr(l) for l, ab in pairs.items() if any(ab) and l not in inside)
+        assert messages == {f"labels outside the space: {named}"}
 
     for report in (r for r in swept_reports(monkeypatch, p, 3, False) if r.name == "htoj"):
         space, diff = report.lhs.space, pair_difference(report)
@@ -1017,17 +1037,14 @@ def test_the_pair_oracle_agrees_with_the_vector_oracle_and_member(monkeypatch, p
         for label in odd_zero:
             assert not agree(space, {**refined, (label, 1): (1, 0), (label, -1): (-1, 0)}, REFINED)
         halves += len(odd_zero)
-        by_pairs, by_vector = lattices[space]
-        bad = [(SUPER, {**diff, **dict.fromkeys(STRAYS, (1, 0))})]
+        message(space, {**diff, **dict.fromkeys(STRAYS, (1, 0)), STRAYS[0]: (0, 0)})
         if odd_zero:
-            bad.append((REFINED, {**refined, (odd_zero[0], 0): (2, 1), (STRAYS[0], 1): (0, 1)}))
-        for basis, pairs in bad:  # named as the refined vector names them
-            v = CharVector.from_pairs(space, pairs, basis)
-            named = sorted(repr(l) for l, _ in v.refine().coeffs if l not in by_vector.split[0])
-            assert message(by_pairs._oracle_pairs, space, pairs, basis) == message(
-                by_vector.member_oracle, v
-            ) == f"labels outside the space: {named}"
+            message(space, {**refined, (odd_zero[0], 0): (2, 1), (STRAYS[0], 1): (0, 1)}, REFINED)
     assert halves and {space.is_odd(stray) for stray in STRAYS} == {True, False}
+    # a stray label alone, where `_member_pairs` once raised on a zero pair
+    space = CharSpace.h_space(generate(p, 2, "odd", 1)[0], p, 2)
+    assert agree(space, {STRAYS[0]: (0, 0)})
+    message(space, {STRAYS[0]: (0, 1)})
 
 
 @pytest.mark.parametrize("oracle", [False, True])
@@ -1138,6 +1155,27 @@ def test_hyp_coeffs_examples():
     }
     v = hyp_coeffs((12, 7, 6, 2, 1), 5, (2, 0, 0))
     assert v.as_dict() == {(12, 10, 7, 6, 2, 1): Sqrt2Scalar(2, 0)}
+
+
+def test_a_hyp_query_splits_only_its_own_weight(monkeypatch):
+    """A single hyp query reads its labels' quotients off the split of its
+    own block: from cold memos it lists and splits that block alone, no
+    label of weight d - 1, and quotients each of its labels once (a spy
+    under every module name that holds _quotient)."""
+    import sys
+
+    from spinblocks import abacus
+
+    calls, real = [], abacus._quotient
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinblocks") and vars(module).get("_quotient") is real:
+            monkeypatch.setattr(module, "_quotient", lambda lam, p: calls.append(lam) or real(lam, p))
+    abacus._block.cache_clear()
+    abacus._block_by_sizes.cache_clear()
+    rho = generate(7, 3, "odd", 1)[0]
+    assert hyp_coeffs(rho, 7, (1, 1, 0, 1)).coeffs
+    assert abacus._block.cache_info().currsize == abacus._block_by_sizes.cache_info().currsize == 1
+    assert sorted(calls, reverse=True) == block_enum(rho, 7, 3)
 
 
 def test_hyp_coeffs_square_sum_ties_to_factorials():
