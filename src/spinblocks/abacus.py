@@ -269,8 +269,9 @@ def block_enum(
     return list(_block_labels(as_strict(rho), p, d, dcomp))
 
 
-def _block_labels(rho: Partition, p: int, d: int, dcomp: tuple | None = None) -> tuple:
-    """block_enum's checks and labels for a canonical rho, as the memo's tuple."""
+def _block_labels(rho: Partition, p: int, d: int, dcomp: tuple | None = None) -> tuple | dict:
+    """block_enum's checks and labels for a canonical rho, as the memo holds them:
+    the block's tuple, or with dcomp its split part {lam: quotient}."""
     _check_prime(p)
     if d > D_MAX:
         raise DomainError(f"weight must be at most {D_MAX}: {d}")
@@ -283,7 +284,7 @@ def _block_labels(rho: Partition, p: int, d: int, dcomp: tuple | None = None) ->
     dcomp = as_composition(dcomp, p)
     if sum(dcomp) != d:
         raise ValueError(f"composition {dcomp} does not sum to {d}")
-    return tuple(_block_by_sizes(rho, p, index(d)).get(dcomp, ()))
+    return _block_by_sizes(rho, p, index(d)).get(dcomp, {})
 
 
 def _block_size(p: int, d: int) -> int:

@@ -15,8 +15,8 @@ from math import factorial, prod
 
 from . import stembridge, trees
 from .abacus import (
-    BarQuotient, _block_by_sizes, _block_labels, _check_prime, _k_product, _moves, ell,
-    runner_label, runner_parity,
+    BarQuotient, _block_by_sizes, _block_labels, _check_prime, _k_product, _moves, _quotient,
+    ell, runner_label, runner_parity,
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, PairVector, _m_action_pairs, runner_tuples
 from .exceptions import DomainError, SpaceMismatch
@@ -262,18 +262,18 @@ def hyp_coeffs(rho: Partition, p: int, dcomp) -> CharVector:
     checked to be a positive integer."""
     dcomp = tuple(int(x) for x in dcomp)
     rho = rouquier_core(rho, p, sum(dcomp))
-    _block_labels(rho, p, sum(dcomp), dcomp)  # the block's own checks of d and dcomp
-    return _hyp_coeffs(rho, p, dcomp)
+    return _hyp_coeffs(rho, p, dcomp, _block_labels(rho, p, sum(dcomp), dcomp))
 
 
-def _hyp_coeffs(rho: Partition, p: int, dcomp: tuple) -> CharVector:
-    """hyp_coeffs on a canonical sum(dcomp)-Rouquier rho and ell + 1 int dcomp."""
+def _hyp_coeffs(rho: Partition, p: int, dcomp: tuple, part: dict) -> CharVector:
+    """hyp_coeffs on a canonical sum(dcomp)-Rouquier rho, ell + 1 int dcomp and
+    the block's split part {lam: quotient} of those sizes."""
     d = sum(dcomp)
     space = CharSpace("block", p, rho, d)
     e_runners = sum(runner_parity(j) * x for j, x in enumerate(dcomp))
     e_tuple = (epsilon_exponent((rho,)) + e_runners) % 2
     out, w = {}, _weight(rho, p, d)
-    for lam, q in _block_by_sizes(rho, p, d).get(dcomp, {}).items():
+    for lam, q in part.items():
         e = e_tuple - epsilon_exponent((lam,)) + sum(q.q0) - len(q.q0)
         if e < 0:
             raise AssertionError(f"coefficient sqrt(2)**{e} * K at {lam} leaves Z[sqrt(2)]")
@@ -398,9 +398,8 @@ def check_dim_reduced(rho, p: int, dcomp) -> CheckReport:
     rho = as_strict(rho)
     dcomp = tuple(int(x) for x in dcomp)
     d = sum(dcomp)
-    _block_labels(rho, p, d, dcomp)  # the block's own checks of d and dcomp
     total, w = 0, _weight(rho, p, d)
-    for lam, q in _block_by_sizes(rho, p, d).get(dcomp, {}).items():
+    for lam, q in _block_labels(rho, p, d, dcomp).items():
         total += 2 ** (sum(q.q0) - len(q.q0)) * w.k_product(lam, q) ** 2
     rhs = prod(map(factorial, dcomp))
     return CheckReport(
@@ -513,25 +512,25 @@ def restrict_recursion_sides(lam, p: int) -> dict:
     """
     lam = as_strict(lam)
     rho, d = _rock_weight(lam, p)
-    q = next(part[lam] for part in _block_by_sizes(rho, p, d).values() if lam in part)
-    return _restrict_recursion_sides(lam, q, _weight(rho, p, d))
+    return _restrict_recursion_sides(
+        lam, _quotient(lam, p), _weight(rho, p, d), lambda mu: _quotient(mu, p)
+    )
 
 
-def _restrict_recursion_sides(lam: Partition, q: BarQuotient, w: Weight) -> dict:
-    """restrict_recursion_sides on canonical lam of w's weight and its quotient q.
-    A removal on runner k slides a bead up runner k (runners above ell are empty), one
-    box off q's component k, so mu's quotient is in the d - 1 split part of those sizes."""
-    p, e_lam, sizes = w.p, epsilon_exponent((lam,)), q.sizes()
+def _restrict_recursion_sides(lam: Partition, q: BarQuotient, w: Weight, below) -> dict:
+    """restrict_recursion_sides on canonical lam of w's weight, its quotient q,
+    and below, which gives the quotient of each of lam's removals."""
+    e_lam = epsilon_exponent((lam,))
     rhs = Sqrt2Scalar.sqrt2_power(e_lam + sum(q.q0) - len(q.q0)) * w.k_product(lam, q)
-    sides, below = {}, _block_by_sizes(w.rho, p, w.d - 1)
+    sides = {}
     removals = w.moves(lam, "remove")
-    for k, size in enumerate(sizes):
+    for k, size in enumerate(q.sizes()):
         if size == 0:
             continue
-        total, part = Sqrt2Scalar(0, 0), below[sizes[:k] + (size - 1,) + sizes[k + 1 :]]
+        total = Sqrt2Scalar(0, 0)
         e_k = runner_parity(k)
         for mu in removals[k]:
-            mu_q, e_mu = part[mu], epsilon_exponent((mu,))
+            mu_q, e_mu = below(mu), epsilon_exponent((mu,))
             e = (
                 (e_mu + e_lam) % 2 + (e_lam + e_k) % 2 + (e_mu + e_k) % 2 - e_mu - e_k
                 + sum(mu_q.q0) - len(mu_q.q0)
@@ -545,8 +544,9 @@ def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
     rho = rouquier_core(rho, p, d)
     _block_labels(rho, p, d)  # the block's own check of d
     failures, w = [], _weight(rho, p, d)
+    below = {mu: q for part in _block_by_sizes(rho, p, d - 1).values() for mu, q in part.items()}
     for lam, q in (item for part in _block_by_sizes(rho, p, d).values() for item in part.items()):
-        for k, (lhs, rhs) in _restrict_recursion_sides(lam, q, w).items():
+        for k, (lhs, rhs) in _restrict_recursion_sides(lam, q, w, below.__getitem__).items():
             if lhs != rhs:
                 failures.append({"lam": lam, "runner": k, "lhs": _jsonable(lhs),
                                  "rhs": _jsonable(rhs)})
@@ -561,11 +561,11 @@ def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
     dcomp sum eps_lam^2 c_lam^2 = eps_(rho,dcomp)^2 prod_i d_i!, as in dim-reduced."""
     rho = rouquier_core(rho, p, d)
     _block_labels(rho, p, d)  # the block's own check of d, once for every dcomp
-    e_rho = epsilon_exponent((rho,))
+    e_rho, split = epsilon_exponent((rho,)), _block_by_sizes(rho, p, d)
     failures, totals = [], {}
     for dcomp in compositions(d, ell(p) + 1):
         try:
-            vec = _hyp_coeffs(rho, p, dcomp)
+            vec = _hyp_coeffs(rho, p, dcomp, split.get(dcomp, {}))
         except AssertionError as exc:
             failures.append({"dcomp": dcomp, "error": str(exc)})
             continue

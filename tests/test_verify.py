@@ -25,6 +25,7 @@ from spinblocks.verify import (
     hyp_coeffs,
     nmv_basis,
     phi,
+    restrict_recursion_sides,
     run_check,
 )
 from test_chars import eps_tuple, refined_labels, unrefine
@@ -712,10 +713,10 @@ def test_an_unreduced_tuple_exponent_fails_hyp_nonneg(monkeypatch, capsys):
 
     real = V._hyp_coeffs
 
-    def unreduced(rho, p, dcomp):
+    def unreduced(rho, p, dcomp, part):
         runners = tuple(runner_label(p, j) for j, x in enumerate(dcomp) for _ in range(x))
         odd = sum(map(is_odd_partition, (tuple(rho),) + runners))
-        return real(rho, p, dcomp).scale(2 ** (odd // 2))
+        return real(rho, p, dcomp, part).scale(2 ** (odd // 2))
 
     monkeypatch.setattr(V, "_hyp_coeffs", unreduced)
     code = cli.main(["verify", "all", "--p", "5", "--dmax", "4"])
@@ -1176,6 +1177,26 @@ def test_a_hyp_query_splits_only_its_own_weight(monkeypatch):
     assert hyp_coeffs(rho, 7, (1, 1, 0, 1)).coeffs
     assert abacus._block.cache_info().currsize == abacus._block_by_sizes.cache_info().currsize == 1
     assert sorted(calls, reverse=True) == block_enum(rho, 7, 3)
+
+
+def test_restrict_recursion_sides_lists_no_block():
+    """A single restrict_recursion_sides call quotients lam and its removals
+    alone, so it answers for a label whose block is past BLOCK_MAX_LABELS
+    (weight 17 at p = 5: 42,543 labels) and leaves the block memos cold."""
+    from spinblocks import abacus
+
+    abacus._block.cache_clear()
+    abacus._block_by_sizes.cache_clear()
+    rho = generate(5, 17, "even", 1)[0]
+    with pytest.raises(DomainError, match="a block has at most 30000 labels: 42543"):
+        block_enum(rho, 5, 17)
+    lam = rho
+    for i in range(17):  # one bar onto runner 0, 1, 2 in turn
+        lam = abacus._moves(lam, 5, "add")[i % 3][0]
+    sides = restrict_recursion_sides(lam, 5)
+    assert sorted(sides) == [0, 1, 2]
+    assert all(lhs == rhs for lhs, rhs in sides.values())
+    assert abacus._block.cache_info().currsize == abacus._block_by_sizes.cache_info().currsize == 0
 
 
 def test_hyp_coeffs_square_sum_ties_to_factorials():
