@@ -130,10 +130,7 @@ def _core_weight(lam: Partition, p: int, rng: random.Random | None = None):
     the walk with an rng.  Each move takes p from the size, so the weight is
     (|lam| - |core|) / p."""
     if rng is not None:
-        current, weight = frozenset(lam), 0
-        while moves := _removals(current, p):
-            current, weight = rng.choice(moves), weight + 1
-        return tuple(sorted(current, reverse=True)), weight
+        return _walk(lam, p, rng, {})
     counts = _runner_counts(lam, p)
     core = []
     for i, a in counts.items():
@@ -141,6 +138,18 @@ def _core_weight(lam: Partition, p: int, rng: random.Random | None = None):
             core.extend(range(i, i + (a - min(a, counts.get(p - i, 0))) * p, p))
     core.sort(reverse=True)
     return tuple(core), (sum(lam) - sum(core)) // p
+
+
+def _walk(lam: Partition, p: int, rng: random.Random, moves: dict) -> tuple[Partition, int]:
+    """Bar removals from lam in a random order until none is left.  moves maps
+    each bead set reached to its _removals, so walks sharing it list each once."""
+    current, weight = frozenset(lam), 0
+    while True:
+        if current not in moves:
+            moves[current] = _removals(current, p)
+        if not moves[current]:
+            return tuple(sorted(current, reverse=True)), weight
+        current, weight = rng.choice(moves[current]), weight + 1
 
 
 def is_bar_core(lam: Partition, p: int) -> bool:

@@ -22,7 +22,7 @@ from .abacus import (
     _block_labels, _check_prime, _check_size, _core_weight, as_composition, ell, runner_parity,
 )
 from .exceptions import DomainError, SpaceMismatch
-from .partitions import Partition, as_strict, epsilon_exponent
+from .partitions import Partition, as_strict, parity
 from .sqrt2 import Sqrt2Scalar, times_sqrt2_power
 
 # An L space of weight d has (ell + 1)^d labels, counted before any is listed;
@@ -81,11 +81,11 @@ class CharSpace:
         parity plus that of each runner in an L label; mu's plus runner j's
         for an H label (mu, j); the partition's own in a block or full space."""
         if self.kind == "L":
-            return (epsilon_exponent((self.rho,)) + sum(map(runner_parity, label))) % 2
+            return (parity(self.rho) + sum(map(runner_parity, label))) % 2
         if self.kind == "H":
             mu, j = label
-            return (epsilon_exponent((mu,)) + runner_parity(j)) % 2
-        return epsilon_exponent((label,))
+            return (parity(mu) + runner_parity(j)) % 2
+        return parity(label)
 
     def is_odd(self, label) -> bool:
         return self.eps_exponent(label) == 1
@@ -270,14 +270,11 @@ def m_action(v: CharVector) -> CharVector:
 
 def _m_action_pairs(space: CharSpace, items) -> dict:
     """m_action on coefficients (label, (a, b)), each a + b*sqrt(2) an integer
-    pair, as {target: (a, b)} with zero sums kept; each base (mu in H, rho in
-    L) has its parity read once."""
-    L, e_bases, out = ell(space.p), {}, {}
+    pair, as {target: (a, b)} with zero sums kept."""
+    L, out = ell(space.p), {}
     for label, (a, b) in items:
         *mu, i = label  # (mu, i) in an H space, (i,) in an L space
-        base = mu[0] if mu else space.rho
-        if (e_mu := e_bases.get(base)) is None:
-            e_mu = e_bases[base] = epsilon_exponent((base,))
+        e_mu = parity(mu[0] if mu else space.rho)
         e_i = runner_parity(i)
         e_top = (e_mu + e_i) % 2 + e_i
         for j in range(L - i + 1):

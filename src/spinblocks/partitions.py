@@ -44,9 +44,14 @@ def validate(parts: Iterable[int], kind: str) -> Partition:
     raise ValueError(f"unknown partition kind: {kind!r}")
 
 
+def parity(lam: Partition) -> int:
+    """|lam| - h(lam) mod 2, the partition's sign type: the epsilon exponent of (lam,)."""
+    return (sum(lam) - len(lam)) & 1
+
+
 def is_odd_partition(lam: Partition) -> bool:
-    """True when |lam| - h(lam) is odd (the partition's sign type)."""
-    return (sum(lam) - len(lam)) % 2 == 1
+    """True when |lam| - h(lam) is odd."""
+    return parity(lam) == 1
 
 
 def contains(lam: Partition, mu: Partition) -> bool:
@@ -181,4 +186,4 @@ def epsilon_exponent(partitions: Iterable[Partition]) -> int:
     """0 when the number of odd entries is even, else 1: epsilon of the tuple
     is sqrt(2) to this power, and its square counts the irreducible
     constituents of the corresponding supercharacter."""
-    return sum(1 for lam in partitions if is_odd_partition(lam)) % 2
+    return sum(map(parity, partitions)) & 1

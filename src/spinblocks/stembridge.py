@@ -14,7 +14,7 @@ from itertools import zip_longest
 from .abacus import _check_prime, _moves, ell, runner_parity
 from .chars import CharSpace, CharVector
 from .exceptions import DomainError, ShapeError
-from .partitions import Partition, as_strict, contains, epsilon_exponent
+from .partitions import Partition, as_strict, contains, epsilon_exponent, parity
 from .rouquier import _rock_weight
 from .sqrt2 import Sqrt2Scalar, times_sqrt2_power
 
@@ -200,9 +200,7 @@ def _induce_pairs(mu: Partition, nu: Partition, support, fill=None) -> dict:
         f = fill(lam, inner, content)
         if f == 0:
             continue
-        exponent = (
-            len(mu) + len(nu) - len(lam) + e_pair - epsilon_exponent((lam,))
-        )
+        exponent = len(mu) + len(nu) - len(lam) + e_pair - parity(lam)
         a, b = out[lam] = times_sqrt2_power(f, 0, exponent)
         if a < 0:
             raise AssertionError(f"negative coefficient {Sqrt2Scalar(a, b)} at {lam}")
@@ -240,20 +238,20 @@ def _rock_branch(part: Partition, p: int, j, direction: str, moves: tuple) -> tu
     d-Rouquier core, j in 0..ell, and moves is part's _moves table: its
     additions to induce, its removals to restrict."""
     L = ell(p)
-    e_part = epsilon_exponent((part,))
+    e_part = parity(part)
     exponents = []
     if direction == "induce":
         e_j = runner_parity(j)
         e_mu_j = (e_part + e_j) % 2
         for i in range(L - j + 1):
             for lam in moves[i]:  # runners move distinct beads: no lam twice
-                e_lam = epsilon_exponent((lam,))
+                e_lam = parity(lam)
                 exponents.append((lam, e_mu_j + (e_part + e_lam) % 2 + e_j - e_lam))
         return _integral_items(exponents)
     # each runner's removals once; a removal on runner i lands on runners 0..ell-i
     for i, removals in enumerate(moves):
         for mu in removals:
-            e_mu = epsilon_exponent((mu,))
+            e_mu = parity(mu)
             e_num = e_part + (e_mu + e_part) % 2  # eps_lam eps_(mu,lam)
             for jj in range(L - i + 1):  # likewise no (mu, jj) twice
                 e_jj = runner_parity(jj)

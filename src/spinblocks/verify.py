@@ -29,7 +29,7 @@ from .partitions import (
     as_strict,
     contains,
     enumerate_partitions,
-    epsilon_exponent,
+    parity,
 )
 from .rouquier import _rock_weight, generate, rho_extension, rouquier_core
 from .sqrt2 import Sqrt2Scalar, times_sqrt2_power
@@ -127,7 +127,7 @@ class NmvLattice:
         else:
             bases = [(space.rho, runner_tuples(space.p, space.d))]
         for base, tuples in bases:
-            e_base = epsilon_exponent((base,))
+            e_base = parity(base)
             for t in tuples:
                 label = (base, *t) if space.kind == "H" else t
                 weight = (base, _label_weight(e_base, t))
@@ -240,7 +240,7 @@ def phi(v: CharVector) -> Sqrt2Scalar:
     """
     if v.space.kind != "L":
         raise SpaceMismatch("phi is a functional on L spaces")
-    e_rho = epsilon_exponent((v.space.rho,))
+    e_rho = parity(v.space.rho)
     return Sqrt2Scalar.of(sum(c * _label_weight(e_rho, t) for (t, _sign), c in v.refine().coeffs))
 
 
@@ -271,10 +271,10 @@ def _hyp_coeffs(rho: Partition, p: int, dcomp: tuple, part: dict) -> CharVector:
     d = sum(dcomp)
     space = CharSpace("block", p, rho, d)
     e_runners = sum(runner_parity(j) * x for j, x in enumerate(dcomp))
-    e_tuple = (epsilon_exponent((rho,)) + e_runners) % 2
+    e_tuple = (parity(rho) + e_runners) % 2
     out, w = {}, _weight(rho, p, d)
     for lam, q in part.items():
-        e = e_tuple - epsilon_exponent((lam,)) + sum(q.q0) - len(q.q0)
+        e = e_tuple - parity(lam) + sum(q.q0) - len(q.q0)
         if e < 0:
             raise AssertionError(f"coefficient sqrt(2)**{e} * K at {lam} leaves Z[sqrt(2)]")
         coeff = Sqrt2Scalar.sqrt2_power(e) * w.k_product(lam, q)
@@ -439,12 +439,12 @@ def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
     rho = rouquier_core(rho, p, d)
     w = _weight(rho, p, d)
     restricted = {
-        (mu, j, lam): b << (epsilon_exponent((mu,)) + runner_parity(j)) % 2
+        (mu, j, lam): b << (parity(mu) + runner_parity(j)) % 2
         for lam in _block_labels(rho, p, d)
         for (mu, j), b in w.branch(lam, None, "restrict")
     }
     induced = {
-        (mu, j, lam): a << epsilon_exponent((lam,))
+        (mu, j, lam): a << parity(lam)
         for mu in _block_labels(rho, p, d - 1) for j in range(ell(p) + 1)
         for lam, a in w.branch(mu, j, "induce")
     }
@@ -474,12 +474,12 @@ def _htoj_sides(lam: Partition, p: int) -> tuple[PairVector, PairVector]:
     space, w = CharSpace("H", p, rho, d), _weight(rho, p, d)
     restricted = w.branch(lam, None, "restrict")
     lhs = _m_action_pairs(space, ((label, (c, 0)) for label, c in restricted))
-    e_lam = epsilon_exponent((lam,))
+    e_lam = parity(lam)
     rhs = {}
     for j, removals in enumerate(w.moves(lam, "remove")):
         e_j = runner_parity(j)
         for mu in removals:
-            e_mu = epsilon_exponent((mu,))
+            e_mu = parity(mu)
             coeff = times_sqrt2_power(1, 0, (e_mu + e_lam) % 2 + (e_lam + e_j) % 2 - e_mu - e_j)
             rhs[mu, j] = coeff  # no (mu, j) twice: each removal moves its own bead
     return PairVector(space, lhs), PairVector(space, rhs)
@@ -520,7 +520,7 @@ def restrict_recursion_sides(lam, p: int) -> dict:
 def _restrict_recursion_sides(lam: Partition, q: BarQuotient, w: Weight, below) -> dict:
     """restrict_recursion_sides on canonical lam of w's weight, its quotient q,
     and below, which gives the quotient of each of lam's removals."""
-    e_lam = epsilon_exponent((lam,))
+    e_lam = parity(lam)
     rhs = Sqrt2Scalar.sqrt2_power(e_lam + sum(q.q0) - len(q.q0)) * w.k_product(lam, q)
     sides = {}
     removals = w.moves(lam, "remove")
@@ -530,7 +530,7 @@ def _restrict_recursion_sides(lam: Partition, q: BarQuotient, w: Weight, below) 
         total = Sqrt2Scalar(0, 0)
         e_k = runner_parity(k)
         for mu in removals[k]:
-            mu_q, e_mu = below(mu), epsilon_exponent((mu,))
+            mu_q, e_mu = below(mu), parity(mu)
             e = (
                 (e_mu + e_lam) % 2 + (e_lam + e_k) % 2 + (e_mu + e_k) % 2 - e_mu - e_k
                 + sum(mu_q.q0) - len(mu_q.q0)
@@ -561,7 +561,7 @@ def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
     dcomp sum eps_lam^2 c_lam^2 = eps_(rho,dcomp)^2 prod_i d_i!, as in dim-reduced."""
     rho = rouquier_core(rho, p, d)
     _block_labels(rho, p, d)  # the block's own check of d, once for every dcomp
-    e_rho, split = epsilon_exponent((rho,)), _block_by_sizes(rho, p, d)
+    e_rho, split = parity(rho), _block_by_sizes(rho, p, d)
     failures, totals = [], {}
     for dcomp in compositions(d, ell(p) + 1):
         try:
@@ -594,16 +594,16 @@ def check_core_order(p: int) -> CheckReport:
     """The closed-form bar-core and weight, read off the runner counts, equal
     the fixed point of bar removals in each of CORE_ORDER_ORDERS random
     orders, for each sampled strict partition."""
-    from .abacus import _core_weight  # read at call time, so a planted core is reached
+    from .abacus import _core_weight, _walk  # read at call time, so a planted core is reached
 
     _check_prime(p)
     rng = random.Random(CORE_ORDER_SEED)
     pool = [lam for n in range(1, CORE_ORDER_MAX_N + 1) for lam in enumerate_partitions(n, STRICT)]
     failures = []
     for lam in rng.sample(pool, min(CORE_ORDER_SAMPLES, len(pool))):
-        expected = _core_weight(lam, p)
+        expected, moves = _core_weight(lam, p), {}  # the walks from lam share their move lists
         for _ in range(CORE_ORDER_ORDERS):
-            got = _core_weight(lam, p, rng)
+            got = _walk(lam, p, rng, moves)
             if got != expected:
                 failures.append({"lam": lam, "expected": expected, "got": got})
                 break
@@ -696,7 +696,7 @@ def check_phi_kernel(rho, p: int, d: int) -> CheckReport:
     b even and the row is 2w(a) + w(b) = +-(2^(k+1) - 2^(k+1)).
     """
     space = CharSpace.l_space(rho, p, d)
-    e_rho, runners = epsilon_exponent((space.rho,)), range(ell(p) + 1)
+    e_rho, runners = parity(space.rho), range(ell(p) + 1)
     units = combinations_with_replacement(runners, d)
     failures = [{"unit": t, "phi": w} for t in units if (w := _label_weight(e_rho, t)) == 0]
     rows = 0

@@ -196,6 +196,84 @@ def test_core_order_fails_on_a_closed_form_without_pair_removal(monkeypatch, cap
     assert json.loads(capsys.readouterr().out)["verdicts"] == {"core-order": "fail"}
 
 
+def test_core_order_fails_on_walks_without_pair_removal(monkeypatch, capsys):
+    """Removals that never take out the bead pair j, p-j leave the walks short
+    of the closed-form core, though the walks from one partition share their
+    move lists."""
+    from spinblocks.cli import main
+
+    real = abacus._removals
+    monkeypatch.setattr(
+        abacus, "_removals", lambda beads, p: [m for m in real(beads, p) if len(beads) - len(m) < 2]
+    )
+    assert main(["verify", "core-order", "--p", "5"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdicts"] == {"core-order": "fail"}
+
+
+def walk_without_a_table(lam, p, rng):
+    """The random walk of core_weight as it ran before the walks from one
+    partition shared their move lists: every step lists its removals anew.
+    An oracle for the shared table."""
+    current, weight = frozenset(lam), 0
+    while moves := abacus._removals(current, p):
+        current, weight = rng.choice(moves), weight + 1
+    return tuple(sorted(current, reverse=True)), weight
+
+
+def core_order_sample(p):
+    """The partitions verify core-order samples, in order, and a twin of its
+    rng after the draw."""
+    from spinblocks import verify
+
+    rng = random.Random(verify.CORE_ORDER_SEED)
+    pool = all_strict(verify.CORE_ORDER_MAX_N)[1:]
+    return rng.sample(pool, verify.CORE_ORDER_SAMPLES), rng
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_core_order_walks_match_the_walks_without_a_table(monkeypatch, p):
+    """Each walk of verify core-order, drawn from its shared move lists, ends
+    where the per-walk loop ends with a twin rng, from the same partitions in
+    the same order, and both rngs end in the same state."""
+    from spinblocks.verify import CORE_ORDER_ORDERS, check_core_order
+
+    sample, twin = core_order_sample(p)
+    shared, walked = abacus._walk, []
+
+    def both(lam, p, rng, moves):
+        got = shared(lam, p, rng, moves)
+        assert got == walk_without_a_table(lam, p, twin), lam
+        walked.append((lam, rng))
+        return got
+
+    monkeypatch.setattr(abacus, "_walk", both)
+    assert check_core_order(p).passed
+    assert [lam for lam, _ in walked] == [lam for lam in sample for _ in range(CORE_ORDER_ORDERS)]
+    assert walked[-1][1].getstate() == twin.getstate()
+
+
+def test_core_order_lists_each_bead_sets_removals_once(monkeypatch, capsys):
+    """One verify core-order at p = 7 lists the removals of each bead set
+    reachable from each sampled partition exactly once: as many _removals
+    calls as a breadth-first search over them finds (partition, bead set)
+    pairs, where listing them per step took about 3,650."""
+    from spinblocks.cli import main
+
+    p, real, calls = 7, abacus._removals, []
+    reachable = 0
+    for lam in core_order_sample(p)[0]:
+        seen = frontier = {frozenset(lam)}
+        while frontier:
+            frontier = {mu for beads in frontier for mu in real(beads, p)} - seen
+            seen = seen | frontier
+        reachable += len(seen)
+
+    monkeypatch.setattr(abacus, "_removals", lambda beads, p: calls.append(beads) or real(beads, p))
+    assert main(["verify", "core-order", "--p", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"] == {"core-order": "pass"}
+    assert len(calls) == reachable == 75
+
+
 def test_quotient_examples():
     q = quotient((6, 2), 5)
     assert (q.q0, q.qs) == ((), ((1,), ()))

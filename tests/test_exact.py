@@ -205,16 +205,16 @@ def _calls(node, name: str) -> bool:
 
 
 def runner_parity_restatements(tree: ast.AST) -> list[str]:
-    """epsilon_exponent calls with a runner_label call among their
-    arguments, and runner-parity tables: a comprehension whose values are
+    """epsilon_exponent and parity calls with a runner_label call among
+    their arguments, and runner-parity tables: a comprehension whose values are
     runner_parity calls, or a map of runner_parity, unless sum() takes it."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     found = []
     for node in ast.walk(tree):
         where = f"line {getattr(node, 'lineno', '?')}"
-        if _calls(node, "epsilon_exponent"):
+        if _calls(node, "epsilon_exponent") or _calls(node, "parity"):
             if any(_calls(n, "runner_label") for arg in node.args for n in ast.walk(arg)):
-                found.append(f"{where}: epsilon_exponent of a runner_label")
+                found.append(f"{where}: {node.func.id} of a runner_label")
             continue
         if isinstance(node, COMPREHENSIONS):
             values = node.value if isinstance(node, ast.DictComp) else node.elt
@@ -249,10 +249,12 @@ def test_runner_parity_checker_catches_each_kind():
         "d = tuple(runner_parity(j) for j in range(L + 1))\n"
         "e = {j: runner_parity(j) for j in range(L + 1)}\n"
         "f = list(map(runner_parity, range(L + 1)))\n"
+        "g = parity(runner_label(p, j))\n"
         "ok = sum(map(runner_parity, t)) + sum(runner_parity(j) * x for j, x in enumerate(c))\n"
         "ok = epsilon_exponent((mu,)) + runner_parity(j) + len(runner_label(p, j))\n"
+        "ok = parity(mu) + runner_parity(j)\n"
     )
-    assert len(runner_parity_restatements(ast.parse(source))) == 6
+    assert len(runner_parity_restatements(ast.parse(source))) == 7
 
 
 # Every function and method under src/spinblocks is referenced from src

@@ -11,6 +11,7 @@ from spinblocks.partitions import (
     enumerate_partitions,
     epsilon_exponent,
     is_odd_partition,
+    parity,
     path_count,
     skew_boxes,
 )
@@ -159,6 +160,13 @@ def test_epsilon_values():
     assert epsilon((2, 1)) == SQRT2
     assert epsilon((2, 1), (4, 1)) == 1
     assert is_odd_partition((2, 1)) and not is_odd_partition((3, 1))
+
+
+def test_parity_is_the_epsilon_exponent_of_one_partition():
+    for kind in (ORDINARY, STRICT):
+        for n in range(17):
+            for lam in enumerate_partitions(n, kind):
+                assert parity(lam) == epsilon_exponent((lam,)) == int(is_odd_partition(lam)), lam
 
 
 @given(st.permutations(((2, 1), (4, 1), (5,), (3, 2))))
