@@ -58,6 +58,15 @@ def _check_prime(p: int):
         raise DomainError(f"p must be an odd prime below {P_MAX}: {p}")
 
 
+def _check_core(rho: Partition, p: int) -> Partition:
+    """The one bar-core gate: p an odd prime, then the canonical rho, which it
+    returns, a bar-core at p."""
+    _check_prime(p)
+    if _core_weight(rho, p)[1]:
+        raise DomainError(f"{rho} is not a bar-core for p={p}")
+    return rho
+
+
 def _check_size(lam: Partition):
     if sum(lam) > SIZE_MAX:
         raise DomainError(f"partition size must be at most {SIZE_MAX}: {sum(lam)}")
@@ -101,20 +110,14 @@ def _removals(beads: frozenset, p: int) -> list[frozenset]:
     return out
 
 
-def core_weight(
-    lam: Partition, p: int, rng: random.Random | None = None
-) -> tuple[Partition, int]:
-    """Bar-core and bar-weight of lam.
-
-    Without an rng the core is read off the runner counts in one pass;
-    with one, bar-removal moves are applied in a random order until none is
-    left.  Both routes reach the same fixed point, which `verify core-order`
-    and the tests check.
-    """
+def core_weight(lam: Partition, p: int) -> tuple[Partition, int]:
+    """Bar-core and bar-weight of lam, read off the runner counts in one pass.
+    Bar removals in any order reach the same fixed point (`_walk`), which
+    `verify core-order` and the tests check."""
     lam = as_strict(lam)
     _check_prime(p)
     _check_size(lam)
-    return _core_weight(lam, p, rng)
+    return _core_weight(lam, p)
 
 
 def _runner_counts(lam: Partition, p: int) -> dict:
@@ -125,12 +128,9 @@ def _runner_counts(lam: Partition, p: int) -> dict:
     return counts
 
 
-def _core_weight(lam: Partition, p: int, rng: random.Random | None = None):
-    """The closed form of the module docstring (Olsson 1993, section 4), or
-    the walk with an rng.  Each move takes p from the size, so the weight is
-    (|lam| - |core|) / p."""
-    if rng is not None:
-        return _walk(lam, p, rng, {})
+def _core_weight(lam: Partition, p: int):
+    """The closed form of the module docstring (Olsson 1993, section 4).  Each
+    move takes p from the size, so the weight is (|lam| - |core|) / p."""
     counts = _runner_counts(lam, p)
     core = []
     for i, a in counts.items():
@@ -280,14 +280,9 @@ def block_enum(
 
 def _block_labels(rho: Partition, p: int, d: int, dcomp: tuple | None = None) -> tuple | dict:
     """block_enum's checks and labels for a canonical rho, as the memo holds them:
-    the block's tuple, or with dcomp its split part {lam: quotient}."""
-    _check_prime(p)
-    if d > D_MAX:
-        raise DomainError(f"weight must be at most {D_MAX}: {d}")
-    if _core_weight(rho, p)[1]:
-        raise DomainError(f"{rho} is not a bar-core for p={p}")
-    if d < 0:
-        raise ValueError("weight must be nonnegative")
+    the block's tuple, or with dcomp its split part {lam: quotient}.  The core
+    is checked first, then dcomp, then (by `_block`) the weight and the budget."""
+    _check_core(rho, p)
     if dcomp is None:
         return _block(rho, p, index(d))
     dcomp = as_composition(dcomp, p)
@@ -321,8 +316,12 @@ def _block_size(p: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _block(rho: Partition, p: int, d: int) -> tuple:
-    """Breadth-first closure of rho under d rounds of one-bar additions,
-    refused before any listing past the label budget."""
+    """Breadth-first closure of rho under d rounds of one-bar additions, refused
+    before any listing for a weight outside 0..D_MAX or past the label budget."""
+    if d > D_MAX:
+        raise DomainError(f"weight must be at most {D_MAX}: {d}")
+    if d < 0:
+        raise ValueError("weight must be nonnegative")
     labels = _block_size(p, d)
     if labels > BLOCK_MAX_LABELS:
         raise DomainError(f"a block has at most {BLOCK_MAX_LABELS} labels: {labels}")

@@ -19,7 +19,7 @@ from math import factorial
 from operator import add, sub
 
 from .abacus import (
-    _block_labels, _check_prime, _check_size, _core_weight, as_composition, ell, runner_parity,
+    _block, _check_core, _check_prime, _check_size, _core_weight, as_composition, ell, runner_parity,
 )
 from .exceptions import DomainError, SpaceMismatch
 from .partitions import Partition, as_strict, parity
@@ -53,24 +53,22 @@ class CharSpace:
     d: int = 0
     n: int = 0
 
-    def __post_init__(self):
-        if self.kind != "full":
-            _check_prime(self.p)
-
+    # The three constructors are a space's gate: each checks p and the bar-core
+    # rho once, and the library builds its own spaces from values it has checked.
     @classmethod
     def block(cls, rho, p, d):
-        return cls("block", p, as_strict(rho), d)
+        return cls("block", p, _check_core(as_strict(rho), p), d)
 
     @classmethod
     def l_space(cls, rho, p, d):
         _check_l_labels(p, d)
-        return cls("L", p, as_strict(rho), d)
+        return cls("L", p, _check_core(as_strict(rho), p), d)
 
     @classmethod
     def h_space(cls, rho, p, d):
         if d < 1:
             raise ValueError("an H space needs weight at least 1")
-        return cls("H", p, as_strict(rho), d)
+        return cls("H", p, _check_core(as_strict(rho), p), d)
 
     @classmethod
     def full(cls, n):
@@ -112,11 +110,11 @@ class CharSpace:
     def labels(self) -> list:
         """The basis labels in their canonical order, as a new list."""
         if self.kind == "block":
-            return list(_block_labels(self.rho, self.p, self.d))
+            return list(_block(self.rho, self.p, self.d))
         if self.kind == "L":
             return runner_tuples(self.p, self.d)
         if self.kind == "H":
-            mus = _block_labels(self.rho, self.p, self.d - 1)
+            mus = _block(self.rho, self.p, self.d - 1)
             return [(mu, j) for mu in mus for j in range(ell(self.p) + 1)]
         raise SpaceMismatch(f"a {self.kind} space does not list its labels")
 
@@ -299,8 +297,7 @@ def orbit_sum(rho: Partition, p: int, dcomp) -> tuple[CharVector, int]:
     with its certificate: the number of irreducible constituents,
     multinomial(d; dcomp) * eps^2.
     """
-    rho = as_strict(rho)
-    _check_prime(p)
+    rho = _check_core(as_strict(rho), p)
     dcomp = as_composition(dcomp, p)
     d = sum(dcomp)
     _check_l_labels(p, d)

@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import trees
-from .abacus import _block_labels, block_enum, core_weight, ell, neighbors, quotient
+from .abacus import _block, block_enum, core_weight, ell, neighbors, quotient
 from .chars import SIGN_SUFFIX, CharSpace, CharVector, _check_l_labels, m_action, orbit_sum
 from .exceptions import DomainError
 from .partitions import PATH_COUNT_MEMO, STRICT, _hook_formula, enumerate_partitions, validate
@@ -271,17 +271,18 @@ def run_command(args) -> dict:
     if cmd == "induce":
         v = induce(parse_partition(args.mu), parse_partition(args.nu))
         return {"vector": vector_payload(v)}
-    if cmd == "branch":
+    if cmd == "branch":  # induce reads --mu (or its alias --rho) and --j, restrict --lambda
+        given = {"--mu": args.mu, "--rho": args.rho, "--j": args.j, "--lambda": args.lam}
+        mu = "--rho" if args.mu is None and args.rho is not None else "--mu"
+        reads = (mu, "--j") if args.dir == "induce" else ("--lambda",)
+        for flag in reads:
+            if given[flag] is None:
+                raise DomainError(f"branch --dir {args.dir} needs {flag}")
+        if stray := [flag for flag, v in given.items() if v is not None and flag not in reads]:
+            raise DomainError(f"branch --dir {args.dir} does not read {' '.join(stray)}")
         if args.dir == "induce":
-            if args.mu is None and args.rho is None:
-                raise DomainError("branch --dir induce needs --mu")
-            mu = parse_partition(args.mu if args.mu is not None else args.rho)
-            if args.j is None:
-                raise DomainError("branch --dir induce needs --j")
-            v = rock_branch(mu, args.p, args.j, "induce")
+            v = rock_branch(parse_partition(given[mu]), args.p, args.j, "induce")
         else:
-            if args.lam is None:
-                raise DomainError("branch --dir restrict needs --lambda")
             v = rock_branch(parse_partition(args.lam), args.p, direction="restrict")
         return {"vector": vector_payload(v)}
     if cmd == "maction":
@@ -395,7 +396,7 @@ def verify_all(p: int, dmax: int, oracle: bool = False) -> dict:
                         record(run_check(name, rho=rho, p=p, d=d))
                     for dcomp in compositions(d, ell(p) + 1):
                         record(run_check("dim-reduced", rho=rho, p=p, dcomp=dcomp))
-                    for lam in _block_labels(rho, p, d):
+                    for lam in _block(rho, p, d):
                         record(check_htoj(lam, p, oracle=oracle))
     except ValueError as exc:  # every label past the budget check is the library's own
         raise RuntimeError(exc) from exc

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abacus import (
-    _check_prime, _check_runner, _check_size, _core_weight, _neighbors, _runner_counts, ell,
+    _check_core, _check_prime, _check_runner, _check_size, _core_weight, _neighbors, _runner_counts,
+    ell,
 )
 from .exceptions import DomainError, ShapeError
 from .partitions import Partition, as_strict, skew_boxes
@@ -22,10 +23,7 @@ def _bar_core(rho: Partition, p: int, d: int) -> Partition:
     """is_rouquier's checks of a canonical rho: d >= 1, p prime, rho a bar-core."""
     if d < 1:
         raise ValueError("d must be positive")
-    _check_prime(p)
-    if _core_weight(rho, p)[1]:
-        raise DomainError(f"{rho} is not a bar-core for p={p}")
-    return rho
+    return _check_core(rho, p)
 
 
 def rouquier_core(rho, p: int, d: int) -> Partition:

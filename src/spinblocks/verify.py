@@ -15,8 +15,8 @@ from math import factorial, prod
 
 from . import stembridge, trees
 from .abacus import (
-    BarQuotient, _block_by_sizes, _block_labels, _check_prime, _k_product, _moves, _quotient,
-    ell, runner_label, runner_parity,
+    BarQuotient, _block, _block_by_sizes, _block_labels, _check_prime, _k_product, _moves,
+    _quotient, ell, runner_label, runner_parity,
 )
 from .chars import REFINED, SUPER, CharSpace, CharVector, PairVector, _m_action_pairs, runner_tuples
 from .exceptions import DomainError, SpaceMismatch
@@ -31,7 +31,7 @@ from .partitions import (
     enumerate_partitions,
     parity,
 )
-from .rouquier import _rock_weight, generate, rho_extension, rouquier_core
+from .rouquier import _rho_extension, _rock_weight, generate, rouquier_core
 from .sqrt2 import Sqrt2Scalar, times_sqrt2_power
 from .stembridge import _induce_pairs, _rock_branch
 
@@ -54,18 +54,16 @@ class NmvLattice:
     L or H space, in the sign-refined basis: the direct sum of one lattice
     per component, the labels (mu, 0..ell) of one mu in an H space and the
     whole L space.  Each generator is an edge row of refined labels with
-    coefficient 1: the rows are listed on first read unless given, and each
-    row's CharVector is built on first use.  `member` reads the labels,
+    coefficient 1: the rows are listed on first read, and each row's
+    CharVector is built on first use.  `member` reads the labels,
     never the rows; the oracle solves over the generator columns of each
     touched component, folded once, a + b*sqrt(2) being the pair (a, b).
     Both place labels by one rule, `_placed`: a zero pair adds nothing, and
     a nonzero pair outside the space raises, its label named as given.
     """
 
-    def __init__(self, space: CharSpace, edge_rows: list | None = None):
+    def __init__(self, space: CharSpace):
         self.space, self._folds = space, {}
-        if edge_rows is not None:
-            self.edge_rows = edge_rows  # shadows the cached property below
 
     @cached_property
     def edge_rows(self) -> list:
@@ -79,7 +77,7 @@ class NmvLattice:
                 for jk in range(L)
             ]
         else:
-            mus = _block_labels(space.rho, space.p, space.d - 1)
+            mus = _block(space.rho, space.p, space.d - 1)
             edges = [((mu, j), (mu, j + 1)) for mu in mus for j in range(L)]
         odd = {label: space.is_odd(label) for label in space.labels()}
         return [row for a, b in edges for row in _pair_generators(a, b, odd[a], odd[b])]
@@ -123,7 +121,7 @@ class NmvLattice:
         space, tables = self.space, {REFINED: {}, SUPER: {}}
         if space.kind == "H":
             slots = [(j,) for j in range(ell(space.p) + 1)]
-            bases = [(mu, slots) for mu in _block_labels(space.rho, space.p, space.d - 1)]
+            bases = [(mu, slots) for mu in _block(space.rho, space.p, space.d - 1)]
         else:
             bases = [(space.rho, runner_tuples(space.p, space.d))]
         for base, tuples in bases:
@@ -440,12 +438,12 @@ def check_htog_adjoint(rho, p: int, d: int) -> CheckReport:
     w = _weight(rho, p, d)
     restricted = {
         (mu, j, lam): b << (parity(mu) + runner_parity(j)) % 2
-        for lam in _block_labels(rho, p, d)
+        for lam in _block(rho, p, d)
         for (mu, j), b in w.branch(lam, None, "restrict")
     }
     induced = {
         (mu, j, lam): a << parity(lam)
-        for mu in _block_labels(rho, p, d - 1) for j in range(ell(p) + 1)
+        for mu in _block(rho, p, d - 1) for j in range(ell(p) + 1)
         for lam, a in w.branch(mu, j, "induce")
     }
     failures = []
@@ -542,10 +540,9 @@ def _restrict_recursion_sides(lam: Partition, q: BarQuotient, w: Weight, below) 
 
 def check_restrict_recursion(rho, p: int, d: int) -> CheckReport:
     rho = rouquier_core(rho, p, d)
-    _block_labels(rho, p, d)  # the block's own check of d
-    failures, w = [], _weight(rho, p, d)
+    failures, w, split = [], _weight(rho, p, d), _block_by_sizes(rho, p, d)
     below = {mu: q for part in _block_by_sizes(rho, p, d - 1).values() for mu, q in part.items()}
-    for lam, q in (item for part in _block_by_sizes(rho, p, d).values() for item in part.items()):
+    for lam, q in (item for part in split.values() for item in part.items()):
         for k, (lhs, rhs) in _restrict_recursion_sides(lam, q, w, below.__getitem__).items():
             if lhs != rhs:
                 failures.append({"lam": lam, "runner": k, "lhs": _jsonable(lhs),
@@ -560,7 +557,6 @@ def check_hyp_nonneg(rho, p: int, d: int) -> CheckReport:
     """Every closed-form coefficient c_lam is a positive integer, and over each
     dcomp sum eps_lam^2 c_lam^2 = eps_(rho,dcomp)^2 prod_i d_i!, as in dim-reduced."""
     rho = rouquier_core(rho, p, d)
-    _block_labels(rho, p, d)  # the block's own check of d, once for every dcomp
     e_rho, split = parity(rho), _block_by_sizes(rho, p, d)
     failures, totals = [], {}
     for dcomp in compositions(d, ell(p) + 1):
@@ -624,7 +620,7 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
     layout _fill_steps gives lam/mu (its box count included) and the
     content, all that the fill reads: each layout is filled once per runner."""
     rho = rouquier_core(rho, p, d)
-    block, w = _block_labels(rho, p, d), _weight(rho, p, d)
+    block, w = _block(rho, p, d), _weight(rho, p, d)
     layouts, fills, failures = {}, {}, []
 
     def fill(lam, mu, content):
@@ -633,7 +629,7 @@ def check_stembridge_cross(rho, p: int, d: int) -> CheckReport:
             fills[key] = stembridge._count_lattice_fillings(lam, mu, content)
         return fills[key]
 
-    for mu in _block_labels(rho, p, d - 1):
+    for mu in _block(rho, p, d - 1):
         support = [lam for lam in block if contains(lam, mu)]  # the same for every runner
         for lam in support:  # one weight apart: lam/mu has p boxes
             layouts[lam, mu] = tuple(map(tuple, stembridge._fill_steps(lam, mu, p)))
@@ -666,7 +662,7 @@ def check_tree_suite(p: int) -> CheckReport:
     for parity in ("even", "odd"):
         for rho in generate(p, 1, parity, TREE_SUITE_COUNT):
             wt = trees.weight_one_map(rho, p)
-            runner_of = {rho_extension(rho, p, j): (j,) for j in range(L + 1)}
+            runner_of = {_rho_extension(rho, p, j): (j,) for j in range(L + 1)}
             edges = {
                 tuple(sorted((runner_of[lam], s) for lam, s in edge))
                 for edge in wt.edge_sums()

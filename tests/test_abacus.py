@@ -49,7 +49,7 @@ def test_core_weight_order_independent_sample(p):
     for lam in all_strict(12):
         expected = core_weight(lam, p)
         for _ in range(20):
-            assert core_weight(lam, p, rng=rng) == expected
+            assert abacus._walk(lam, p, rng, {}) == expected
 
 
 def test_weight_consistency():
@@ -180,11 +180,7 @@ def test_core_order_fails_on_a_closed_form_without_pair_removal(monkeypatch, cap
     min(a_i, a_(p-i)) bead pairs disagrees with the random walks."""
     from spinblocks.cli import main
 
-    walk = abacus._core_weight
-
-    def planted(lam, p, rng=None):
-        if rng is not None:
-            return walk(lam, p, rng)
+    def planted(lam, p):
         counts = [0] * p
         for b in lam:
             counts[b % p] += 1

@@ -8,6 +8,7 @@ import random
 import time
 from math import factorial
 
+from spinblocks import abacus
 from spinblocks.abacus import block_enum, core_weight, ell, quotient
 from spinblocks.chars import CharSpace, CharVector
 from spinblocks.partitions import (
@@ -84,7 +85,7 @@ def test_criterion_2_core_quotient_soundness():
             for lam in rng.sample(pool, 60):
                 expected = core_weight(lam, p)
                 for _ in range(100):
-                    assert core_weight(lam, p, rng=rng) == expected
+                    assert abacus._walk(lam, p, rng, {}) == expected
         for parity in ("even", "odd"):
             for d in (1, 2, 3):
                 rho = generate(5, d, parity, 1)[0]

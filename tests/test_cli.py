@@ -967,6 +967,23 @@ def test_branch_induce_without_mu_is_a_usage_error(capsys):
     assert (code, out, err) == (2, "", "error: branch --dir induce needs --mu\n")
 
 
+@pytest.mark.parametrize(
+    "argv,stray",
+    [
+        (["--dir", "restrict", "--lambda", "5,2,1", "--mu", "2,1", "--j", "3"], "--mu --j"),
+        (["--dir", "induce", "--mu", "2,1", "--rho", "3", "--j", "0", "--lambda", "9"], "--rho --lambda"),
+        (["--dir", "restrict", "--lambda", "5,2,1", "--rho", "2,1"], "--rho"),
+    ],
+)
+def test_branch_refuses_the_flags_its_direction_does_not_read(capsys, argv, stray):
+    """Induction reads --mu (or its alias --rho) and --j, restriction --lambda;
+    a flag the direction would ignore is refused, named, rather than listed
+    among the report's inputs."""
+    direction = argv[1]
+    code, out, err = run_cli(capsys, "branch", "--p", "5", *argv)
+    assert (code, out, err) == (2, "", f"error: branch --dir {direction} does not read {stray}\n")
+
+
 @pytest.mark.parametrize("runner_tuple", ["-1", "1,-2", "9", "3"])
 def test_phi_rejects_a_tuple_off_the_runners(capsys, runner_tuple):
     code, out, err = run_cli(

@@ -110,11 +110,12 @@ def test_rho_extension_refuses_a_runner_outside_0_to_ell(j):
 
 
 def test_verify_all_validates_each_partition_argument_once(monkeypatch):
-    """One cold `verify all --p 7 --dmax 4` validates at most 520 partitions.
+    """One cold `verify all --p 7 --dmax 4` validates at most 484 partitions.
     Its verdict keys hold 472 partition arguments (286 htoj lam, 138
     dim-reduced rho and 48 rho of the other six block checks), and tree-suite
-    makes 36 public calls on its six generated cores; the cores behind the
-    checks and the loop over the block validate nothing again."""
+    makes 12 public calls on its six generated cores (`weight_one_map` and
+    `CharSpace.l_space`); the cores behind the checks and the loop over the
+    block validate nothing again."""
     from spinblocks import abacus, partitions
 
     calls, real = [], partitions.as_partition
@@ -122,7 +123,81 @@ def test_verify_all_validates_each_partition_argument_once(monkeypatch):
     abacus._block.cache_clear()
     abacus._block_by_sizes.cache_clear()
     assert verify_all(7, 4)["summary"] == {"total": 483, "failed": 0}
-    assert len(calls) <= 520
+    assert len(calls) <= 484
+
+
+# Every library and CLI entry that takes a core; (5,) has bar-weight 1 at p = 5
+CORE = (5,)
+CORE_ENTRIES = {
+    "block_enum": lambda: block_enum(CORE, 5, 1),
+    "is_rouquier": lambda: is_rouquier(CORE, 5, 1),
+    "rouquier_core": lambda: rouquier_core(CORE, 5, 1),
+    "rho_extension": lambda: rho_extension(CORE, 5, 0),
+    "weight_one_map": lambda: weight_one_map(CORE, 5),
+    "CharSpace.block": lambda: CharSpace.block(CORE, 5, 1),
+    "CharSpace.l_space": lambda: CharSpace.l_space(CORE, 5, 1),
+    "CharSpace.h_space": lambda: CharSpace.h_space(CORE, 5, 1),
+    "orbit_sum": lambda: orbit_sum(CORE, 5, (1, 0, 0)),
+    "hyp_coeffs": lambda: hyp_coeffs(CORE, 5, (1, 0, 0)),
+    "check_dim_reduced": lambda: verify.check_dim_reduced(CORE, 5, (1, 0, 0)),
+    **{f"check_{name.replace('-', '_')}": (lambda name=name: verify.run_check(name, rho=CORE, p=5, d=1))
+       for name in ("block-count", "htog-adjoint", "restrict-recursion", "hyp-nonneg",
+                    "phi-kernel", "stembridge-cross")},
+}
+CORE_ARGV = [
+    ["block", "--d", "1"], ["rouquier", "check", "--d", "1"], ["maction", "--j", "1"],
+    ["maction", "--mu", "5", "--j", "1"], ["orbit", "--dcomp", "1,0,0"], ["hyp", "--dcomp", "1,0,0"],
+    ["nmv", "--d", "1"], ["nmv", "--d", "1", "--space", "H"], ["phi", "--tuple", "1"],
+    ["tree", "weight1"], ["verify", "dim-reduced", "--dcomp", "1,0,0"],
+] + [["verify", name, "--d", "1"] for name in ("block-count", "htog-adjoint", "restrict-recursion",
+                                                 "hyp-nonneg", "phi-kernel", "stembridge-cross")]
+
+
+@pytest.mark.parametrize("name", sorted(CORE_ENTRIES))
+def test_core_entries_refuse_a_partition_that_is_not_a_bar_core(name):
+    with pytest.raises(DomainError, match=r"^\(5,\) is not a bar-core for p=5$"):
+        CORE_ENTRIES[name]()
+
+
+@pytest.mark.parametrize("argv", CORE_ARGV, ids=" ".join)
+def test_core_commands_refuse_a_partition_that_is_not_a_bar_core(capsys, argv):
+    from spinblocks import cli
+
+    assert cli.main([*argv, "--p", "5", "--rho", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: (5,) is not a bar-core for p=5\n")
+
+
+def test_the_bar_core_message_is_stated_once():
+    import pathlib
+
+    src = pathlib.Path(verify.__file__).parent
+    assert sum(f.read_text().count("is not a bar-core") for f in src.glob("*.py")) == 1
+
+
+def test_verify_all_checks_p_at_its_gates_and_never_for_a_space(monkeypatch):
+    """A cold `verify all --p 7 --dmax 6` checks p at most 2,200 times, at
+    its public gates only: a space the library builds from checked values is
+    not checked again (4,311 checks, 2,060 of them from building a CharSpace,
+    when every space checked its own p)."""
+    import sys
+
+    from spinblocks import abacus, chars, rouquier, stembridge
+
+    calls, real = [], abacus._check_prime
+
+    def spy(p):
+        frame = sys._getframe(1)
+        while frame and not isinstance(frame.f_locals.get("self"), CharSpace):
+            frame = frame.f_back
+        calls.append(frame is not None)
+        return real(p)
+
+    for module in (abacus, chars, rouquier, stembridge, verify):
+        monkeypatch.setattr(module, "_check_prime", spy)
+    abacus._block.cache_clear()
+    abacus._block_by_sizes.cache_clear()
+    assert verify_all(7, 6)["summary"] == {"total": 2113, "failed": 0}
+    assert len(calls) <= 2200 and not any(calls)
 
 
 # Every public function that takes p.  The arithmetic helpers ell,
